@@ -24,12 +24,11 @@ from ..core import BlueDBMCluster, BlueDBMNode
 from ..dvol import (
     DvolRouter,
     PlacementPlanner,
-    RemoteCoalescer,
     ShardServiceIface,
     ShardedVolume,
 )
 from ..faults import fault_seed_override
-from ..flash import PhysAddr
+from ..flash import Coalescer, PhysAddr
 from ..host import HostInterface
 from ..io import RequestTracer
 from ..sim import Simulator
@@ -187,7 +186,7 @@ class Session:
         low-priority port labeled ``dvol-gc``) plus a network *service
         port* — deliberately slot-capped at ``remote_in_flight`` — that
         remote operations are admitted through, optionally behind a
-        :class:`~repro.dvol.RemoteCoalescer`.  Every node gets a
+        slot-paced read :class:`~repro.flash.Coalescer`.  Every node gets a
         :class:`~repro.dvol.DvolRouter` on the volume's private
         endpoint block, so any node can source remote operations.  Each
         dvol *tenant* gets its own splitter port and
@@ -232,7 +231,8 @@ class Session:
             service_port = node.splitter.add_port(
                 max_in_flight=d.remote_in_flight, tenant="dvol")
             coalescer = (
-                RemoteCoalescer(service_port, d.remote_coalesce_max_pages)
+                Coalescer(service_port, d.remote_coalesce_max_pages,
+                          paced=True)
                 if d.remote_coalesce else None)
             service = ShardServiceIface(
                 self.sim, service_port, geometry.page_size,

@@ -285,8 +285,8 @@ class DistributedVolumeSpec:
       for strided access while covering every shard each round);
     * ``stripe_chunk_pages`` — consecutive LPNs kept on one shard; the
       run length both coalescers can merge;
-    * ``remote_coalesce`` — stage remote reads in a
-      :class:`~repro.dvol.RemoteCoalescer` at the destination's
+    * ``remote_coalesce`` — stage remote reads in a slot-paced
+      :class:`~repro.flash.Coalescer` at the destination's
       network service port, merging same-source stripe-adjacent runs
       into multi-page commands (up to ``remote_coalesce_max_pages``);
     * ``remote_in_flight`` — the service port's slot cap; small values

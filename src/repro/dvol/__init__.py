@@ -12,8 +12,6 @@ behaving as **one** storage appliance:
   remote ``read_lpn``/``write_lpn`` node-to-node over
   :mod:`repro.network`, with tenant identity riding the request so the
   destination splitter arbitrates remote traffic individually;
-* :mod:`~repro.dvol.coalesce` — the network-port read coalescer merging
-  same-source stripe-adjacent remote reads before admission;
 * :mod:`~repro.dvol.sharded` — the :class:`ShardedVolume` facade tying
   them together behind ``read_lpn``/``write_lpn``.
 
@@ -22,7 +20,6 @@ with ``access="dvol"`` builds all of this through
 :class:`~repro.api.Session`.
 """
 
-from .coalesce import RemoteCoalescer
 from .placement import PLACEMENT_MODES, PlacementPlanner
 from .router import DvolRouter, ShardServiceIface
 from .sharded import ShardedVolume
@@ -31,7 +28,6 @@ __all__ = [
     "PLACEMENT_MODES",
     "DvolRouter",
     "PlacementPlanner",
-    "RemoteCoalescer",
     "ShardServiceIface",
     "ShardedVolume",
 ]

@@ -9,7 +9,7 @@ chunks together is what preserves stripe adjacency *within a shard*:
 a logically-sequential run arrives at each shard as consecutive shard
 LPNs, which sequential allocation turns into physically stripe-adjacent
 pages — the shape both the local read coalescer and the network-port
-:class:`~repro.dvol.coalesce.RemoteCoalescer` merge.
+remote read :class:`~repro.flash.coalesce.Coalescer` merge.
 
 Everything here is pure integer math (hashing included — keyed BLAKE2s
 digests, no RNG state), so the hypothesis property tests drive the

@@ -26,9 +26,9 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Optional
 
+from ..flash import Coalescer
 from ..io import IORequest, StageSpan
 from ..sim import Counter, Event, Simulator
-from .coalesce import RemoteCoalescer
 
 __all__ = ["DvolRouter", "ShardServiceIface"]
 
@@ -47,13 +47,14 @@ class ShardServiceIface:
     host-side machinery: remote operations served here pay splitter
     admission and the device — never the destination host's software,
     buffers, PCIe or interrupts, which is exactly what the integrated
-    network skips.  With a :class:`~repro.dvol.coalesce.RemoteCoalescer`
-    attached, reads stage there (same-source stripe-adjacent runs merge
-    before admission); otherwise they ride the service port directly.
+    network skips.  With a slot-paced read
+    :class:`~repro.flash.coalesce.Coalescer` attached, reads stage there
+    (same-source stripe-adjacent runs merge before admission); otherwise
+    they ride the service port directly.
     """
 
     def __init__(self, sim: Simulator, port, page_size: int,
-                 coalescer: Optional[RemoteCoalescer] = None,
+                 coalescer: Optional[Coalescer] = None,
                  tenant: str = "dvol"):
         self.sim = sim
         self.port = port

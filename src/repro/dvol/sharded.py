@@ -136,11 +136,9 @@ class ShardedVolume:
         """Traced cluster-wide logical read (DES generator) -> bytes."""
         request, owned = iface._start(IOKind.READ, lpn, self.page_size,
                                       request)
-        start = self.sim.now
         data = yield from self.read(src, iface, lpn, software_path,
                                     request)
         iface.reads.add()
-        iface.read_latency.record(self.sim.now - start)
         if owned:
             iface.tracer.complete(request)
         return data
@@ -151,11 +149,9 @@ class ShardedVolume:
         """Traced cluster-wide logical write (DES generator)."""
         request, owned = iface._start(IOKind.WRITE, lpn, len(data),
                                       request)
-        start = self.sim.now
         yield from self.write(src, iface, lpn, data, software_path,
                               request)
         iface.writes.add()
-        iface.write_latency.record(self.sim.now - start)
         if owned:
             iface.tracer.complete(request)
 

@@ -9,7 +9,7 @@ FTL-backed shards reached over the integrated network:
   striped chunk placement half of every tenant's pages live on the
   other node, so the scan exercises the whole remote path (router →
   destination splitter → response).  Remote coalescing on/off: on, the
-  network service port's :class:`~repro.dvol.RemoteCoalescer` merges
+  network service port's remote read :class:`~repro.flash.Coalescer` merges
   the stripe-adjacent remote runs into multi-page commands; off, the
   distributed scan must still deliver ~0.8x the summed bandwidth of
   independent local scans — the paper's "a rack behaves like one

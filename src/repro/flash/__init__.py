@@ -13,8 +13,8 @@ Layers, bottom-up:
 * :mod:`~repro.flash.controller` — the tagged, out-of-order,
   error-corrected card controller (:class:`FlashCard`).
 * :mod:`~repro.flash.coalesce` — the splitter's admission-side
-  coalescing stage: stripe-adjacent page reads merge into multi-page
-  commands (:class:`Coalescer`).
+  coalescing engine: stripe-adjacent page reads and programs merge into
+  multi-page commands (:class:`Coalescer`).
 * :mod:`~repro.flash.splitter` — multi-user access with tag renaming.
 * :mod:`~repro.flash.server` — Flash Server: in-order streaming interface
   plus the Address Translation Unit for file-handle access.
@@ -29,7 +29,7 @@ from .chip import (
     ProgramError,
     ProgramFailedError,
 )
-from .coalesce import Coalescer, WriteCoalescer, first_group, plan_groups
+from .coalesce import Coalescer, first_group, plan_groups
 from .controller import (
     FlashCard,
     PartialReadError,
@@ -65,7 +65,6 @@ __all__ = [
     "FlashSplitter",
     "SplitterPort",
     "Coalescer",
-    "WriteCoalescer",
     "first_group",
     "plan_groups",
     "FlashServer",

@@ -5,8 +5,8 @@ issue/decode) for every operation, and every command occupies one
 admission slot.  Under deep queues that overhead is the difference
 between the advertised bandwidth and what a one-page-per-command
 interface reaches — so the splitter grows a *coalescing stage*: page
-reads arriving at a port are staged briefly, stripe-adjacent requests
-from the same tenant merge into one multi-page command (at most
+operations arriving at a port are staged briefly, stripe-adjacent
+requests from the same tenant merge into one multi-page command (at most
 ``max_pages``, never across a card boundary), and the merged command
 takes one port slot, one admission grant whose *cost* is the combined
 payload bytes, and one card command.
@@ -22,6 +22,23 @@ drive the planner without a simulator: groups partition their input
 exactly, stay within one tenant and one card, take stripe-consecutive
 pages only, and never exceed the page cap.
 
+One :class:`Coalescer` engine serves every site; two constructor
+arguments say what differs:
+
+* ``op`` — the card command a group becomes: ``"read"``
+  (:meth:`~repro.flash.controller.FlashCard.read_pages`, with per-child
+  settlement of a :class:`~repro.flash.controller.PartialReadError`) or
+  ``"program"`` (:meth:`~repro.flash.controller.FlashCard.program_pages`).
+* ``paced`` — whether dispatch waits for slot headroom.  A *greedy*
+  stage (the local read stage) carves a group the moment staging is
+  non-empty, which merges a closed-loop window that arrives within one
+  timestep.  A *paced* stage (the program stage, the distributed
+  volume's remote read stage) carves only while it holds fewer than the
+  port's slot cap of its own commands, so arrivals that trickle in
+  while every slot is busy accumulate and merge when a slot frees.
+  That wait is queueing, so a paced stage charges staging time to the
+  request's ``queue`` stage.
+
 The merged command completes as a unit — one completion message per
 command, like the tagged interface underneath — so a closed-loop
 submitter gets its whole window back at once and refills it with the
@@ -35,15 +52,18 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional, Sequence, Tuple
 
-from ..io import BatchStageSpan, IORequest
+from ..io import IORequest
 from ..sim import Event, Simulator
 from .controller import PartialReadError
 
-__all__ = ["Coalescer", "WriteCoalescer", "first_group", "plan_groups"]
+__all__ = ["Coalescer", "first_group", "plan_groups"]
 
 #: (tenant, card-identity, stripe index) — the only attributes the
 #: grouping rule reads.
 GroupKey = Tuple[str, object, int]
+
+#: Card operations a coalescing stage can merge into.
+OPS = ("read", "program")
 
 
 def first_group(keys: Sequence[GroupKey], max_pages: int) -> List[int]:
@@ -98,8 +118,8 @@ def plan_groups(keys: Sequence[GroupKey],
 def _carve(staging, max_pages: int):
     """Take the next merged command's members off a staging deque.
 
-    Returns ``(group, remaining)`` — the shared carve step of both
-    coalescing stages (the grouping rule itself is :func:`first_group`).
+    Returns ``(group, remaining)``; the grouping rule itself is
+    :func:`first_group`.
     """
     positions = first_group([p.key for p in staging], max_pages)
     taken = set(positions)
@@ -109,232 +129,55 @@ def _carve(staging, max_pages: int):
     return group, remaining
 
 
-def _head_identity(port, request):
-    """(priority, deadline) a merged command inherits from its head.
-
-    The request's own QoS identity wins when it carries one — exactly
-    as the unmerged path takes it from each request — falling back to
-    the port's configured identity.
-    """
-    sim = port.splitter.sim
-    priority = port.priority
-    if request is not None and request.priority is not None:
-        priority = request.priority
-    deadline = None
-    if request is not None and request.deadline_ns is not None:
-        deadline = request.deadline_ns
-    elif port.deadline_ns is not None:
-        deadline = sim.now + port.deadline_ns
-    return priority, deadline
-
-
 class _Pending:
-    """One staged page read awaiting merge + dispatch."""
+    """One staged page operation awaiting merge + dispatch."""
 
-    __slots__ = ("addr", "key", "request", "event", "enqueued_ns")
+    __slots__ = ("addr", "key", "request", "event", "data", "size")
 
-    def __init__(self, addr, key: GroupKey,
-                 request: Optional[IORequest], event: Event,
-                 enqueued_ns: int):
+    def __init__(self, addr, key: GroupKey, request: Optional[IORequest],
+                 event: Event, data: Optional[bytes], size: int):
         self.addr = addr
         self.key = key
         self.request = request
         self.event = event
-        self.enqueued_ns = enqueued_ns
+        self.data = data
+        self.size = size
 
 
 class Coalescer:
-    """The per-port coalescing stage in front of splitter admission.
+    """A per-port coalescing stage in front of splitter admission.
 
-    ``submit`` stages a page read and returns its completion event
-    (value: the page's :class:`~repro.flash.controller.ReadResult`);
-    a dispatcher process drains the staging queue, merging adjacent
-    runs per :func:`first_group` and launching one admission + card
-    command per group.  Everything that arrives within one simulator
-    timestep is visible to the same dispatch round, so a queue-depth-N
-    submitter's whole window can merge.
+    ``submit`` stages a page operation and returns its completion event
+    (value: the page's :class:`~repro.flash.controller.ReadResult` for
+    reads, None for programs); a dispatcher process drains the staging
+    queue, merging adjacent runs per :func:`first_group` and launching
+    one admission + card command per group.  Everything that arrives
+    within one simulator timestep is visible to the same dispatch round,
+    so a queue-depth-N submitter's whole window can merge.
+
+    For programs, groups are *strict* ``+1`` striped-index runs taken
+    off the open write point, so a merged command can never jump across
+    an already-programmed page nor reorder programs within a block
+    (and :meth:`~repro.flash.controller.FlashCard.program_pages`
+    re-checks both rules before touching the card).
     """
 
-    def __init__(self, port, max_pages: int):
+    def __init__(self, port, max_pages: int, op: str = "read",
+                 paced: bool = False):
         if max_pages < 2:
             raise ValueError(
                 f"coalescing needs max_pages >= 2, got {max_pages}")
+        if op not in OPS:
+            raise ValueError(f"unknown coalescing op {op!r}; "
+                             f"expected one of {OPS}")
         self.port = port
         self.splitter = port.splitter
         self.sim: Simulator = port.splitter.sim
         self.max_pages = max_pages
+        self.op = op
+        self.paced = paced
+        self._page_size = port.splitter.page_size
         self._staging: Deque[_Pending] = deque()
-        self._gate: Optional[Event] = None
-        #: commands dispatched / pages carried / pages that rode a
-        #: multi-page command (the amortized ones).
-        self.commands = 0
-        self.pages = 0
-        self.merged_pages = 0
-        self.sim.process(self._dispatch(),
-                         name=f"coalescer-{port.tenant}")
-
-    # -- intake ---------------------------------------------------------
-    def submit(self, addr, request: Optional[IORequest]) -> Event:
-        """Stage one page read; returns the event its result rides on."""
-        geometry = self.splitter.geometry
-        key: GroupKey = (self.port.sched_tenant(request),
-                         (addr.node, addr.card),
-                         geometry.striped_index(addr))
-        pending = _Pending(addr, key, request, Event(self.sim),
-                           self.sim.now)
-        self._staging.append(pending)
-        if self._gate is not None and not self._gate.triggered:
-            self._gate.succeed()
-        return pending.event
-
-    @property
-    def depth(self) -> int:
-        """Requests currently staged (not yet dispatched)."""
-        return len(self._staging)
-
-    @property
-    def pages_per_command(self) -> float:
-        """Mean merged width over the coalescer's lifetime."""
-        return self.pages / self.commands if self.commands else 0.0
-
-    def stats(self) -> dict:
-        return {"commands": self.commands, "pages": self.pages,
-                "merged_pages": self.merged_pages,
-                "pages_per_command": self.pages_per_command}
-
-    # -- dispatch -------------------------------------------------------
-    def _dispatch(self):
-        """Forever: wait for staged work, carve a group, launch it."""
-        sim = self.sim
-        while True:
-            if not self._staging:
-                self._gate = sim.event()
-                yield self._gate
-                self._gate = None
-            group = self._take_group()
-            sim.process(self._execute(group))
-
-    def _take_group(self) -> List[_Pending]:
-        """Remove the next merged command's members from staging."""
-        group, self._staging = _carve(self._staging, self.max_pages)
-        return group
-
-    def _execute(self, group: List[_Pending]):
-        """Admit and run one merged command; settle every child.
-
-        Admission (port slot + shared admission stage) charges the
-        merged payload as one queue entry — ``cost`` in bytes, ``pages``
-        wide — so WFQ/token-bucket arbitrate the real load while the
-        command occupies a single slot.  QoS identity comes from the
-        group head exactly as the unmerged path takes it from each
-        request.
-        """
-        port = self.port
-        splitter = self.splitter
-        sim = self.sim
-        head = group[0]
-        tenant = head.key[0]
-        priority, deadline = _head_identity(port, head.request)
-        size = splitter.page_size
-        cost = size * len(group)
-        requests = [p.request for p in group]
-        admission = splitter.admission
-        with BatchStageSpan(sim, requests, "queue"):
-            yield port._slots.request(tenant=tenant, priority=priority,
-                                      deadline_ns=deadline, cost=cost,
-                                      pages=len(group))
-            if admission is not None:
-                try:
-                    yield admission.request(tenant=tenant,
-                                            priority=priority,
-                                            deadline_ns=deadline,
-                                            cost=cost, pages=len(group))
-                except BaseException:
-                    port._slots.release()
-                    raise
-        self.commands += 1
-        self.pages += len(group)
-        if len(group) > 1:
-            self.merged_pages += len(group)
-        try:
-            results = yield sim.process(splitter.card.read_pages(
-                [p.addr for p in group], requests=requests))
-        except PartialReadError as exc:
-            # Per-child fidelity: successful siblings keep their pages
-            # (and their served bytes), only the bad ones fail — the
-            # same outcome each would have seen unmerged.
-            served = sum(1 for result in exc.results if result is not None)
-            splitter.bandwidth.record(tenant, size * served)
-            for pending, result, error in zip(group, exc.results,
-                                              exc.errors):
-                if error is not None:
-                    pending.event.fail(error)
-                else:
-                    pending.event.succeed(result)
-            return
-        except BaseException as exc:
-            # This process has no waiter: deliver the failure to every
-            # child instead of crashing the simulation.
-            for pending in group:
-                pending.event.fail(exc)
-            return
-        finally:
-            if admission is not None:
-                admission.release()
-            port._slots.release()
-        splitter.bandwidth.record(tenant, cost)
-        for pending, result in zip(group, results):
-            pending.event.succeed(result)
-
-
-class _PendingWrite:
-    """One staged page program awaiting merge + dispatch."""
-
-    __slots__ = ("addr", "data", "key", "request", "event", "enqueued_ns")
-
-    def __init__(self, addr, data: bytes, key: GroupKey,
-                 request: Optional[IORequest], event: Event,
-                 enqueued_ns: int):
-        self.addr = addr
-        self.data = data
-        self.key = key
-        self.request = request
-        self.event = event
-        self.enqueued_ns = enqueued_ns
-
-
-class WriteCoalescer:
-    """The program-path coalescing stage in front of splitter admission.
-
-    Same grouping rule as the read :class:`Coalescer` — greedy
-    :func:`first_group` runs of stripe-adjacent, same-tenant,
-    same-card pages — but merged into one multi-page
-    :meth:`~repro.flash.controller.FlashCard.program_pages` command.
-    Because groups are *strict* ``+1`` striped-index runs taken off the
-    open write point, a merged command can never jump across an
-    already-programmed page nor reorder programs within a block: the
-    run programs in striped order, which is non-decreasing page order
-    on every chip (and :meth:`FlashCard.program_pages` re-checks both
-    rules before touching the card).
-
-    Dispatch pacing differs from the read coalescer: program commands
-    occupy a port slot for ``t_prog`` (hundreds of µs), so a group is
-    carved only while this stage holds fewer than the port's slot cap
-    of its own commands.  Writes arriving while every slot is busy —
-    the normal state of a program burst — therefore *accumulate* in
-    staging and merge when a slot frees, which is what keeps program
-    commands wide even though host-side transfers stagger arrivals.
-    """
-
-    def __init__(self, port, max_pages: int):
-        if max_pages < 2:
-            raise ValueError(
-                f"coalescing needs max_pages >= 2, got {max_pages}")
-        self.port = port
-        self.splitter = port.splitter
-        self.sim: Simulator = port.splitter.sim
-        self.max_pages = max_pages
-        self._staging: Deque[_PendingWrite] = deque()
         self._gate: Optional[Event] = None
         self._slot_gate: Optional[Event] = None
         self._inflight = 0
@@ -344,23 +187,24 @@ class WriteCoalescer:
         self.pages = 0
         self.merged_pages = 0
         self.sim.process(self._dispatch(),
-                         name=f"write-coalescer-{port.tenant}")
+                         name=f"{op}-coalescer-{port.tenant}")
 
     # -- intake ---------------------------------------------------------
-    def submit(self, addr, data: bytes,
-               request: Optional[IORequest]) -> Event:
-        """Stage one page program; returns its completion event."""
+    def submit(self, addr, request: Optional[IORequest],
+               data: Optional[bytes] = None) -> Event:
+        """Stage one page (``data`` for a program); returns the event
+        its completion rides on."""
         geometry = self.splitter.geometry
         key: GroupKey = (self.port.sched_tenant(request),
                          (addr.node, addr.card),
                          geometry.striped_index(addr))
-        pending = _PendingWrite(addr, data, key, request, Event(self.sim),
-                                self.sim.now)
-        # Staging time is queueing: the dispatcher holds programs here
-        # while the port's slots are busy, exactly where the uncoalesced
-        # path would have waited on the slot itself — charge it to the
-        # same stage so on/off traces stay comparable.
-        if request:
+        size = self._page_size if data is None else len(data)
+        pending = _Pending(addr, key, request, Event(self.sim), data, size)
+        # A paced stage holds work here while the port's slots are
+        # busy, exactly where the uncoalesced path would have waited on
+        # the slot itself — charge it to the same stage so on/off
+        # traces stay comparable.
+        if self.paced and request:
             request.enter("queue", self.sim.now)
         self._staging.append(pending)
         if self._gate is not None and not self._gate.triggered:
@@ -369,7 +213,7 @@ class WriteCoalescer:
 
     @property
     def depth(self) -> int:
-        """Programs currently staged (not yet dispatched)."""
+        """Pages currently staged (not yet dispatched)."""
         return len(self._staging)
 
     @property
@@ -384,69 +228,54 @@ class WriteCoalescer:
 
     # -- dispatch -------------------------------------------------------
     def _dispatch(self):
-        """Forever: wait for staged work and a slot's worth of headroom,
-        carve a group, launch it."""
+        """Forever: wait for staged work (and, when paced, slot
+        headroom), carve a group, launch it."""
         sim = self.sim
         while True:
             if not self._staging:
                 self._gate = sim.event()
                 yield self._gate
                 self._gate = None
-            while self._inflight >= self.port.max_in_flight:
+            while self.paced and self._inflight >= self.port.max_in_flight:
                 self._slot_gate = sim.event()
                 yield self._slot_gate
                 self._slot_gate = None
-            group = self._take_group()
+            group, self._staging = _carve(self._staging, self.max_pages)
+            if self.paced:
+                now = sim.now
+                for pending in group:
+                    if pending.request:
+                        pending.request.exit("queue", now)
             self._inflight += 1
             sim.process(self._execute(group))
 
-    def _take_group(self) -> List[_PendingWrite]:
-        """Remove the next merged command's members from staging."""
-        group, self._staging = _carve(self._staging, self.max_pages)
-        now = self.sim.now
-        for pending in group:
-            if pending.request:
-                pending.request.exit("queue", now)
-        return group
-
-    def _retired(self) -> None:
+    def _release_pacing_slot(self) -> None:
+        """One of this stage's commands gave back its pacing slot."""
         self._inflight -= 1
         if self._slot_gate is not None and not self._slot_gate.triggered:
             self._slot_gate.succeed()
 
-    def _execute(self, group: List[_PendingWrite]):
-        """Admit and run one merged program command; settle every child.
+    def _execute(self, group: List[_Pending]):
+        """Admit and run one merged command; settle every child.
 
-        Admission mirrors the read coalescer exactly: the merged
-        payload is one queue entry — ``cost`` in bytes, ``pages`` wide
-        — with the QoS identity of the group head.
+        Admission charges the merged payload as one queue entry —
+        ``cost`` in bytes (the sum of the children's sizes), ``pages``
+        wide — so WFQ/token-bucket arbitrate the real load while the
+        command occupies a single slot; QoS identity comes from the
+        group head exactly as the unmerged path takes it from each
+        request.  A failure anywhere fails the children, never the
+        simulation: this process has no waiter.
         """
         port = self.port
         splitter = self.splitter
         sim = self.sim
-        head = group[0]
-        tenant = head.key[0]
-        priority, deadline = _head_identity(port, head.request)
-        cost = sum(len(p.data) for p in group)
+        tenant = group[0].key[0]
+        cost = sum(p.size for p in group)
         requests = [p.request for p in group]
-        admission = splitter.admission
         try:
-            with BatchStageSpan(sim, requests, "queue"):
-                yield port._slots.request(tenant=tenant, priority=priority,
-                                          deadline_ns=deadline, cost=cost,
-                                          pages=len(group))
-                if admission is not None:
-                    try:
-                        yield admission.request(tenant=tenant,
-                                                priority=priority,
-                                                deadline_ns=deadline,
-                                                cost=cost,
-                                                pages=len(group))
-                    except BaseException:
-                        port._slots.release()
-                        raise
-        except BaseException as exc:
-            self._retired()
+            yield from port._admit(group[0].request, cost, batch=requests)
+        except Exception as exc:
+            self._release_pacing_slot()
             for pending in group:
                 pending.event.fail(exc)
             return
@@ -454,21 +283,42 @@ class WriteCoalescer:
         self.pages += len(group)
         if len(group) > 1:
             self.merged_pages += len(group)
+        addrs = [p.addr for p in group]
+        if self.op == "read":
+            command = splitter.card.read_pages(addrs, requests=requests)
+        else:
+            command = splitter.card.program_pages(
+                addrs, [p.data for p in group], requests=requests)
+        failed = True
         try:
-            yield sim.process(splitter.card.program_pages(
-                [p.addr for p in group], [p.data for p in group],
-                requests=requests))
-        except BaseException as exc:
-            # This process has no waiter: deliver the failure to every
-            # child instead of crashing the simulation.
+            results = yield sim.process(command)
+            failed = False
+        except PartialReadError as exc:
+            # Per-child fidelity: successful siblings keep their pages
+            # (and their served bytes), only the bad ones fail — the
+            # same outcome each would have seen unmerged.
+            splitter.bandwidth.record(tenant, sum(
+                p.size for p, result in zip(group, exc.results)
+                if result is not None))
+            for pending, result, error in zip(group, exc.results,
+                                              exc.errors):
+                if error is not None:
+                    pending.event.fail(error)
+                else:
+                    pending.event.succeed(result)
+            return
+        except Exception as exc:
             for pending in group:
                 pending.event.fail(exc)
             return
         finally:
-            if admission is not None:
-                admission.release()
-            port._slots.release()
-            self._retired()
+            port._retire()
+            # A program gives its pacing slot back at the card's ack; a
+            # read holds it until its pages are handed back below.
+            if failed or self.op == "program":
+                self._release_pacing_slot()
         splitter.bandwidth.record(tenant, cost)
-        for pending in group:
-            pending.event.succeed(None)
+        for pending, result in zip(group, results or [None] * len(group)):
+            pending.event.succeed(result)
+        if self.op == "read":
+            self._release_pacing_slot()

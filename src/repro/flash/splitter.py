@@ -40,9 +40,10 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..io import IOKind, IORequest, RequestTracer, ScheduledResource, StageSpan
+from ..io import (BatchStageSpan, IOKind, IORequest, RequestTracer,
+                  ScheduledResource, StageSpan)
 from ..sim import BandwidthLedger, Counter, Simulator
-from .coalesce import Coalescer, WriteCoalescer
+from .coalesce import Coalescer
 from .controller import FlashCard, ReadResult
 from .geometry import DEFAULT_GEOMETRY, PhysAddr
 
@@ -72,7 +73,8 @@ class SplitterPort:
         self.coalescer = (Coalescer(self, splitter.coalesce_max_pages)
                           if splitter.coalesce else None)
         self.write_coalescer = (
-            WriteCoalescer(self, splitter.coalesce_max_pages)
+            Coalescer(self, splitter.coalesce_max_pages, op="program",
+                      paced=True)
             if splitter.coalesce else None)
         self._next_user_tag = 0
         self.reads = Counter(f"user{user_id}-reads")
@@ -134,7 +136,8 @@ class SplitterPort:
             return request.tenant
         return self.tenant
 
-    def _admit(self, request: Optional[IORequest], cost: int):
+    def _admit(self, request: Optional[IORequest], cost: int,
+               batch: Optional[List[Optional[IORequest]]] = None):
         """Acquire the port slot, then the shared admission slot (if any).
 
         Both waits are charged to the request's ``queue`` stage.  The
@@ -144,6 +147,11 @@ class SplitterPort:
         created merely for tracing never demotes a port's QoS.
         ``cost`` is the operation's payload bytes: what weighted fair
         share and token buckets charge instead of a flat slot count.
+
+        ``batch`` admits a coalesced command instead: ``request`` is the
+        group head (whose identity the command inherits), ``batch``
+        every child request — each charged the shared wait — and the
+        grant is ``len(batch)`` pages wide.
         """
         sim = self.splitter.sim
         tenant = self.sched_tenant(request)
@@ -155,16 +163,21 @@ class SplitterPort:
             deadline = request.deadline_ns
         elif self.deadline_ns is not None:
             deadline = sim.now + self.deadline_ns
-        with StageSpan(sim, request, "queue"):
+        if batch is None:
+            span, pages = StageSpan(sim, request, "queue"), 1
+        else:
+            span, pages = BatchStageSpan(sim, batch, "queue"), len(batch)
+        with span:
             yield self._slots.request(tenant=tenant, priority=priority,
-                                      deadline_ns=deadline, cost=cost)
+                                      deadline_ns=deadline, cost=cost,
+                                      pages=pages)
             admission = self.splitter.admission
             if admission is not None:
                 try:
                     yield admission.request(tenant=tenant,
                                             priority=priority,
                                             deadline_ns=deadline,
-                                            cost=cost)
+                                            cost=cost, pages=pages)
                 except BaseException:
                     self._slots.release()
                     raise
@@ -214,7 +227,8 @@ class SplitterPort:
         """Program via the shared card.
 
         With coalescing enabled the program is staged at the port's
-        :class:`~repro.flash.coalesce.WriteCoalescer`: stripe-adjacent
+        slot-paced program :class:`~repro.flash.coalesce.Coalescer`
+        (:attr:`write_coalescer`): stripe-adjacent
         programs from the same tenant targeting the open write point
         merge into one multi-page command (one slot, one admission
         grant at the merged byte cost, one card command setup),
@@ -223,7 +237,7 @@ class SplitterPort:
         request, owned = self._start(IOKind.WRITE, addr, len(data), request)
         self._rename()
         if self.write_coalescer is not None:
-            yield self.write_coalescer.submit(addr, data, request)
+            yield self.write_coalescer.submit(addr, request, data)
             self.writes.add()
             if owned:
                 self.splitter.tracer.complete(request)

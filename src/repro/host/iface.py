@@ -40,7 +40,7 @@ from typing import Iterable, Optional
 from ..flash import PhysAddr, ReadResult
 from ..flash.splitter import SplitterPort
 from ..io import IOKind, IORequest, RequestBatch, RequestTracer, StageSpan
-from ..sim import Counter, LatencyStats, Simulator
+from ..sim import Counter, Simulator
 from .buffers import PageBufferPool
 from .config import HostConfig
 from .cpu import HostCPU
@@ -77,8 +77,6 @@ class HostInterface:
                                            "read-buffers")
         self.write_buffers = PageBufferPool(sim, config.write_buffers,
                                             "write-buffers")
-        self.read_latency = LatencyStats("host-read")
-        self.write_latency = LatencyStats("host-write")
         self.reads = Counter("host-reads")
         self.writes = Counter("host-writes")
         # Interrupt-coalescing state shared across this interface's
@@ -185,10 +183,8 @@ class HostInterface:
         """
         request, owned = self._start(IOKind.READ, addr, self.page_size,
                                      request)
-        start = self.sim.now
         result = yield from self._read_flow(addr, software_path, request)
         self.reads.add()
-        self.read_latency.record(self.sim.now - start)
         if owned:
             self.tracer.complete(request)
         return result.data
@@ -198,10 +194,8 @@ class HostInterface:
                    request: Optional[IORequest] = None):
         """Write one page from host memory to flash (DES generator)."""
         request, owned = self._start(IOKind.WRITE, addr, len(data), request)
-        start = self.sim.now
         yield from self._write_flow(addr, data, software_path, request)
         self.writes.add()
-        self.write_latency.record(self.sim.now - start)
         if owned:
             self.tracer.complete(request)
 
@@ -224,11 +218,9 @@ class HostInterface:
         """
         request, owned = self._start(IOKind.READ, lpn, self.page_size,
                                      request)
-        start = self.sim.now
         data = yield from volume.read_flow(lpn, self, software_path,
                                            request)
         self.reads.add()
-        self.read_latency.record(self.sim.now - start)
         if owned:
             self.tracer.complete(request)
         return data
@@ -243,11 +235,9 @@ class HostInterface:
         program rides this interface's full write flow.
         """
         request, owned = self._start(IOKind.WRITE, lpn, len(data), request)
-        start = self.sim.now
         yield from volume.write_flow(self, lpn, data, software_path,
                                      request, tenant=self.tenant)
         self.writes.add()
-        self.write_latency.record(self.sim.now - start)
         if owned:
             self.tracer.complete(request)
 
@@ -348,7 +338,6 @@ class HostInterface:
         the exception to any waiter) rather than raised — the pump must
         keep the rest of the batch moving.
         """
-        start = self.sim.now
         result = None
         error: Optional[BaseException] = None
         try:
@@ -381,7 +370,6 @@ class HostInterface:
                         yield from self._coalesced_interrupt(
                             item.request, irq_coalesce, device_io)
                 self.reads.add()
-                self.read_latency.record(self.sim.now - start)
             elif item.kind is IOKind.WRITE:
                 if volume is not None:
                     yield from volume.write_flow(
@@ -392,7 +380,6 @@ class HostInterface:
                                                 software_path,
                                                 item.request)
                 self.writes.add()
-                self.write_latency.record(self.sim.now - start)
             else:
                 yield from self._erase_flow(item.addr, software_path,
                                             item.request)

@@ -7,7 +7,7 @@ Public surface:
   event/coroutine primitives.
 * :mod:`~repro.sim.resources` — FIFO stores, counted resources, credit
   pools (token flow control), gates.
-* :mod:`~repro.sim.stats` — counters, latency stats, bandwidth meters.
+* :mod:`~repro.sim.stats` — counters, latency histograms, bandwidth meters.
 * :mod:`~repro.sim.units` — ns/µs/GB/Gbps conversion helpers.
 """
 
@@ -27,10 +27,8 @@ from .stats import (
     BandwidthMeter,
     Counter,
     LatencyHistogram,
-    LatencyStats,
     UtilizationTracker,
 )
-from .trace import Probe, TraceRecord, Tracer
 from . import units
 
 __all__ = [
@@ -47,13 +45,9 @@ __all__ = [
     "CreditPool",
     "Gate",
     "Counter",
-    "LatencyStats",
     "LatencyHistogram",
     "BandwidthMeter",
     "BandwidthLedger",
     "UtilizationTracker",
-    "Tracer",
-    "TraceRecord",
-    "Probe",
     "units",
 ]

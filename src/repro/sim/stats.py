@@ -1,4 +1,4 @@
-"""Measurement utilities: counters, latency stats, bandwidth meters.
+"""Measurement utilities: counters, latency histograms, bandwidth meters.
 
 Benchmarks reproduce the paper's figures from these collectors; they are
 deliberately simple so a reader can audit what each reported number means.
@@ -6,13 +6,12 @@ deliberately simple so a reader can audit what each reported number means.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Tuple
 
 from .core import Simulator
 from .units import bandwidth_gbps, bandwidth_gbytes
 
-__all__ = ["Counter", "LatencyStats", "LatencyHistogram", "BandwidthMeter",
+__all__ = ["Counter", "LatencyHistogram", "BandwidthMeter",
            "BandwidthLedger", "UtilizationTracker"]
 
 
@@ -35,78 +34,12 @@ class Counter:
         return f"Counter({self.name!r}, {self.value})"
 
 
-class LatencyStats:
-    """Collects latency samples (ns) and reports summary statistics."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.samples: List[int] = []
-
-    def record(self, latency_ns: int) -> None:
-        if latency_ns < 0:
-            raise ValueError(f"negative latency {latency_ns}")
-        self.samples.append(latency_ns)
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
-    @property
-    def mean(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(self.samples) / len(self.samples)
-
-    @property
-    def minimum(self) -> int:
-        return min(self.samples) if self.samples else 0
-
-    @property
-    def maximum(self) -> int:
-        return max(self.samples) if self.samples else 0
-
-    @property
-    def stddev(self) -> float:
-        n = len(self.samples)
-        if n < 2:
-            return 0.0
-        mu = self.mean
-        return math.sqrt(sum((s - mu) ** 2 for s in self.samples) / (n - 1))
-
-    def percentile(self, p: float) -> float:
-        """Linear-interpolated percentile, p in [0, 100]."""
-        if not 0 <= p <= 100:
-            raise ValueError(f"percentile {p} out of range")
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        if len(ordered) == 1:
-            return float(ordered[0])
-        rank = (p / 100) * (len(ordered) - 1)
-        lo = int(math.floor(rank))
-        hi = int(math.ceil(rank))
-        if lo == hi:
-            return float(ordered[lo])
-        frac = rank - lo
-        return ordered[lo] * (1 - frac) + ordered[hi] * frac
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean_ns": self.mean,
-            "min_ns": float(self.minimum),
-            "max_ns": float(self.maximum),
-            "p50_ns": self.percentile(50),
-            "p99_ns": self.percentile(99),
-        }
-
-
 class LatencyHistogram:
     """Log₂-bucketed latency histogram with bounded memory.
 
-    :class:`LatencyStats` keeps every sample, which is exact but grows
-    with the workload; the per-stage tracing of heavy multi-tenant runs
-    wants O(1)-memory percentiles instead.  Samples land in power-of-two
+    Keeping every sample would be exact but grow with the workload; the
+    per-stage tracing of heavy multi-tenant runs wants O(1)-memory
+    percentiles instead.  Samples land in power-of-two
     nanosecond buckets (bucket *k* covers ``[2^(k-1), 2^k)``), and
     percentiles linearly interpolate within the winning bucket — at most
     a factor-of-two-wide bracket, plenty for p50/p99 shape assertions.
@@ -147,12 +80,12 @@ class LatencyHistogram:
 
     @property
     def minimum(self) -> int:
-        """Smallest recorded sample (exact); API parity with LatencyStats."""
+        """Smallest recorded sample (exact)."""
         return self.min_ns or 0
 
     @property
     def maximum(self) -> int:
-        """Largest recorded sample (exact); API parity with LatencyStats."""
+        """Largest recorded sample (exact)."""
         return self.max_ns or 0
 
     def percentile(self, p: float) -> float:

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flash import (
+    Coalescer,
     FlashGeometry,
     FlashSplitter,
     FlashCard,
@@ -263,6 +264,42 @@ def test_partial_failure_fails_only_the_bad_page():
             f"sibling page {index} must survive a partial failure")
     # Served bytes cover only the pages that actually delivered.
     assert splitter.bandwidth.totals["isp"] == 3 * GEO.page_size
+
+
+@pytest.mark.parametrize("paced,commands", [(True, 2), (False, 4)])
+def test_slot_paced_read_stage_merges_arrivals_behind_a_busy_slot(
+        paced, commands):
+    # One port slot: the first read takes it, and three stripe-adjacent
+    # reads trickle in while it is busy.  A paced stage holds them and
+    # sends one 3-page command when the slot frees; a greedy stage sends
+    # each the moment it arrives, one page per command.
+    sim = Simulator()
+    card = FlashCard(sim, geometry=GEO)
+    port = FlashSplitter(sim, card).add_port(max_in_flight=1, tenant="isp")
+    stage = Coalescer(port, 8, paced=paced)
+    indices = list(range(4))
+    _program(card, indices)
+    results = {}
+
+    def reader(index):
+        yield sim.timeout(100 * index)
+        result = yield stage.submit(GEO.striped(index), None)
+        results[index] = result.data
+
+    for index in indices:
+        sim.process(reader(index))
+    sim.run()
+    for index in indices:
+        assert results[index].startswith(f"page-{index}".encode())
+    assert stage.stats()["pages"] == 4
+    assert stage.stats()["commands"] == commands
+
+
+def test_coalescer_rejects_unknown_op():
+    sim = Simulator()
+    port = FlashSplitter(sim, FlashCard(sim, geometry=GEO)).add_port()
+    with pytest.raises(ValueError):
+        Coalescer(port, 8, op="erase")
 
 
 def test_coalescer_requires_room_to_merge():

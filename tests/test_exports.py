@@ -36,7 +36,7 @@ PINNED = {
         "BandwidthLedger", "LatencyHistogram", "Simulator", "Event",
     ],
     "repro.flash": [
-        "Coalescer", "WriteCoalescer", "first_group", "plan_groups",
+        "Coalescer", "first_group", "plan_groups",
         "FlashSplitter", "SplitterPort", "FlashCard", "WearTracker",
         "BadBlockTable", "ProgramFailedError", "BadBlockProgramError",
     ],
@@ -59,7 +59,7 @@ PINNED = {
     ],
     "repro.dvol": [
         "ShardedVolume", "PlacementPlanner", "PLACEMENT_MODES",
-        "DvolRouter", "ShardServiceIface", "RemoteCoalescer",
+        "DvolRouter", "ShardServiceIface",
     ],
     "repro.parallel": [
         "parallel_map", "WorkerPool", "PointError", "active_pool",

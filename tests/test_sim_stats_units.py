@@ -8,7 +8,6 @@ from repro.sim import (
     BandwidthMeter,
     Counter,
     LatencyHistogram,
-    LatencyStats,
     Simulator,
     UtilizationTracker,
     units,
@@ -84,53 +83,6 @@ class TestCounter:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Counter().add(-1)
-
-
-class TestLatencyStats:
-    def test_basic_summary(self):
-        stats = LatencyStats()
-        for v in [100, 200, 300]:
-            stats.record(v)
-        assert stats.count == 3
-        assert stats.mean == 200
-        assert stats.minimum == 100
-        assert stats.maximum == 300
-
-    def test_percentiles(self):
-        stats = LatencyStats()
-        for v in range(1, 101):
-            stats.record(v)
-        assert stats.percentile(50) == pytest.approx(50.5)
-        assert stats.percentile(0) == 1
-        assert stats.percentile(100) == 100
-
-    def test_percentile_out_of_range(self):
-        with pytest.raises(ValueError):
-            LatencyStats().percentile(101)
-
-    def test_empty_stats_are_zero(self):
-        stats = LatencyStats()
-        assert stats.mean == 0.0
-        assert stats.percentile(50) == 0.0
-        assert stats.stddev == 0.0
-
-    def test_negative_sample_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyStats().record(-5)
-
-    @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1))
-    def test_mean_bounded_by_min_max(self, samples):
-        stats = LatencyStats()
-        for s in samples:
-            stats.record(s)
-        assert stats.minimum <= stats.mean <= stats.maximum
-
-    @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=2))
-    def test_percentile_monotone(self, samples):
-        stats = LatencyStats()
-        for s in samples:
-            stats.record(s)
-        assert stats.percentile(25) <= stats.percentile(75)
 
 
 class TestLatencyHistogram:

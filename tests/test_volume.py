@@ -4,7 +4,7 @@ Covers the subsystem's contracts layer by layer:
 
 * :meth:`FlashCard.program_pages` — one tag + one command setup per
   merged group, NAND order rules enforced up front;
-* :class:`~repro.flash.coalesce.WriteCoalescer` — strict ``+1``
+* the program :class:`~repro.flash.coalesce.Coalescer` — strict ``+1``
   striped-run merging with per-child settlement;
 * :class:`~repro.volume.LogicalVolume` — out-of-place remap, validity,
   prefill, per-tenant write amplification, GC through the dedicated
