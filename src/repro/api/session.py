@@ -15,7 +15,6 @@ scenario: :meth:`run` executes the spec's
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from typing import Callable, Dict, List, Optional
@@ -28,7 +27,7 @@ from ..dvol import (
     ShardedVolume,
 )
 from ..faults import fault_seed_override
-from ..flash import Coalescer, PhysAddr
+from ..flash import Coalescer
 from ..host import HostInterface
 from ..io import RequestTracer
 from ..sim import Simulator
@@ -102,8 +101,6 @@ class Session:
                 node_kwargs=node_kwargs,
                 tracer=self.tracer)
             self.nodes = self.cluster.nodes
-        self._gc_ports: Dict[str, object] = {}
-        self._gc_units = itertools.count()
         #: node id -> its FTL-backed logical volume (built on demand).
         self.volumes: Dict[int, LogicalVolume] = {}
         #: volume tenant name -> its dedicated HostInterface.
@@ -134,10 +131,10 @@ class Session:
         label ``volume-gc``, QoS from the
         :class:`~repro.api.spec.VolumeSpec`).  Each volume *tenant*
         gets its own splitter port — named and scheduled after the
-        tenant, exactly like background GC tenants — driven through a
-        private :class:`~repro.host.HostInterface`, so volume traffic
-        pays the full host software/PCIe path and is arbitrated and
-        traced under the tenant's identity.
+        tenant — driven through a private
+        :class:`~repro.host.HostInterface`, so volume traffic pays the
+        full host software/PCIe path and is arbitrated and traced under
+        the tenant's identity.
         """
         spec = self.spec
         if spec.volume is None:
@@ -276,38 +273,29 @@ class Session:
                 "wl_spread_threshold": fault.wl_spread_threshold}
 
     def _configure_qos(self) -> None:
-        """Program per-tenant admission QoS; attach background ports.
+        """Program per-tenant admission QoS.
 
         Weight/rate/burst parameters land on the splitter that actually
         arbitrates the tenant's traffic — the *target* node's for
         remote tenants — keyed by the same label the tenant's requests
-        carry through the admission stage.  Background (GC) tenants get
-        a dedicated splitter port named after them, programmed with
-        their port-level QoS (priority / deadline / in-flight cap).
+        carry through the admission stage.
         """
         for tenant in self.spec.workload.tenants:
+            if not tenant.has_policy_qos:
+                continue
             if tenant.access == "dvol":
                 # A dvol tenant's traffic is admitted wherever its
                 # pages land — its home node locally, every shard node
                 # remotely (the label rides the request) — so its
                 # weight/rate must be programmed on all of them.
-                if tenant.has_policy_qos:
-                    nodes = sorted(
-                        set(range(self.spec.dvol.shards)) | {tenant.node})
-                    for node_id in nodes:
-                        self.nodes[node_id].splitter.configure_tenant(
-                            tenant.sched_label(), weight=tenant.weight,
-                            rate_mbps=tenant.rate_mbps,
-                            burst_kb=tenant.burst_kb)
-                continue
-            contended = (tenant.target if tenant.access == "remote_isp"
-                         else tenant.node)
-            splitter = self.nodes[contended].splitter
-            if tenant.background:
-                self._gc_ports[tenant.name] = splitter.add_port(
-                    tenant=tenant.name, **tenant.qos_kwargs())
-            if tenant.has_policy_qos:
-                splitter.configure_tenant(
+                nodes = sorted(
+                    set(range(self.spec.dvol.shards)) | {tenant.node})
+            elif tenant.access == "remote_isp":
+                nodes = [tenant.target]
+            else:
+                nodes = [tenant.node]
+            for node_id in nodes:
+                self.nodes[node_id].splitter.configure_tenant(
                     tenant.sched_label(), weight=tenant.weight,
                     rate_mbps=tenant.rate_mbps, burst_kb=tenant.burst_kb)
 
@@ -337,14 +325,11 @@ class Session:
         depth = workload.queue_depth
         open_loop = workload.arrival is not None
         for tenant in workload.tenants:
-            issue = None if tenant.background else self._issuer(tenant)
+            issue = self._issuer(tenant)
             for wid in range(tenant.workers):
                 rng = (shared_rng if tenant.rng == "shared"
                        else random.Random(tenant.seed_base + wid))
-                if tenant.background:
-                    worker = self._gc_worker(tenant, rng,
-                                             workload.duration_ns, counters)
-                elif open_loop:
+                if open_loop:
                     worker = self._open_loop_dispatcher(
                         tenant, rng, wid, issue, workload, counters, issued)
                 elif depth > 1:
@@ -651,62 +636,6 @@ class Session:
             issued[name] += 1
             proc = process(issue(kind, index))
             proc.callbacks.append(counted)
-
-    def _gc_worker(self, tenant: TenantSpec, rng: random.Random,
-                   deadline: int, counters: dict):
-        """One GC/wear-leveling loop: read a victim page, relocate it
-        into a private scratch block, erase scratch blocks as they
-        cycle.  All traffic flows through the tenant's dedicated
-        splitter port, so the admission policy arbitrates it against
-        foreground tenants.
-
-        Each worker claims one (card, bus, chip) unit from the top of
-        the geometry and the top blocks of that chip as scratch, so GC
-        programs/erases never collide across workers and stay clear of
-        the low blocks that striped foreground address spaces use
-        first.
-        """
-        sim = self.sim
-        geometry = self.spec.geometry
-        port = self._gc_ports[tenant.name]
-        n_units = (geometry.cards_per_node * geometry.buses_per_card
-                   * geometry.chips_per_bus)
-        slot = next(self._gc_units)
-        if slot >= n_units:
-            raise SpecError(
-                f"scenario {self.spec.name!r} spawns more GC workers "
-                f"than the geometry has chips ({n_units}); each worker "
-                f"needs a private scratch chip")
-        unit = n_units - 1 - slot
-        bus = unit % geometry.buses_per_card
-        rest = unit // geometry.buses_per_card
-        card = rest % geometry.cards_per_node
-        chip = rest // geometry.cards_per_node
-        scratch = [geometry.blocks_per_chip - 1 - i
-                   for i in range(min(2, geometry.blocks_per_chip))]
-        blocks = itertools.cycle(scratch)
-        addr_space = (geometry.pages_per_node if tenant.addr_space is None
-                      else min(tenant.addr_space, geometry.pages_per_node))
-
-        def scratch_addr(block: int, page: int) -> PhysAddr:
-            return PhysAddr(node=tenant.node, card=card, bus=bus,
-                            chip=chip, block=block, page=page)
-
-        block = next(blocks)
-        page = 0
-        yield from port.erase_block(scratch_addr(block, 0))
-        while sim.now < deadline:
-            victim = geometry.striped(rng.randrange(addr_space),
-                                      node=tenant.node)
-            result = yield from port.read_page(victim)
-            if page == geometry.pages_per_block:
-                block = next(blocks)
-                page = 0
-                yield from port.erase_block(scratch_addr(block, 0))
-            yield from port.write_page(scratch_addr(block, page),
-                                       result.data)
-            page += 1
-            counters[tenant.name] += 1
 
     def _issuer(self, tenant: TenantSpec) -> Callable:
         """The access-path generator for one tenant's operations.

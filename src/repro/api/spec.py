@@ -217,8 +217,7 @@ class VolumeSpec:
       trigger greedy GC;
     * ``gc_priority`` / ``gc_weight`` / ``gc_rate_mbps`` /
       ``gc_burst_kb`` — QoS identity of the dedicated splitter port GC
-      relocation traffic rides (the PR-3 background-GC port pattern,
-      admission label ``volume-gc``).
+      relocation traffic rides (admission label ``volume-gc``).
     """
 
     overprovision: float = 0.25
@@ -473,13 +472,11 @@ class FaultSpec:
 #: The splitter's fixed ports a tenant can drive locally, the
 #: cluster-level remote path (ISP-F over the integrated network),
 #: ``volume`` — logical-block I/O through the node's FTL-backed
-#: :class:`~repro.volume.LogicalVolume` on a dedicated port —
+#: :class:`~repro.volume.LogicalVolume` on a dedicated port — and
 #: ``dvol`` — logical-block I/O against the cluster-wide
 #: :class:`~repro.dvol.ShardedVolume`, remote pages routed over the
-#: storage network — and ``gc`` — background GC/wear-leveling traffic
-#: injected at the splitter through a dedicated low-priority port.
-_ACCESS_KINDS = ("isp", "host", "net", "remote_isp", "volume", "dvol",
-                 "gc")
+#: storage network.
+_ACCESS_KINDS = ("isp", "host", "net", "remote_isp", "volume", "dvol")
 #: Access kinds whose traffic rides the host write path and may
 #: therefore carry a write mix (``write_fraction`` > 0).
 _WRITE_CAPABLE = ("host", "volume", "dvol")
@@ -517,16 +514,10 @@ class TenantSpec:
     (``token-bucket``) — a rate without a burst defaults to a 64 KiB
     burst.  Policies that don't use a parameter ignore it, so one
     tenant mix runs unchanged under every discipline.
-
-    ``background=True`` (equivalently ``access="gc"``) marks the tenant
-    as *internal* background traffic — GC/wear-leveling — injected at
-    its node's splitter through a dedicated port named after the
-    tenant: each worker loops reading victim pages and relocating them
-    into a private scratch block, erasing scratch blocks as they cycle.
     """
 
     name: str
-    access: Optional[str] = None  # resolved to "host"/"gc" on build
+    access: str = "host"
     workers: int = 1
     node: int = 0
     target: Optional[int] = None
@@ -542,31 +533,8 @@ class TenantSpec:
     weight: float = 1.0
     rate_mbps: Optional[float] = None
     burst_kb: Optional[float] = None
-    background: bool = False
 
     def __post_init__(self):
-        # ``background`` and ``access="gc"`` are two spellings of the
-        # same thing; setting either implies the other, and a background
-        # tenant cannot simultaneously claim a foreground access path
-        # (an *explicitly* chosen one — the unset default follows
-        # ``background``).
-        if self.access is None:
-            object.__setattr__(self, "access",
-                               "gc" if self.background else "host")
-        if self.access == "gc":
-            object.__setattr__(self, "background", True)
-        if self.background and self.access != "gc":
-            raise SpecError(
-                f"tenant {self.name!r}: background tenants are injected "
-                f"at the splitter (access='gc'); access={self.access!r} "
-                f"conflicts")
-        if self.background and self.name in _QOS_PORTS:
-            # The background port is labeled by the tenant's name; a
-            # fixed-port name would merge its scheduling/accounting
-            # with unrelated foreground traffic on that port.
-            raise SpecError(
-                f"background tenant cannot take a fixed splitter port "
-                f"name {_QOS_PORTS}; got {self.name!r}")
         if not self.name:
             raise SpecError("tenant needs a non-empty name")
         if self.access not in _ACCESS_KINDS:
@@ -583,10 +551,6 @@ class TenantSpec:
         if self.pattern not in _PATTERNS:
             raise SpecError(f"tenant {self.name!r}: pattern must be one "
                             f"of {_PATTERNS}, got {self.pattern!r}")
-        if self.pattern == "sequential" and self.background:
-            raise SpecError(
-                f"tenant {self.name!r}: background GC traffic picks its "
-                f"own victims; pattern='sequential' does not apply")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise SpecError(
                 f"tenant {self.name!r}: write_fraction must be in "
@@ -631,13 +595,12 @@ class TenantSpec:
         if self.access == "remote_isp" and self.target is None:
             raise SpecError(f"tenant {self.name!r}: remote_isp access "
                             f"needs a target node")
-        if self.has_qos and not self.background \
-                and self.access not in ("volume", "dvol") and (
+        if self.has_qos and self.access not in ("volume", "dvol") and (
                 self.name not in _QOS_PORTS or self.access != self.name):
             # QoS parameters program the splitter port the tenant's own
             # traffic uses; a name/access mismatch would silently boost
-            # an unrelated port.  Background and volume tenants are
-            # exempt: they get a dedicated port named after them.
+            # an unrelated port.  Volume tenants are exempt: they get a
+            # dedicated port named after them.
             raise SpecError(
                 f"tenant {self.name!r} sets splitter QoS parameters, so "
                 f"it must be named after — and access — one of the "
@@ -668,13 +631,13 @@ class TenantSpec:
 
         Local port traffic is labeled by the port (``isp``/``host``/
         ``net``); remote ISP-F reads carry ``isp-n<source>`` end to end;
-        background, volume and dvol tenants own a port named after
-        themselves (a dvol tenant's label also rides its remote
-        requests, so destination splitters schedule them under it).
+        volume and dvol tenants own a port named after themselves (a
+        dvol tenant's label also rides its remote requests, so
+        destination splitters schedule them under it).
         """
         if self.access == "remote_isp":
             return f"isp-n{self.node}"
-        if self.background or self.access in ("volume", "dvol"):
+        if self.access in ("volume", "dvol"):
             return self.name
         return self.access
 
@@ -1003,17 +966,6 @@ class ScenarioSpec:
                 # Raises SpecError if the LBA windows overflow the
                 # distributed volume's logical capacity.
                 self.dvol_windows()
-            # Each background (GC) worker claims a private scratch chip.
-            gc_workers = sum(t.workers for t in self.workload.tenants
-                             if t.background)
-            n_units = (self.geometry.cards_per_node
-                       * self.geometry.buses_per_card
-                       * self.geometry.chips_per_bus)
-            if gc_workers > n_units:
-                raise SpecError(
-                    f"{gc_workers} background GC workers need "
-                    f"{gc_workers} private scratch chips but the "
-                    f"geometry has {n_units}")
 
     # -- derived ---------------------------------------------------------
     def volume_windows(self) -> Dict[str, Tuple[int, int]]:
@@ -1104,17 +1056,11 @@ class ScenarioSpec:
         return out
 
     def port_qos(self) -> Dict[str, Dict[str, Any]]:
-        """Per-port splitter QoS overrides gathered from the tenants.
-
-        Background tenants are excluded — their QoS parameters program
-        the dedicated port the session creates for them, not one of the
-        node's three fixed ports.
-        """
+        """Per-port splitter QoS overrides gathered from the tenants."""
         if self.workload is None:
             return {}
         return {t.name: t.qos_kwargs()
-                for t in self.workload.tenants
-                if t.has_qos and not t.background}
+                for t in self.workload.tenants if t.has_qos}
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> dict:

@@ -64,7 +64,6 @@ class StringSearchISP:
         self.engines_per_bus = engines_per_bus
         self.engine_bytes_per_ns = engine_bytes_per_ns
         self._file: Optional[str] = None
-        self._corpus_pages = 0
 
     @property
     def n_engines(self) -> int:
@@ -76,7 +75,6 @@ class StringSearchISP:
         """Store the haystack through the file system (DES generator)."""
         yield from self.node.fs.write_file(filename, corpus)
         self._file = filename
-        self._corpus_pages = self.node.fs.stat(filename).num_pages
 
     def run(self, needle: bytes):
         """(DES generator) -> (match_offsets, search_gbs, cpu_util).

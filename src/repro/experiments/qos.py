@@ -13,15 +13,18 @@ FIFO-based policy" into a QoS story:
   fair share converges tenant bandwidth to the configured 1:2:3
   weights (within 5%); token buckets cap each tenant at its configured
   rate, never exceeding it by more than one burst.
-* ``qos_gc`` — GC/wear-leveling modeled as a low-priority *background*
-  tenant injected at the splitter (read victim page, relocate into a
-  scratch block, erase scratch blocks as they cycle), measuring how
-  far each policy protects the foreground tenant's p99.
+* ``qos_gc`` — real volume GC under all six disciplines: the
+  ``gc_steady`` scenario at fill 0.9 (a random-overwrite volume writer
+  whose greedy GC relocates through the ``volume-gc`` port, beside a
+  hot-set victim reader), with token-bucket caps on the writer and on
+  ``volume-gc``, measuring how far each policy protects the victim's
+  p99.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+import dataclasses
+from typing import Dict, Tuple
 
 from ..analysis.qos import QOS_POLICIES, QOS_TENANTS, run_policy
 from ..api import (
@@ -34,10 +37,10 @@ from ..api import (
     WorkloadSpec,
     experiment,
 )
-from ..flash import FlashTiming
 from ..network import NetworkConfig
 from ..parallel import parallel_map
 from ..sim import units
+from .volume import gc_steady_point, gc_steady_spec
 
 DURATION_NS = 20_000_000  # 20 ms of closed-loop hammering
 
@@ -198,64 +201,52 @@ def run_qos_cluster(jobs: int = 1,
 
 
 # ----------------------------------------------------------------------
-# qos_gc — GC/wear-leveling as a low-priority background tenant
+# qos_gc — real volume GC vs victim p99 under each policy
 # ----------------------------------------------------------------------
 GC_POLICIES = QOS_POLICIES
-GC_DURATION_NS = 20_000_000
-GC_RATE_MBPS = 50.0
+GC_FILL = 0.9
+GC_DURATION_NS = 40_000_000
+#: Token-bucket caps.  ``volume-gc``'s 20 MB/s sits below the ~30 MB/s
+#: GC moves at fill 0.9, so it binds; the writer's 60 MB/s throttles the
+#: user programs that cause most of the victim's interference while
+#: still filling the volume to the GC watermark inside the window.
+WRITER_RATE_MBPS = 60.0
+VOLUME_GC_RATE_MBPS = 20.0
 GC_BURST_KB = 64.0
-#: The bench geometry's blocks are 32 pages (the paper's are 256), so
-#: GC erases fire 8x more often than at full scale; erase time scales
-#: with the block (3 ms x 32/256) to keep erase *load* calibrated.
-GC_TIMING = FlashTiming(t_erase_ns=375_000)
 
 
-def qos_gc_scenario(policy: str, with_gc: bool = True,
-                    duration_ns: int = GC_DURATION_NS,
-                    seed: int = 99) -> ScenarioSpec:
-    """A foreground ISP tenant vs GC background traffic at the splitter.
-
-    The victim reads a small hot set confined to the low chips; each of
-    the 24 GC workers owns a scratch chip at the top of the geometry
-    and loops read-victim/relocate/erase through a dedicated
-    low-priority splitter port, so the only shared bottleneck is the
-    8-slot admission stage the policy arbitrates.
-    """
-    tenants = [TenantSpec("isp", access="isp", workers=4, rng="shared",
-                          addr_space=64, max_in_flight=8, priority=2,
-                          deadline_ns=500 * units.US, weight=4.0)]
-    if with_gc:
-        tenants.append(TenantSpec(
-            "gc", background=True, workers=24, rng="shared",
-            addr_space=4096, max_in_flight=32, priority=0,
-            deadline_ns=50_000 * units.US, weight=0.25,
-            rate_mbps=GC_RATE_MBPS, burst_kb=GC_BURST_KB))
-    return ScenarioSpec(
-        name=f"qos-gc-{policy}" if with_gc else "qos-gc-baseline",
-        geometry=BENCH_GEOMETRY, timing=GC_TIMING,
-        splitter_policy=policy, splitter_in_flight=8,
-        workload=WorkloadSpec(duration_ns=duration_ns,
-                              tenants=tuple(tenants), seed=seed,
-                              drain=True))
+def qos_gc_spec(policy: str,
+                duration_ns: int = GC_DURATION_NS) -> ScenarioSpec:
+    """``gc_steady`` at fill 0.9 with the writer and ``volume-gc``
+    rate-capped (the caps only bind under ``token-bucket``)."""
+    spec = gc_steady_spec(policy, GC_FILL, duration_ns)
+    tenants = tuple(
+        dataclasses.replace(t, rate_mbps=WRITER_RATE_MBPS,
+                            burst_kb=GC_BURST_KB)
+        if t.name == "writer" else t
+        for t in spec.workload.tenants)
+    return dataclasses.replace(
+        spec, name=f"qos-gc-{policy}",
+        volume=dataclasses.replace(spec.volume,
+                                   gc_rate_mbps=VOLUME_GC_RATE_MBPS,
+                                   gc_burst_kb=GC_BURST_KB),
+        workload=dataclasses.replace(spec.workload, tenants=tenants))
 
 
 def qos_gc_point(args: Tuple[str, int]) -> RunResult:
     """One point: ``(policy, duration_ns)`` -> session run.
 
-    ``policy="baseline"`` is the GC-free reference the p99 ratios
-    compare against.
+    ``policy="baseline"`` is ``gc_steady``'s writer-less reference run
+    the p99 ratios compare against.
     """
     policy, duration_ns = args
     if policy == "baseline":
-        spec = qos_gc_scenario("fifo", with_gc=False,
-                               duration_ns=duration_ns)
-    else:
-        spec = qos_gc_scenario(policy, duration_ns=duration_ns)
-    return Session(spec).run()
+        return gc_steady_point(("baseline", 0.0, duration_ns))
+    return Session(qos_gc_spec(policy, duration_ns)).run()
 
 
 @experiment("qos_gc",
-            title="GC background tenant vs victim p99 (6 policies)",
+            title="real volume GC vs victim p99 (6 policies)",
             produces="benchmarks/test_qos_gc.py",
             label="QoS-GC")
 def run_qos_gc(jobs: int = 1,
@@ -270,15 +261,23 @@ def run_qos_gc(jobs: int = 1,
         "victim": baseline.tenant_stats["isp"],
     }
     measured: Dict[str, dict] = {}
-    rows = [["(no gc)", f"{baseline.tenant_stats['isp']['completed']:.0f}",
-             f"{units.to_us(baseline_p99):.0f}", "1.0", "-", "-", "-"]]
+    rows = [["(no writer)",
+             f"{baseline.tenant_stats['isp']['completed']:.0f}",
+             f"{units.to_us(baseline_p99):.0f}", "1.0", "-", "-", "-",
+             "-"]]
     for (policy, _), run in zip(points[1:], runs[1:]):
         victim = run.tenant_stats["isp"]
-        gc = run.tenant_stats["gc"]
-        gc_bw = run.metrics["splitter_bandwidth"][0]["gc"]
+        volume = run.metrics["volume"][0]
+        writes = run.metrics["completions"]["writer"]
+        bandwidth = run.metrics["splitter_bandwidth"][0]
+        writer_bw = bandwidth["writer"]
+        # A window too short to reach the GC watermark has no
+        # volume-gc traffic at all.
+        gc_bw = bandwidth.get("volume-gc",
+                              {"bytes": 0.0, "gbytes_per_sec": 0.0})
         measured[policy] = {
-            "victim": victim, "gc": gc,
-            "gc_bandwidth": gc_bw,
+            "victim": victim, "volume": volume, "writes": writes,
+            "writer_bandwidth": writer_bw, "gc_bandwidth": gc_bw,
             "elapsed_ns": run.elapsed_ns,
         }
         rows.append([
@@ -286,20 +285,24 @@ def run_qos_gc(jobs: int = 1,
             f"{victim['completed']:.0f}",
             f"{units.to_us(victim['p99_ns']):.0f}",
             f"{victim['p99_ns'] / baseline_p99:.1f}",
-            f"{victim['deadline_misses']:.0f}",
-            f"{gc['completed']:.0f}",
+            f"{writes}",
+            f"{volume['gc_runs']}",
+            f"{writer_bw['gbytes_per_sec'] * 1000:.0f}",
             f"{gc_bw['gbytes_per_sec'] * 1000:.0f}",
         ])
     result.metrics["policies"] = measured
-    result.metrics["gc_rate_mbps"] = GC_RATE_MBPS
+    result.metrics["fill"] = GC_FILL
+    result.metrics["writer_rate_mbps"] = WRITER_RATE_MBPS
+    result.metrics["gc_rate_mbps"] = VOLUME_GC_RATE_MBPS
     result.metrics["gc_burst_kb"] = GC_BURST_KB
     result.elapsed_ns = sum(run.elapsed_ns for run in runs)
     result.add_table(
         "qos_gc",
-        "GC as a background tenant: victim p99 under each policy "
-        "(24 GC relocation workers vs 4 victim readers, admission=8; "
-        "FIFO lets GC dictate victim p99, wfq/token-bucket bound it)",
-        ["Policy", "VictimDone", "Victim p99(us)", "vs base",
-         "Missed", "GC done", "GC MB/s"],
+        "Real volume GC vs victim p99 under each policy (gc_steady at "
+        "fill 0.9: 2 random-overwrite writers + greedy GC on the "
+        "volume-gc port vs 2 victim readers, admission=8; token-bucket "
+        "caps the writer at 60 and volume-gc at 20 MB/s)",
+        ["Policy", "VictimDone", "Victim p99(us)", "vs base", "Writes",
+         "GC runs", "Writer MB/s", "GC MB/s"],
         rows)
     return result

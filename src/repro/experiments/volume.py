@@ -244,8 +244,7 @@ def run_write_burst(jobs: int = 1,
 GC_GEOMETRY = FlashGeometry(buses_per_card=4, chips_per_bus=2,
                             blocks_per_chip=16, pages_per_block=8,
                             page_size=8192, cards_per_node=1)
-#: Scaled timing: the 8-page blocks erase at 3 ms x 8/256 (the qos_gc
-#: calibration), and programs are scaled 3x down so the GC feedback
+#: Scaled timing: the 8-page blocks erase at 3 ms x 8/256, and programs are scaled 3x down so the GC feedback
 #: loop (write -> relocate -> erase) turns over many times per window.
 GC_TIMING = FlashTiming(t_prog_ns=100_000, t_erase_ns=93_750)
 #: Strict priority is deliberately absent: it starves the writer so
@@ -267,6 +266,10 @@ def gc_steady_spec(policy: str, fill: float,
     steadily.  GC relocation flows through the dedicated ``volume-gc``
     port (weight 0.5, 200 MB/s cap where the policy uses them), the
     victim reads a small hot set at priority 2 / weight 4.
+
+    The 200 MB/s cap never binds — GC moves about 30 MB/s at fill 0.9 —
+    and no tenant sets a rate, so the ``token-bucket`` rows measure
+    byte-identically to ``fifo``.  ``qos_gc`` applies caps that bind.
     """
     tenants = [TenantSpec("isp", access="isp", workers=2, rng="shared",
                           addr_space=64, max_in_flight=8, priority=2,

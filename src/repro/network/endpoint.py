@@ -53,7 +53,6 @@ class Endpoint:
         self.node = node
         self.endpoint_id = endpoint_id
         self.switch = switch
-        self.end_to_end_fc = end_to_end_fc
         self._queue = switch.register_endpoint(endpoint_id)
         config = network.config
         self._e2e_credits: Optional[CreditPool] = (

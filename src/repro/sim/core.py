@@ -158,7 +158,7 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` nanoseconds after creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: int, value: Any = None):
         # Fully inlined (no Event.__init__ / _schedule calls): timeouts
@@ -172,7 +172,6 @@ class Timeout(Event):
         self._ok = True
         self._triggered = True
         self._processed = False
-        self.delay = delay
         eid = sim._eid
         sim._eid = eid + 1
         if delay:

@@ -17,8 +17,8 @@ I/O of its own**:
   coalescers all apply without the workload knowing its blocks are
   remapped;
 * GC relocation traffic flows through a dedicated low-priority
-  splitter port (the PR-3 background-GC port pattern), so victim-tenant
-  QoS results compose with everything the qos_gc scenarios measured.
+  splitter port (admission label ``volume-gc``), so the splitter's
+  admission policy arbitrates it against every foreground tenant.
 
 Allocation (and GC, which runs inside the allocation critical section)
 is serialized by a one-slot lock; the physical program itself happens

@@ -197,8 +197,11 @@ def test_zero_worker_tenant_rejected():
 
 
 def test_unknown_access_kind_rejected():
-    with pytest.raises(SpecError):
-        TenantSpec("isp", access="teleport")
+    # GC traffic comes from a volume's FTL (the volume-gc port), never
+    # from a tenant, so "gc" is not an access kind either.
+    for access in ("teleport", "gc"):
+        with pytest.raises(SpecError, match="unknown access kind"):
+            TenantSpec("isp", access=access)
 
 
 def test_unknown_splitter_policy_rejected():
@@ -215,28 +218,6 @@ def test_qos_name_access_mismatch_rejected():
     # priority would program the isp port while traffic used host.
     with pytest.raises(SpecError):
         TenantSpec("isp", access="host", priority=3)
-
-
-def test_background_and_gc_access_are_equivalent():
-    by_flag = TenantSpec("gc", background=True)
-    by_access = TenantSpec("gc", access="gc")
-    assert by_flag.access == "gc" and by_flag.background
-    assert by_access.background
-    assert TenantSpec("plain").access == "host"
-
-
-def test_background_with_explicit_foreground_access_rejected():
-    for access in ("isp", "host", "net", "remote_isp"):
-        with pytest.raises(SpecError):
-            TenantSpec("gc", access=access, background=True)
-
-
-def test_background_tenant_cannot_shadow_a_fixed_port_name():
-    # The gc port label is the tenant's name; 'isp'/'host'/'net' would
-    # merge with the fixed port's scheduling and accounting.
-    for name in ("isp", "host", "net"):
-        with pytest.raises(SpecError):
-            TenantSpec(name, background=True)
 
 
 def test_remote_policy_qos_requires_tracing():
@@ -265,17 +246,6 @@ def test_policy_qos_label_conflict_rejected():
                            weight=2.0),
                 TenantSpec("b", access="remote_isp", node=1, target=0,
                            weight=3.0),)))
-
-
-def test_gc_workers_capped_by_geometry_at_construction():
-    geo = ScenarioSpec().geometry
-    n_units = (geo.cards_per_node * geo.buses_per_card
-               * geo.chips_per_bus)
-    with pytest.raises(SpecError):
-        ScenarioSpec(workload=WorkloadSpec(
-            duration_ns=1000, tenants=(
-                TenantSpec("gc", background=True,
-                           workers=n_units + 1),)))
 
 
 def test_sized_topology_must_cover_the_cluster():
@@ -359,11 +329,6 @@ def test_non_positive_queue_depth_rejected():
 def test_unknown_pattern_rejected():
     with pytest.raises(SpecError, match="pattern"):
         TenantSpec("isp", access="isp", pattern="zipfian")
-
-
-def test_sequential_background_tenant_rejected():
-    with pytest.raises(SpecError, match="sequential"):
-        TenantSpec("gc", background=True, pattern="sequential")
 
 
 def test_coalescing_needs_room_to_merge():

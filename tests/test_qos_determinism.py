@@ -37,7 +37,11 @@ from repro.experiments.pipeline import (
     qd_sweep_spec,
     run_qd_sweep,
 )
-from repro.experiments.qos import qos_cluster_scenario, qos_gc_scenario
+from repro.experiments.qos import (
+    qos_cluster_scenario,
+    qos_gc_spec,
+    run_qos_gc,
+)
 from repro.experiments.volume import (
     gc_steady_spec,
     run_gc_steady,
@@ -73,9 +77,12 @@ def test_qos_cluster_scenario_is_deterministic():
 
 
 def test_qos_gc_scenario_is_deterministic():
-    spec = qos_gc_scenario("token-bucket", duration_ns=2_000_000)
+    # Long enough for GC to run under both token buckets (writer and
+    # volume-gc), so refill math and relocation order are both pinned.
+    spec = qos_gc_spec("token-bucket", duration_ns=30_000_000)
     first, second = _run_twice(spec)
     assert first == second
+    assert json.loads(first)["metrics"]["volume"]["0"]["gc_runs"] > 0
 
 
 def test_fig13_scenario_is_deterministic():
@@ -305,8 +312,9 @@ def pool2():
                              window_ns=300_000)),
     (run_fault_storm, dict(policies=("fifo",),
                            duration_ns=12_000_000)),
+    (run_qos_gc, dict(duration_ns=4_000_000)),
 ], ids=["qd_sweep", "gc_steady", "open_loop", "dvol_qd_sweep",
-        "fault_storm"])
+        "fault_storm", "qos_gc"])
 def test_runner_jobs2_is_byte_identical_to_serial(pool2, runner, kwargs):
     # The whole-experiment pin behind `repro {run,bench} --jobs N`:
     # fanning a sweep's points across worker processes must change
