@@ -15,7 +15,6 @@ scenario: :meth:`run` executes the spec's
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Callable, Dict, List, Optional
 
@@ -33,7 +32,7 @@ from ..io import RequestTracer
 from ..sim import Simulator
 from ..volume import LogicalVolume
 from .result import RunResult
-from .spec import ScenarioSpec, SpecError, TenantSpec
+from .spec import ScenarioSpec, SpecError, TenantSpec, VolumeSpec
 
 __all__ = ["Session", "drive_pipelined"]
 
@@ -61,15 +60,12 @@ class Session:
             flash_timing=spec.timing,
             host_config=spec.host,
             isp_queue_depth=spec.isp_queue_depth,
-            accelerator_units=spec.accelerator_units,
             splitter_policy=spec.splitter_policy,
             splitter_in_flight=spec.splitter_in_flight,
             tracer=self.tracer,
             port_qos=spec.port_qos(),
-            bandwidth_window_ns=spec.bandwidth_window_ns,
             coalesce=spec.coalesce,
             coalesce_max_pages=spec.coalesce_max_pages,
-            host_queue_depth=spec.host_queue_depth,
         )
         if spec.fault is not None:
             # Each node builds its own FaultInjector from the shared
@@ -103,16 +99,12 @@ class Session:
             self.nodes = self.cluster.nodes
         #: node id -> its FTL-backed logical volume (built on demand).
         self.volumes: Dict[int, LogicalVolume] = {}
-        #: volume tenant name -> its dedicated HostInterface.
-        self._volume_ifaces: Dict[str, HostInterface] = {}
-        #: volume tenant name -> (LBA window start, size).
-        self._volume_windows: Dict[str, tuple] = {}
         #: the cluster-wide sharded volume (built when dvol tenants run).
         self.dvol: Optional[ShardedVolume] = None
-        #: dvol tenant name -> its dedicated HostInterface.
-        self._dvol_ifaces: Dict[str, HostInterface] = {}
-        #: dvol tenant name -> (LBA window start, size).
-        self._dvol_windows: Dict[str, tuple] = {}
+        #: volume/dvol tenant name -> its dedicated HostInterface.
+        self._ifaces: Dict[str, HostInterface] = {}
+        #: volume/dvol tenant name -> (LBA window start, size).
+        self._windows: Dict[str, tuple] = {}
         self._page_fill = bytes(spec.geometry.page_size)
         #: tenant name -> physical indices its raw writers have
         #: programmed (NAND no-reprogram bookkeeping for write mixes).
@@ -140,40 +132,16 @@ class Session:
         if spec.volume is None:
             return
         windows = spec.volume_windows()
-        self._volume_windows = windows
-        volume_tenants = [t for t in spec.workload.tenants
-                          if t.access == "volume"]
-        for tenant in volume_tenants:
-            node = self.nodes[tenant.node]
+        for tenant in spec.workload.tenants:
+            if tenant.access != "volume":
+                continue
             volume = self.volumes.get(tenant.node)
             if volume is None:
-                gc_port = node.splitter.add_port(
-                    tenant="volume-gc", priority=spec.volume.gc_priority)
-                node.splitter.configure_tenant(
-                    "volume-gc", weight=spec.volume.gc_weight,
-                    rate_mbps=spec.volume.gc_rate_mbps,
-                    burst_kb=spec.volume.gc_burst_kb)
-                volume = LogicalVolume(
-                    self.sim, node.device, gc_port,
-                    overprovision=spec.volume.overprovision,
-                    allocation=spec.volume.allocation,
-                    gc_low_watermark=spec.volume.gc_low_watermark,
-                    name=f"volume-n{tenant.node}",
-                    **self._volume_fault_kwargs())
-                if spec.fault is not None:
-                    volume.reliability_stats_enabled = True
-                self.volumes[tenant.node] = volume
-            port = node.splitter.add_port(tenant=tenant.name,
-                                          **tenant.qos_kwargs())
-            self._volume_ifaces[tenant.name] = HostInterface(
-                self.sim, node.host_config, node.cpu, node.pcie, port,
-                spec.geometry.page_size, tracer=self.tracer,
-                tenant=tenant.name, queue_depth=spec.host_queue_depth)
-            start, size = windows[tenant.name]
-            volume.register_owner(start, size, tenant.name)
-            prefill = int(spec.volume.fill * size)
-            if prefill:
-                volume.prefill(start, prefill)
+                volume = self.volumes[tenant.node] = self._gc_volume(
+                    self.nodes[tenant.node], "volume-gc", spec.volume,
+                    f"volume-n{tenant.node}")
+            self._attach_tenant(tenant, volume, windows[tenant.name],
+                                spec.volume.fill)
 
     def _build_dvol(self) -> None:
         """Build the cluster-wide sharded volume and its routing tier.
@@ -210,21 +178,8 @@ class Session:
         self.dvol = ShardedVolume(self.sim, planner, geometry.page_size)
         for shard in range(d.shards):
             node = self.nodes[shard]
-            gc_port = node.splitter.add_port(
-                tenant="dvol-gc", priority=d.volume.gc_priority)
-            node.splitter.configure_tenant(
-                "dvol-gc", weight=d.volume.gc_weight,
-                rate_mbps=d.volume.gc_rate_mbps,
-                burst_kb=d.volume.gc_burst_kb)
-            volume = LogicalVolume(
-                self.sim, node.device, gc_port,
-                overprovision=d.volume.overprovision,
-                allocation=d.volume.allocation,
-                gc_low_watermark=d.volume.gc_low_watermark,
-                name=f"dvol-n{shard}",
-                **self._volume_fault_kwargs())
-            if spec.fault is not None:
-                volume.reliability_stats_enabled = True
+            volume = self._gc_volume(node, "dvol-gc", d.volume,
+                                     f"dvol-n{shard}")
             service_port = node.splitter.add_port(
                 max_in_flight=d.remote_in_flight, tenant="dvol")
             coalescer = (
@@ -244,33 +199,58 @@ class Session:
                     response_eps, geometry.page_size)
                 self.dvol.add_router(node_id, router)
         windows = spec.dvol_windows()
-        self._dvol_windows = windows
         for tenant in dvol_tenants:
-            node = self.nodes[tenant.node]
-            port = node.splitter.add_port(tenant=tenant.name,
-                                          **tenant.qos_kwargs())
-            self._dvol_ifaces[tenant.name] = HostInterface(
-                self.sim, node.host_config, node.cpu, node.pcie, port,
-                geometry.page_size, tracer=self.tracer,
-                tenant=tenant.name, queue_depth=spec.host_queue_depth)
-            start, size = windows[tenant.name]
-            self.dvol.register_owner(start, size, tenant.name)
-            prefill = int(d.volume.fill * size)
-            if prefill:
-                self.dvol.prefill(start, prefill)
+            self._attach_tenant(tenant, self.dvol, windows[tenant.name],
+                                d.volume.fill)
 
-    def _volume_fault_kwargs(self) -> dict:
-        """Reliability kwargs every session-built volume shares.
+    def _gc_volume(self, node: BlueDBMNode, gc_label: str,
+                   volume_spec: VolumeSpec, name: str) -> LogicalVolume:
+        """A :class:`~repro.volume.LogicalVolume` on ``node`` whose GC
+        relocation traffic rides a dedicated splitter port admitted
+        under ``gc_label`` with ``volume_spec``'s GC QoS.
 
-        Empty when the spec has no :class:`~repro.api.spec.FaultSpec`,
-        so the ideal-hardware construction path — and its results —
-        stay byte-identical.
+        Without a :class:`~repro.api.spec.FaultSpec` the volume keeps
+        its ideal-hardware defaults, so results stay byte-identical.
         """
+        gc_port = node.splitter.add_port(tenant=gc_label,
+                                         priority=volume_spec.gc_priority)
+        node.splitter.configure_tenant(
+            gc_label, weight=volume_spec.gc_weight,
+            rate_mbps=volume_spec.gc_rate_mbps,
+            burst_kb=volume_spec.gc_burst_kb)
         fault = self.spec.fault
-        if fault is None:
-            return {}
-        return {"wear_leveling": fault.wear_leveling,
-                "wl_spread_threshold": fault.wl_spread_threshold}
+        reliability = ({} if fault is None else
+                       {"wear_leveling": fault.wear_leveling,
+                        "wl_spread_threshold": fault.wl_spread_threshold})
+        volume = LogicalVolume(
+            self.sim, node.device, gc_port,
+            overprovision=volume_spec.overprovision,
+            allocation=volume_spec.allocation,
+            gc_low_watermark=volume_spec.gc_low_watermark,
+            name=name, **reliability)
+        if fault is not None:
+            volume.reliability_stats_enabled = True
+        return volume
+
+    def _attach_tenant(self, tenant: TenantSpec, target, window: tuple,
+                       fill: float) -> None:
+        """Give a volume or dvol tenant its own splitter port and
+        :class:`~repro.host.HostInterface` on its home node, then
+        register its LBA ``window`` on ``target`` (a node volume or the
+        sharded volume) and functionally prefill ``fill`` of it."""
+        node = self.nodes[tenant.node]
+        port = node.splitter.add_port(tenant=tenant.name,
+                                      **tenant.qos_kwargs())
+        self._ifaces[tenant.name] = HostInterface(
+            self.sim, node.host_config, node.cpu, node.pcie, port,
+            self.spec.geometry.page_size, tracer=self.tracer,
+            tenant=tenant.name)
+        self._windows[tenant.name] = window
+        start, size = window
+        target.register_owner(start, size, tenant.name)
+        prefill = int(fill * size)
+        if prefill:
+            target.prefill(start, prefill)
 
     def _configure_qos(self) -> None:
         """Program per-tenant admission QoS.
@@ -360,11 +340,8 @@ class Session:
         space; everything else addresses the physical striped space
         from zero.
         """
-        if tenant.access == "volume":
-            return self._volume_windows[tenant.name]
-        if tenant.access == "dvol":
-            return self._dvol_windows[tenant.name]
-        return (0, self._addr_space(tenant))
+        return self._windows.get(tenant.name) or (
+            0, self._addr_space(tenant))
 
     @staticmethod
     def _indices(tenant: TenantSpec, rng: random.Random, wid: int,
@@ -474,7 +451,7 @@ class Session:
             node = self.nodes[tenant.node]
             geometry = self.spec.geometry
             if tenant.access == "volume":
-                iface = self._volume_ifaces[tenant.name]
+                iface = self._ifaces[tenant.name]
                 volume = self.volumes[tenant.node]
             else:
                 iface, volume = node.host, None
@@ -535,84 +512,32 @@ class Session:
                 # window cannot livelock at one timestep.
                 yield sim.timeout(1)
 
-    def _arrival_gaps(self, rng: random.Random, rate_rps: float):
-        """Endless inter-arrival gaps (ns) for the workload's process.
+    @staticmethod
+    def _arrival_gaps(rng: random.Random, rate_rps: float):
+        """Endless Poisson inter-arrival gaps (ns) at ``rate_rps``.
 
         ``rate_rps`` is this dispatcher's share of the offered load.
         All randomness comes from ``rng``, so a rerun of the same spec
         replays the identical arrival sequence.
         """
-        workload = self.spec.workload
         rate = rate_rps / 1e9  # requests per nanosecond
         expovariate = rng.expovariate
-        if workload.arrival == "poisson":
-            while True:
-                yield int(expovariate(rate))
-        elif workload.arrival == "onoff":
-            sessions = workload.arrival_sessions
-            mean_on = float(workload.arrival_mean_on_ns)
-            mean_off = float(workload.arrival_mean_off_ns)
-            duty = (mean_on / (mean_on + mean_off)
-                    if mean_off > 0 else 1.0)
-            # Per-session rate while ON, scaled so the long-run
-            # aggregate is rate_rps.
-            per_on = rate / (sessions * duty)
-            n_on = max(1, round(sessions * duty))
-            random_ = rng.random
-            elapsed = 0.0
-            # Competing exponentials over the CTMC: next event is an
-            # arrival (rate n_on*per_on), a session turning OFF
-            # (n_on/mean_on) or one turning ON ((S-n_on)/mean_off).
-            while True:
-                off_to_on = ((sessions - n_on) / mean_off
-                             if mean_off > 0 else 0.0)
-                on_to_off = n_on / mean_on
-                arrivals = n_on * per_on
-                total = arrivals + off_to_on + on_to_off
-                elapsed += expovariate(total)
-                pick = random_() * total
-                if pick < arrivals:
-                    yield int(elapsed)
-                    elapsed = 0.0
-                elif pick < arrivals + off_to_on:
-                    n_on += 1
-                else:
-                    n_on -= 1
-        else:  # diurnal
-            period = workload.arrival_period_ns
-            amplitude = workload.arrival_amplitude
-            peak = rate * (1.0 + amplitude)
-            two_pi = 2.0 * math.pi
-            random_ = rng.random
-            clock = 0.0
-            elapsed = 0.0
-            # Thinning against the peak rate: candidate arrivals at
-            # rate ``peak``, each kept with probability rate(t)/peak.
-            while True:
-                gap = expovariate(peak)
-                clock += gap
-                elapsed += gap
-                current = rate * (
-                    1.0 + amplitude * math.sin(two_pi * clock / period))
-                if random_() * peak < current:
-                    yield int(elapsed)
-                    elapsed = 0.0
+        while True:
+            yield int(expovariate(rate))
 
     def _open_loop_dispatcher(self, tenant: TenantSpec, rng: random.Random,
                               wid: int, issue: Callable,
                               workload, counters: dict, issued: dict):
-        """One open-loop dispatcher: requests arrive on the workload's
-        arrival process and are issued fire-and-forget, regardless of
+        """One open-loop dispatcher: requests arrive as a Poisson
+        process and are issued fire-and-forget, regardless of
         completions — the offered load does not throttle when the
         device falls behind (that *is* the experiment).
 
         The dispatcher stands in for thousands of thin sessions
-        multiplexed onto the tenant's port: the arrival process models
-        their aggregate behaviour (exactly, for Poisson; at the
-        session-population level for on/off), so one process per
-        tenant-worker drives any session count without per-session
-        bookkeeping.  A tenant's ``workers`` dispatchers split the
-        offered load evenly.
+        multiplexed onto the tenant's port: their superposition is
+        Poisson, so one process per tenant-worker drives any session
+        count without per-session bookkeeping.  A tenant's ``workers``
+        dispatchers split the offered load evenly.
         """
         sim = self.sim
         name = tenant.name
@@ -667,7 +592,7 @@ class Session:
                     yield sim.process(
                         node.host_read(addr, software_path=software_path))
         elif tenant.access == "volume":
-            iface = self._volume_ifaces[tenant.name]
+            iface = self._ifaces[tenant.name]
             volume = self.volumes[tenant.node]
             page_fill = self._page_fill
 
@@ -680,7 +605,7 @@ class Session:
                     yield sim.process(iface.read_lpn(
                         volume, index, software_path=software_path))
         elif tenant.access == "dvol":
-            iface = self._dvol_ifaces[tenant.name]
+            iface = self._ifaces[tenant.name]
             dvol = self.dvol
             src = tenant.node
             page_fill = self._page_fill

@@ -677,28 +677,14 @@ class WorkloadSpec:
     submission path (host tenants ride
     :meth:`~repro.host.iface.HostInterface.submit`, the other access
     kinds a windowed process driver), which is what saturates the
-    card.  Background (GC) tenants always run synchronously — their
-    read/relocate/erase loop is inherently ordered.
+    card.
 
-    ``arrival`` switches every foreground tenant from the closed loop
-    to an *open-loop* arrival process: requests arrive on their own
-    clock regardless of completions (the millions-of-users shape — a
-    port multiplexing thousands of lightweight sessions, each rarely
-    active).  Three processes are supported:
-
-    * ``"poisson"`` — memoryless aggregate arrivals at
-      ``arrival_rate_rps`` requests/second (the superposition of
-      ``arrival_sessions`` independent thin sessions *is* Poisson, so
-      the session count does not change the process).
-    * ``"onoff"`` — ``arrival_sessions`` sessions toggle between ON
-      (issuing) and OFF (idle) with exponential dwell times
-      ``arrival_mean_on_ns`` / ``arrival_mean_off_ns``; the per-session
-      ON rate is scaled so the long-run aggregate offered load is
-      ``arrival_rate_rps``.  Produces bursts at the session timescale.
-    * ``"diurnal"`` — a Poisson process whose rate swings sinusoidally:
-      ``rate(t) = arrival_rate_rps * (1 + arrival_amplitude *
-      sin(2*pi*t / arrival_period_ns))``, sampled by thinning against
-      the peak rate (deterministic given the workload seed).
+    ``arrival="poisson"`` switches every tenant from the closed loop to
+    an *open-loop* Poisson arrival process: requests arrive on their
+    own clock at ``arrival_rate_rps`` requests/second regardless of
+    completions (the millions-of-users shape — the superposition of
+    many thin independent sessions *is* Poisson, so one process stands
+    in for all of them).
 
     Open-loop arrivals are fire-and-forget: with ``drain=False`` the
     run cuts off at ``duration_ns`` (completions before the deadline
@@ -712,11 +698,6 @@ class WorkloadSpec:
     queue_depth: int = 1
     arrival: Optional[str] = None
     arrival_rate_rps: float = 0.0
-    arrival_sessions: int = 1000
-    arrival_mean_on_ns: int = 1_000_000
-    arrival_mean_off_ns: int = 9_000_000
-    arrival_period_ns: int = 10_000_000
-    arrival_amplitude: float = 0.8
 
     def __post_init__(self):
         if self.duration_ns <= 0:
@@ -726,34 +707,14 @@ class WorkloadSpec:
             raise SpecError(f"queue_depth must be >= 1, "
                             f"got {self.queue_depth}")
         if self.arrival is not None:
-            if self.arrival not in ("poisson", "onoff", "diurnal"):
+            if self.arrival != "poisson":
                 raise SpecError(
                     f"unknown arrival process {self.arrival!r} "
-                    f"(expected poisson, onoff or diurnal)")
+                    f"(expected None or 'poisson')")
             if self.arrival_rate_rps <= 0:
                 raise SpecError(
                     f"arrival workloads need arrival_rate_rps > 0, "
                     f"got {self.arrival_rate_rps}")
-            if self.arrival_sessions < 1:
-                raise SpecError(
-                    f"arrival_sessions must be >= 1, "
-                    f"got {self.arrival_sessions}")
-            if self.arrival == "onoff" and (
-                    self.arrival_mean_on_ns <= 0
-                    or self.arrival_mean_off_ns < 0):
-                raise SpecError(
-                    f"onoff arrivals need arrival_mean_on_ns > 0 and "
-                    f"arrival_mean_off_ns >= 0, got "
-                    f"{self.arrival_mean_on_ns}/{self.arrival_mean_off_ns}")
-            if self.arrival == "diurnal":
-                if self.arrival_period_ns <= 0:
-                    raise SpecError(
-                        f"diurnal arrivals need arrival_period_ns > 0, "
-                        f"got {self.arrival_period_ns}")
-                if not 0.0 <= self.arrival_amplitude <= 1.0:
-                    raise SpecError(
-                        f"arrival_amplitude must be in [0, 1], "
-                        f"got {self.arrival_amplitude}")
         tenants = tuple(
             t if isinstance(t, TenantSpec) else TenantSpec(**t)
             for t in self.tenants)
@@ -770,15 +731,8 @@ class WorkloadSpec:
                 "seed": self.seed, "drain": self.drain,
                 "queue_depth": self.queue_depth}
         if self.arrival is not None:
-            data.update({
-                "arrival": self.arrival,
-                "arrival_rate_rps": self.arrival_rate_rps,
-                "arrival_sessions": self.arrival_sessions,
-                "arrival_mean_on_ns": self.arrival_mean_on_ns,
-                "arrival_mean_off_ns": self.arrival_mean_off_ns,
-                "arrival_period_ns": self.arrival_period_ns,
-                "arrival_amplitude": self.arrival_amplitude,
-            })
+            data.update({"arrival": self.arrival,
+                         "arrival_rate_rps": self.arrival_rate_rps})
         return data
 
     @classmethod
@@ -793,6 +747,38 @@ class WorkloadSpec:
 # ----------------------------------------------------------------------
 # scenario
 # ----------------------------------------------------------------------
+def _partition_windows(tenants, logical: int,
+                       where: str) -> Dict[str, Tuple[int, int]]:
+    """Partition ``logical`` pages into per-tenant ``(start, size)``
+    windows, in spec order.
+
+    Explicit ``addr_space`` values are honored; tenants without one
+    split the remaining capacity evenly.  Raises :class:`SpecError`
+    when a window is empty or the windows overcommit the space;
+    ``where`` names that space in the message.
+    """
+    explicit = sum(t.addr_space for t in tenants
+                   if t.addr_space is not None)
+    defaults = sum(1 for t in tenants if t.addr_space is None)
+    share = (logical - explicit) // defaults if defaults else 0
+    out: Dict[str, Tuple[int, int]] = {}
+    offset = 0
+    for tenant in tenants:
+        size = tenant.addr_space if tenant.addr_space is not None else share
+        if size < 1:
+            raise SpecError(
+                f"{tenant.access} tenant {tenant.name!r} gets an empty "
+                f"LBA window ({size} of {logical} logical pages on "
+                f"{where})")
+        out[tenant.name] = (offset, size)
+        offset += size
+    if offset > logical:
+        raise SpecError(
+            f"{tenants[0].access} tenants claim {offset} logical pages "
+            f"but {where} has only {logical}")
+    return out
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A complete, runnable description of machine + workload.
@@ -816,13 +802,10 @@ class ScenarioSpec:
     n_endpoints: int = 4
     app_endpoints: int = 0
     isp_queue_depth: int = 32
-    accelerator_units: int = 8
     splitter_policy: Optional[str] = None
     splitter_in_flight: Optional[int] = None
-    bandwidth_window_ns: int = 1_000_000
     coalesce: bool = False
     coalesce_max_pages: int = 8
-    host_queue_depth: int = 8
     irq_coalesce: int = 1
     trace: bool = True
     trace_sample: int = 1
@@ -869,8 +852,6 @@ class ScenarioSpec:
                 "endpoints (requests + responses)")
         if self.isp_queue_depth < 1:
             raise SpecError("isp_queue_depth must be >= 1")
-        if self.accelerator_units < 1:
-            raise SpecError("accelerator_units must be >= 1")
         if (self.splitter_policy is not None
                 and self.splitter_policy not in POLICIES):
             raise SpecError(
@@ -879,8 +860,6 @@ class ScenarioSpec:
         if self.splitter_in_flight is not None \
                 and self.splitter_in_flight < 1:
             raise SpecError("splitter_in_flight must be >= 1")
-        if self.bandwidth_window_ns < 1:
-            raise SpecError("bandwidth_window_ns must be >= 1")
         if self.coalesce_max_pages < 1:
             raise SpecError(f"coalesce_max_pages must be >= 1, "
                             f"got {self.coalesce_max_pages}")
@@ -888,9 +867,6 @@ class ScenarioSpec:
             raise SpecError(
                 "coalescing merges at least two pages per command; "
                 "coalesce=True needs coalesce_max_pages >= 2")
-        if self.host_queue_depth < 1:
-            raise SpecError(f"host_queue_depth must be >= 1, "
-                            f"got {self.host_queue_depth}")
         if self.irq_coalesce < 1:
             raise SpecError(f"irq_coalesce must be >= 1, "
                             f"got {self.irq_coalesce}")
@@ -944,116 +920,67 @@ class ScenarioSpec:
                             f"program weight/rate QoS under the "
                             f"admission label {label!r}")
                     policy_labels[label] = tenant.name
-            volume_tenants = [t for t in self.workload.tenants
-                              if t.access == "volume"]
-            if volume_tenants and self.volume is None:
-                names = [t.name for t in volume_tenants]
-                raise SpecError(
-                    f"tenants {names} use access='volume' but the "
-                    f"scenario declares no VolumeSpec")
-            if volume_tenants:
+            for access, declared, kind, windows in (
+                    ("volume", self.volume, "VolumeSpec",
+                     self.volume_windows),
+                    ("dvol", self.dvol, "DistributedVolumeSpec",
+                     self.dvol_windows)):
+                names = [t.name for t in self.workload.tenants
+                         if t.access == access]
+                if names and declared is None:
+                    raise SpecError(
+                        f"tenants {names} use access={access!r} but the "
+                        f"scenario declares no {kind}")
                 # Raises SpecError if the LBA windows overflow the
-                # volume's logical capacity on any node.
-                self.volume_windows()
-            dvol_tenants = [t for t in self.workload.tenants
-                            if t.access == "dvol"]
-            if dvol_tenants and self.dvol is None:
-                names = [t.name for t in dvol_tenants]
-                raise SpecError(
-                    f"tenants {names} use access='dvol' but the "
-                    f"scenario declares no DistributedVolumeSpec")
-            if dvol_tenants:
-                # Raises SpecError if the LBA windows overflow the
-                # distributed volume's logical capacity.
-                self.dvol_windows()
+                # volume's logical capacity.
+                windows()
 
     # -- derived ---------------------------------------------------------
     def volume_windows(self) -> Dict[str, Tuple[int, int]]:
         """Per-tenant ``(start, size)`` LBA windows on the node volumes.
 
         Volume tenants on one node partition that node's logical
-        address space: explicit ``addr_space`` values are honored,
-        tenants without one split the remaining capacity evenly.
-        Raises :class:`SpecError` when the windows don't fit — at
+        address space (see :func:`_partition_windows`).  Raises
+        :class:`SpecError` when the windows don't fit — at
         construction, never mid-simulation.
         """
         if self.workload is None or self.volume is None:
             return {}
         logical = int(self.geometry.pages_per_node
                       * (1.0 - self.volume.overprovision))
-        out: Dict[str, Tuple[int, int]] = {}
         by_node: Dict[int, list] = {}
         for tenant in self.workload.tenants:
             if tenant.access == "volume":
                 by_node.setdefault(tenant.node, []).append(tenant)
+        out: Dict[str, Tuple[int, int]] = {}
         for node, tenants in sorted(by_node.items()):
-            explicit = sum(t.addr_space for t in tenants
-                           if t.addr_space is not None)
-            defaults = [t for t in tenants if t.addr_space is None]
-            remaining = logical - explicit
-            share = remaining // len(defaults) if defaults else 0
-            offset = 0
-            for tenant in tenants:
-                size = (tenant.addr_space if tenant.addr_space is not None
-                        else share)
-                if size < 1:
-                    raise SpecError(
-                        f"volume tenant {tenant.name!r} gets an empty "
-                        f"LBA window ({size} pages of {logical} logical "
-                        f"on node {node})")
-                out[tenant.name] = (offset, size)
-                offset += size
-            if offset > logical:
-                raise SpecError(
-                    f"volume tenants on node {node} claim {offset} "
-                    f"logical pages but the volume has only {logical} "
-                    f"(overprovision "
-                    f"{self.volume.overprovision})")
+            out.update(_partition_windows(
+                tenants, logical,
+                f"node {node}'s volume (overprovision "
+                f"{self.volume.overprovision})"))
         return out
 
     def dvol_windows(self) -> Dict[str, Tuple[int, int]]:
         """Per-tenant ``(start, size)`` LBA windows on the dvol.
 
         Distributed-volume tenants partition one *cluster-wide* logical
-        address space (the planner only places whole stripe chunks, so
-        capacity is chunk-truncated per shard): explicit ``addr_space``
-        values are honored, tenants without one split the remaining
-        capacity evenly.  Raises :class:`SpecError` when the windows
-        don't fit.
+        address space (see :func:`_partition_windows`); the planner
+        only places whole stripe chunks, so capacity is chunk-truncated
+        per shard.  Raises :class:`SpecError` when the windows don't
+        fit.
         """
         if self.workload is None or self.dvol is None:
             return {}
+        d = self.dvol
         per_shard = int(self.geometry.pages_per_node
-                        * (1.0 - self.dvol.volume.overprovision))
-        chunk = self.dvol.stripe_chunk_pages
-        logical = self.dvol.shards * ((per_shard // chunk) * chunk)
-        tenants = [t for t in self.workload.tenants
-                   if t.access == "dvol"]
-        out: Dict[str, Tuple[int, int]] = {}
-        if not tenants:
-            return out
-        explicit = sum(t.addr_space for t in tenants
-                       if t.addr_space is not None)
-        defaults = [t for t in tenants if t.addr_space is None]
-        remaining = logical - explicit
-        share = remaining // len(defaults) if defaults else 0
-        offset = 0
-        for tenant in tenants:
-            size = (tenant.addr_space if tenant.addr_space is not None
-                    else share)
-            if size < 1:
-                raise SpecError(
-                    f"dvol tenant {tenant.name!r} gets an empty LBA "
-                    f"window ({size} pages of {logical} logical)")
-            out[tenant.name] = (offset, size)
-            offset += size
-        if offset > logical:
-            raise SpecError(
-                f"dvol tenants claim {offset} logical pages but the "
-                f"distributed volume has only {logical} "
-                f"({self.dvol.shards} shards, chunk {chunk}, "
-                f"overprovision {self.dvol.volume.overprovision})")
-        return out
+                        * (1.0 - d.volume.overprovision))
+        chunk = d.stripe_chunk_pages
+        logical = d.shards * ((per_shard // chunk) * chunk)
+        return _partition_windows(
+            [t for t in self.workload.tenants if t.access == "dvol"],
+            logical,
+            f"the distributed volume ({d.shards} shards, chunk {chunk}, "
+            f"overprovision {d.volume.overprovision})")
 
     def port_qos(self) -> Dict[str, Dict[str, Any]]:
         """Per-port splitter QoS overrides gathered from the tenants."""
@@ -1082,13 +1009,10 @@ class ScenarioSpec:
             "n_endpoints": self.n_endpoints,
             "app_endpoints": self.app_endpoints,
             "isp_queue_depth": self.isp_queue_depth,
-            "accelerator_units": self.accelerator_units,
             "splitter_policy": self.splitter_policy,
             "splitter_in_flight": self.splitter_in_flight,
-            "bandwidth_window_ns": self.bandwidth_window_ns,
             "coalesce": self.coalesce,
             "coalesce_max_pages": self.coalesce_max_pages,
-            "host_queue_depth": self.host_queue_depth,
             "irq_coalesce": self.irq_coalesce,
             "trace": self.trace,
             "trace_sample": self.trace_sample,

@@ -127,7 +127,6 @@ scenarios = st.builds(
     splitter_in_flight=st.one_of(st.none(), st.integers(1, 64)),
     coalesce=st.booleans(),
     coalesce_max_pages=st.integers(2, 16),
-    host_queue_depth=st.integers(1, 64),
     trace=st.booleans(),
     workload=workloads,
 )
@@ -340,9 +339,18 @@ def test_coalescing_needs_room_to_merge():
     ScenarioSpec(coalesce_max_pages=1)
 
 
-def test_non_positive_host_queue_depth_rejected():
-    with pytest.raises(SpecError, match="host_queue_depth"):
-        ScenarioSpec(host_queue_depth=0)
+def test_only_poisson_arrivals_accepted_and_round_tripped():
+    tenants = (TenantSpec("isp", access="isp"),)
+    for process in ("onoff", "diurnal"):
+        with pytest.raises(SpecError, match="arrival process"):
+            WorkloadSpec(duration_ns=1000, tenants=tenants,
+                         arrival=process, arrival_rate_rps=1e5)
+    workload = WorkloadSpec(duration_ns=1000, tenants=tenants,
+                            arrival="poisson", arrival_rate_rps=1e5)
+    data = json.loads(json.dumps(workload.to_dict()))
+    assert data["arrival"] == "poisson"
+    assert data["arrival_rate_rps"] == 1e5
+    assert WorkloadSpec.from_dict(data) == workload
 
 
 # ----------------------------------------------------------------------

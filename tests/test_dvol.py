@@ -57,7 +57,7 @@ def test_remote_read_crosses_network_and_returns_erased_pattern():
     # erased pattern, so a wrong routing/shard mapping cannot hide.
     session = Session(dvol_spec())
     dvol = session.dvol
-    iface = session._dvol_ifaces["t0"]
+    iface = session._ifaces["t0"]
     datas = []
 
     def driver(sim):
@@ -76,7 +76,7 @@ def test_remote_read_crosses_network_and_returns_erased_pattern():
 def test_remote_write_read_roundtrip_under_tenant_identity():
     session = Session(dvol_spec())
     dvol = session.dvol
-    iface = session._dvol_ifaces["t0"]
+    iface = session._ifaces["t0"]
     payload = bytes([7]) * PAGE
     out = []
 
@@ -105,7 +105,7 @@ def test_remote_ops_trace_net_alongside_queue_and_device():
 
     def driver(sim):
         dvol = session.dvol
-        iface = session._dvol_ifaces["t0"]
+        iface = session._ifaces["t0"]
         yield from dvol.read_lpn(0, iface, 8, software_path=False)
 
     session.sim.run_process(driver(session.sim))

@@ -157,7 +157,7 @@ def test_read_paths_idle_volume_machinery(maker):
     session = Session(spec)
     before = session.run().to_json()
     assert session.volumes == {}
-    assert session._volume_ifaces == {}
+    assert session._ifaces == {}
     # The node's ports are exactly the three fixed ones.
     assert [p.tenant for p in session.node.splitter.ports] == [
         "isp", "host", "net"]
@@ -233,7 +233,7 @@ def test_importing_dvol_leaves_existing_scenarios_unchanged():
     session = Session(spec)
     before = session.run().to_json()
     assert session.dvol is None
-    assert session._dvol_ifaces == {}
+    assert session._ifaces == {}
     # The node's ports are exactly the three fixed ones.
     assert [p.tenant for p in session.node.splitter.ports] == [
         "isp", "host", "net"]

@@ -19,6 +19,7 @@ import json
 import pytest
 
 from repro.api import (
+    DistributedVolumeSpec,
     ScenarioSpec,
     Session,
     SpecError,
@@ -161,7 +162,7 @@ class TestLogicalVolume:
     def test_overwrite_remaps_out_of_place_with_validity(self):
         session = Session(volume_spec(duration_ns=100))
         volume = session.volumes[0]
-        iface = session._volume_ifaces["vol"]
+        iface = session._ifaces["vol"]
         sim = session.sim
         fill = b"\x07" * GEO.page_size
 
@@ -183,7 +184,7 @@ class TestLogicalVolume:
     def test_unmapped_read_returns_erased_without_device_io(self):
         session = Session(volume_spec(duration_ns=100))
         volume = session.volumes[0]
-        iface = session._volume_ifaces["vol"]
+        iface = session._ifaces["vol"]
         sim = session.sim
         reads_before = session.node.device.reads
 
@@ -256,7 +257,7 @@ class TestLogicalVolume:
         # The burned page counts toward its block's fill...
         assert sum(volume._programmed.values()) == 1
         # ...and does not gate later same-block programs.
-        iface = session._volume_ifaces["vol"]
+        iface = session._ifaces["vol"]
         sim.run_process(iface.write_lpn(volume, 0, b"y" * GEO.page_size))
         assert volume.physical_of(0) is not None
         assert sum(volume.user_writes.values()) == 1
@@ -267,7 +268,7 @@ class TestLogicalVolume:
         session = Session(volume_spec(duration_ns=100, overprovision=0.0,
                                       fill=1.0))
         volume = session.volumes[0]
-        iface = session._volume_ifaces["vol"]
+        iface = session._ifaces["vol"]
         sim = session.sim
         with pytest.raises(OutOfSpaceError):
             sim.run_process(iface.write_lpn(
@@ -452,7 +453,7 @@ class TestIrqCoalescing:
         # otherwise invert on sparsely-mapped volumes).
         session = Session(volume_spec(duration_ns=100))
         volume = session.volumes[0]
-        iface = session._volume_ifaces["vol"]
+        iface = session._ifaces["vol"]
         sim = session.sim
         batch = iface.submit([("read", lpn) for lpn in range(8)],
                              queue_depth=4, volume=volume,
@@ -473,7 +474,7 @@ class TestIrqCoalescing:
         session = Session(volume_spec(duration_ns=100))
         volume = session.volumes[0]
         volume.prefill(0, 4)
-        iface = session._volume_ifaces["vol"]
+        iface = session._ifaces["vol"]
         sim = session.sim
         batch = iface.submit([("read", lpn) for lpn in range(8)],
                              queue_depth=8, volume=volume,
@@ -540,28 +541,42 @@ class TestVolumeSpecs:
         TenantSpec("host", access="host", write_fraction=0.5)
         TenantSpec("vol", access="volume", write_fraction=0.5)
 
-    def test_windows_partition_logical_space(self):
+    @staticmethod
+    def _windowed(access, *tenants):
+        """Build a half-overprovisioned volume or 2-shard dvol spec;
+        return its windows method and logical capacity in pages."""
+        workload = WorkloadSpec(duration_ns=1000, tenants=tenants)
+        half = VolumeSpec(overprovision=0.5)
+        per_node = int(GEO.pages_per_node * 0.5)
+        if access == "volume":
+            spec = ScenarioSpec(geometry=GEO, volume=half,
+                                workload=workload)
+            return spec.volume_windows, per_node
         spec = ScenarioSpec(
-            geometry=GEO, volume=VolumeSpec(overprovision=0.5),
-            workload=WorkloadSpec(duration_ns=1000, tenants=(
-                TenantSpec("a", access="volume", addr_space=8),
-                TenantSpec("b", access="volume"),
-                TenantSpec("c", access="volume"),)))
-        windows = spec.volume_windows()
-        logical = int(GEO.pages_per_node * 0.5)
+            geometry=GEO, n_nodes=2,
+            dvol=DistributedVolumeSpec(shards=2, volume=half),
+            workload=workload)
+        return spec.dvol_windows, 2 * per_node
+
+    @pytest.mark.parametrize("access", ["volume", "dvol"])
+    def test_windows_partition_logical_space(self, access):
+        windows_of, logical = self._windowed(
+            access,
+            TenantSpec("a", access=access, addr_space=8),
+            TenantSpec("b", access=access),
+            TenantSpec("c", access=access))
+        windows = windows_of()
         assert windows["a"] == (0, 8)
         start_b, size_b = windows["b"]
         start_c, size_c = windows["c"]
         assert start_b == 8 and start_c == 8 + size_b
         assert size_b == size_c == (logical - 8) // 2
 
-    def test_overcommitted_windows_rejected(self):
+    @pytest.mark.parametrize("access", ["volume", "dvol"])
+    def test_overcommitted_windows_rejected(self, access):
         with pytest.raises(SpecError, match="logical"):
-            ScenarioSpec(
-                geometry=GEO, volume=VolumeSpec(overprovision=0.5),
-                workload=WorkloadSpec(duration_ns=1000, tenants=(
-                    TenantSpec("a", access="volume",
-                               addr_space=GEO.pages_per_node),)))
+            self._windowed(access, TenantSpec(
+                "a", access=access, addr_space=2 * GEO.pages_per_node))
 
     def test_raw_random_writer_raises_when_space_exhausted(self):
         # A raw writer that programs its whole window must fail with a
@@ -600,6 +615,6 @@ class TestVolumeSpecs:
         session = Session(dataclasses.replace(
             spec, workload=dataclasses.replace(spec.workload,
                                                tenants=(tenant,))))
-        port = session._volume_ifaces["vol"].port
+        port = session._ifaces["vol"].port
         assert port.priority == 2
         assert port.max_in_flight == 4
