@@ -455,7 +455,6 @@ class Session:
                 volume = self.volumes[tenant.node]
             else:
                 iface, volume = node.host, None
-            irq_coalesce = self.spec.irq_coalesce
 
             def refill(count: int) -> List:
                 ops = []
@@ -471,7 +470,7 @@ class Session:
                 batch = iface.submit(
                     ops, queue_depth=count,
                     software_path=tenant.software_path,
-                    volume=volume, irq_coalesce=irq_coalesce)
+                    volume=volume)
                 for item in batch.items:
                     item.event.callbacks.append(counted)
                 return list(batch.items)
@@ -663,7 +662,7 @@ class Session:
                 for node_id, volume in sorted(self.volumes.items())}
             result.metrics["write_amplification"] = {
                 tenant.name: self.volumes[tenant.node]
-                .write_amplification(tenant.name)
+                .core.write_amplification(tenant.name)
                 for tenant in self.spec.workload.tenants
                 if tenant.access == "volume"}
         if self.dvol is not None:

@@ -363,16 +363,15 @@ class FaultSpec:
       ``[window_start_ns, window_end_ns)``.  Failed programs consume
       the page; the volume write path verifies, rewrites to a fresh
       page and marks the block suspect (retired at its next erase).
-    * ``read_disturb_limit`` / ``read_disturb_rate`` — after ``limit``
-      reads of a block since its last erase, further reads go
-      ECC-uncorrectable with probability ``rate``.
+    * ``read_disturb_limit`` — after that many reads of a block since
+      its last erase, further reads go ECC-uncorrectable.
     * ``wear_ber`` / ``wear_ber_onset`` — extra uncorrectable-read
       probability ramping linearly from 0 at ``onset`` (fraction of
       rated endurance consumed) to ``wear_ber`` at end of life.
     * ``fail_chip`` / ``fail_chip_after_ns`` — whole-chip death: from
       the given time the chip refuses programs/erases (reads still
       work — stored charge survives).  Pair with
-      :meth:`~repro.volume.LogicalVolume.evacuate_chip`.
+      :meth:`~repro.ftl.core.FtlCore.evacuate_chip`.
     * ``wear_leveling`` / ``wl_spread_threshold`` — the FTL's static
       wear-leveling mode: ``static`` migrates the coldest full block
       through GC whenever the erase-count spread exceeds the threshold.
@@ -388,7 +387,6 @@ class FaultSpec:
     window_start_ns: Optional[int] = None
     window_end_ns: Optional[int] = None
     read_disturb_limit: Optional[int] = None
-    read_disturb_rate: float = 1.0
     wear_ber: float = 0.0
     wear_ber_onset: float = 0.75
     fail_chip: Optional[Tuple[int, int, int]] = None
@@ -399,8 +397,8 @@ class FaultSpec:
     factory_bad_rate: float = 0.0
 
     def __post_init__(self):
-        for attr in ("program_fail_rate", "erase_fail_rate",
-                     "read_disturb_rate", "wear_ber", "factory_bad_rate"):
+        for attr in ("program_fail_rate", "erase_fail_rate", "wear_ber",
+                     "factory_bad_rate"):
             value = getattr(self, attr)
             if not 0.0 <= value <= 1.0:
                 raise SpecError(f"fault {attr} must be in [0, 1], "
@@ -445,7 +443,6 @@ class FaultSpec:
             window_start_ns=self.window_start_ns,
             window_end_ns=self.window_end_ns,
             read_disturb_limit=self.read_disturb_limit,
-            read_disturb_rate=self.read_disturb_rate,
             wear_ber=self.wear_ber,
             wear_ber_onset=self.wear_ber_onset,
             fail_chip=self.fail_chip,
@@ -806,7 +803,6 @@ class ScenarioSpec:
     splitter_in_flight: Optional[int] = None
     coalesce: bool = False
     coalesce_max_pages: int = 8
-    irq_coalesce: int = 1
     trace: bool = True
     trace_sample: int = 1
     volume: Optional[VolumeSpec] = None
@@ -867,9 +863,6 @@ class ScenarioSpec:
             raise SpecError(
                 "coalescing merges at least two pages per command; "
                 "coalesce=True needs coalesce_max_pages >= 2")
-        if self.irq_coalesce < 1:
-            raise SpecError(f"irq_coalesce must be >= 1, "
-                            f"got {self.irq_coalesce}")
         if self.trace_sample < 1:
             raise SpecError(f"trace_sample must be >= 1, "
                             f"got {self.trace_sample}")
@@ -1013,7 +1006,6 @@ class ScenarioSpec:
             "splitter_in_flight": self.splitter_in_flight,
             "coalesce": self.coalesce,
             "coalesce_max_pages": self.coalesce_max_pages,
-            "irq_coalesce": self.irq_coalesce,
             "trace": self.trace,
             "trace_sample": self.trace_sample,
             "volume": (None if self.volume is None

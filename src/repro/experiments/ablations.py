@@ -133,7 +133,7 @@ def write_amplification(overprovision: float) -> tuple:
             yield from ftl.write(lpn, f"w{i}".encode())
 
     sim.run_process(workload(sim))
-    return ftl.write_amplification, ftl.gc_runs
+    return ftl.core.write_amplification(), ftl.core.gc_runs
 
 
 @experiment("ablation_ftl",

@@ -318,7 +318,7 @@ def chip_loss_point(args: Tuple[bool, int]) -> RunResult:
 
         def evacuation():
             yield session.sim.timeout(CHIP_LOSS_AFTER_NS)
-            yield from volume.evacuate_chip(card, bus, chip)
+            yield from volume.core.evacuate_chip(card, bus, chip)
 
         session.sim.process(evacuation(), name="chip-evacuation")
     return session.run()

@@ -43,8 +43,8 @@ class FaultPlan:
     probabilities, active only inside the burst window
     ``[window_start_ns, window_end_ns)`` (an unbounded window when both
     are ``None``).  ``read_disturb_limit`` arms read-disturb: after that
-    many reads of a block since its last erase, each further read is
-    uncorrectable with probability ``read_disturb_rate``.  ``wear_ber``
+    many reads of a block since its last erase, every further read is
+    uncorrectable.  ``wear_ber``
     arms wear-out: once a block's wear fraction passes
     ``wear_ber_onset``, reads are uncorrectable with a probability that
     ramps linearly from 0 to ``wear_ber`` at 100 % wear (and saturates
@@ -60,15 +60,13 @@ class FaultPlan:
     window_start_ns: Optional[int] = None
     window_end_ns: Optional[int] = None
     read_disturb_limit: Optional[int] = None
-    read_disturb_rate: float = 1.0
     wear_ber: float = 0.0
     wear_ber_onset: float = 0.75
     fail_chip: Optional[Tuple[int, int, int]] = None
     fail_chip_after_ns: int = 0
 
     def __post_init__(self):
-        for name in ("program_fail_rate", "erase_fail_rate",
-                     "read_disturb_rate", "wear_ber"):
+        for name in ("program_fail_rate", "erase_fail_rate", "wear_ber"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
@@ -124,9 +122,7 @@ class FaultPlan:
         """Does the ``read_index``-th read of ``key`` since its last
         erase come back ECC-uncorrectable?"""
         if self.read_disturb_limit is not None \
-                and read_index >= self.read_disturb_limit \
-                and self._unit("disturb", *key, read_index) \
-                < self.read_disturb_rate:
+                and read_index >= self.read_disturb_limit:
             return True
         if self.wear_ber > 0.0 and wear_fraction >= self.wear_ber_onset:
             span = 1.0 - self.wear_ber_onset

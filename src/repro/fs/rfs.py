@@ -16,11 +16,11 @@ Server's Address Translation Unit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..flash import PhysAddr
 from ..flash.device import StorageDevice
-from ..ftl.log import LogStructuredCore
+from ..ftl.core import FtlCore
 from ..sim import Simulator
 
 __all__ = ["RFS", "Inode"]
@@ -42,15 +42,20 @@ class Inode:
 
 
 class RFS:
-    """A flat-namespace log-structured file system on raw flash."""
+    """A flat-namespace log-structured file system on raw flash.
+
+    File pages are logical pages of an :class:`FtlCore` that does its
+    foreground and GC I/O on the raw device; counters live on
+    :attr:`core` (``core.write_amplification()``, ``core.gc_runs``,
+    ...).
+    """
 
     def __init__(self, sim: Simulator, device: StorageDevice,
                  gc_low_watermark: int = 2):
         self.sim = sim
         self.device = device
-        self.core = LogStructuredCore(sim, device,
-                                      gc_low_watermark=gc_low_watermark,
-                                      name="rfs")
+        self.core = FtlCore(sim, device, device,
+                            gc_low_watermark=gc_low_watermark, name="rfs")
         self.page_size = device.geometry.page_size
         self._files: Dict[str, Inode] = {}
         self._next_lpn = 0
@@ -81,14 +86,15 @@ class RFS:
         inode = self._files.get(name) or self.create(name)
         # Invalidate the old version's pages (log-structured overwrite).
         for lpn in inode.lpns:
-            yield from self.core.trim_lpn(lpn)
+            yield self.sim.timeout(0)
+            self.core.trim(lpn)
         inode.lpns = []
         inode.size = len(data)
         for offset in range(0, max(len(data), 1), self.page_size):
             chunk = data[offset:offset + self.page_size]
             lpn = self._next_lpn
             self._next_lpn += 1
-            yield from self.core.write_lpn(lpn, chunk)
+            yield from self.core.write(lpn, chunk, self.device.write_page)
             inode.lpns.append(lpn)
 
     def append_page(self, name: str, data: bytes):
@@ -99,7 +105,7 @@ class RFS:
         inode = self.stat(name)
         lpn = self._next_lpn
         self._next_lpn += 1
-        yield from self.core.write_lpn(lpn, data)
+        yield from self.core.write(lpn, data, self.device.write_page)
         inode.lpns.append(lpn)
         inode.size += len(data)
 
@@ -108,7 +114,7 @@ class RFS:
         inode = self.stat(name)
         chunks: List[bytes] = []
         for lpn in inode.lpns:
-            data = yield from self.core.read_lpn(lpn)
+            data = yield from self.core.read(lpn, self.device.read_page)
             chunks.append(data)
         joined = b"".join(chunks)
         return joined[:inode.size]
@@ -119,14 +125,16 @@ class RFS:
         if not 0 <= page_index < len(inode.lpns):
             raise IndexError(
                 f"page {page_index} out of range for {name!r}")
-        data = yield from self.core.read_lpn(inode.lpns[page_index])
+        data = yield from self.core.read(inode.lpns[page_index],
+                                         self.device.read_page)
         return data
 
     def delete(self, name: str):
         """Delete a file, invalidating its pages for GC."""
         inode = self.stat(name)
         for lpn in inode.lpns:
-            yield from self.core.trim_lpn(lpn)
+            yield self.sim.timeout(0)
+            self.core.trim(lpn)
         del self._files[name]
 
     # -- the BlueDBM-specific query (Section 4, step 1) -----------------------
@@ -146,17 +154,3 @@ class RFS:
                     f"(filesystem corruption)")
             extents.append(addr)
         return extents
-
-    # -- telemetry ---------------------------------------------------------------
-    @property
-    def write_amplification(self) -> float:
-        return self.core.write_amplification
-
-    @property
-    def gc_runs(self) -> int:
-        return self.core.gc_runs
-
-    @property
-    def gc_stale_moves(self) -> int:
-        """GC copies abandoned because a concurrent write/TRIM won."""
-        return self.core.gc_stale_moves

@@ -30,23 +30,30 @@ victim tiebreak, and every invariant the PR-5 review pass hardened:
   erase for the read's lifetime, so relocation can move the mapping
   but the physical page is never erased under an in-flight read.
 
-The core performs **no device I/O of its own**.  GC relocation traffic
-goes through the ``io`` backend handed in at construction — three DES
-generator methods:
+Every loop that moves bytes lives here too, written once against one
+port protocol — three DES generator methods, the interface
+:class:`~repro.flash.device.StorageDevice` and
+:class:`~repro.flash.splitter.SplitterPort` both expose:
 
-``gc_read(addr) -> ReadResult`` / ``gc_write(addr, data)`` /
-``gc_erase(addr)``
+``read_page(addr) -> ReadResult`` / ``write_page(addr, data)`` /
+``erase_block(addr)``
 
-:class:`~repro.ftl.log.LogStructuredCore` (behind
-:class:`~repro.ftl.ftl.BlockDeviceFTL` and :class:`~repro.fs.rfs.RFS`)
-backs them with direct :class:`~repro.flash.device.StorageDevice`
-commands; :class:`~repro.volume.LogicalVolume` backs them with its
-dedicated low-priority ``volume-gc`` splitter port so relocation is
-QoS-arbitrated.  Foreground I/O likewise stays in the facades — the
-core hands out addresses (:meth:`allocate`), gates program order
-(:meth:`await_program_turn`), and records outcomes
-(:meth:`commit_write` / :meth:`retire_page`); the facade decides *how*
-the bytes move.
+* :meth:`FtlCore.read` — the foreground read: map lookup, the erased
+  pattern for unmapped pages, the read pin, and loss handling for an
+  uncorrectable read;
+* :meth:`FtlCore.write` — the foreground write: allocation under the
+  core's one-slot lock, the program-order gate, and the
+  verify-after-write retry loop GC relocation shares;
+* GC, static wear leveling and chip evacuation, whose relocation I/O
+  goes to the ``gc_port`` handed in at construction.
+
+The facades only say *which* object moves the bytes.
+:class:`~repro.ftl.ftl.BlockDeviceFTL` and :class:`~repro.fs.rfs.RFS`
+pass their :class:`~repro.flash.device.StorageDevice` for foreground
+and GC I/O alike; :class:`~repro.volume.LogicalVolume` passes the
+caller's host-interface flows for foreground I/O and its dedicated
+low-priority ``volume-gc`` splitter port as ``gc_port``, so relocation
+is QoS-arbitrated.
 
 Write amplification is accounted per owner: each committed write bumps
 its owner's ``user_writes``; each GC relocation bumps the owning
@@ -65,7 +72,7 @@ from ..flash import (
     ProgramFailedError,
     UncorrectablePageError,
 )
-from ..sim import Event, Simulator
+from ..sim import Event, Resource, Simulator
 from .allocator import ALLOCATION_MODES, BlockAllocator
 from .mapping import PageMap
 
@@ -87,14 +94,19 @@ class OutOfSpaceError(Exception):
 class FtlCore:
     """Shared map/allocator/GC state machine over one node's flash.
 
-    ``io`` is the relocation backend (``gc_read``/``gc_write``/
-    ``gc_erase`` DES generators); serialization of :meth:`allocate`
-    against concurrent callers is the facade's job (the volume holds a
-    one-slot lock, the driver FTL and RFS run their writers in a
-    single logical stream).
+    ``gc_port`` carries GC relocation I/O (``read_page``/``write_page``/
+    ``erase_block`` DES generators).  Allocation, and the GC it
+    triggers, runs under the core's one-slot lock, so any number of
+    concurrent writers may call :meth:`write`.
     """
 
-    def __init__(self, sim: Simulator, device, io,
+    #: Verify-after-write retry budget: hash-keyed injected failures
+    #: roll fresh odds on every rewrite (different page, block, cycle),
+    #: so this bound is unreachable at any sane failure rate — it only
+    #: guards against a pathological all-ones fault plan.
+    MAX_PROGRAM_ATTEMPTS = 8
+
+    def __init__(self, sim: Simulator, device, gc_port,
                  mode: str = "striped", gc_low_watermark: int = 2,
                  name: str = "ftl", wear_leveling: str = "none",
                  wl_spread_threshold: int = 8):
@@ -112,8 +124,9 @@ class FtlCore:
             raise ValueError("wl_spread_threshold must be >= 1")
         self.sim = sim
         self.device = device
-        self.io = io
+        self.gc_port = gc_port
         self.geometry = device.geometry
+        self._erased = b"\xff" * self.geometry.page_size
         self.name = name
         self.allocation = mode
         self.gc_low_watermark = gc_low_watermark
@@ -123,6 +136,7 @@ class FtlCore:
         self.allocator = BlockAllocator(self.geometry, device.badblocks,
                                         device.wear, node=device.node,
                                         mode=mode)
+        self._lock = Resource(sim, capacity=1, name=f"{name}-alloc")
         self._full_blocks: Set[_BlockKey] = set()
         self._programmed: Dict[_BlockKey, int] = {}
         #: block -> next page expected to program; writers (foreground
@@ -295,35 +309,120 @@ class FtlCore:
                 if not gate.triggered:
                     gate.succeed()
 
+    # -- foreground I/O (DES generators) ---------------------------------
+    def read(self, lpn: int, read_page, *args):
+        """Read one logical page through ``read_page(addr, *args)``
+        -> bytes.
+
+        Unmapped pages return the erased pattern without a device
+        command (the FTL answers from the map, like a real driver).
+        The resolved block is pinned against GC's erase for the read's
+        lifetime: the mapping may move meanwhile (the read then returns
+        the version that was current at resolve time — ordinary
+        out-of-place-FTL semantics), but the physical page is never
+        erased under it.
+        """
+        addr = self.map.lookup(lpn)
+        if addr is None:
+            yield self.sim.timeout(0)
+            return self._erased
+        self.begin_read(addr)
+        try:
+            result = yield from read_page(addr, *args)
+        except UncorrectablePageError:
+            # The only copy is gone (read-disturb / wear-out injection;
+            # the card already retired the block).  Record the loss,
+            # drop the mapping — unless a concurrent overwrite already
+            # moved it, in which case nothing was lost — and hand back
+            # the erased pattern so the workload keeps running; the
+            # loss is surfaced through the reliability counters.
+            if self.map.lookup(lpn) == addr:
+                self.note_read_loss(lpn)
+            return self._erased
+        finally:
+            self.end_read(addr)
+        return result.data
+
+    def write(self, lpn: int, data: bytes, write_page, *args,
+              owner: Optional[str] = None):
+        """Write one logical page out-of-place through
+        ``write_page(addr, data, *args)``.
+
+        Allocation (and any GC it triggers) happens under the core's
+        lock; the physical program runs outside it, so concurrent
+        writers keep the device queue full with stripe-adjacent runs.
+        The remap — old mapping invalidated, LPN pointed at the fresh
+        page — happens only when the program *completes*: reads
+        resolving meanwhile still see the previous version (never an
+        unprogrammed page), and concurrent writes to one LPN settle
+        last-completer-wins, exactly like unordered writes to one LBA
+        on a real device.  The user write is charged to ``owner`` (the
+        core's name by default) at completion too.
+        """
+        addr = yield from self._program(lpn, data, write_page, args)
+        self.map.map_page(lpn, addr)
+        owner = owner or self.name
+        self.user_writes[owner] = self.user_writes.get(owner, 0) + 1
+
+    def _program(self, lpn: int, data: bytes, write_page, args=(),
+                 relocation: bool = False):
+        """Program ``data`` on a fresh page, recovering from program
+        failures (DES generator) -> the programmed page.
+
+        The one program loop, shared by foreground writes and GC
+        relocation.  A verify-after-write failure — or the card
+        rejecting the program because a read marked the block
+        grown-bad after the page was allocated — retires the burned
+        page, marks its block suspect (retired at its next erase) and
+        retries on a fresh page, so the caller never sees the fault.
+        Any other error retires the page (never mapped, so invalid —
+        the block keeps filling toward GC eligibility) and propagates.
+
+        Foreground programs allocate under the lock (collecting first
+        if space is low); ``relocation`` programs already run inside
+        the lock, under GC, and take the next free page directly.
+        """
+        for _attempt in range(self.MAX_PROGRAM_ATTEMPTS):
+            if relocation:
+                addr = self.allocator.next_page()
+                if addr is None:
+                    raise OutOfSpaceError("GC found no destination page")
+            else:
+                addr = yield from self.allocate()
+            yield from self.await_program_turn(addr)
+            try:
+                yield from write_page(addr, data, *args)
+            except (ProgramFailedError, BadBlockProgramError):
+                self.note_program_failure(addr)
+                continue
+            except BaseException:
+                self.retire_page(addr)
+                raise
+            self._note_program(addr)
+            self.program_done(addr)
+            self.total_programs += 1
+            return addr
+        raise ProgramFailedError(
+            f"programming LPN {lpn} failed {self.MAX_PROGRAM_ATTEMPTS} "
+            f"times in a row")
+
     # -- allocation / write completion -----------------------------------
     def allocate(self):
-        """Garbage-collect as needed, then hand out the next physical
-        page to program (DES generator).
+        """Take the allocation lock, garbage-collect as needed, then
+        hand out the next physical page to program (DES generator).
 
-        The caller must serialize concurrent ``allocate`` calls (the
-        volume's one-slot lock); raises :class:`OutOfSpaceError` when
-        even GC cannot free a page.
+        Raises :class:`OutOfSpaceError` when even GC cannot free a
+        page.
         """
-        yield from self.ensure_space()
-        addr = self.allocator.next_page()
+        yield self._lock.request()
+        try:
+            yield from self.ensure_space()
+            addr = self.allocator.next_page()
+        finally:
+            self._lock.release()
         if addr is None:
             raise OutOfSpaceError("no free pages after GC")
         return addr
-
-    def commit_write(self, lpn: int, addr: PhysAddr, owner: str) -> None:
-        """Record a *completed* program: remap, retire, charge.
-
-        Called only when the program landed — the remap (old mapping
-        invalidated, LPN pointed at the fresh page) happens at
-        completion, so reads resolving meanwhile still see the previous
-        version and concurrent writes to one LPN settle
-        last-completer-wins.  Accounting follows completion too.
-        """
-        self.map.map_page(lpn, addr)
-        self._note_program(addr)
-        self.program_done(addr)
-        self.user_writes[owner] = self.user_writes.get(owner, 0) + 1
-        self.total_programs += 1
 
     def retire_page(self, addr: PhysAddr) -> None:
         """Retire a page whose program failed (or was abandoned).
@@ -399,8 +498,8 @@ class FtlCore:
 
     # -- garbage collection ----------------------------------------------
     def ensure_space(self):
-        """Collect until the free-block floor holds (DES generator; any
-        facade-level allocation lock must already be held)."""
+        """Collect until the free-block floor holds (DES generator; the
+        allocation lock must already be held)."""
         while (self.allocator.free_blocks < self.gc_low_watermark
                and self._full_blocks):
             freed = yield from self.collect_once()
@@ -475,7 +574,7 @@ class FtlCore:
             if lpn is None:
                 continue
             try:
-                result = yield from self.io.gc_read(page_addr)
+                result = yield from self.gc_port.read_page(page_addr)
             except UncorrectablePageError:
                 if self.map.reverse(page_addr) == lpn:
                     self.map.unmap(lpn)
@@ -486,31 +585,9 @@ class FtlCore:
                 # A foreground write or TRIM overtook the relocation
                 # while the read was in flight: nothing left to move.
                 continue
-            # Relocation writes take injected program failures like any
-            # other write: retire the failed page (marking its block
-            # suspect) and retry on a fresh destination.  The attempt
-            # bound matches the foreground write path's — each retry
-            # lands on a new page, so the failure odds roll fresh.
-            for attempt in range(8):
-                dest = self.allocator.next_page()
-                if dest is None:
-                    raise OutOfSpaceError("GC found no destination page")
-                yield from self.await_program_turn(dest)
-                try:
-                    yield from self.io.gc_write(dest, result.data)
-                except (ProgramFailedError, BadBlockProgramError):
-                    self.note_program_failure(dest)
-                    continue
-                except BaseException:
-                    self.retire_page(dest)
-                    raise
-                self._note_program(dest)
-                self.program_done(dest)
-                self.total_programs += 1
-                break
-            else:
-                raise ProgramFailedError(
-                    f"relocation of LPN {lpn} failed on every destination")
+            dest = yield from self._program(lpn, result.data,
+                                            self.gc_port.write_page,
+                                            relocation=True)
             if self.map.reverse(page_addr) != lpn:
                 # Overtaken during the program: the copy at ``dest`` is
                 # stale.  Keep the newer mapping (or the TRIM) — never
@@ -535,7 +612,7 @@ class FtlCore:
     def collect_once(self, victim_key: Optional[_BlockKey] = None,
                      force: bool = False):
         """Greedy GC: relocate the fewest-valid full block through the
-        ``io`` backend, erase it.  Returns True if reclaimed.
+        GC port, erase it.  Returns True if reclaimed.
 
         The victim tiebreak is the block key tuple, so equal-validity
         ties resolve identically on every run and every facade — GC
@@ -571,7 +648,7 @@ class FtlCore:
         yield from self._relocate_valid_pages(victim)
         yield from self._await_no_readers(victim_key)
         try:
-            yield from self.io.gc_erase(victim)
+            yield from self.gc_port.erase_block(victim)
             erased = True
         except EraseError:
             # The card marked the block grown-bad; retire it below.
@@ -592,11 +669,21 @@ class FtlCore:
             self.allocator.release_block(victim)
         return True
 
+    def force_gc(self):
+        """Run one GC pass under the allocation lock (DES generator)
+        -> bool reclaimed."""
+        yield self._lock.request()
+        try:
+            reclaimed = yield from self.collect_once()
+        finally:
+            self._lock.release()
+        return reclaimed
+
     # -- chip evacuation ---------------------------------------------------
     def evacuate_block(self, card: int, bus: int, chip: int, block: int):
         """Relocate one block's valid pages and retire it WITHOUT
-        erasing it (DES generator; the facade's allocation lock must be
-        held).  Returns True if the block held any state.
+        erasing it (DES generator; the allocation lock must be held).
+        Returns True if the block held any state.
 
         The block is marked grown-bad and dropped from the allocator —
         the dying chip may no longer be able to erase, so unlike GC the
@@ -624,19 +711,28 @@ class FtlCore:
         return True
 
     def evacuate_chip(self, card: int, bus: int, chip: int):
-        """Move everything off a dying chip (DES generator; the
-        facade's allocation lock must be held throughout — the volume
-        facade instead retires the chip and evacuates block-by-block so
-        writers can interleave).
+        """Move everything off a dying chip (DES generator).
 
-        The chip's free blocks and open write point leave the allocator
-        first (new allocations land elsewhere), then every block with
-        mapped pages is relocated through the ``io`` backend and
-        retired.  Reads still work on a dead chip — stored charge
-        survives controller death — so data comes off intact unless a
-        page was independently unreadable, which counts as a loss.
+        The chip leaves allocation first (new writes land elsewhere),
+        then its blocks are evacuated one at a time — each block's
+        relocation runs under the allocation lock like a GC pass, and
+        the lock is released between blocks so foreground writers
+        interleave with the evacuation instead of stalling behind it.
+        Relocation I/O rides the GC port, so on a volume the evacuation
+        competes under the configured QoS policy.  Reads still work on
+        a dead chip — stored charge survives controller death — so data
+        comes off intact unless a page was independently unreadable,
+        which counts as a loss.
         """
-        self.allocator.retire_chip(card, bus, chip)
+        yield self._lock.request()
+        try:
+            self.allocator.retire_chip(card, bus, chip)
+        finally:
+            self._lock.release()
         for block in range(self.geometry.blocks_per_chip):
-            yield from self.evacuate_block(card, bus, chip, block)
+            yield self._lock.request()
+            try:
+                yield from self.evacuate_block(card, bus, chip, block)
+            finally:
+                self._lock.release()
         self.chips_evacuated += 1

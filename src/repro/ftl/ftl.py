@@ -13,17 +13,21 @@ spare area GC needs to stay efficient.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..flash.device import StorageDevice
 from ..sim import Simulator
-from .log import LogStructuredCore
+from .core import FtlCore
 
 __all__ = ["BlockDeviceFTL"]
 
 
 class BlockDeviceFTL:
-    """A flat logical block device over raw flash."""
+    """A flat logical block device over raw flash.
+
+    A thin shell over :class:`FtlCore` that hands the core its
+    :class:`StorageDevice` for foreground and GC I/O alike.  Counters
+    live on :attr:`core` (``core.write_amplification()``,
+    ``core.gc_runs``, ...).
+    """
 
     def __init__(self, sim: Simulator, device: StorageDevice,
                  overprovision: float = 0.25, gc_low_watermark: int = 2):
@@ -31,9 +35,9 @@ class BlockDeviceFTL:
             raise ValueError(
                 f"overprovision must be in [0, 1), got {overprovision}")
         self.sim = sim
-        self.core = LogStructuredCore(sim, device,
-                                      gc_low_watermark=gc_low_watermark,
-                                      name="ftl")
+        self.device = device
+        self.core = FtlCore(sim, device, device,
+                            gc_low_watermark=gc_low_watermark, name="ftl")
         physical_pages = device.geometry.pages_per_node
         self.logical_pages = int(physical_pages * (1.0 - overprovision))
         self.page_size = device.geometry.page_size
@@ -46,31 +50,18 @@ class BlockDeviceFTL:
 
     # -- block device operations (DES generators) ---------------------------
     def read(self, lpn: int):
-        """Read one logical page -> bytes."""
+        """Read one logical page -> bytes (erased pattern if unmapped)."""
         self._check_lpn(lpn)
-        data = yield from self.core.read_lpn(lpn)
+        data = yield from self.core.read(lpn, self.device.read_page)
         return data
 
     def write(self, lpn: int, data: bytes):
         """Write one logical page (out-of-place, GC as needed)."""
         self._check_lpn(lpn)
-        yield from self.core.write_lpn(lpn, data)
+        yield from self.core.write(lpn, data, self.device.write_page)
 
     def trim(self, lpn: int):
         """Discard a logical page's contents."""
         self._check_lpn(lpn)
-        yield from self.core.trim_lpn(lpn)
-
-    # -- telemetry -------------------------------------------------------------
-    @property
-    def write_amplification(self) -> float:
-        return self.core.write_amplification
-
-    @property
-    def gc_runs(self) -> int:
-        return self.core.gc_runs
-
-    @property
-    def gc_stale_moves(self) -> int:
-        """GC copies abandoned because a concurrent write/TRIM won."""
-        return self.core.gc_stale_moves
+        yield self.sim.timeout(0)
+        self.core.trim(lpn)

@@ -79,12 +79,6 @@ class HostInterface:
                                             "write-buffers")
         self.reads = Counter("host-reads")
         self.writes = Counter("host-writes")
-        # Interrupt-coalescing state shared across this interface's
-        # submitted batches: reads completed since the last interrupt,
-        # and reads currently in flight under a coalescing submit (the
-        # drain fallback — the last one out always raises the line).
-        self._irq_accrued = 0
-        self._irq_inflight = 0
 
     def _start(self, kind: IOKind, addr: PhysAddr, size: int,
                request: Optional[IORequest]) -> tuple:
@@ -109,10 +103,7 @@ class HostInterface:
                    request: Optional[IORequest], interrupt: bool = True):
         """The whole host read path for one page (DES generator).
 
-        ``interrupt=False`` skips the per-page completion interrupt —
-        the coalesced-interrupt submission path charges one interrupt
-        per drained group instead (see :meth:`submit`'s
-        ``irq_coalesce``).
+        ``interrupt=False`` skips the per-page completion interrupt.
         """
         if software_path:
             with StageSpan(self.sim, request, "software"):
@@ -243,8 +234,8 @@ class HostInterface:
 
     # -- asynchronous batched submission --------------------------------
     def submit(self, ops: Iterable, queue_depth: Optional[int] = None,
-               software_path: bool = False, volume=None,
-               irq_coalesce: int = 1) -> RequestBatch:
+               software_path: bool = False,
+               volume=None) -> RequestBatch:
         """Issue a batch of operations asynchronously; returns at once.
 
         ``ops`` is an iterable of ``(kind, addr)`` or
@@ -270,22 +261,10 @@ class HostInterface:
         :class:`~repro.volume.LogicalVolume`: each op's address is a
         *logical* page number, reads resolve through the FTL map, and
         writes allocate out-of-place with validity updates and GC.
-
-        ``irq_coalesce=N`` (N > 1) amortizes the completion interrupt:
-        instead of one ``interrupt_ns`` charge per page read, the
-        interface pays one per N read completions — aggregated across
-        every coalescing batch in flight on this interface, with a
-        drain fallback (the last outstanding read always pays, so no
-        completion waits on an interrupt that never comes).  This is
-        Figure 12's ``interrupt`` component amortized at depth.
-        Writes complete by ack and are unaffected.
         """
         depth = self.queue_depth if queue_depth is None else queue_depth
         if depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {depth}")
-        if irq_coalesce < 1:
-            raise ValueError(
-                f"irq_coalesce must be >= 1, got {irq_coalesce}")
         batch = RequestBatch(self.sim, tenant=self.tenant)
         for op in ops:
             kind, addr = op[0], op[1]
@@ -299,18 +278,13 @@ class HostInterface:
             batch.add(kind, addr, data=data, request=request)
         batch.seal()
         if batch.items:
-            if irq_coalesce > 1:
-                self._irq_inflight += sum(
-                    1 for item in batch.items
-                    if item.kind is IOKind.READ)
             self.sim.process(
-                self._pump(batch, depth, software_path, volume,
-                           irq_coalesce),
+                self._pump(batch, depth, software_path, volume),
                 name=f"{self.tenant}-submit")
         return batch
 
     def _pump(self, batch: RequestBatch, depth: int, software_path: bool,
-              volume, irq_coalesce: int):
+              volume):
         """Keep up to ``depth`` of the batch's flows in flight."""
         waiting = deque(batch.items)
         pending: dict = {}
@@ -319,8 +293,7 @@ class HostInterface:
             while waiting and len(pending) < depth:
                 item = waiting.popleft()
                 proc = self.sim.process(
-                    self._item_flow(batch, item, software_path, volume,
-                                    irq_coalesce))
+                    self._item_flow(batch, item, software_path, volume))
                 pending[proc] = item
 
         launch()
@@ -331,7 +304,7 @@ class HostInterface:
             launch()
 
     def _item_flow(self, batch: RequestBatch, item, software_path: bool,
-                   volume=None, irq_coalesce: int = 1):
+                   volume=None):
         """Run one batch item end to end and settle it.
 
         Failures are settled into the item (its event fails, carrying
@@ -342,33 +315,13 @@ class HostInterface:
         error: Optional[BaseException] = None
         try:
             if item.kind is IOKind.READ:
-                inline_irq = irq_coalesce <= 1
-                device_io = True
-                try:
-                    if volume is not None:
-                        # Resolved synchronously, exactly as read_flow
-                        # is about to (no yield in between): an
-                        # unmapped LPN is answered from the map with no
-                        # device command — and no interrupt, matching
-                        # the uncoalesced path which charges none.
-                        device_io = (
-                            volume.physical_of(item.addr) is not None)
-                        result = yield from volume.read_flow(
-                            item.addr, self, software_path, item.request,
-                            interrupt=inline_irq)
-                    else:
-                        page = yield from self._read_flow(
-                            item.addr, software_path, item.request,
-                            interrupt=inline_irq)
-                        result = page.data
-                finally:
-                    # A failed read still retires from the coalescing
-                    # window (and may raise the shared interrupt) —
-                    # otherwise the drain fallback would never fire
-                    # again and later tails would skip their interrupt.
-                    if not inline_irq:
-                        yield from self._coalesced_interrupt(
-                            item.request, irq_coalesce, device_io)
+                if volume is not None:
+                    result = yield from volume.read_flow(
+                        item.addr, self, software_path, item.request)
+                else:
+                    page = yield from self._read_flow(
+                        item.addr, software_path, item.request)
+                    result = page.data
                 self.reads.add()
             elif item.kind is IOKind.WRITE:
                 if volume is not None:
@@ -388,29 +341,3 @@ class HostInterface:
         if self.tracer is not None and error is None:
             self.tracer.complete(item.request)
         batch.item_done(item, result=result, error=error)
-
-    def _coalesced_interrupt(self, request, irq_coalesce: int,
-                             device_io: bool = True):
-        """Charge one completion interrupt per drained read group.
-
-        Every ``irq_coalesce``-th read completion on this interface
-        pays the full ``interrupt_ns``; the others ride the same
-        interrupt for free.  The last outstanding coalescing read
-        always pays (drain fallback), so no completion ever waits on
-        an interrupt that is never raised.
-
-        ``device_io=False`` (a volume read the FTL answered from the
-        map) still retires from the window but accrues no interrupt
-        debt: reads that issued no device command raise no completion
-        interrupt, the same as the uncoalesced path.
-        """
-        self._irq_inflight -= 1
-        if device_io:
-            self._irq_accrued += 1
-        if self._irq_accrued and (self._irq_accrued >= irq_coalesce
-                                  or self._irq_inflight == 0):
-            self._irq_accrued = 0
-            with StageSpan(self.sim, request, "interrupt"):
-                yield self.sim.timeout(self.config.interrupt_ns)
-        else:
-            yield self.sim.timeout(0)

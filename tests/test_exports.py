@@ -47,7 +47,7 @@ PINNED = {
     ],
     "repro.ftl": [
         "BlockAllocator", "ALLOCATION_MODES", "PageMap", "FtlCore",
-        "LogStructuredCore", "OutOfSpaceError", "BlockDeviceFTL",
+        "OutOfSpaceError", "BlockDeviceFTL",
         "WEAR_LEVELING_MODES",
     ],
     "repro.faults": [

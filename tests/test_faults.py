@@ -13,11 +13,13 @@ Layer by layer:
 * ``FaultSpec`` — validation, dict/JSON round-trips, the
   ``--fault-seed`` override;
 * the write path end-to-end — verify-after-write recovery, suspect
-  retirement, erase-failure retirement, and rerun byte-identity.
+  retirement, erase-failure retirement, and rerun byte-identity, on
+  volumes and on the raw-device shells (driver FTL and RFS).
 """
 
 import dataclasses
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,10 @@ from repro.faults import (
     set_fault_seed_override,
 )
 from repro.flash import FlashGeometry, FlashTiming, PhysAddr, WearTracker
+from repro.flash.device import StorageDevice
+from repro.fs import RFS
+from repro.ftl import BlockDeviceFTL
+from repro.sim import Simulator
 
 GEO = FlashGeometry(buses_per_card=2, chips_per_bus=2, blocks_per_chip=16,
                     pages_per_block=4, page_size=64, cards_per_node=1)
@@ -114,8 +120,7 @@ class TestFaultPlan:
 # ----------------------------------------------------------------------
 class TestFaultInjector:
     def test_read_disturb_arms_after_limit_and_erase_resets(self):
-        plan = FaultPlan(seed=4, read_disturb_limit=3,
-                         read_disturb_rate=1.0)
+        plan = FaultPlan(seed=4, read_disturb_limit=3)
         injector = FaultInjector(plan)
         addr = PhysAddr()
         # Reads 0..2 pass; read 3 (index 3 >= limit) is elevated to an
@@ -129,8 +134,7 @@ class TestFaultInjector:
         assert injector.read_flips(addr, 0.0, 0) == 0
 
     def test_natural_double_flips_pass_through(self):
-        injector = FaultInjector(FaultPlan(seed=4, read_disturb_limit=1,
-                                           read_disturb_rate=1.0))
+        injector = FaultInjector(FaultPlan(seed=4, read_disturb_limit=1))
         assert injector.read_flips(PhysAddr(), 0.0, 2) == 2
         # The injector never claims credit for the chip's own errors.
         assert injector.read_uncorrectables == 0
@@ -327,7 +331,7 @@ class TestWritePathRecovery:
 
         def evacuation():
             yield session.sim.timeout(500_000)
-            yield from volume.evacuate_chip(0, 0, 0)
+            yield from volume.core.evacuate_chip(0, 0, 0)
 
         session.sim.process(evacuation(), name="evacuation")
         result = session.run()
@@ -341,3 +345,69 @@ class TestWritePathRecovery:
             addr = volume.core.map.lookup(lpn)
             if addr is not None:
                 assert (addr.card, addr.bus, addr.chip) != (0, 0, 0)
+
+
+class TestRawDeviceShellsRecover:
+    """The driver FTL and RFS share the volume's program-retry loop: an
+    injected program failure is retried on a fresh page, never raised
+    to the caller, and the accounting identity still holds."""
+
+    @staticmethod
+    def _faulty_device():
+        sim = Simulator()
+        device = StorageDevice(sim, geometry=GEO, timing=FAST)
+        device.install_faults(
+            FaultInjector(FaultPlan(seed=21, program_fail_rate=0.02)))
+        return sim, device
+
+    @staticmethod
+    def _assert_recovered(core):
+        assert core.recovered_writes > 0
+        assert core.gc_runs > 0
+        assert core.total_programs == (core.user_writes_total
+                                       + core.gc_moved_pages
+                                       + core.gc_stale_moves)
+
+    def test_block_device_ftl_survives_program_failures(self):
+        sim, device = self._faulty_device()
+        ftl = BlockDeviceFTL(sim, device, overprovision=0.5)
+        n_writes = 3 * GEO.pages_per_node
+        rng = random.Random(5)
+        latest = {}
+
+        def proc(sim):
+            for i in range(n_writes):
+                lpn = rng.randrange(ftl.logical_pages)
+                data = f"w{i}".encode()
+                yield from ftl.write(lpn, data)
+                latest[lpn] = data
+            readback = {}
+            for lpn in latest:
+                readback[lpn] = yield from ftl.read(lpn)
+            return readback
+
+        readback = sim.run_process(proc(sim))
+        assert ftl.core.user_writes_total == n_writes
+        for lpn, data in latest.items():
+            assert readback[lpn] == data + b"\xff" * (GEO.page_size
+                                                      - len(data))
+        self._assert_recovered(ftl.core)
+
+    def test_rfs_survives_program_failures(self):
+        sim, device = self._faulty_device()
+        fs = RFS(sim, device)
+        latest = {}
+
+        def proc(sim):
+            for round_no in range(40):
+                for f in range(4):
+                    body = bytes([round_no, f]) * (2 * GEO.page_size)
+                    yield from fs.write_file(f"f{f}", body)
+                    latest[f"f{f}"] = body
+            readback = {}
+            for name in latest:
+                readback[name] = yield from fs.read_file(name)
+            return readback
+
+        assert sim.run_process(proc(sim)) == latest
+        self._assert_recovered(fs.core)

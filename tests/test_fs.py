@@ -150,7 +150,7 @@ class TestPhysicalExtents:
                 yield from fs.write_file("churn", bytes([i % 255]) * 64)
 
         sim.run_process(proc(sim))
-        assert fs.gc_runs > 0
+        assert fs.core.gc_runs > 0
         extents = fs.physical_extents("keep")
 
         def verify(sim):

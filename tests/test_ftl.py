@@ -1,11 +1,10 @@
-"""Tests for the page map, allocator, log core, and block-device FTL."""
+"""Tests for the page map, allocator, FTL core, and block-device FTL."""
 
 import pytest
 
 from repro.flash import FlashGeometry, FlashTiming, PhysAddr
 from repro.flash.device import StorageDevice
-from repro.ftl import BlockAllocator, BlockDeviceFTL, PageMap
-from repro.ftl.log import LogStructuredCore
+from repro.ftl import BlockAllocator, BlockDeviceFTL, FtlCore, PageMap
 from repro.sim import Simulator
 
 GEO = FlashGeometry(buses_per_card=2, chips_per_bus=2, blocks_per_chip=4,
@@ -141,35 +140,53 @@ class TestBlockAllocator:
         assert device.wear.erase_count(first) == 0
 
 
+def raw_core(sim, device, gc_low_watermark=2):
+    """An :class:`FtlCore` whose GC port is the raw device."""
+    return FtlCore(sim, device, device, gc_low_watermark=gc_low_watermark)
+
+
+def write_lpn(core, lpn, data):
+    """Foreground write straight to the core's device (DES generator)."""
+    yield from core.write(lpn, data, core.device.write_page)
+
+
+def read_lpn(core, lpn):
+    """Foreground read straight from the core's device (DES generator)."""
+    data = yield from core.read(lpn, core.device.read_page)
+    return data
+
+
 class TestLogCore:
+    """:class:`FtlCore` driven directly over the raw device."""
+
     def test_write_read_roundtrip(self, sim, device):
-        core = LogStructuredCore(sim, device)
+        core = raw_core(sim, device)
 
         def proc(sim):
-            yield from core.write_lpn(5, b"logical five")
-            data = yield from core.read_lpn(5)
+            yield from write_lpn(core, 5, b"logical five")
+            data = yield from read_lpn(core, 5)
             return data
 
         assert sim.run_process(proc(sim)).startswith(b"logical five")
 
     def test_unmapped_read_is_erased(self, sim, device):
-        core = LogStructuredCore(sim, device)
+        core = raw_core(sim, device)
 
         def proc(sim):
-            data = yield from core.read_lpn(9)
+            data = yield from read_lpn(core, 9)
             return data
 
         assert sim.run_process(proc(sim)) == b"\xff" * 64
 
     def test_overwrite_remaps_out_of_place(self, sim, device):
-        core = LogStructuredCore(sim, device)
+        core = raw_core(sim, device)
 
         def proc(sim):
-            yield from core.write_lpn(1, b"v1")
+            yield from write_lpn(core, 1, b"v1")
             first = core.physical_of(1)
-            yield from core.write_lpn(1, b"v2")
+            yield from write_lpn(core, 1, b"v2")
             second = core.physical_of(1)
-            data = yield from core.read_lpn(1)
+            data = yield from read_lpn(core, 1)
             return first, second, data
 
         first, second, data = sim.run_process(proc(sim))
@@ -177,15 +194,15 @@ class TestLogCore:
         assert data.startswith(b"v2")
 
     def test_gc_reclaims_invalidated_space(self, sim, device):
-        core = LogStructuredCore(sim, device, gc_low_watermark=2)
+        core = raw_core(sim, device)
         total = GEO.pages_per_node
 
         def proc(sim):
             # Overwrite a small working set far beyond physical capacity;
             # without GC this would exhaust the 128 physical pages.
             for i in range(3 * total):
-                yield from core.write_lpn(i % 8, b"hot data")
-            data = yield from core.read_lpn(0)
+                yield from write_lpn(core, i % 8, b"hot data")
+            data = yield from read_lpn(core, 0)
             return data
 
         data = sim.run_process(proc(sim))
@@ -195,58 +212,58 @@ class TestLogCore:
         assert device.erases > 0
 
     def test_write_amplification_accounting(self, sim, device):
-        core = LogStructuredCore(sim, device, gc_low_watermark=2)
+        core = raw_core(sim, device)
 
         def proc(sim):
             for i in range(2 * GEO.pages_per_node):
-                yield from core.write_lpn(i % 8, b"x")
+                yield from write_lpn(core, i % 8, b"x")
 
         sim.process(proc(sim))
         sim.run()
-        assert core.write_amplification >= 1.0
-        assert core.user_writes == 2 * GEO.pages_per_node
+        assert core.write_amplification() >= 1.0
+        assert core.user_writes_total == 2 * GEO.pages_per_node
 
     def test_trim_then_read_erased(self, sim, device):
-        core = LogStructuredCore(sim, device)
+        core = raw_core(sim, device)
 
         def proc(sim):
-            yield from core.write_lpn(3, b"temp")
-            yield from core.trim_lpn(3)
-            data = yield from core.read_lpn(3)
+            yield from write_lpn(core, 3, b"temp")
+            core.trim(3)
+            data = yield from read_lpn(core, 3)
             return data
 
         assert sim.run_process(proc(sim)) == b"\xff" * 64
 
 
 def full_stripe_core(sim, device):
-    """A legacy core with every chip's least-worn block exactly full.
+    """A raw-device core with every chip's least-worn block exactly full.
 
     Writes LPNs 0..15: the striped rotation lands LPN ``i`` on chip
     index ``i % 4`` (enumeration order bus-fastest: (0,0,0,0),
     (0,0,1,0), (0,0,0,1), (0,0,1,1)), page ``i // 4`` — so chip
     (0,0,0,0)'s block 0 holds LPNs 0, 4, 8, 12 in page order.
     """
-    core = LogStructuredCore(sim, device, gc_low_watermark=2)
+    core = raw_core(sim, device)
 
     def fill(sim):
         for lpn in range(16):
-            yield from core.write_lpn(lpn, f"v{lpn}".encode())
+            yield from write_lpn(core, lpn, f"v{lpn}".encode())
 
     sim.run_process(fill(sim))
     return core
 
 
 class TestLegacyCoreGCRaces:
-    """The PR-5 race fixes, ported: the device-driven facade re-checks
-    the mapping around relocation I/O exactly like the volume core."""
+    """The GC race fixes over the raw device: the core re-checks the
+    mapping around relocation I/O whatever object its GC port is."""
 
     def _trimmed_core(self, sim, device):
         # Victim by construction: TRIM LPNs 0 and 4, so chip
         # (0,0,0,0)'s block keeps only LPNs 8 (page 2) and 12 (page 3)
         # — fewest valid, relocated in page order (8 first).
         core = full_stripe_core(sim, device)
-        sim.run_process(core.trim_lpn(0))
-        sim.run_process(core.trim_lpn(4))
+        core.trim(0)
+        core.trim(4)
         return core
 
     def test_foreground_overwrite_during_relocation_wins(self, sim,
@@ -266,8 +283,8 @@ class TestLegacyCoreGCRaces:
                 # completing while this program is in flight.
                 fresh = core.allocator.next_page()
                 core.map.map_page(8, fresh)
-                core.core._note_program(fresh)
-                core.core.program_done(fresh)
+                core._note_program(fresh)
+                core.program_done(fresh)
                 race["fresh"] = fresh
                 race["stale_dest"] = addr
             return original(addr, data, **kwargs)
@@ -282,7 +299,7 @@ class TestLegacyCoreGCRaces:
         assert core.gc_moved_pages == 1                 # LPN 12 only
         # total = user + moved + stale (the fresh page was mapped
         # behind the accounting's back, so it charges nothing).
-        assert core.total_writes == 16 + 1 + 1
+        assert core.total_programs == 16 + 1 + 1
 
     def test_trim_during_relocation_write_not_resurrected(self, sim,
                                                           device):
@@ -293,7 +310,7 @@ class TestLegacyCoreGCRaces:
         def racy_write_page(addr, data, **kwargs):
             calls.append(addr)
             if len(calls) == 1:
-                core.core.trim(8)
+                core.trim(8)
             return original(addr, data, **kwargs)
 
         device.write_page = racy_write_page
@@ -314,7 +331,7 @@ class TestLegacyCoreGCRaces:
         def racy_read_page(addr, **kwargs):
             calls.append(addr)
             if len(calls) == 1:
-                core.core.trim(8)
+                core.trim(8)
             return original(addr, **kwargs)
 
         device.read_page = racy_read_page
@@ -322,7 +339,7 @@ class TestLegacyCoreGCRaces:
         assert core.physical_of(8) is None
         assert core.gc_stale_moves == 0
         assert core.gc_moved_pages == 1
-        assert core.total_writes == 16 + 1
+        assert core.total_programs == 16 + 1
 
 
 class TestLegacyCoreAccounting:
@@ -332,7 +349,7 @@ class TestLegacyCoreAccounting:
         # (write-amplification stays honest) and must not leak its
         # allocated page: it is retired programmed-and-invalid so the
         # block still fills toward GC eligibility.
-        core = LogStructuredCore(sim, device)
+        core = raw_core(sim, device)
         original = device.write_page
         state = {"failed": 0}
 
@@ -348,20 +365,20 @@ class TestLegacyCoreAccounting:
 
         device.write_page = exploding_write_page
         with pytest.raises(RuntimeError, match="program lost"):
-            sim.run_process(core.write_lpn(0, b"x"))
-        assert core.user_writes == 0
-        assert core.total_writes == 0
-        assert core.write_amplification == 1.0
+            sim.run_process(write_lpn(core, 0, b"x"))
+        assert core.user_writes_total == 0
+        assert core.total_programs == 0
+        assert core.write_amplification() == 1.0
         assert core.physical_of(0) is None
         # The burned page counts toward its block's fill...
-        assert sum(core.core._programmed.values()) == 1
+        assert sum(core._programmed.values()) == 1
         # ...and does not gate later same-block programs.
-        sim.run_process(core.write_lpn(0, b"y"))
+        sim.run_process(write_lpn(core, 0, b"y"))
         assert core.physical_of(0) is not None
-        assert core.user_writes == 1
-        assert core.total_writes == (core.user_writes
-                                     + core.gc_moved_pages
-                                     + core.gc_stale_moves)
+        assert core.user_writes_total == 1
+        assert core.total_programs == (core.user_writes_total
+                                       + core.gc_moved_pages
+                                       + core.gc_stale_moves)
 
 
 class TestLegacyCoreVictimOrder:
@@ -371,11 +388,11 @@ class TestLegacyCoreVictimOrder:
         # order must follow the block key tuple — (0,0,0,1,0) first —
         # by construction, never set-iteration order.
         core = full_stripe_core(sim, device)
-        sim.run_process(core.trim_lpn(1))  # chip (0,0,1,0), page 0
-        sim.run_process(core.trim_lpn(2))  # chip (0,0,0,1), page 0
+        core.trim(1)  # chip (0,0,1,0), page 0
+        core.trim(2)  # chip (0,0,0,1), page 0
         assert sim.run_process(core.force_gc())
         assert sim.run_process(core.force_gc())
-        assert core.core.gc_victims == [(0, 0, 0, 1, 0), (0, 0, 1, 0, 0)]
+        assert core.gc_victims == [(0, 0, 0, 1, 0), (0, 0, 1, 0, 0)]
 
 
 class TestBlockDeviceFTL:
@@ -403,8 +420,8 @@ class TestBlockDeviceFTL:
 
         sim.process(proc(sim))
         sim.run()
-        assert ftl.write_amplification >= 1.0
-        assert ftl.gc_runs > 0
+        assert ftl.core.write_amplification() >= 1.0
+        assert ftl.core.gc_runs > 0
 
     def test_data_integrity_across_gc(self, sim, device):
         ftl = BlockDeviceFTL(sim, device, overprovision=0.5,

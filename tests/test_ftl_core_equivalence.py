@@ -1,12 +1,12 @@
 """One FTL substrate: the two facades are behaviorally the same core.
 
-:class:`~repro.ftl.ftl.BlockDeviceFTL` (device-driven, via
-:class:`~repro.ftl.log.LogStructuredCore`) and
+:class:`~repro.ftl.ftl.BlockDeviceFTL` (device-driven) and
 :class:`~repro.volume.LogicalVolume` (QoS-port-riding) are thin policy
 shells over one shared :class:`~repro.ftl.core.FtlCore`.  This suite
-pins the unification property the refactor promised: an identical LPN
-operation sequence driven through both facades — the volume stripped of
-its QoS machinery by direct-to-device port/iface stand-ins — produces
+pins the unification property: an identical LPN operation sequence
+driven through both facades — the volume stripped of its QoS machinery
+by the raw device as its GC port and a direct-to-device iface
+stand-in — produces
 
 * identical final logical-to-physical map state,
 * identical write-amplification accounting (user writes, total
@@ -32,23 +32,6 @@ FAST = FlashTiming(t_read_ns=1000, t_prog_ns=2000, t_erase_ns=5000,
                    aurora_latency_ns=10, cmd_overhead_ns=10)
 OVERPROVISION = 0.5
 LOGICAL_PAGES = int(GEO.pages_per_node * (1.0 - OVERPROVISION))
-
-
-class DirectPort:
-    """A GC 'port' that rides the raw device — no QoS, no admission."""
-
-    def __init__(self, device):
-        self.device = device
-
-    def read_page(self, addr, request=None):
-        result = yield from self.device.read_page(addr)
-        return result
-
-    def write_page(self, addr, data, request=None):
-        yield from self.device.write_page(addr, data)
-
-    def erase_block(self, addr, request=None):
-        yield from self.device.erase_block(addr)
 
 
 class DirectIface:
@@ -85,13 +68,13 @@ def drive_ftl(ops):
                 reads.append(data)
 
     sim.run_process(driver(sim))
-    return ftl.core.core, reads
+    return ftl.core, reads
 
 
 def drive_volume(ops):
     sim = Simulator()
     device = StorageDevice(sim, geometry=GEO, timing=FAST)
-    volume = LogicalVolume(sim, device, DirectPort(device),
+    volume = LogicalVolume(sim, device, device,
                            overprovision=OVERPROVISION,
                            allocation="striped", gc_low_watermark=2)
     iface = DirectIface(device)

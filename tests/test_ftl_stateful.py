@@ -66,7 +66,7 @@ class FTLMachine(RuleBasedStateMachine):
 
     @invariant()
     def write_amplification_sane(self):
-        assert self.ftl.write_amplification >= 1.0
+        assert self.ftl.core.write_amplification() >= 1.0
 
 
 TestFTLStateful = FTLMachine.TestCase

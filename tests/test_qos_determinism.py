@@ -260,7 +260,7 @@ def _rfs_under_gc_pressure() -> str:
                 yield from fs.write_file(f"f{f}", body)
 
     sim.run_process(workload(sim))
-    core = fs.core.core
+    core = fs.core
     return json.dumps({
         "elapsed_ns": sim.now,
         "user_writes": dict(core.user_writes),
@@ -269,7 +269,7 @@ def _rfs_under_gc_pressure() -> str:
         "gc_moved_pages": core.gc_moved_pages,
         "gc_stale_moves": core.gc_stale_moves,
         "gc_victims": [list(v) for v in core.gc_victims],
-        "write_amplification": fs.write_amplification,
+        "write_amplification": core.write_amplification(),
     }, sort_keys=True)
 
 
@@ -283,7 +283,7 @@ def test_rfs_gc_pressure_is_deterministic():
 
 
 def test_ablation_ftl_is_deterministic():
-    # The spare-area ablation drives the legacy facade through heavy
+    # The spare-area ablation drives the driver FTL through heavy
     # random-overwrite GC at three over-provisioning points; its JSON
     # (write amp + GC run counts) must replay byte-identically.
     first = run_ablation_ftl().to_json()

@@ -95,7 +95,7 @@ class TestStaleExtentsAfterGC:
 
     def test_requeried_extents_read_live_data(self):
         sim, node, before = self._churned_node()
-        assert node.fs.gc_runs > 0
+        assert node.fs.core.gc_runs > 0
         after = node.fs.physical_extents("keep")
 
         def read(sim, addr):
@@ -111,7 +111,7 @@ class TestStaleExtentsAfterGC:
         # fully-invalid churn blocks, so the kept file may or may not
         # have moved) — either way, the re-queried address is the
         # authoritative one and has the same shape.
-        assert node.fs.gc_runs > 0
+        assert node.fs.core.gc_runs > 0
         assert len(after) == len(before)
 
 

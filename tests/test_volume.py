@@ -10,7 +10,7 @@ Covers the subsystem's contracts layer by layer:
   prefill, per-tenant write amplification, GC through the dedicated
   port;
 * spec plumbing — ``VolumeSpec``/``access="volume"``/``write_fraction``
-  /``irq_coalesce`` validation and round-trips.
+  validation and round-trips.
 """
 
 import dataclasses
@@ -178,8 +178,8 @@ class TestLogicalVolume:
         assert first != second
         assert data == fill
         # The old page is invalid: its reverse mapping is gone.
-        assert volume.map.reverse(first) is None
-        assert volume.map.reverse(second) == 3
+        assert volume.core.map.reverse(first) is None
+        assert volume.core.map.reverse(second) == 3
 
     def test_unmapped_read_returns_erased_without_device_io(self):
         session = Session(volume_spec(duration_ns=100))
@@ -191,6 +191,8 @@ class TestLogicalVolume:
         data = sim.run_process(iface.read_lpn(volume, 9))
         assert data == b"\xff" * GEO.page_size
         assert session.node.device.reads == reads_before
+        # No device command, so no completion interrupt either.
+        assert "interrupt" not in iface.tracer.stage_histograms
 
     def test_out_of_range_lpn_rejected(self):
         session = Session(volume_spec(duration_ns=100))
@@ -203,10 +205,10 @@ class TestLogicalVolume:
         volume = session.volumes[0]
         assert session.sim.now == 0
         expected = int(0.5 * volume.logical_pages)
-        assert volume.prefilled_pages == expected
-        assert volume.map.mapped_count == expected
-        assert sum(volume.user_writes.values()) == 0
-        assert volume.write_amplification() == 1.0
+        assert volume.core.prefilled_pages == expected
+        assert volume.core.map.mapped_count == expected
+        assert sum(volume.core.user_writes.values()) == 0
+        assert volume.core.write_amplification() == 1.0
 
     def test_gc_reclaims_and_charges_write_amplification(self):
         # Small, nearly-full volume + sustained random overwrites:
@@ -250,17 +252,17 @@ class TestLogicalVolume:
         with pytest.raises(RuntimeError, match="program lost"):
             sim.run_process(volume.write_flow(
                 ExplodingIface(), 0, b"x" * GEO.page_size, False, None))
-        assert sum(volume.user_writes.values()) == 0
-        assert volume.total_programs == 0
-        assert volume.write_amplification() == 1.0
+        assert sum(volume.core.user_writes.values()) == 0
+        assert volume.core.total_programs == 0
+        assert volume.core.write_amplification() == 1.0
         assert volume.physical_of(0) is None
         # The burned page counts toward its block's fill...
-        assert sum(volume._programmed.values()) == 1
+        assert sum(volume.core._programmed.values()) == 1
         # ...and does not gate later same-block programs.
         iface = session._ifaces["vol"]
         sim.run_process(iface.write_lpn(volume, 0, b"y" * GEO.page_size))
         assert volume.physical_of(0) is not None
-        assert sum(volume.user_writes.values()) == 1
+        assert sum(volume.core.user_writes.values()) == 1
 
     def test_write_beyond_capacity_raises_out_of_space(self):
         # Overprovision 0 and a full prefill: the very first GC-less
@@ -316,36 +318,36 @@ class TestGCRelocationRaces:
         session, volume = raced_volume()
         sim = session.sim
         race = {}
-        original = volume.gc_port.write_page
+        original = volume.core.gc_port.write_page
 
         def racy_write_page(addr, data, **kwargs):
             race.setdefault("calls", []).append(addr)
             if len(race["calls"]) == 2:
                 # LPN 8's relocation: emulate a foreground overwrite
                 # completing while this program is in flight.
-                fresh = volume.allocator.next_page()
-                volume.map.map_page(8, fresh)
-                volume._note_program(fresh)
-                volume._program_done(fresh)
+                fresh = volume.core.allocator.next_page()
+                volume.core.map.map_page(8, fresh)
+                volume.core._note_program(fresh)
+                volume.core.program_done(fresh)
                 race["fresh"] = fresh
                 race["stale_dest"] = addr
             return original(addr, data, **kwargs)
 
-        volume.gc_port.write_page = racy_write_page
-        assert sim.run_process(volume.force_gc())
+        volume.core.gc_port.write_page = racy_write_page
+        assert sim.run_process(volume.core.force_gc())
         # The newer mapping survived; the stale copy was abandoned.
         assert volume.physical_of(8) == race["fresh"]
-        assert volume.map.reverse(race["fresh"]) == 8
-        assert volume.map.reverse(race["stale_dest"]) is None
-        assert volume.gc_stale_moves == 1
-        assert volume.gc_moved_pages == 2          # LPNs 4 and 12
-        assert volume.gc_moved["vol"] == 2
+        assert volume.core.map.reverse(race["fresh"]) == 8
+        assert volume.core.map.reverse(race["stale_dest"]) is None
+        assert volume.core.gc_stale_moves == 1
+        assert volume.core.gc_moved_pages == 2          # LPNs 4 and 12
+        assert volume.core.gc_moved["vol"] == 2
 
     def test_trim_during_relocation_write_not_resurrected(self):
         session, volume = raced_volume()
         sim = session.sim
         calls = []
-        original = volume.gc_port.write_page
+        original = volume.core.gc_port.write_page
 
         def racy_write_page(addr, data, **kwargs):
             calls.append(addr)
@@ -353,12 +355,12 @@ class TestGCRelocationRaces:
                 volume.trim(8)
             return original(addr, data, **kwargs)
 
-        volume.gc_port.write_page = racy_write_page
-        assert sim.run_process(volume.force_gc())
+        volume.core.gc_port.write_page = racy_write_page
+        assert sim.run_process(volume.core.force_gc())
         assert volume.physical_of(8) is None
-        assert volume.map.reverse(calls[1]) is None
-        assert volume.gc_stale_moves == 1
-        assert volume.gc_moved_pages == 2
+        assert volume.core.map.reverse(calls[1]) is None
+        assert volume.core.gc_stale_moves == 1
+        assert volume.core.gc_moved_pages == 2
 
     def test_trim_during_relocation_read_skips_the_copy(self):
         # Overtaken while the read was still in flight: GC must skip
@@ -366,7 +368,7 @@ class TestGCRelocationRaces:
         session, volume = raced_volume()
         sim = session.sim
         calls = []
-        original = volume.gc_port.read_page
+        original = volume.core.gc_port.read_page
 
         def racy_read_page(addr, **kwargs):
             calls.append(addr)
@@ -374,12 +376,12 @@ class TestGCRelocationRaces:
                 volume.trim(8)
             return original(addr, **kwargs)
 
-        volume.gc_port.read_page = racy_read_page
-        assert sim.run_process(volume.force_gc())
+        volume.core.gc_port.read_page = racy_read_page
+        assert sim.run_process(volume.core.force_gc())
         assert volume.physical_of(8) is None
-        assert volume.gc_stale_moves == 0
-        assert volume.gc_moved_pages == 2
-        assert volume.total_programs == 2
+        assert volume.core.gc_stale_moves == 0
+        assert volume.core.gc_moved_pages == 2
+        assert volume.core.total_programs == 2
 
 
 # ----------------------------------------------------------------------
@@ -419,83 +421,6 @@ class TestInBlockProgramOrder:
         assert run.metrics["volume"][0]["gc_runs"] > 0
         # ...and no block ever programmed a lower page after a higher.
         assert violations == []
-
-
-# ----------------------------------------------------------------------
-# interrupt coalescing
-# ----------------------------------------------------------------------
-class TestIrqCoalescing:
-    def spec(self, irq):
-        return ScenarioSpec(
-            name="irq", geometry=GEO, timing=FAST, irq_coalesce=irq,
-            workload=WorkloadSpec(
-                duration_ns=2_000_000, queue_depth=8, drain=True,
-                tenants=(TenantSpec("host", access="host", workers=1,
-                                    software_path=False,
-                                    seed_base=2),)))
-
-    def test_interrupts_amortized_at_depth(self):
-        per_page = Session(self.spec(1)).run()
-        coalesced = Session(self.spec(4)).run()
-        full = per_page.stage_stats["interrupt"]
-        few = coalesced.stage_stats["interrupt"]
-        # One interrupt per ~4 reads instead of per read; the saved
-        # wakeups show up as more completions in the same window.
-        assert few["count"] < full["count"]
-        assert few["count"] <= full["count"] / 2
-        assert (coalesced.metrics["completions"]["host"]
-                >= per_page.metrics["completions"]["host"])
-
-    def test_unmapped_volume_reads_accrue_no_interrupt(self):
-        # An unmapped LPN is answered from the FTL map with no device
-        # command — and no completion interrupt.  The coalescing window
-        # must not charge such reads either (irq_coalesce on/off would
-        # otherwise invert on sparsely-mapped volumes).
-        session = Session(volume_spec(duration_ns=100))
-        volume = session.volumes[0]
-        iface = session._ifaces["vol"]
-        sim = session.sim
-        batch = iface.submit([("read", lpn) for lpn in range(8)],
-                             queue_depth=4, volume=volume,
-                             irq_coalesce=4)
-
-        def drain(sim):
-            yield batch.done
-
-        sim.run_process(drain(sim))
-        assert all(item.result == b"\xff" * GEO.page_size
-                   for item in batch.items)
-        hist = iface.tracer.stage_histograms.get("interrupt")
-        assert hist is None or hist.count == 0
-
-    def test_mixed_mapped_unmapped_reads_still_drain_interrupts(self):
-        # Mapped reads in the same window keep their amortized
-        # interrupt; the unmapped tail must not strand accrued debt.
-        session = Session(volume_spec(duration_ns=100))
-        volume = session.volumes[0]
-        volume.prefill(0, 4)
-        iface = session._ifaces["vol"]
-        sim = session.sim
-        batch = iface.submit([("read", lpn) for lpn in range(8)],
-                             queue_depth=8, volume=volume,
-                             irq_coalesce=8)
-
-        def drain(sim):
-            yield batch.done
-
-        sim.run_process(drain(sim))
-        hist = iface.tracer.stage_histograms.get("interrupt")
-        # Four device reads share exactly one drained interrupt.
-        assert hist is not None and hist.count == 1
-
-    def test_irq_coalesce_validation_and_round_trip(self):
-        with pytest.raises(SpecError, match="irq_coalesce"):
-            ScenarioSpec(irq_coalesce=0)
-        spec = self.spec(8)
-        clone = ScenarioSpec.from_dict(
-            json.loads(json.dumps(spec.to_dict())))
-        assert clone == spec
-        assert clone.irq_coalesce == 8
 
 
 # ----------------------------------------------------------------------
