@@ -6,7 +6,8 @@ experiment registry (``repro run <id>`` executes the identical code);
 the benchmark file fetches the structured
 :class:`~repro.api.RunResult`, prints/saves the same rows the paper
 reports, and asserts the *shape* of the result — orderings,
-crossovers, rough factors — not absolute hardware numbers.
+crossovers, rough factors — not absolute hardware numbers.  Every run
+also asserts the experiment's golden sha256 pin (see ``golden.py``).
 
 Run with ``pytest benchmarks/ --benchmark-only``; add ``-s`` to see the
 tables inline.
@@ -17,7 +18,9 @@ from __future__ import annotations
 import pathlib
 
 import pytest
+from golden import REGENERATE, load_pins, result_sha256
 
+GOLDEN = load_pins()
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
@@ -50,6 +53,18 @@ def run_once(benchmark, fn):
 
 
 def run_registered(benchmark, exp_id: str):
-    """Run a registry experiment exactly once under pytest-benchmark."""
+    """Run a registry experiment exactly once under pytest-benchmark.
+
+    Asserts the experiment's golden pin: the sha256 of the bytes
+    ``repro run <id> --json`` would write must equal the one committed
+    in ``benchmarks/golden.json``.
+    """
     from repro.api import run_experiment
-    return run_once(benchmark, lambda: run_experiment(exp_id))
+    result = run_once(benchmark, lambda: run_experiment(exp_id))
+    pinned = GOLDEN["experiments"].get(exp_id, {}).get("sha256")
+    measured = result_sha256(result)
+    assert measured == pinned, (
+        f"experiment {exp_id!r} output moved: sha256 {measured} != "
+        f"pinned {pinned}; if intended, regenerate the pins with "
+        f"`{REGENERATE}` and name the move in CHANGES.md")
+    return result

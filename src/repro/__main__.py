@@ -15,18 +15,6 @@ Commands
     save the machine-readable :class:`~repro.api.RunResult` as JSON.
     ``--jobs N`` fans the experiment's sweep points across N worker
     processes; the result is byte-identical to ``--jobs 1``.
-``bench [--out PATH] [--baseline PATH] [--wall-clock-only] [--jobs N]
-[ids...]``
-    Run the fixed perf-snapshot experiment set and write one
-    machine-readable JSON file (wall-clock + key metrics per
-    experiment) — the artifact CI archives per commit so the bench
-    trajectory is comparable over time.  ``--baseline`` diffs wall
-    clocks against a committed snapshot, worst slowdown first (exit 1
-    past a generous ``--threshold``); ``--wall-clock-only`` drops the
-    metrics payload.  ``--jobs N`` shares one worker pool across all
-    sweep points and overlaps whole independent experiments; the
-    snapshot records the jobs count so serial and parallel baselines
-    are never silently compared.
 """
 
 from __future__ import annotations
@@ -145,190 +133,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-#: The fixed experiment set every ``repro bench`` snapshot covers:
-#: the latency and bandwidth figures, the async-path extensions, the
-#: logical-volume write path, the distributed-volume cluster path, and
-#: the reliability subsystem (wear-out lifetime + failure-burst
-#: recovery) — small enough to run on every commit, broad enough that
-#: a hot-path regression in any layer moves at least one number.
-BENCH_SET = ("fig12", "fig13", "qd_sweep", "batching",
-             "volume_scan", "write_burst", "gc_steady",
-             "dvol_scan", "dvol_qd_sweep", "lifetime", "fault_storm")
-
-
-def _write_section(results: dict) -> dict:
-    """The snapshot's ``write`` section: the write path's key numbers.
-
-    Extracted from the volume experiments when the bench set ran them —
-    sequential program-coalescing bandwidth/speedup, the logical-scan
-    bandwidth through the FTL map, and steady-state write
-    amplification per fill level.
-    """
-    section: dict = {}
-    burst = results.get("write_burst")
-    if burst is not None:
-        scenarios = burst.metrics["scenarios"]
-        section["burst"] = {
-            "sequential_on_gbs":
-                scenarios["sequential-on"]["bandwidth_gbs"],
-            "sequential_off_gbs":
-                scenarios["sequential-off"]["bandwidth_gbs"],
-            "speedup": burst.metrics["speedup"],
-            "pages_per_command":
-                scenarios["sequential-on"]["write_coalescing"]
-                ["pages_per_command"],
-        }
-    scan = results.get("volume_scan")
-    if scan is not None:
-        section["scan"] = {
-            "scan_on_gbs":
-                scan.metrics["scenarios"]["scan-on"]["bandwidth_gbs"],
-            "scan_vs_reference": scan.metrics["scan_vs_reference"],
-        }
-    gc = results.get("gc_steady")
-    if gc is not None:
-        section["gc"] = {
-            policy: {str(fill): stats["write_amplification"]
-                     for fill, stats in by_fill.items()}
-            for policy, by_fill in gc.metrics["policies"].items()
-        }
-    return section
-
-
-def _compare_baseline(snapshot: dict, baseline: dict,
-                      threshold: float) -> int:
-    """Print the wall-clock diff vs a baseline snapshot, worst first.
-
-    Wall clock on shared CI runners is noisy, so the threshold is
-    deliberately generous: only a sustained blow-up (an experiment
-    ``threshold``x slower than the committed baseline) fails the
-    check.  Returns the number of such regressions.
-
-    A serial snapshot diffed against a parallel baseline (or vice
-    versa) compares apples to oranges, so a ``jobs`` mismatch is
-    called out loudly — but never fails the check on its own.
-    """
-    base_jobs = baseline.get("jobs", 1)
-    now_jobs = snapshot.get("jobs", 1)
-    if base_jobs != now_jobs:
-        print(f"\nWARNING: baseline ran with --jobs {base_jobs}, this "
-              f"run with --jobs {now_jobs}; wall clocks are not "
-              f"directly comparable", file=sys.stderr)
-    regressions = 0
-    comparison: dict = {}
-    scored = []
-    fresh = []
-    for exp_id, entry in snapshot["experiments"].items():
-        base = baseline.get("experiments", {}).get(exp_id)
-        if base is None:
-            fresh.append((exp_id, entry))
-            continue
-        base_s = base["wall_clock_s"]
-        now_s = entry["wall_clock_s"]
-        speedup = base_s / now_s if now_s else float("inf")
-        slow = now_s > threshold * base_s
-        comparison[exp_id] = {"baseline_wall_clock_s": base_s,
-                              "speedup": round(speedup, 3)}
-        scored.append((speedup, exp_id, base_s, now_s, slow))
-        if slow:
-            regressions += 1
-    print(f"\n{'experiment':14s} {'base':>8s} {'now':>8s} {'speedup':>8s}")
-    # Worst regression first: the line CI readers care about is on top.
-    for speedup, exp_id, base_s, now_s, slow in sorted(scored):
-        flag = "  REGRESSION" if slow else ""
-        print(f"{exp_id:14s} {base_s:7.2f}s {now_s:7.2f}s "
-              f"{speedup:7.2f}x{flag}")
-    for exp_id, entry in fresh:
-        print(f"{exp_id:14s} {'-':>8s} {entry['wall_clock_s']:7.2f}s "
-              f"{'new':>8s}")
-    snapshot["baseline"] = {"threshold": threshold,
-                            "jobs": base_jobs,
-                            "experiments": comparison}
-    return regressions
-
-
-def _bench_one(exp_id: str, jobs: int):
-    """Run one bench experiment; return (result, wall seconds)."""
-    import time
-
-    from .api import run_experiment
-
-    start = time.perf_counter()
-    result = run_experiment(exp_id, jobs=jobs)
-    return result, time.perf_counter() - start
-
-
-def cmd_bench(args) -> int:
-    import json
-    import platform
-    import time
-
-    from . import __version__ as version
-
-    experiments = list(args.experiments) or list(BENCH_SET)
-    snapshot = {
-        "schema": 6,
-        "version": version,
-        "python": platform.python_version(),
-        "jobs": args.jobs,
-        "experiments": {},
-    }
-    start_all = time.perf_counter()
-    if args.jobs > 1:
-        # One shared worker pool for every sweep point, plus a thread
-        # per experiment so whole independent experiments overlap too
-        # (threads spend their time blocked on pool futures, so the
-        # process count stays capped at --jobs).
-        from concurrent.futures import ThreadPoolExecutor
-
-        from .parallel import WorkerPool, active_pool
-
-        with WorkerPool(args.jobs) as pool, active_pool(pool), \
-                ThreadPoolExecutor(len(experiments)) as threads:
-            futures = [threads.submit(_bench_one, exp_id, args.jobs)
-                       for exp_id in experiments]
-            outcomes = [future.result() for future in futures]
-    else:
-        outcomes = [_bench_one(exp_id, args.jobs)
-                    for exp_id in experiments]
-    total = time.perf_counter() - start_all
-    results = {}
-    for exp_id, (result, wall) in zip(experiments, outcomes):
-        results[exp_id] = result
-        sim_rate = result.elapsed_ns / wall if wall else 0.0
-        entry = {
-            "wall_clock_s": round(wall, 3),
-            "simulated_ns": result.elapsed_ns,
-            "sim_ns_per_wall_s": round(sim_rate),
-        }
-        if not args.wall_clock_only:
-            entry["metrics"] = result.to_dict()["metrics"]
-        snapshot["experiments"][exp_id] = entry
-        print(f"{exp_id:14s} {wall:7.2f}s wall  "
-              f"{sim_rate / 1e6:8.2f}M sim-ns/s")
-    if not args.wall_clock_only:
-        write_section = _write_section(results)
-        if write_section:
-            snapshot["write"] = write_section
-    snapshot["total_wall_clock_s"] = round(total, 3)
-    regressions = 0
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        regressions = _compare_baseline(snapshot, baseline,
-                                        args.threshold)
-    with open(args.out, "w") as fh:
-        json.dump(snapshot, fh, indent=2)
-        fh.write("\n")
-    print(f"\nwrote perf snapshot ({len(experiments)} experiments, "
-          f"{total:.1f}s) to {args.out}")
-    if regressions:
-        print(f"{regressions} experiment(s) regressed past "
-              f"{args.threshold:.1f}x the baseline", file=sys.stderr)
-        return 1
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro", description="BlueDBM reproduction toolkit")
@@ -351,37 +155,9 @@ def main(argv=None) -> int:
                             help="override every FaultSpec's seed (only "
                                  "affects experiments that inject "
                                  "faults; propagates to --jobs workers)")
-    bench_parser = sub.add_parser(
-        "bench", help="run the perf-snapshot set, write one JSON file")
-    bench_parser.add_argument("experiments", nargs="*",
-                              help=f"experiment ids (default: "
-                                   f"{' '.join(BENCH_SET)})")
-    bench_parser.add_argument("--out", metavar="PATH",
-                              default="BENCH_pipeline.json",
-                              help="snapshot path "
-                                   "(default: BENCH_pipeline.json)")
-    bench_parser.add_argument("--wall-clock-only", action="store_true",
-                              help="record only wall clock per "
-                                   "experiment (skip the metrics "
-                                   "payload)")
-    bench_parser.add_argument("--baseline", metavar="PATH", default=None,
-                              help="compare wall clocks against a prior "
-                                   "snapshot; exit 1 on regression")
-    bench_parser.add_argument("--threshold", type=float, default=3.0,
-                              help="regression factor for --baseline "
-                                   "(default: 3.0 -- generous, CI "
-                                   "runners are noisy)")
-    bench_parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                              help="worker processes shared across "
-                                   "experiments; independent "
-                                   "experiments also overlap "
-                                   "(per-experiment results "
-                                   "byte-identical to --jobs 1; "
-                                   "default: 1)")
     args = parser.parse_args(argv)
     handlers = {"info": cmd_info, "demo": cmd_demo, "list": cmd_list,
-                "experiments": cmd_list, "run": cmd_run,
-                "bench": cmd_bench, None: cmd_info}
+                "experiments": cmd_list, "run": cmd_run, None: cmd_info}
     return handlers[args.command](args)
 
 

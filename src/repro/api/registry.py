@@ -15,7 +15,6 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..parallel import current_pool, parallel_map
 from .result import RunResult
 
 __all__ = ["Experiment", "experiment", "get_experiment",
@@ -87,16 +86,6 @@ def get_experiment(exp_id: str) -> Experiment:
                        f"known: {known}") from None
 
 
-def _runner_point(exp_id: str) -> RunResult:
-    """Top-level point function: run one whole experiment serially.
-
-    Used to offload an entire experiment into a pool worker when the
-    runner itself has no ``jobs`` knob (``repro bench --jobs N``
-    overlaps such experiments wholesale instead of point-by-point).
-    """
-    return get_experiment(exp_id).runner()
-
-
 def _accepts_jobs(runner: Callable[..., RunResult]) -> bool:
     try:
         return "jobs" in inspect.signature(runner).parameters
@@ -110,10 +99,7 @@ def run_experiment(exp_id: str, jobs: int = 1) -> RunResult:
     ``jobs`` fans the experiment's sweep points across worker processes
     when the runner supports it (its signature has a ``jobs``
     parameter); results are byte-identical to ``jobs=1``.  Runners
-    without the knob run serially — unless an ambient
-    :class:`~repro.parallel.WorkerPool` is active, in which case the
-    whole experiment is offloaded to a worker so independent
-    experiments can overlap.
+    without the knob run serially.
 
     Stamps the result with the registry's id/title so a saved JSON file
     is self-describing regardless of how the runner labelled it.
@@ -121,8 +107,6 @@ def run_experiment(exp_id: str, jobs: int = 1) -> RunResult:
     exp = get_experiment(exp_id)
     if _accepts_jobs(exp.runner):
         result = exp.runner(jobs=jobs)
-    elif current_pool() is not None:
-        result = parallel_map(_runner_point, [exp_id], jobs=jobs)[0]
     else:
         result = exp.runner()
     result.experiment = exp.exp_id

@@ -69,13 +69,12 @@ class Session:
         )
         if spec.fault is not None:
             # Each node builds its own FaultInjector from the shared
-            # pure plan, so per-node read-disturb/failure state stays
+            # pure plan, so per-node read-count/failure state stays
             # private while the schedule is one seeded function.  A CLI
             # ``--fault-seed`` override reseeds the plan, nothing else.
             node_kwargs.update(
                 endurance=(3000 if spec.fault.endurance is None
                            else spec.fault.endurance),
-                factory_bad_rate=spec.fault.factory_bad_rate,
                 fault_plan=spec.fault.build_plan(fault_seed_override()),
             )
         # An active distributed volume claims three endpoints of its
@@ -729,32 +728,6 @@ class Session:
         # A pathological mix (a tenant named after a port it doesn't
         # use) could collide keys; keep the unambiguous raw labels then.
         return relabeled if len(relabeled) == len(stats) else stats
-
-    # ------------------------------------------------------------------
-    # custom driving (for experiments that are not pure tenant mixes)
-    # ------------------------------------------------------------------
-    def closed_loop(self, fetch_factory: Callable, n_workers: int,
-                    window_ns: int, counter: Optional[list] = None,
-                    seed_base: int = 0) -> None:
-        """Spawn workers that loop ``fetch_factory(rng)`` fetches until
-        the window closes (the Figure 13 driver, now shared).
-
-        ``fetch_factory`` is called with worker *i*'s private
-        ``Random(seed_base + i)`` and must return a generator that
-        performs one fetch.  ``counter`` (a one-element list) counts
-        completed fetches across all workers.
-        """
-        sim = self.sim
-
-        def worker(wid):
-            rng = random.Random(seed_base + wid)
-            while sim.now < window_ns:
-                yield from fetch_factory(rng)
-                if counter is not None:
-                    counter[0] += 1
-
-        for wid in range(n_workers):
-            sim.process(worker(wid))
 
     def run_until(self, deadline_ns: Optional[int] = None) -> None:
         """Advance the simulation (to ``deadline_ns``, or to drain)."""

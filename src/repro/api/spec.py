@@ -363,8 +363,6 @@ class FaultSpec:
       ``[window_start_ns, window_end_ns)``.  Failed programs consume
       the page; the volume write path verifies, rewrites to a fresh
       page and marks the block suspect (retired at its next erase).
-    * ``read_disturb_limit`` — after that many reads of a block since
-      its last erase, further reads go ECC-uncorrectable.
     * ``wear_ber`` / ``wear_ber_onset`` — extra uncorrectable-read
       probability ramping linearly from 0 at ``onset`` (fraction of
       rated endurance consumed) to ``wear_ber`` at end of life.
@@ -378,7 +376,6 @@ class FaultSpec:
     * ``endurance`` — overrides the device's rated program/erase
       cycles (default 3000); lifetime experiments shrink it so blocks
       die within simulated reach.
-    * ``factory_bad_rate`` — fraction of blocks factory-marked bad.
     """
 
     seed: int = 0
@@ -386,7 +383,6 @@ class FaultSpec:
     erase_fail_rate: float = 0.0
     window_start_ns: Optional[int] = None
     window_end_ns: Optional[int] = None
-    read_disturb_limit: Optional[int] = None
     wear_ber: float = 0.0
     wear_ber_onset: float = 0.75
     fail_chip: Optional[Tuple[int, int, int]] = None
@@ -394,11 +390,9 @@ class FaultSpec:
     wear_leveling: str = "none"
     wl_spread_threshold: int = 8
     endurance: Optional[int] = None
-    factory_bad_rate: float = 0.0
 
     def __post_init__(self):
-        for attr in ("program_fail_rate", "erase_fail_rate", "wear_ber",
-                     "factory_bad_rate"):
+        for attr in ("program_fail_rate", "erase_fail_rate", "wear_ber"):
             value = getattr(self, attr)
             if not 0.0 <= value <= 1.0:
                 raise SpecError(f"fault {attr} must be in [0, 1], "
@@ -406,9 +400,6 @@ class FaultSpec:
         if not 0.0 <= self.wear_ber_onset < 1.0:
             raise SpecError(f"fault wear_ber_onset must be in [0, 1), "
                             f"got {self.wear_ber_onset}")
-        if self.read_disturb_limit is not None \
-                and self.read_disturb_limit < 1:
-            raise SpecError("fault read_disturb_limit must be >= 1")
         if self.window_start_ns is not None and self.window_start_ns < 0:
             raise SpecError("fault window_start_ns must be >= 0")
         if (self.window_start_ns is not None
@@ -442,7 +433,6 @@ class FaultSpec:
             erase_fail_rate=self.erase_fail_rate,
             window_start_ns=self.window_start_ns,
             window_end_ns=self.window_end_ns,
-            read_disturb_limit=self.read_disturb_limit,
             wear_ber=self.wear_ber,
             wear_ber_onset=self.wear_ber_onset,
             fail_chip=self.fail_chip,

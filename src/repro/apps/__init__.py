@@ -3,6 +3,9 @@
 * :mod:`~repro.apps.lsh` — LSH nearest-neighbour search (Figures 16-19).
 * :mod:`~repro.apps.graph` — distributed graph traversal (Figure 20).
 * :mod:`~repro.apps.search` — string search vs grep (Figure 21).
+
+:mod:`~repro.apps.spmv` needs numpy, so it is not re-exported here:
+import it directly.
 """
 
 from .graph import DistributedGraph, GraphTraversal
@@ -16,7 +19,6 @@ from .lsh import (
 )
 from .mapreduce import WordCountJob, make_sharded_corpus
 from .search import SoftwareGrep, StringSearchISP, make_text_corpus
-from .spmv import SpMVApp, make_sparse_matrix
 from .sql import FlashTable, TableScan, make_orders_table
 
 __all__ = [
@@ -33,8 +35,6 @@ __all__ = [
     "make_text_corpus",
     "WordCountJob",
     "make_sharded_corpus",
-    "SpMVApp",
-    "make_sparse_matrix",
     "FlashTable",
     "TableScan",
     "make_orders_table",

@@ -80,7 +80,6 @@ class BlueDBMNode:
                  coalesce_max_pages: int = 8,
                  host_queue_depth: int = 8,
                  endurance: int = 3000,
-                 factory_bad_rate: float = 0.0,
                  fault_plan=None):
         self.sim = sim
         self.node_id = node_id
@@ -93,10 +92,9 @@ class BlueDBMNode:
         self.device = StorageDevice(sim, geometry=geometry,
                                     timing=flash_timing, errors=errors,
                                     node=node_id, seed=seed,
-                                    factory_bad_rate=factory_bad_rate,
                                     endurance=endurance)
         #: The node's fault injector (None = ideal hardware).  Built
-        #: here so each node's read-disturb/failure state is private.
+        #: here so each node's read-count/failure state is private.
         self.faults = None
         if fault_plan is not None:
             self.faults = FaultInjector(fault_plan, node=node_id)

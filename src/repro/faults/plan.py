@@ -42,13 +42,10 @@ class FaultPlan:
     ``program_fail_rate`` / ``erase_fail_rate`` are per-operation
     probabilities, active only inside the burst window
     ``[window_start_ns, window_end_ns)`` (an unbounded window when both
-    are ``None``).  ``read_disturb_limit`` arms read-disturb: after that
-    many reads of a block since its last erase, every further read is
-    uncorrectable.  ``wear_ber``
-    arms wear-out: once a block's wear fraction passes
-    ``wear_ber_onset``, reads are uncorrectable with a probability that
-    ramps linearly from 0 to ``wear_ber`` at 100 % wear (and saturates
-    beyond).  ``fail_chip`` kills one chip — all programs and erases on
+    are ``None``).  ``wear_ber`` arms wear-out: once a block's wear
+    fraction passes ``wear_ber_onset``, reads are uncorrectable with a
+    probability that ramps linearly from 0 to ``wear_ber`` at 100 % wear
+    (and saturates beyond).  ``fail_chip`` kills one chip — all programs and erases on
     ``(card, bus, chip)`` fail after ``fail_chip_after_ns``; reads keep
     working (the stored charge is intact), which is what makes
     evacuation possible.
@@ -59,7 +56,6 @@ class FaultPlan:
     erase_fail_rate: float = 0.0
     window_start_ns: Optional[int] = None
     window_end_ns: Optional[int] = None
-    read_disturb_limit: Optional[int] = None
     wear_ber: float = 0.0
     wear_ber_onset: float = 0.75
     fail_chip: Optional[Tuple[int, int, int]] = None
@@ -73,9 +69,6 @@ class FaultPlan:
         if not 0.0 <= self.wear_ber_onset < 1.0:
             raise ValueError(
                 f"wear_ber_onset must be in [0, 1), got {self.wear_ber_onset}")
-        if self.read_disturb_limit is not None \
-                and self.read_disturb_limit < 1:
-            raise ValueError("read_disturb_limit must be >= 1")
 
     # -- the hash that replaces an RNG --------------------------------------
     def _unit(self, kind: str, *key: int) -> float:
@@ -121,9 +114,6 @@ class FaultPlan:
                            wear_fraction: float) -> bool:
         """Does the ``read_index``-th read of ``key`` since its last
         erase come back ECC-uncorrectable?"""
-        if self.read_disturb_limit is not None \
-                and read_index >= self.read_disturb_limit:
-            return True
         if self.wear_ber > 0.0 and wear_fraction >= self.wear_ber_onset:
             span = 1.0 - self.wear_ber_onset
             ramp = min(1.0, (wear_fraction - self.wear_ber_onset) / span)
@@ -136,10 +126,10 @@ class FaultInjector:
     """Runtime face of one :class:`FaultPlan` for one node's chips.
 
     Holds the only mutable state fault injection needs — per-block read
-    counts since the last erase (read-disturb's clock) and the injection
-    counters the metrics layer surfaces.  All *decisions* delegate to
-    the pure plan, so two runs that issue the same operations see the
-    same faults regardless of interleaving.
+    counts since the last erase (the wear-out hash's read ordinal) and
+    the injection counters the metrics layer surfaces.  All *decisions*
+    delegate to the pure plan, so two runs that issue the same
+    operations see the same faults regardless of interleaving.
     """
 
     def __init__(self, plan: FaultPlan, node: int = 0):
@@ -195,7 +185,7 @@ class FaultInjector:
         return natural
 
     def note_erase(self, addr: PhysAddr) -> None:
-        """A successful erase resets the block's read-disturb clock."""
+        """A successful erase restarts the block's read ordinal."""
         self._reads_since_erase.pop(_block_key(addr), None)
 
     def stats(self) -> Dict[str, int]:

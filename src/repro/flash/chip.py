@@ -221,7 +221,7 @@ class FlashChip:
         if self.faults is not None and self.faults.erase_fails(
                 addr, count, self.sim.now):
             # Injected erase failure: the block keeps its old contents
-            # (and its read-disturb clock) and must be retired.
+            # (and its read count) and must be retired.
             raise EraseError(f"erase failed at {addr.block_addr()}")
         self.store.erase_block(addr)
         self._programmed.pop(addr.block, None)

@@ -29,15 +29,13 @@ class StorageDevice:
                  timing: Optional[FlashTiming] = None,
                  errors: Optional[ErrorModel] = None,
                  node: int = 0, tags_per_card: int = 128, seed: int = 0,
-                 factory_bad_rate: float = 0.0, endurance: int = 3000):
+                 endurance: int = 3000):
         self.sim = sim
         self.geometry = geometry
         self.node = node
         self.store = PageStore(geometry)
         self.wear = WearTracker(endurance=endurance)
-        self.badblocks = BadBlockTable(geometry,
-                                       factory_bad_rate=factory_bad_rate,
-                                       seed=seed)
+        self.badblocks = BadBlockTable(geometry)
         self.cards: List[FlashCard] = [
             FlashCard(sim, geometry=geometry, timing=timing, errors=errors,
                       wear=self.wear, badblocks=self.badblocks,

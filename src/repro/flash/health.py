@@ -1,14 +1,13 @@
 """Flash health bookkeeping: wear (P/E cycles) and bad blocks.
 
 NAND "has limited program/erase cycles and frequent errors" (Section 3.1);
-the controller stack therefore tracks per-block erase counts, a factory
-bad-block list, and blocks that go bad in service.  The FTL's wear
-leveler and the chip model's error injector both consume this state.
+the controller stack therefore tracks per-block erase counts and the
+blocks that go bad in service.  The FTL's wear leveler and the chip
+model's error injector both consume this state.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, Iterable, Set, Tuple
 
 from .geometry import FlashGeometry, PhysAddr
@@ -103,46 +102,28 @@ class WearTracker:
 
 
 class BadBlockTable:
-    """Factory and grown bad blocks.
+    """Grown bad blocks.
 
-    Factory-bad blocks are chosen deterministically from a seed by hashing
-    the block identity, at a configurable rate (NAND datasheets allow up
-    to ~2 % factory-bad).  Grown bad blocks are added when the controller
-    sees uncorrectable errors or erase failures.
+    A block is added when the controller sees uncorrectable errors or
+    erase failures; a fresh table has no bad blocks.
     """
 
-    def __init__(self, geometry: FlashGeometry,
-                 factory_bad_rate: float = 0.0, seed: int = 0):
-        if not 0.0 <= factory_bad_rate < 1.0:
-            raise ValueError(
-                f"factory_bad_rate must be in [0, 1), got {factory_bad_rate}")
+    def __init__(self, geometry: FlashGeometry):
         self.geometry = geometry
-        self.factory_bad_rate = factory_bad_rate
-        self.seed = seed
         self._grown: Set[_BlockKey] = set()
-
-    def _factory_bad(self, key: _BlockKey) -> bool:
-        if self.factory_bad_rate <= 0.0:
-            return False
-        digest = hashlib.sha256(
-            f"{self.seed}:{key}".encode()).digest()
-        # First 8 bytes as a uniform fraction in [0, 1).
-        fraction = int.from_bytes(digest[:8], "big") / (1 << 64)
-        return fraction < self.factory_bad_rate
 
     @property
     def pristine(self) -> bool:
-        """True when no block anywhere can be bad (hot-path fast test).
+        """True when no block anywhere is bad (hot-path fast test).
 
-        With a zero factory-bad rate and no grown failures, per-address
-        ``is_bad`` checks are pure overhead; multi-page commands skip
-        them wholesale while this holds.
+        With no grown failures, per-address ``is_bad`` checks are pure
+        overhead; multi-page commands skip them wholesale while this
+        holds.
         """
-        return not self._grown and self.factory_bad_rate <= 0.0
+        return not self._grown
 
     def is_bad(self, addr: PhysAddr) -> bool:
-        key = _block_key(addr)
-        return key in self._grown or self._factory_bad(key)
+        return _block_key(addr) in self._grown
 
     def mark_bad(self, addr: PhysAddr) -> None:
         """Retire a block that failed in service (grown bad block)."""

@@ -330,7 +330,7 @@ class FtlCore:
         try:
             result = yield from read_page(addr, *args)
         except UncorrectablePageError:
-            # The only copy is gone (read-disturb / wear-out injection;
+            # The only copy is gone (wear-out injection;
             # the card already retired the block).  Record the loss,
             # drop the mapping — unless a concurrent overwrite already
             # moved it, in which case nothing was lost — and hand back

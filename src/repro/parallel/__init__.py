@@ -11,9 +11,7 @@ from .runner import (
     PointError,
     WorkerPool,
     active_pool,
-    current_pool,
     parallel_map,
 )
 
-__all__ = ["PointError", "WorkerPool", "parallel_map", "active_pool",
-           "current_pool"]
+__all__ = ["PointError", "WorkerPool", "parallel_map", "active_pool"]

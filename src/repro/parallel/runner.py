@@ -37,8 +37,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, List, Optional, Sequence
 
-__all__ = ["PointError", "WorkerPool", "parallel_map", "active_pool",
-           "current_pool"]
+__all__ = ["PointError", "WorkerPool", "parallel_map", "active_pool"]
 
 
 class PointError(RuntimeError):
@@ -91,9 +90,9 @@ def _run_point(fn: Callable[[Any], Any], point: Any) -> tuple:
 class WorkerPool:
     """A reusable pool of spawned, repro-warm worker processes.
 
-    Thread-safe: concurrent :meth:`map` calls (e.g. several bench
-    experiments overlapping) interleave their points over the same
-    workers.  Use as a context manager, or call :meth:`close`.
+    Thread-safe: concurrent :meth:`map` calls interleave their points
+    over the same workers.  Use as a context manager, or call
+    :meth:`close`.
     """
 
     def __init__(self, jobs: int):
@@ -136,9 +135,9 @@ class WorkerPool:
         self.close()
 
 
-#: The ambient pool an orchestrator (``repro bench --jobs N``) installs
-#: so nested ``parallel_map`` calls share one set of workers instead of
-#: spawning pools per experiment.
+#: The ambient pool a caller running many sweeps installs (the
+#: determinism suite does) so nested ``parallel_map`` calls share one
+#: set of workers instead of spawning a pool per sweep.
 _ACTIVE: Optional[WorkerPool] = None
 
 
@@ -154,11 +153,6 @@ def active_pool(pool: WorkerPool):
         _ACTIVE = previous
 
 
-def current_pool() -> Optional[WorkerPool]:
-    """The ambient :class:`WorkerPool`, if an orchestrator set one."""
-    return _ACTIVE
-
-
 def parallel_map(fn: Callable[[Any], Any], points: Iterable[Any],
                  jobs: int = 1,
                  pool: Optional[WorkerPool] = None) -> List[Any]:
@@ -167,9 +161,8 @@ def parallel_map(fn: Callable[[Any], Any], points: Iterable[Any],
     Execution substrate, in priority order:
 
     1. an explicit ``pool`` argument;
-    2. the ambient pool installed by :func:`active_pool` (how
-       ``repro bench --jobs N`` shares one pool across overlapping
-       experiments);
+    2. the ambient pool installed by :func:`active_pool` (how one
+       pool serves every sweep run inside the context);
     3. an ephemeral spawn pool of ``min(jobs, len(points))`` workers
        when ``jobs > 1`` and there is more than one point;
     4. otherwise the exact serial path — a plain loop in this process,

@@ -63,7 +63,6 @@ PINNED = {
     ],
     "repro.parallel": [
         "parallel_map", "WorkerPool", "PointError", "active_pool",
-        "current_pool",
     ],
 }
 

@@ -6,7 +6,7 @@ Layer by layer:
   (seed, operation identity): hypothesis pins that schedules are
   identical across plan instances and query orders, and that the rate
   knobs bound them;
-* :class:`~repro.faults.FaultInjector` — read-disturb clocks, the
+* :class:`~repro.faults.FaultInjector` — per-block read ordinals, the
   burst window, chip death, and the counters the metrics layer reads;
 * :class:`~repro.flash.WearTracker` — erase-count spread and per-chip
   summaries;
@@ -119,23 +119,10 @@ class TestFaultPlan:
 # FaultInjector: runtime state around the pure plan
 # ----------------------------------------------------------------------
 class TestFaultInjector:
-    def test_read_disturb_arms_after_limit_and_erase_resets(self):
-        plan = FaultPlan(seed=4, read_disturb_limit=3)
-        injector = FaultInjector(plan)
-        addr = PhysAddr()
-        # Reads 0..2 pass; read 3 (index 3 >= limit) is elevated to an
-        # uncorrectable double flip.
-        assert [injector.read_flips(addr, 0.0, 0) for _ in range(3)] \
-            == [0, 0, 0]
-        assert injector.read_flips(addr, 0.0, 0) == 2
-        assert injector.read_uncorrectables == 1
-        # An erase resets the block's read-disturb clock.
-        injector.note_erase(addr)
-        assert injector.read_flips(addr, 0.0, 0) == 0
-
     def test_natural_double_flips_pass_through(self):
-        injector = FaultInjector(FaultPlan(seed=4, read_disturb_limit=1))
-        assert injector.read_flips(PhysAddr(), 0.0, 2) == 2
+        # At 100 % wear this plan makes every read uncorrectable.
+        injector = FaultInjector(FaultPlan(seed=4, wear_ber=1.0))
+        assert injector.read_flips(PhysAddr(), 1.0, 2) == 2
         # The injector never claims credit for the chip's own errors.
         assert injector.read_uncorrectables == 0
 
@@ -194,8 +181,6 @@ class TestFaultSpec:
         with pytest.raises(SpecError):
             FaultSpec(wear_ber_onset=1.0)
         with pytest.raises(SpecError):
-            FaultSpec(read_disturb_limit=0)
-        with pytest.raises(SpecError):
             FaultSpec(window_start_ns=200, window_end_ns=100)
         with pytest.raises(SpecError):
             FaultSpec(fail_chip=(0, 0))
@@ -206,7 +191,7 @@ class TestFaultSpec:
 
     def test_round_trips_through_dict_and_json(self):
         fault = FaultSpec(seed=9, program_fail_rate=0.1,
-                          read_disturb_limit=50, fail_chip=(0, 1, 1),
+                          wear_ber=0.2, fail_chip=(0, 1, 1),
                           wear_leveling="static", endurance=200)
         assert FaultSpec.from_dict(fault.to_dict()) == fault
         spec = ScenarioSpec(name="faulty", fault=fault)

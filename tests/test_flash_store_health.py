@@ -111,22 +111,6 @@ class TestBadBlockTable:
         table = BadBlockTable(geo)
         assert not any(table.is_bad(PhysAddr(block=b)) for b in range(4))
 
-    def test_factory_bad_rate_roughly_respected(self):
-        geo = FlashGeometry(buses_per_card=4, chips_per_bus=4,
-                            blocks_per_chip=64, pages_per_block=4,
-                            page_size=64, cards_per_node=1)
-        table = BadBlockTable(geo, factory_bad_rate=0.1, seed=7)
-        total = geo.blocks_per_card
-        bad = total - sum(1 for _ in table.good_blocks(node=0, card=0))
-        assert 0.03 < bad / total < 0.25
-
-    def test_factory_bad_deterministic_per_seed(self, geo):
-        t1 = BadBlockTable(geo, factory_bad_rate=0.3, seed=42)
-        t2 = BadBlockTable(geo, factory_bad_rate=0.3, seed=42)
-        addrs = [PhysAddr(bus=b, chip=c, block=k)
-                 for b in range(2) for c in range(2) for k in range(4)]
-        assert [t1.is_bad(a) for a in addrs] == [t2.is_bad(a) for a in addrs]
-
     def test_grown_bad_marking(self, geo):
         table = BadBlockTable(geo)
         addr = PhysAddr(block=2, page=3)
@@ -134,10 +118,6 @@ class TestBadBlockTable:
         assert table.is_bad(PhysAddr(block=2, page=0))
         assert table.grown_bad_count == 1
         assert not table.is_bad(PhysAddr(block=3))
-
-    def test_invalid_rate_rejected(self, geo):
-        with pytest.raises(ValueError):
-            BadBlockTable(geo, factory_bad_rate=1.0)
 
     def test_good_blocks_excludes_grown(self, geo):
         table = BadBlockTable(geo)

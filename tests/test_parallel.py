@@ -16,6 +16,7 @@ Spawning a pool costs seconds, so every process-backed test shares one
 module-scoped two-worker pool.
 """
 
+import os
 import time
 
 import pytest
@@ -26,7 +27,6 @@ from repro.parallel import (
     PointError,
     WorkerPool,
     active_pool,
-    current_pool,
     parallel_map,
 )
 
@@ -40,6 +40,10 @@ def boom_on_three(x):
     if x == 3:
         raise ValueError(f"boom at {x}")
     return x
+
+
+def worker_pid(_):
+    return os.getpid()
 
 
 def sleep_then_return(args):
@@ -91,15 +95,15 @@ def test_merge_order_ignores_completion_order(pool):
 
 
 def test_active_pool_routes_nested_parallel_map(pool):
-    assert current_pool() is None
+    here = os.getpid()
     with active_pool(pool) as installed:
         assert installed is pool
-        assert current_pool() is pool
-        # Even jobs=1 calls route through the ambient pool: that is
-        # how `repro bench --jobs N` overlaps whole experiments whose
-        # runners were called without a jobs knob of their own.
-        assert parallel_map(square, [1, 2, 3], jobs=1) == [1, 4, 9]
-    assert current_pool() is None
+        # Even jobs=1 calls route through the ambient pool: a sweep
+        # run inside the context never falls back to this process.
+        pids = parallel_map(worker_pid, [1, 2, 3], jobs=1)
+        assert here not in pids
+    # Leaving the context restores the serial path.
+    assert parallel_map(worker_pid, [1, 2, 3], jobs=1) == [here] * 3
 
 
 @settings(deadline=None, max_examples=15)

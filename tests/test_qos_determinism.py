@@ -316,7 +316,7 @@ def pool2():
 ], ids=["qd_sweep", "gc_steady", "open_loop", "dvol_qd_sweep",
         "fault_storm", "qos_gc"])
 def test_runner_jobs2_is_byte_identical_to_serial(pool2, runner, kwargs):
-    # The whole-experiment pin behind `repro {run,bench} --jobs N`:
+    # The whole-experiment pin behind `repro run --jobs N`:
     # fanning a sweep's points across worker processes must change
     # nothing — not a digit, not a key order — in the merged
     # RunResult JSON.  (Reduced grids/durations keep tier-1 fast;

@@ -1,8 +1,9 @@
 """Tests for the sparse matrix-vector multiply accelerator."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+np = pytest.importorskip("numpy")
 
 from repro.apps.spmv import SpMVApp, make_sparse_matrix
 from repro.core import BlueDBMNode
