@@ -13,8 +13,8 @@ The pin file holds two kinds of exact values:
   output moves by a byte.
 * ``workloads``: for each ``bench/workloads.py`` workload at seed 0
   and scale 0.05, the ``RunResult`` digest (sha256 of ``to_json()``),
-  the simulator's event count and the completed requests.
-  ``tests/test_golden.py`` asserts them.
+  the simulator's event count, the ``Process`` objects built and the
+  completed requests.  ``tests/test_golden.py`` asserts them.
 
 The script runs every experiment serially, rewrites every sha256 and
 workload entry, and leaves each ``wall_clock_s`` baseline untouched.
@@ -39,6 +39,7 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from repro.api import Session, all_experiments, run_experiment  # noqa: E402
+from repro.sim.core import Process  # noqa: E402
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden.json")
 #: Slowdown past a ``wall_clock_s`` baseline that fails the run.
@@ -68,12 +69,30 @@ def workload_specs() -> dict:
 
 
 def workload_pin(make_spec) -> dict:
-    """Run one bench workload; return its exact work counters."""
-    session = Session(make_spec(WORKLOAD_SEED, WORKLOAD_SCALE))
-    result = session.run()
+    """Run one bench workload; return its exact work counters.
+
+    ``processes`` counts the ``Process`` objects built from
+    ``Session(spec)`` through ``run()`` (what ``bench/`` reports per
+    completion as ``sim.processes_per_req``).
+    """
+    processes = 0
+    init = Process.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal processes
+        processes += 1
+        init(self, *args, **kwargs)
+
+    Process.__init__ = counting_init
+    try:
+        session = Session(make_spec(WORKLOAD_SEED, WORKLOAD_SCALE))
+        result = session.run()
+    finally:
+        Process.__init__ = init
     return {
         "digest": hashlib.sha256(result.to_json().encode()).hexdigest(),
         "events": session.sim._eid,
+        "processes": processes,
         "completions": sum(result.metrics["completions"].values()),
     }
 

@@ -568,7 +568,6 @@ class Session:
         spec validation enforces it), ``index`` a striped physical
         index or, for volume tenants, a logical page number.
         """
-        sim = self.sim
         geometry = self.spec.geometry
         node = self.nodes[tenant.node]
         software_path = tenant.software_path
@@ -584,11 +583,11 @@ class Session:
             def issue(kind, index):
                 addr = geometry.striped(index, node=tenant.node)
                 if kind == "write":
-                    yield sim.process(node.host.write_page(
-                        addr, page_fill, software_path=software_path))
+                    yield from node.host.write_page(
+                        addr, page_fill, software_path=software_path)
                 else:
-                    yield sim.process(
-                        node.host_read(addr, software_path=software_path))
+                    yield from node.host_read(
+                        addr, software_path=software_path)
         elif tenant.access == "volume":
             iface = self._ifaces[tenant.name]
             volume = self.volumes[tenant.node]
@@ -596,12 +595,12 @@ class Session:
 
             def issue(kind, index):
                 if kind == "write":
-                    yield sim.process(iface.write_lpn(
+                    yield from iface.write_lpn(
                         volume, index, page_fill,
-                        software_path=software_path))
+                        software_path=software_path)
                 else:
-                    yield sim.process(iface.read_lpn(
-                        volume, index, software_path=software_path))
+                    yield from iface.read_lpn(
+                        volume, index, software_path=software_path)
         elif tenant.access == "dvol":
             iface = self._ifaces[tenant.name]
             dvol = self.dvol
@@ -610,20 +609,20 @@ class Session:
 
             def issue(kind, index):
                 if kind == "write":
-                    yield sim.process(dvol.write_lpn(
+                    yield from dvol.write_lpn(
                         src, iface, index, page_fill,
-                        software_path=software_path))
+                        software_path=software_path)
                 else:
-                    yield sim.process(dvol.read_lpn(
+                    yield from dvol.read_lpn(
                         src, iface, index,
-                        software_path=software_path))
+                        software_path=software_path)
         else:
             read = node.isp_read if tenant.access == "isp" \
                 else node.net_read
 
             def issue(kind, index):
                 addr = geometry.striped(index, node=tenant.node)
-                yield sim.process(read(addr))
+                yield from read(addr)
         return issue
 
     def _workload_result(self, counters: dict,
@@ -728,10 +727,6 @@ class Session:
         # A pathological mix (a tenant named after a port it doesn't
         # use) could collide keys; keep the unambiguous raw labels then.
         return relabeled if len(relabeled) == len(stats) else stats
-
-    def run_until(self, deadline_ns: Optional[int] = None) -> None:
-        """Advance the simulation (to ``deadline_ns``, or to drain)."""
-        self.sim.run(until=deadline_ns)
 
     def result(self, experiment: Optional[str] = None) -> RunResult:
         """Snapshot the session's tracer into a fresh RunResult."""

@@ -94,8 +94,7 @@ class GraphTraversal:
         integrated network, local ones straight to flash."""
         addr = self.graph.address(vertex)
         if addr.node == self.home:
-            result = yield self.sim.process(
-                self.cluster.nodes[self.home].isp_read(addr))
+            result = yield from self.cluster.nodes[self.home].isp_read(addr)
             return result.data
         data, _ = yield from self.cluster.isp_remote_flash(self.home, addr)
         return data
@@ -105,9 +104,7 @@ class GraphTraversal:
         network but every lookup pays the host request/PCIe path."""
         addr = self.graph.address(vertex)
         if addr.node == self.home:
-            data = yield self.sim.process(
-                self.cluster.nodes[self.home].host_read(addr))
-            return data
+            return (yield from self.cluster.nodes[self.home].host_read(addr))
         data, _ = yield from self.cluster.host_remote_flash(self.home, addr)
         return data
 
@@ -115,9 +112,7 @@ class GraphTraversal:
         """H-RH-F: requests detour through the remote host's software."""
         addr = self.graph.address(vertex)
         if addr.node == self.home:
-            data = yield self.sim.process(
-                self.cluster.nodes[self.home].host_read(addr))
-            return data
+            return (yield from self.cluster.nodes[self.home].host_read(addr))
         data, _ = yield from self.cluster.host_remote_via_host(
             self.home, addr)
         return data
@@ -172,7 +167,7 @@ class GraphTraversal:
             v = chain_start
             for _ in range(steps):
                 data = yield from fetch(v)
-                _, nxt = yield self.sim.process(engine.run_page(data))
+                _, nxt = yield from engine.run_page(data)
                 if nxt is None:
                     break
                 v = nxt

@@ -174,7 +174,7 @@ class NearestNeighborISP:
         if not candidate_ids:
             return (-1, None)
         # Software setup: ship the query page to the engines over DMA.
-        yield self.sim.process(self.node.pcie.host_to_device(len(query)))
+        yield from self.node.pcie.host_to_device(len(query))
         engines = EngineArray([
             HammingEngine(self.sim, query, self.engine_bytes_per_ns,
                           name=f"hamming-{i}")
@@ -182,10 +182,9 @@ class NearestNeighborISP:
         best: List[Tuple[int, int]] = []
 
         def _compare(item_id: int):
-            result = yield self.sim.process(
-                self.node.isp_read(self._addr_of[item_id]))
+            result = yield from self.node.isp_read(self._addr_of[item_id])
             engine = engines.pick()
-            dist = yield self.sim.process(engine.run_page(result.data))
+            dist = yield from engine.run_page(result.data)
             best.append((dist, item_id))
 
         in_flight = []
@@ -218,10 +217,9 @@ class NearestNeighborISP:
         done = []
 
         def _compare(item_id: int):
-            result = yield self.sim.process(
-                self.node.isp_read(self._addr_of[item_id]))
+            result = yield from self.node.isp_read(self._addr_of[item_id])
             engine = engines.pick()
-            yield self.sim.process(engine.run_page(result.data))
+            yield from engine.run_page(result.data)
             done.append(self.sim.now)
 
         # Deep pipelining: the bandwidth-delay product of the flash path
@@ -321,7 +319,7 @@ class SoftwareNN:
                 page = pages[i % len(pages)]
                 i += threads
                 data = yield from self.read_fn(page)
-                yield self.sim.process(self.cpu.compute(self.compare_ns))
+                yield from self.cpu.compute(self.compare_ns)
                 # Functional: the comparison really happens.
                 hamming_distance(query[:64], data[:64])
             finish_times.append(self.sim.now)

@@ -161,18 +161,18 @@ class WordCountJob:
                 if reducer == node_id:
                     reduced[reducer].update(payload)  # local, no wire
                 else:
-                    yield self.sim.process(endpoint.send(
-                        reducer, ("wc-partial", payload), size))
+                    yield from endpoint.send(
+                        reducer, ("wc-partial", payload), size)
 
         def reducer_loop(node_id: int):
             endpoint = cluster.network.endpoint(node_id, SHUFFLE_EP)
             node = cluster.nodes[node_id]
             for _ in range(n - 1):  # one partial from each other node
-                message = yield self.sim.process(endpoint.receive())
+                message = yield from endpoint.receive()
                 tag, payload = message.payload
                 assert tag == "wc-partial"
-                yield self.sim.process(node.cpu.compute(
-                    REDUCE_NS_PER_ENTRY * max(1, len(payload))))
+                yield from node.cpu.compute(
+                    REDUCE_NS_PER_ENTRY * max(1, len(payload)))
                 reduced[node_id].update(payload)
 
         procs = [self.sim.process(mapper(i)) for i in range(n)]
@@ -205,10 +205,9 @@ class WordCountJob:
             pending = []
 
             def one(addr):
-                data = yield self.sim.process(
-                    node.host_read(addr, software_path=False))
-                yield self.sim.process(node.cpu.compute(
-                    int(len(data) * HOST_MAP_NS_PER_BYTE)))
+                data = yield from node.host_read(addr, software_path=False)
+                yield from node.cpu.compute(
+                    int(len(data) * HOST_MAP_NS_PER_BYTE))
                 for token in data.rstrip(b"\x00").split():
                     local[token.decode()] += 1
 
@@ -219,8 +218,8 @@ class WordCountJob:
             for proc in pending:
                 yield proc
             if node_id != 0:
-                yield self.sim.process(cluster.ethernet.send(
-                    node_id, 0, dict(local), max(1, _wire_bytes(local))))
+                yield from cluster.ethernet.send(
+                    node_id, 0, dict(local), max(1, _wire_bytes(local)))
             else:
                 merged.update(local)
 
@@ -228,8 +227,8 @@ class WordCountJob:
             node = cluster.nodes[0]
             for _ in range(cluster.n_nodes - 1):
                 message = yield cluster.app_inbox[0].get()
-                yield self.sim.process(node.cpu.compute(
-                    REDUCE_NS_PER_ENTRY * max(1, len(message.payload))))
+                yield from node.cpu.compute(
+                    REDUCE_NS_PER_ENTRY * max(1, len(message.payload)))
                 merged.update(message.payload)
 
         for i in range(cluster.n_nodes):

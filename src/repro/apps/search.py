@@ -90,9 +90,8 @@ class StringSearchISP:
         # (1) software setup: needle + MP constants over DMA + extents
         # query; one short burst of host work.
         setup_bytes = len(needle) + 4 * len(needle)  # pattern + constants
-        yield self.sim.process(
-            node.cpu.compute(node.host_config.software_request_ns))
-        yield self.sim.process(node.pcie.host_to_device(setup_bytes))
+        yield from node.cpu.compute(node.host_config.software_request_ns)
+        yield from node.pcie.host_to_device(setup_bytes)
         extents = node.fs.physical_extents(self._file)
         handle = node.flash_server.register_file(self._file, extents)
 
@@ -131,8 +130,7 @@ class StringSearchISP:
                 offsets=range(start_page, hi)))
             for _ in range(hi - start_page):
                 result = yield pages.get()
-                yield self.sim.process(
-                    engine.run_page(result.data, stream))
+                yield from engine.run_page(result.data, stream)
             # Drop overlap-region duplicates owned by the previous segment.
             all_matches.extend(m for m in stream.matches
                                if m >= segment_floor or index == 0)
@@ -210,7 +208,7 @@ class SoftwareGrep:
                 next_issue += 1
             data = yield pending.pop(0)
             scan_ns = int(len(data) * self.scan_ns_per_byte)
-            yield self.sim.process(self.cpu.compute(scan_ns))
+            yield from self.cpu.compute(scan_ns)
             found, stream_state = mp_search(
                 data, needle, fail, state=stream_state,
                 base_offset=page * page_size)

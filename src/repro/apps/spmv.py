@@ -62,7 +62,7 @@ class SpMVApp:
         node = self.node
         # Ship the dense vector into on-board DRAM once.
         x = np.asarray(x, dtype=np.float64)
-        yield self.sim.process(node.pcie.host_to_device(x.nbytes))
+        yield from node.pcie.host_to_device(x.nbytes)
         extents = node.fs.physical_extents("matrix.csr")
         handle = node.flash_server.register_file("spmv", extents)
         engines = [SpMVEngine(self.sim, x, self.engine_bytes_per_ns,
@@ -82,8 +82,7 @@ class SpMVApp:
                 handle.handle_id, out, offsets=range(lo, hi)))
             for _ in range(hi - lo):
                 page = yield out.get()
-                partial = yield self.sim.process(
-                    engine.run_page(page.data))
+                partial = yield from engine.run_page(page.data)
                 for row, value in partial.items():
                     y[row] += value
 
@@ -92,7 +91,7 @@ class SpMVApp:
         for proc in procs:
             yield proc
         # Only the dense result crosses PCIe.
-        yield self.sim.process(node.pcie.device_to_host(y.nbytes))
+        yield from node.pcie.device_to_host(y.nbytes)
         elapsed = self.sim.now - t0
         return y, self._stats(elapsed, len(extents))
 
@@ -106,12 +105,10 @@ class SpMVApp:
         pending = []
 
         def one(addr):
-            data = yield self.sim.process(
-                node.host_read(addr, software_path=False))
+            data = yield from node.host_read(addr, software_path=False)
             rows = decode_rows(data)
             nnz = sum(len(entries) for _, entries in rows)
-            yield self.sim.process(
-                node.cpu.compute(HOST_NS_PER_NNZ * max(1, nnz)))
+            yield from node.cpu.compute(HOST_NS_PER_NNZ * max(1, nnz))
             for row_id, entries in rows:
                 acc = 0.0
                 for column, value in entries:

@@ -100,9 +100,8 @@ class TableScan:
         """
         node = self.table.node
         # Ship the compiled predicate + projection list to the engines.
-        yield self.sim.process(
-            node.cpu.compute(node.host_config.software_request_ns))
-        yield self.sim.process(node.pcie.host_to_device(256))
+        yield from node.cpu.compute(node.host_config.software_request_ns)
+        yield from node.pcie.host_to_device(256)
         extents = node.fs.physical_extents(self.table.name)
         handle = node.flash_server.register_file(
             f"{self.table.name}-scan", extents)
@@ -126,8 +125,7 @@ class TableScan:
                 handle.handle_id, out, offsets=range(lo, hi)))
             for _ in range(hi - lo):
                 page = yield out.get()
-                rows = yield self.sim.process(
-                    engine.run_page(page.data, None))
+                rows = yield from engine.run_page(page.data, None)
                 if rows:
                     result_bytes[0] += engine.result_bytes(rows)
                     results.extend(rows)
@@ -137,8 +135,7 @@ class TableScan:
         for proc in procs:
             yield proc
         # Ship the (small) result set up to the host.
-        yield self.sim.process(
-            node.pcie.device_to_host(max(1, result_bytes[0])))
+        yield from node.pcie.device_to_host(max(1, result_bytes[0]))
         elapsed = self.sim.now - t0
         stats = self._stats(elapsed, result_bytes[0], len(results))
         return self._ordered(results, project), stats
@@ -161,11 +158,9 @@ class TableScan:
         pending = []
 
         def one(addr):
-            data = yield self.sim.process(
-                node.host_read(addr, software_path=False))
+            data = yield from node.host_read(addr, software_path=False)
             rows = schema.unpack_page(data)
-            yield self.sim.process(
-                node.cpu.compute(HOST_NS_PER_ROW * max(1, len(rows))))
+            yield from node.cpu.compute(HOST_NS_PER_ROW * max(1, len(rows)))
             for row in rows:
                 if predicate.matches(row):
                     if project is not None:

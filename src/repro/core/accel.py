@@ -107,8 +107,7 @@ def stream_job(sim: Simulator, pages: Store, array: EngineArray,
 
     def _one(result_page):
         engine = array.pick()
-        value = yield sim.process(
-            engine.run_page(result_page.data, context))
+        value = yield from engine.run_page(result_page.data, context)
         if on_result is not None:
             on_result(value)
         results.append(value)

@@ -136,7 +136,7 @@ class BlueDBMCluster:
         """Serve remote page requests arriving on the request endpoint."""
         endpoint = self.network.endpoint(node_id, REQUEST_EP)
         while True:
-            message = yield self.sim.process(endpoint.receive())
+            message = yield from endpoint.receive()
             self.sim.process(
                 self._serve(node_id, message.src, message.payload),
                 name=f"serve-{node_id}")
@@ -145,24 +145,22 @@ class BlueDBMCluster:
         node = self.nodes[node_id]
         io_req = request.get("request")
         if request["kind"] == "flash":
-            result = yield self.sim.process(
-                node.net_read(request["addr"], request=io_req))
+            result = yield from node.net_read(request["addr"], request=io_req)
             data = result.data
         elif request["kind"] == "dram":
-            data = yield self.sim.process(
-                _gen(node.dram.read(request["page"])))
+            data = yield from node.dram.read(request["page"])
         else:
             raise ValueError(f"unknown request kind {request['kind']!r}")
         reply_ep = self.network.endpoint(node_id, request["reply_ep"])
-        yield self.sim.process(reply_ep.send(
+        yield from reply_ep.send(
             requester,
             {"req_id": request["req_id"], "data": data},
-            self.page_size))
+            self.page_size)
 
     def _response_dispatcher(self, node_id: int, ep_id: int):
         endpoint = self.network.endpoint(node_id, ep_id)
         while True:
-            message = yield self.sim.process(endpoint.receive())
+            message = yield from endpoint.receive()
             event = self._pending.pop(message.payload["req_id"], None)
             if event is not None:
                 event.succeed(message.payload["data"])
@@ -182,8 +180,7 @@ class BlueDBMCluster:
         event = self.sim.event()
         self._pending[req_id] = event
         endpoint = self.network.endpoint(src, REQUEST_EP)
-        yield self.sim.process(
-            endpoint.send(dst, request, _REQUEST_BYTES))
+        yield from endpoint.send(dst, request, _REQUEST_BYTES)
         data = yield event
         return data
 
@@ -223,7 +220,7 @@ class BlueDBMCluster:
         collector).
         """
         while True:
-            message = yield self.sim.process(self.ethernet.receive(node_id))
+            message = yield from self.ethernet.receive(node_id)
             payload = message.payload
             if isinstance(payload, dict) and "kind" in payload:
                 self.sim.process(
@@ -248,30 +245,27 @@ class BlueDBMCluster:
         with StageSpan(self.sim, io_req, "software"):
             yield self.sim.timeout(self.NIC_WAKEUP_NS)
         if request["kind"] == "flash":
-            data = yield self.sim.process(
-                node.host_read(request["addr"], request=io_req))
+            data = yield from node.host_read(request["addr"], request=io_req)
             # Kernel block-I/O overhead of the synchronous read.
             with StageSpan(self.sim, io_req, "software"):
                 yield self.sim.timeout(self.REMOTE_BLOCKIO_NS)
         elif request["kind"] == "dram":
             with StageSpan(self.sim, io_req, "software"):
-                yield self.sim.process(
-                    node.cpu.compute(node.host_config.software_request_ns))
-            data = yield self.sim.process(
-                _gen(node.dram.read(request["page"])))
+                yield from node.cpu.compute(
+                    node.host_config.software_request_ns)
+            data = yield from node.dram.read(request["page"])
         else:
             raise ValueError(f"unknown request kind {request['kind']!r}")
         # Response software cost + push the page back into the device.
         with StageSpan(self.sim, io_req, "software"):
-            yield self.sim.process(
-                node.cpu.compute(node.host_config.software_request_ns))
+            yield from node.cpu.compute(node.host_config.software_request_ns)
         with StageSpan(self.sim, io_req, "pcie"):
-            yield self.sim.process(node.pcie.host_to_device(self.page_size))
+            yield from node.pcie.host_to_device(self.page_size)
         reply_ep = self.network.endpoint(node_id, request["reply_ep"])
-        yield self.sim.process(reply_ep.send(
+        yield from reply_ep.send(
             request["requester"],
             {"req_id": request["req_id"], "data": data},
-            self.page_size))
+            self.page_size)
 
     # ------------------------------------------------------------------
     # The four measured access paths (all DES generators -> (data, bd))
@@ -295,15 +289,14 @@ class BlueDBMCluster:
         io_req = self._trace_start(IOKind.READ, addr, f"host-n{src}")
         t0 = self.sim.now
         with StageSpan(self.sim, io_req, "software"):
-            yield self.sim.process(
-                node.cpu.compute(node.host_config.software_request_ns))
+            yield from node.cpu.compute(node.host_config.software_request_ns)
             yield self.sim.timeout(node.host_config.rpc_ns)
         software = self.sim.now - t0
         data = yield from self._remote_request(
             src, addr.node, {"kind": "flash", "addr": addr},
             io_request=io_req)
         with StageSpan(self.sim, io_req, "pcie"):
-            yield self.sim.process(node.pcie.device_to_host(self.page_size))
+            yield from node.pcie.device_to_host(self.page_size)
         with StageSpan(self.sim, io_req, "interrupt"):
             yield self.sim.timeout(node.host_config.interrupt_ns)
         breakdown = self._attribute(src, addr.node, self.sim.now - t0,
@@ -317,21 +310,20 @@ class BlueDBMCluster:
         io_req = self._trace_start(IOKind.READ, addr, f"host-n{src}")
         t0 = self.sim.now
         with StageSpan(self.sim, io_req, "software"):
-            yield self.sim.process(
-                node.cpu.compute(node.host_config.software_request_ns))
+            yield from node.cpu.compute(node.host_config.software_request_ns)
         software = self.sim.now - t0
         req_id = next(self._req_ids)
         reply_ep = self._first_response_ep + (req_id % self.n_response_eps)
         event = self.sim.event()
         self._pending[req_id] = event
-        yield self.sim.process(self.ethernet.send(
+        yield from self.ethernet.send(
             src, addr.node,
             {"kind": "flash", "addr": addr, "req_id": req_id,
              "reply_ep": reply_ep, "requester": src, "request": io_req},
-            _REQUEST_BYTES))
+            _REQUEST_BYTES)
         data = yield event
         with StageSpan(self.sim, io_req, "pcie"):
-            yield self.sim.process(node.pcie.device_to_host(self.page_size))
+            yield from node.pcie.device_to_host(self.page_size)
         with StageSpan(self.sim, io_req, "interrupt"):
             yield self.sim.timeout(node.host_config.interrupt_ns)
         remote_sw = (self.nodes[addr.node].host_config.software_request_ns
@@ -348,21 +340,20 @@ class BlueDBMCluster:
         io_req = self._trace_start(IOKind.READ, page, f"host-n{src}")
         t0 = self.sim.now
         with StageSpan(self.sim, io_req, "software"):
-            yield self.sim.process(
-                node.cpu.compute(node.host_config.software_request_ns))
+            yield from node.cpu.compute(node.host_config.software_request_ns)
         software = self.sim.now - t0
         req_id = next(self._req_ids)
         reply_ep = self._first_response_ep + (req_id % self.n_response_eps)
         event = self.sim.event()
         self._pending[req_id] = event
-        yield self.sim.process(self.ethernet.send(
+        yield from self.ethernet.send(
             src, dst,
             {"kind": "dram", "page": page, "req_id": req_id,
              "reply_ep": reply_ep, "requester": src, "request": io_req},
-            _REQUEST_BYTES))
+            _REQUEST_BYTES)
         data = yield event
         with StageSpan(self.sim, io_req, "pcie"):
-            yield self.sim.process(node.pcie.device_to_host(self.page_size))
+            yield from node.pcie.device_to_host(self.page_size)
         with StageSpan(self.sim, io_req, "interrupt"):
             yield self.sim.timeout(node.host_config.interrupt_ns)
         remote_sw = (self.nodes[dst].host_config.software_request_ns
@@ -399,9 +390,3 @@ def _direct(n_nodes: int) -> Topology:
     for i in range(n_nodes - 1):
         topo.connect(i, i + 1)
     return topo
-
-
-def _gen(generator):
-    """Adapter: run a plain generator as a subprocess-compatible one."""
-    result = yield from generator
-    return result

@@ -141,28 +141,17 @@ class BlueDBMNode:
     # -- access paths -----------------------------------------------------
     def isp_read(self, addr: PhysAddr, request=None):
         """In-store processor read: no host software or PCIe involved."""
-        result = yield self.sim.process(
-            self.isp_port.read_page(addr, request=request))
-        return result
+        return (yield from self.isp_port.read_page(addr, request=request))
 
     def net_read(self, addr: PhysAddr, request=None):
         """Read on behalf of a remote node (network service port)."""
-        result = yield self.sim.process(
-            self.net_port.read_page(addr, request=request))
-        return result
+        return (yield from self.net_port.read_page(addr, request=request))
 
     def host_read(self, addr: PhysAddr, software_path: bool = True,
                   request=None):
         """Host software read: syscall + RPC + flash + DMA + interrupt."""
-        data = yield self.sim.process(
-            self.host.read_page(addr, software_path=software_path,
-                                request=request))
-        return data
-
-    def host_write(self, addr: PhysAddr, data: bytes, request=None):
-        """Host software write path."""
-        yield self.sim.process(
-            self.host.write_page(addr, data, request=request))
+        return (yield from self.host.read_page(
+            addr, software_path=software_path, request=request))
 
     def peak_flash_bandwidth(self) -> float:
         """The node's native flash ceiling (2.4 GB/s with paper values)."""

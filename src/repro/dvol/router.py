@@ -67,14 +67,11 @@ class ShardServiceIface:
         if self.coalescer is not None:
             result = yield self.coalescer.submit(addr, request)
             return result
-        result = yield self.sim.process(
-            self.port.read_page(addr, request=request))
-        return result
+        return (yield from self.port.read_page(addr, request=request))
 
     def _write_flow(self, addr, data: bytes, software_path: bool,
                     request: Optional[IORequest]):
-        yield self.sim.process(
-            self.port.write_page(addr, data, request=request))
+        yield from self.port.write_page(addr, data, request=request)
 
 
 class DvolRouter:
@@ -138,8 +135,7 @@ class DvolRouter:
                    "request": request}
         endpoint = self.network.endpoint(self.node_id, self.request_ep)
         with StageSpan(self.sim, request, "net"):
-            yield self.sim.process(
-                endpoint.send(dst, message, DVOL_REQUEST_BYTES))
+            yield from endpoint.send(dst, message, DVOL_REQUEST_BYTES)
         data = yield event
         self.remote_reads.add()
         self._annotate(request, dst)
@@ -161,8 +157,8 @@ class DvolRouter:
                    "tenant": tenant, "request": request}
         endpoint = self.network.endpoint(self.node_id, self.request_ep)
         with StageSpan(self.sim, request, "net"):
-            yield self.sim.process(endpoint.send(
-                dst, message, DVOL_REQUEST_BYTES + len(data)))
+            yield from endpoint.send(
+                dst, message, DVOL_REQUEST_BYTES + len(data))
         yield event
         self.remote_writes.add()
         self._annotate(request, dst)
@@ -172,7 +168,7 @@ class DvolRouter:
         """Serve remote shard operations arriving on the request endpoint."""
         endpoint = self.network.endpoint(self.node_id, self.request_ep)
         while True:
-            message = yield self.sim.process(endpoint.receive())
+            message = yield from endpoint.receive()
             self.sim.process(self._serve(message.src, message.payload),
                              name=f"dvol-serve-{self.node_id}")
 
@@ -188,25 +184,25 @@ class DvolRouter:
                 msg["lpn"], self.iface, False, request, interrupt=False)
             self.served_reads.add()
             with StageSpan(self.sim, request, "net"):
-                yield self.sim.process(reply_ep.send(
+                yield from reply_ep.send(
                     requester, {"req_id": msg["req_id"], "data": data},
-                    self.page_size))
+                    self.page_size)
         elif msg["op"] == "write":
             yield from self.volume.write_flow(
                 self.iface, msg["lpn"], msg["data"], False, request,
                 tenant=msg["tenant"])
             self.served_writes.add()
             with StageSpan(self.sim, request, "net"):
-                yield self.sim.process(reply_ep.send(
+                yield from reply_ep.send(
                     requester, {"req_id": msg["req_id"], "data": None},
-                    DVOL_ACK_BYTES))
+                    DVOL_ACK_BYTES)
         else:
             raise ValueError(f"unknown dvol op {msg['op']!r}")
 
     def _response_dispatcher(self, ep_id: int):
         endpoint = self.network.endpoint(self.node_id, ep_id)
         while True:
-            message = yield self.sim.process(endpoint.receive())
+            message = yield from endpoint.receive()
             event = self._pending.pop(message.payload["req_id"], None)
             if event is not None:
                 event.succeed(message.payload["data"])

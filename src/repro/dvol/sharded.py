@@ -97,14 +97,12 @@ class ShardedVolume:
             return data
         with StageSpan(self.sim, request, "software"):
             if software_path:
-                yield self.sim.process(
-                    iface.cpu.compute(iface.config.software_request_ns))
+                yield from iface.cpu.compute(iface.config.software_request_ns)
             yield self.sim.timeout(iface.config.rpc_ns)
         data = yield from self.routers[src].remote_read(
             node, shard_lpn, iface.tenant, request)
         with StageSpan(self.sim, request, "pcie"):
-            yield self.sim.process(
-                iface.pcie.device_to_host(self.page_size))
+            yield from iface.pcie.device_to_host(self.page_size)
         with StageSpan(self.sim, request, "interrupt"):
             yield self.sim.timeout(iface.config.interrupt_ns)
         return data
@@ -120,12 +118,10 @@ class ShardedVolume:
             return
         with StageSpan(self.sim, request, "software"):
             if software_path:
-                yield self.sim.process(
-                    iface.cpu.compute(iface.config.software_request_ns))
+                yield from iface.cpu.compute(iface.config.software_request_ns)
             yield self.sim.timeout(iface.config.rpc_ns)
         with StageSpan(self.sim, request, "pcie"):
-            yield self.sim.process(
-                iface.pcie.host_to_device(len(data)))
+            yield from iface.pcie.host_to_device(len(data))
         yield from self.routers[src].remote_write(
             node, shard_lpn, data, iface.tenant, request)
 

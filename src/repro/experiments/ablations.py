@@ -29,7 +29,7 @@ def tag_bandwidth(tags: int) -> float:
     done = []
 
     def reader(i):
-        yield sim.process(card.read_page(TAGS_GEO.striped(i)))
+        yield from card.read_page(TAGS_GEO.striped(i))
         done.append(sim.now)
 
     drive_pipelined(sim, reader, N_TAG_READS, outstanding=2 * tags + 8)
@@ -70,12 +70,12 @@ def endpoint_gbps(n_endpoints_used: int) -> float:
 
     def sender(sim, ep):
         for i in range(N_ROUTE_MESSAGES):
-            yield sim.process(net.endpoint(0, ep).send(1, i, ROUTE_SIZE))
+            yield from net.endpoint(0, ep).send(1, i, ROUTE_SIZE)
 
     def receiver(sim, ep):
         got = []
         for _ in range(N_ROUTE_MESSAGES):
-            message = yield sim.process(net.endpoint(1, ep).receive())
+            message = yield from net.endpoint(1, ep).receive()
             got.append(message.payload)
         order_ok.append(got == list(range(N_ROUTE_MESSAGES)))
         finished.append(sim.now)

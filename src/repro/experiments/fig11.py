@@ -30,18 +30,17 @@ def measure_hops(hops: int):
 
     def sender(sim):
         # Latency probe: one small (single-flit) message first.
-        yield sim.process(net.endpoint(0, 0).send(hops, "probe", 16))
+        yield from net.endpoint(0, 0).send(hops, "probe", 16)
         for i in range(STREAM_MESSAGES):
             sent.append(sim.now)
-            yield sim.process(
-                net.endpoint(0, 0).send(hops, i, MESSAGE_BYTES))
+            yield from net.endpoint(0, 0).send(hops, i, MESSAGE_BYTES)
 
     def receiver(sim):
-        yield sim.process(net.endpoint(hops, 0).receive())
+        yield from net.endpoint(hops, 0).receive()
         done["latency"] = sim.now
         t0 = sim.now
         for i in range(STREAM_MESSAGES):
-            yield sim.process(net.endpoint(hops, 0).receive())
+            yield from net.endpoint(hops, 0).receive()
             stream.record(sim.now - sent[i])
         done["stream_ns"] = sim.now - t0
 

@@ -89,8 +89,7 @@ def software_rate(threads: int, backend: str,
             addr_of[item_id] = addr
 
         def read_fn(page):
-            data = yield sim.process(node.host_read(addr_of[page]))
-            return data
+            return (yield from node.host_read(addr_of[page]))
 
         cpu = node.cpu
     elif backend == "ssd":
@@ -166,9 +165,9 @@ def pipelined_host_rate(n_comparisons: int = N_COMPARISONS,
     done = []
 
     def one(i):
-        yield sim.process(node.host_read(addrs[i % len(addrs)],
-                                         software_path=False))
-        yield sim.process(node.cpu.compute(SoftwareNN.COMPARE_NS_PER_8K))
+        yield from node.host_read(addrs[i % len(addrs)],
+                                  software_path=False)
+        yield from node.cpu.compute(SoftwareNN.COMPARE_NS_PER_8K)
         done.append(sim.now)
 
     drive_pipelined(sim, one, n_comparisons, outstanding)

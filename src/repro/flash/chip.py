@@ -246,7 +246,3 @@ class FlashChip:
                 second_bit = word + self.rng.randrange(64)
             corrupted[second_bit // 8] ^= 1 << (second_bit % 8)
         return bytes(corrupted)
-
-    def is_page_programmed(self, addr: PhysAddr) -> bool:
-        programmed = self._programmed.get(addr.block)
-        return programmed is not None and addr.page in programmed

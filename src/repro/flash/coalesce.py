@@ -268,7 +268,6 @@ class Coalescer:
         """
         port = self.port
         splitter = self.splitter
-        sim = self.sim
         tenant = group[0].key[0]
         cost = sum(p.size for p in group)
         requests = [p.request for p in group]
@@ -291,7 +290,7 @@ class Coalescer:
                 addrs, [p.data for p in group], requests=requests)
         failed = True
         try:
-            results = yield sim.process(command)
+            results = yield from command
             failed = False
         except PartialReadError as exc:
             # Per-child fidelity: successful siblings keep their pages

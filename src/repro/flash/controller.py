@@ -88,9 +88,11 @@ class ReadResult:
 class FlashCard:
     """One custom flash board: 8 buses x 8 chips behind a tagged interface.
 
-    All public operations are DES generators; run them with
-    ``yield sim.process(card.read_page(addr))`` or drive many concurrently
-    to exploit the card's parallelism.
+    All public operations are DES generators: a caller that waits for
+    one runs it inline with ``yield from card.read_page(addr)``; only
+    operations meant to overlap (the per-page reads and per-lane
+    programs of a multi-page command) are spawned as processes and
+    joined, which is how the card's parallelism is exploited.
     """
 
     def __init__(self, sim: Simulator,
@@ -204,6 +206,8 @@ class FlashCard:
         drift apart.
         """
         with StageSpan(self.sim, request, "storage"):
+            # A process, not ``yield from``: its scheduling step decides
+            # same-instant chip arbitration, so flattening moves results.
             data, parity, flips = yield self.sim.process(chip.read(addr))
         with StageSpan(self.sim, request, "device"):
             bus = self.buses[addr.bus]
@@ -438,6 +442,8 @@ class FlashCard:
                 bus.release()
         with StageSpan(self.sim, request, "storage"):
             try:
+                # A process, not ``yield from``: its scheduling step picks
+                # which same-instant program an injected fault hits.
                 yield self.sim.process(chip.program(addr, data))
             except ProgramFailedError:
                 # An injected NAND fault, not a caller bug: count it and
@@ -479,6 +485,9 @@ class FlashCard:
             with StageSpan(self.sim, request, "storage"):
                 yield self.sim.timeout(self.timing.cmd_overhead_ns)
                 try:
+                    # A process, not ``yield from``: its scheduling step
+                    # orders same-instant chip work, so flattening moves
+                    # results.
                     yield self.sim.process(chip.erase(addr))
                 except EraseError:
                     self.badblocks.mark_bad(addr)

@@ -63,9 +63,7 @@ class StorageDevice:
 
     # -- routed operations (DES generators) ---------------------------------
     def read_page(self, addr: PhysAddr, request=None):
-        result = yield self.sim.process(
-            self._card(addr).read_page(addr, request=request))
-        return result
+        return (yield from self._card(addr).read_page(addr, request=request))
 
     def read_pages(self, addrs, requests=None):
         """Multi-page command routed to one card (DES generator).
@@ -81,9 +79,8 @@ class StorageDevice:
             raise ValueError(
                 f"multi-page command spans cards {sorted(cards)}; "
                 f"coalesced commands are per-card")
-        results = yield self.sim.process(
-            self._card(addrs[0]).read_pages(addrs, requests=requests))
-        return results
+        return (yield from self._card(addrs[0]).read_pages(
+            addrs, requests=requests))
 
     def program_pages(self, addrs, datas, requests=None):
         """Multi-page program command routed to one card (DES generator).
@@ -99,17 +96,14 @@ class StorageDevice:
             raise ValueError(
                 f"multi-page command spans cards {sorted(cards)}; "
                 f"coalesced commands are per-card")
-        yield self.sim.process(
-            self._card(addrs[0]).program_pages(addrs, datas,
-                                               requests=requests))
+        yield from self._card(addrs[0]).program_pages(addrs, datas,
+                                                      requests=requests)
 
     def write_page(self, addr: PhysAddr, data: bytes, request=None):
-        yield self.sim.process(
-            self._card(addr).write_page(addr, data, request=request))
+        yield from self._card(addr).write_page(addr, data, request=request)
 
     def erase_block(self, addr: PhysAddr, request=None):
-        yield self.sim.process(
-            self._card(addr).erase_block(addr, request=request))
+        yield from self._card(addr).erase_block(addr, request=request)
 
     # -- aggregates ----------------------------------------------------------
     @property

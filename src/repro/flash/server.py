@@ -90,20 +90,6 @@ class FlashServer:
         return self.port.splitter.tracer
 
     # -- in-order access -----------------------------------------------------
-    def read_page(self, addr: PhysAddr, request: Optional[IORequest] = None):
-        """Single in-order read (blocking request/response)."""
-        result = yield self.sim.process(
-            self.port.read_page(addr, request=request))
-        return result
-
-    def read_file_page(self, handle_id: int, page_offset: int,
-                       request: Optional[IORequest] = None):
-        """Read one page of a registered file by (handle, offset)."""
-        addr = self.translate(handle_id, page_offset)
-        result = yield self.sim.process(
-            self.port.read_page(addr, request=request))
-        return result
-
     def _stream_read(self, addr: PhysAddr, request: Optional[IORequest]):
         """One stream element: read, then wait in a page buffer.
 
@@ -112,8 +98,7 @@ class FlashServer:
         charged to the request's ``reorder`` stage (closed by
         :meth:`stream_pages` when the element is emitted).
         """
-        result = yield self.sim.process(
-            self.port.read_page(addr, request=request))
+        result = yield from self.port.read_page(addr, request=request)
         if request:
             request.enter("reorder", self.sim.now)
         return result

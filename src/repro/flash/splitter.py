@@ -89,17 +89,6 @@ class SplitterPort:
         """Commands this port currently holds slots for."""
         return self._slots.in_use
 
-    @property
-    def queue_wait(self):
-        """Wait histogram for this port's own slot cap only.
-
-        Under a shared admission policy most queueing happens at
-        :attr:`FlashSplitter.admission` (see its ``wait_stats`` /
-        ``tenant_waits``); the full per-request queueing time — slot
-        plus admission — is the request ledger's ``queue`` stage.
-        """
-        return self._slots.wait_stats
-
     def _rename(self) -> int:
         """Allocate the next user-visible tag (monotonic per user)."""
         tag = self._next_user_tag
@@ -211,8 +200,8 @@ class SplitterPort:
                               result.corrected_bits)
         yield from self._admit(request, cost=size)
         try:
-            result = yield self.splitter.sim.process(
-                self.splitter.card.read_page(addr, request=request))
+            result = yield from self.splitter.card.read_page(
+                addr, request=request)
         finally:
             self._retire()
         self.reads.add()
@@ -244,8 +233,8 @@ class SplitterPort:
             return
         yield from self._admit(request, cost=len(data))
         try:
-            yield self.splitter.sim.process(
-                self.splitter.card.write_page(addr, data, request=request))
+            yield from self.splitter.card.write_page(
+                addr, data, request=request)
         finally:
             self._retire()
         self.writes.add()
@@ -263,8 +252,7 @@ class SplitterPort:
         self._rename()
         yield from self._admit(request, cost=self.splitter.page_size)
         try:
-            yield self.splitter.sim.process(
-                self.splitter.card.erase_block(addr, request=request))
+            yield from self.splitter.card.erase_block(addr, request=request)
         finally:
             self._retire()
         self.splitter.bandwidth.record(self.sched_tenant(request), 0)

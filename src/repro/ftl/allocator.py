@@ -104,14 +104,6 @@ class BlockAllocator:
     def free_blocks(self) -> int:
         return sum(len(blocks) for blocks in self._free.values())
 
-    @property
-    def total_good_blocks(self) -> int:
-        open_blocks = sum(
-            1 for open_ in self._open.values() if open_ is not None)
-        if self._seq_open is not None:
-            open_blocks += len(self._chips)
-        return self.free_blocks + open_blocks
-
     def _erase_count(self, key: _ChipKey, block: int) -> int:
         node, card, bus, chip = key
         return self.wear.erase_count(PhysAddr(

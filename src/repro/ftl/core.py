@@ -138,10 +138,11 @@ class FtlCore:
                                         mode=mode)
         self._lock = Resource(sim, capacity=1, name=f"{name}-alloc")
         self._full_blocks: Set[_BlockKey] = set()
-        self._programmed: Dict[_BlockKey, int] = {}
         #: block -> next page expected to program; writers (foreground
         #: and GC alike) gate on it so same-block programs reach the
         #: chip in allocation order (the NAND in-block order rule).
+        #: The gate serializes each block, so the cursor is also the
+        #: block's count of programmed (or burned) pages.
         self._program_next: Dict[_BlockKey, int] = {}
         self._program_gates: Dict[_BlockKey, List[Event]] = {}
         #: block -> in-flight foreground reads; GC must not erase a
@@ -242,22 +243,6 @@ class FtlCore:
                         block=block, page=0)
 
     # -- program bookkeeping ---------------------------------------------
-    def _note_program(self, addr: PhysAddr) -> None:
-        """Record one programmed page; track fully-programmed blocks.
-
-        Blocks become GC-eligible only once *every* allocated page has
-        actually programmed, so GC never relocates (or erases under) a
-        page whose program is still in flight.
-        """
-        self.map.note_programmed(addr)
-        key = self._key(addr)
-        count = self._programmed.get(key, 0) + 1
-        if count >= self.geometry.pages_per_block:
-            self._programmed.pop(key, None)
-            self._full_blocks.add(key)
-        else:
-            self._programmed[key] = count
-
     def await_program_turn(self, addr: PhysAddr):
         """Hold a program until every earlier page of its block has
         programmed (DES generator).
@@ -277,10 +262,18 @@ class FtlCore:
             yield gate
 
     def program_done(self, addr: PhysAddr) -> None:
-        """Advance the block's program cursor and wake gated writers."""
+        """Advance the block's program cursor and wake gated writers.
+
+        A block becomes GC-eligible once its cursor passes the last
+        page: only then has *every* allocated page actually programmed,
+        so GC never relocates (or erases under) a page whose program is
+        still in flight.
+        """
         key = self._key(addr)
         if addr.page >= self._program_next.get(key, 0):
             self._program_next[key] = addr.page + 1
+            if addr.page + 1 >= self.geometry.pages_per_block:
+                self._full_blocks.add(key)
         for gate in self._program_gates.pop(key, ()):
             if not gate.triggered:
                 gate.succeed()
@@ -398,7 +391,6 @@ class FtlCore:
             except BaseException:
                 self.retire_page(addr)
                 raise
-            self._note_program(addr)
             self.program_done(addr)
             self.total_programs += 1
             return addr
@@ -432,7 +424,6 @@ class FtlCore:
         the block keeps filling toward GC eligibility and no user write
         is charged.
         """
-        self._note_program(addr)
         self.program_done(addr)
 
     def note_program_failure(self, addr: PhysAddr) -> None:
@@ -492,7 +483,6 @@ class FtlCore:
                 raise OutOfSpaceError(
                     f"prefill exhausted the device at LPN {lpn}")
             self.map.map_page(lpn, addr)
-            self._note_program(addr)
             self.program_done(addr)
             self.prefilled_pages += 1
 
@@ -654,7 +644,6 @@ class FtlCore:
             # The card marked the block grown-bad; retire it below.
             erased = False
         self.map.drop_block(victim)
-        self._programmed.pop(victim_key, None)
         # The block only became a victim once fully programmed, so no
         # writer can still be gated on it; reset its program cursor for
         # the next time the allocator opens it.
@@ -691,8 +680,7 @@ class FtlCore:
         """
         key = (self.device.node, card, bus, chip, block)
         victim = self._addr_of(key)
-        had_state = (key in self._full_blocks
-                     or key in self._programmed
+        had_state = (key in self._program_next
                      or self.map.block_state(victim).valid_count > 0)
         if not had_state:
             return False
@@ -701,7 +689,6 @@ class FtlCore:
         yield from self._await_no_readers(key)
         self.map.drop_block(victim)
         self._full_blocks.discard(key)
-        self._programmed.pop(key, None)
         self._program_next.pop(key, None)
         self._suspect.discard(key)
         self.device.badblocks.mark_bad(victim)

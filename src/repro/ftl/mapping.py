@@ -24,19 +24,15 @@ def _block_key(addr: PhysAddr) -> _BlockKey:
 class BlockState:
     """Validity bookkeeping for one physical block."""
 
-    __slots__ = ("addr", "valid_pages", "write_pointer")
+    __slots__ = ("addr", "valid_pages")
 
     def __init__(self, addr: PhysAddr):
         self.addr = addr.block_addr()
         self.valid_pages: Set[int] = set()
-        self.write_pointer = 0  # next page to program (NAND order rule)
 
     @property
     def valid_count(self) -> int:
         return len(self.valid_pages)
-
-    def is_full(self, pages_per_block: int) -> bool:
-        return self.write_pointer >= pages_per_block
 
 
 class PageMap:
@@ -93,11 +89,6 @@ class PageMap:
     def block_state(self, addr: PhysAddr) -> BlockState:
         """Public accessor (creates state lazily)."""
         return self._block_state(addr)
-
-    def note_programmed(self, addr: PhysAddr) -> None:
-        """Advance the block's write pointer past ``addr.page``."""
-        state = self._block_state(addr)
-        state.write_pointer = max(state.write_pointer, addr.page + 1)
 
     def drop_block(self, addr: PhysAddr) -> None:
         """Forget a block's state after erase (all pages must be invalid)."""

@@ -50,7 +50,7 @@ class BurstAssembler:
         while len(fifo) >= burst:
             del fifo[:burst]
             self.bursts_issued.add()
-            yield self.sim.process(self.pcie.device_to_host(burst))
+            yield from self.pcie.device_to_host(burst)
 
     def flush(self, buffer_index: int):
         """Push out any sub-burst tail for ``buffer_index`` (generator)."""
@@ -59,7 +59,7 @@ class BurstAssembler:
             tail = len(fifo)
             del fifo[:]
             self.bursts_issued.add()
-            yield self.sim.process(self.pcie.device_to_host(tail))
+            yield from self.pcie.device_to_host(tail)
         else:
             yield self.sim.timeout(0)
 

@@ -107,19 +107,16 @@ class HostInterface:
         """
         if software_path:
             with StageSpan(self.sim, request, "software"):
-                yield self.sim.process(
-                    self.cpu.compute(self.config.software_request_ns))
+                yield from self.cpu.compute(self.config.software_request_ns)
         with StageSpan(self.sim, request, "queue"):
-            buffer_index = yield self.sim.process(
-                self.read_buffers.acquire())
+            buffer_index = yield from self.read_buffers.acquire()
         try:
             with StageSpan(self.sim, request, "software"):
                 yield self.sim.timeout(self.config.rpc_ns)
-            result: ReadResult = yield self.sim.process(
-                self.port.read_page(addr, request=request))
+            result: ReadResult = yield from self.port.read_page(
+                addr, request=request)
             with StageSpan(self.sim, request, "pcie"):
-                yield self.sim.process(
-                    self.pcie.device_to_host(self.page_size))
+                yield from self.pcie.device_to_host(self.page_size)
             if interrupt:
                 with StageSpan(self.sim, request, "interrupt"):
                     yield self.sim.timeout(self.config.interrupt_ns)
@@ -132,19 +129,15 @@ class HostInterface:
         """The whole host write path for one page (DES generator)."""
         if software_path:
             with StageSpan(self.sim, request, "software"):
-                yield self.sim.process(
-                    self.cpu.compute(self.config.software_request_ns))
+                yield from self.cpu.compute(self.config.software_request_ns)
         with StageSpan(self.sim, request, "queue"):
-            buffer_index = yield self.sim.process(
-                self.write_buffers.acquire())
+            buffer_index = yield from self.write_buffers.acquire()
         try:
             with StageSpan(self.sim, request, "software"):
                 yield self.sim.timeout(self.config.rpc_ns)
             with StageSpan(self.sim, request, "pcie"):
-                yield self.sim.process(
-                    self.pcie.host_to_device(self.page_size))
-            yield self.sim.process(
-                self.port.write_page(addr, data, request=request))
+                yield from self.pcie.host_to_device(self.page_size)
+            yield from self.port.write_page(addr, data, request=request)
         finally:
             self.write_buffers.release(buffer_index)
 
@@ -153,14 +146,12 @@ class HostInterface:
         """The driver-initiated block erase path (DES generator)."""
         if software_path:
             with StageSpan(self.sim, request, "software"):
-                yield self.sim.process(
-                    self.cpu.compute(self.config.software_request_ns))
+                yield from self.cpu.compute(self.config.software_request_ns)
                 yield self.sim.timeout(self.config.rpc_ns)
         else:
             with StageSpan(self.sim, request, "software"):
                 yield self.sim.timeout(self.config.rpc_ns)
-        yield self.sim.process(
-            self.port.erase_block(addr, request=request))
+        yield from self.port.erase_block(addr, request=request)
 
     # -- blocking (queue depth 1) calls ---------------------------------
     def read_page(self, addr: PhysAddr, software_path: bool = True,

@@ -10,9 +10,8 @@ kept private bookkeeping; now they all speak :class:`IORequest`:
 * :class:`~repro.io.request.IORequest` — one page-granular operation
   with kind, address, size, tenant, priority, deadline and per-stage
   timestamps accumulated as it traverses the layers.
-* :class:`~repro.io.stage.Stage` / :class:`~repro.io.stage.StageSpan` —
-  the protocol a pipeline element implements, and the timing span
-  layers use to charge wall-clock to a named stage.
+* :class:`~repro.io.stage.StageSpan` — the timing span layers use to
+  charge wall-clock to a named stage.
 * :class:`~repro.io.batch.RequestBatch` /
   :class:`~repro.io.batch.BatchItem` — a parent span over
   asynchronously-submitted child operations with per-child completion
@@ -44,7 +43,7 @@ from .scheduler import (
     bind_policy,
     make_policy,
 )
-from .stage import BatchStageSpan, Pipeline, Stage, StageSpan
+from .stage import BatchStageSpan, StageSpan
 from .tracer import RequestTracer
 
 __all__ = [
@@ -53,10 +52,8 @@ __all__ = [
     "UNSAMPLED",
     "BatchItem",
     "RequestBatch",
-    "Stage",
     "StageSpan",
     "BatchStageSpan",
-    "Pipeline",
     "RequestTracer",
     "SchedulerPolicy",
     "QueueEntry",

@@ -1,38 +1,20 @@
-"""Stage protocol and timing spans for the unified request pipeline.
+"""Timing spans for the unified request pipeline.
 
 A *stage* is any element a request passes through that costs simulated
 time: the host syscall path, a splitter admission queue, the flash
-array, a DMA engine.  Concrete models implement the :class:`Stage`
-protocol (a name plus a DES-generator ``process``); existing layers that
-interleave several concerns instead charge time to named stages with
+array, a DMA engine.  Layers charge time to named stages with
 :class:`StageSpan`, which is safe to use around ``yield`` points because
 a span only reads the simulator clock from its own process.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Protocol, runtime_checkable
+from typing import Iterable, Optional
 
 from ..sim import Simulator
 from .request import IORequest
 
-__all__ = ["Stage", "StageSpan", "BatchStageSpan", "Pipeline"]
-
-
-@runtime_checkable
-class Stage(Protocol):
-    """A named pipeline element that processes one request at a time.
-
-    ``process`` is a DES generator: it may yield events/timeouts and
-    returns when the stage is done with the request.  Its return value
-    is passed through by :class:`Pipeline` (the last stage's return
-    value becomes the pipeline result).
-    """
-
-    name: str
-
-    def process(self, request: IORequest):  # pragma: no cover - protocol
-        ...
+__all__ = ["StageSpan", "BatchStageSpan"]
 
 
 class _NullSpan:
@@ -61,7 +43,7 @@ class StageSpan:
     Usage inside a DES generator::
 
         with StageSpan(sim, request, "software"):
-            yield sim.process(cpu.compute(cost))
+            yield from cpu.compute(cost)
 
     ``request=None`` makes the span a no-op, so call sites don't need
     to branch on whether tracing is attached — and no span object is
@@ -136,24 +118,3 @@ class BatchStageSpan:
         now = self.sim.now
         for request in self.requests:
             request.exit(self.stage, now)
-
-
-class Pipeline:
-    """Run a request through a fixed sequence of stages, timing each.
-
-    Each stage's processing time lands on the request's ledger under the
-    stage's own name.  ``run`` is a DES generator::
-
-        result = yield sim.process(pipeline.run(request))
-    """
-
-    def __init__(self, sim: Simulator, stages: Iterable[Stage]):
-        self.sim = sim
-        self.stages: List[Stage] = list(stages)
-
-    def run(self, request: IORequest):
-        result = None
-        for stage in self.stages:
-            with StageSpan(self.sim, request, stage.name):
-                result = yield self.sim.process(stage.process(request))
-        return result

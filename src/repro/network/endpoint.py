@@ -94,7 +94,7 @@ class Endpoint:
                 payload_bytes=size, last=is_last, message_id=message_id)
             if remote._e2e_credits is not None:
                 yield remote._e2e_credits.take(1)
-            yield self.sim.process(self.switch.inject(packet))
+            yield from self.switch.inject(packet)
         self.sent.add()
         self.sent_bytes.add(payload_bytes)
 

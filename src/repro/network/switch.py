@@ -72,7 +72,7 @@ class NodeSwitch:
             yield self._deliver(packet)
         else:
             port = self.table.next_port(packet.dst, packet.endpoint)
-            yield self.sim.process(self.out_links[port].transmit(packet))
+            yield from self.out_links[port].transmit(packet)
 
     def _deliver(self, packet: Packet):
         queue = self.endpoint_queues.get(packet.endpoint)
@@ -86,12 +86,11 @@ class NodeSwitch:
     def _forward_loop(self, link: SerialLink):
         """External switch port engine: relay inbound packets forever."""
         while True:
-            packet = yield self.sim.process(link.receive())
+            packet = yield from link.receive()
             if packet.dst == self.node:
                 yield self._deliver(packet)
             else:
                 port = self.table.next_port(packet.dst, packet.endpoint)
                 self.forwarded.add()
                 self.forwarded_bytes.add(packet.payload_bytes)
-                yield self.sim.process(
-                    self.out_links[port].transmit(packet))
+                yield from self.out_links[port].transmit(packet)

@@ -119,20 +119,6 @@ class TestFlashServerATU:
         with pytest.raises(IndexError):
             handle.translate(1)
 
-    def test_read_file_page_returns_data(self, sim, card):
-        splitter = FlashSplitter(sim, card)
-        server = FlashServer(sim, splitter.add_port())
-        addr = PhysAddr(bus=1, page=3)
-        card.store.program(addr, b"file contents here")
-        handle = server.register_file("f", [addr])
-
-        def proc(sim):
-            result = yield sim.process(
-                server.read_file_page(handle.handle_id, 0))
-            return result.data
-
-        assert sim.run_process(proc(sim)).startswith(b"file contents here")
-
     def test_invalid_queue_depth(self, sim, card):
         splitter = FlashSplitter(sim, card)
         with pytest.raises(ValueError):

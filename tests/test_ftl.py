@@ -283,7 +283,6 @@ class TestLegacyCoreGCRaces:
                 # completing while this program is in flight.
                 fresh = core.allocator.next_page()
                 core.map.map_page(8, fresh)
-                core._note_program(fresh)
                 core.program_done(fresh)
                 race["fresh"] = fresh
                 race["stale_dest"] = addr
@@ -371,7 +370,7 @@ class TestLegacyCoreAccounting:
         assert core.write_amplification() == 1.0
         assert core.physical_of(0) is None
         # The burned page counts toward its block's fill...
-        assert sum(core._programmed.values()) == 1
+        assert sum(core._program_next.values()) == 1
         # ...and does not gate later same-block programs.
         sim.run_process(write_lpn(core, 0, b"y"))
         assert core.physical_of(0) is not None

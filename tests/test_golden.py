@@ -4,10 +4,11 @@ workloads' exact work counters.
 ``benchmarks/golden.json`` pins every registered experiment's output
 bytes (asserted by ``run_registered`` in each benchmark file) and, for
 each ``bench/workloads.py`` workload at seed 0 and scale 0.05, the
-``RunResult`` digest, the simulator's event count and the completed
-requests (asserted here).  A deliberate one-event change anywhere on a
-workload's path moves the event count, so it fails a named test rather
-than waiting for someone to diff outputs by hand.
+``RunResult`` digest, the simulator's event count, the ``Process``
+objects built and the completed requests (asserted here).  A
+deliberate one-event change anywhere on a workload's path moves the
+event count, so it fails a named test rather than waiting for someone
+to diff outputs by hand.
 """
 
 import importlib.util

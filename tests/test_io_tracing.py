@@ -14,7 +14,6 @@ from repro.io import (
     UNSAMPLED,
     IOKind,
     IORequest,
-    Pipeline,
     RequestTracer,
     StageSpan,
 )
@@ -102,25 +101,6 @@ class TestStageSpan:
             sim.run_process(proc(sim))
         assert req.stage_ns("storage") == 5
         assert not req._open
-
-
-class TestPipeline:
-    def test_stages_run_in_order_and_are_timed(self, sim):
-        class Delay:
-            def __init__(self, name, ns):
-                self.name = name
-                self.ns = ns
-
-            def process(self, request):
-                yield sim.timeout(self.ns)
-                return self.name
-
-        pipeline = Pipeline(sim, [Delay("parse", 10), Delay("flash", 50)])
-        req = IORequest("read", None, 64, issued_ns=0)
-        result = sim.run_process(pipeline.run(req))
-        assert result == "flash"
-        assert req.stage_ns("parse") == 10
-        assert req.stage_ns("flash") == 50
 
 
 class TestLatencyHistogram:

@@ -257,7 +257,7 @@ class TestLogicalVolume:
         assert volume.core.write_amplification() == 1.0
         assert volume.physical_of(0) is None
         # The burned page counts toward its block's fill...
-        assert sum(volume.core._programmed.values()) == 1
+        assert sum(volume.core._program_next.values()) == 1
         # ...and does not gate later same-block programs.
         iface = session._ifaces["vol"]
         sim.run_process(iface.write_lpn(volume, 0, b"y" * GEO.page_size))
@@ -327,7 +327,6 @@ class TestGCRelocationRaces:
                 # completing while this program is in flight.
                 fresh = volume.core.allocator.next_page()
                 volume.core.map.map_page(8, fresh)
-                volume.core._note_program(fresh)
                 volume.core.program_done(fresh)
                 race["fresh"] = fresh
                 race["stale_dest"] = addr
