@@ -1,9 +1,9 @@
 """Queue-depth sweep: async host submission saturates the card.
 
 Spec + assertions only: :func:`repro.experiments.pipeline.qd_sweep_spec`
-builds the scenario (one kernel-bypass host worker riding
-``HostInterface.submit``) and the registered ``qd_sweep`` experiment
-sweeps queue depth 1→64 (``repro run qd_sweep``).
+builds the scenario (one kernel-bypass host worker keeping the
+Session's request window full) and the registered ``qd_sweep``
+experiment sweeps queue depth 1→64 (``repro run qd_sweep``).
 
 The paper's premise — single-command latency is ~50 µs, so "multiple
 commands must be in flight to saturate the device" — becomes three

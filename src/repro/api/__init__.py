@@ -37,7 +37,7 @@ from .registry import (
     run_experiment,
 )
 from .result import RESULT_SCHEMA_KEYS, RunResult, TableResult
-from .session import Session, drive_pipelined
+from .session import Session
 from .spec import (
     BENCH_GEOMETRY,
     ONE_CARD_GEOMETRY,
@@ -65,7 +65,6 @@ __all__ = [
     "FaultSpec",
     "SpecError",
     "Session",
-    "drive_pipelined",
     "RunResult",
     "TableResult",
     "RESULT_SCHEMA_KEYS",

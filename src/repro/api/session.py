@@ -34,7 +34,7 @@ from ..volume import LogicalVolume
 from .result import RunResult
 from .spec import ScenarioSpec, SpecError, TenantSpec, VolumeSpec
 
-__all__ = ["Session", "drive_pipelined"]
+__all__ = ["Session"]
 
 
 class Session:
@@ -425,81 +425,42 @@ class Session:
     def _async_worker(self, tenant: TenantSpec, rng: random.Random,
                       wid: int, issue: Callable, deadline: int,
                       counters: dict, depth: int):
-        """One asynchronous closed-loop reader: keep ``depth`` requests
+        """One asynchronous closed-loop worker: keep ``depth`` requests
         in flight, issuing replacements as completions arrive.
 
-        Host tenants ride the queue-depth interface itself
-        (:meth:`HostInterface.submit`): an initial ``depth``-wide batch,
-        then a refill batch per completion wave, so the window stays
-        full instead of draining to a barrier between rounds.  Every
-        other access kind uses a windowed process driver over the same
-        ``issue`` generator the synchronous worker uses.  Completions
-        are counted from the completion events themselves, so requests
-        still in flight when the window closes are counted if a
-        draining run lets them finish — matching the tracer's view.
+        Every access kind runs the same window: each operation is a
+        process over the same ``issue`` generator the synchronous worker
+        uses, completions arrive out of order, and the worker waits on
+        whichever finishes first.  Completions are counted from the
+        process completion events themselves, so requests still in
+        flight when the window closes are counted if a draining run lets
+        them finish — matching the tracer's view.
         """
         sim = self.sim
         name = tenant.name
         start, size = self._window(tenant)
-        ops_stream = self._op_stream(tenant, rng, wid, start, size)
+        ops = self._op_stream(tenant, rng, wid, start, size)
 
         def counted(event) -> None:
             counters[name] += 1
 
-        if tenant.access in ("host", "volume"):
-            node = self.nodes[tenant.node]
-            geometry = self.spec.geometry
-            if tenant.access == "volume":
-                iface = self._ifaces[tenant.name]
-                volume = self.volumes[tenant.node]
-            else:
-                iface, volume = node.host, None
-
-            def refill(count: int) -> List:
-                ops = []
-                for _ in range(count):
-                    kind, index = next(ops_stream)
-                    addr = (index if volume is not None
-                            else geometry.striped(index,
-                                                  node=tenant.node))
-                    if kind == "write":
-                        ops.append(("write", addr, self._page_fill))
-                    else:
-                        ops.append(("read", addr))
-                batch = iface.submit(
-                    ops, queue_depth=count,
-                    software_path=tenant.software_path,
-                    volume=volume)
-                for item in batch.items:
-                    item.event.callbacks.append(counted)
-                return list(batch.items)
-
-            # Volume tenants refill in coalescible chunks: the PCIe link
-            # spaces their completions out one page at a time, so
-            # refilling per completion would feed the coalescer
-            # unmergeable singletons.  Waiting for a command's worth of
-            # drained window keeps replacement runs stripe-adjacent.
-            # (The floor is driver policy, deliberately independent of
-            # spec.coalesce, so on/off comparisons share one driver.)
-            refill_floor = (min(depth, self.spec.coalesce_max_pages)
-                            if volume is not None else 1)
-            pending_items = refill(depth)
-            while sim.now < deadline:
-                yield sim.any_of([item.event for item in pending_items])
-                pending_items = [item for item in pending_items
-                                 if not item.completed]
-                drained = depth - len(pending_items)
-                if sim.now < deadline and (drained >= refill_floor
-                                           or not pending_items):
-                    pending_items.extend(refill(drained))
-            return
+        # Volume tenants refill in coalescible chunks: the PCIe link
+        # spaces their completions out one page at a time, so
+        # refilling per completion would feed the coalescer
+        # unmergeable singletons.  Waiting for a command's worth of
+        # drained window keeps replacement runs stripe-adjacent.
+        # (The floor is driver policy, deliberately independent of
+        # spec.coalesce, so on/off comparisons share one driver.)
+        refill_floor = (min(depth, self.spec.coalesce_max_pages)
+                        if tenant.access == "volume" else 1)
         pending: List = []
         while sim.now < deadline:
-            while len(pending) < depth:
-                kind, index = next(ops_stream)
-                proc = sim.process(issue(kind, index))
-                proc.callbacks.append(counted)
-                pending.append(proc)
+            if not pending or depth - len(pending) >= refill_floor:
+                while len(pending) < depth:
+                    kind, index = next(ops)
+                    proc = sim.process(issue(kind, index))
+                    proc.callbacks.append(counted)
+                    pending.append(proc)
             round_start = sim.now
             yield sim.any_of(pending)
             pending = [p for p in pending if not p.triggered]
@@ -741,24 +702,3 @@ class Session:
             result.stage_stats = self.tracer.stage_summary()
         return result
 
-
-def drive_pipelined(sim: Simulator, op_factory: Callable, n_ops: int,
-                    outstanding: int) -> None:
-    """Issue ``n_ops`` operations keeping ``outstanding`` in flight.
-
-    The kernel-bypass-style async driver shared by the pipelined-host
-    nearest-neighbour experiment and the tag-depth ablation:
-    ``op_factory(i)`` returns the generator for operation *i*; the
-    driver admits a new one whenever the window has room and drains the
-    tail.  Runs the simulation to completion.
-    """
-    def driver(sim):
-        pending = []
-        for i in range(n_ops):
-            pending.append(sim.process(op_factory(i)))
-            if len(pending) >= outstanding:
-                yield pending.pop(0)
-        for proc in pending:
-            yield proc
-
-    sim.run_process(driver(sim))

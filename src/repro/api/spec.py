@@ -660,11 +660,9 @@ class WorkloadSpec:
 
     ``queue_depth`` sets how many requests each foreground worker keeps
     in flight.  The default (1) is the seed's synchronous closed loop —
-    issue, wait, repeat; deeper queues drive the asynchronous
-    submission path (host tenants ride
-    :meth:`~repro.host.iface.HostInterface.submit`, the other access
-    kinds a windowed process driver), which is what saturates the
-    card.
+    issue, wait, repeat; deeper queues run every access kind through
+    :class:`~repro.api.session.Session`'s any-order process window,
+    which is what saturates the card.
 
     ``arrival="poisson"`` switches every tenant from the closed loop to
     an *open-loop* Poisson arrival process: requests arrive on their

@@ -187,13 +187,9 @@ class NearestNeighborISP:
             dist = yield from engine.run_page(result.data)
             best.append((dist, item_id))
 
-        in_flight = []
-        for item_id in candidate_ids:
-            in_flight.append(self.sim.process(_compare(item_id)))
-            if len(in_flight) >= 4 * self.n_engines:
-                yield in_flight.pop(0)
-        for proc in in_flight:
-            yield proc
+        yield from self.sim.pipeline(
+            (_compare(item_id) for item_id in candidate_ids),
+            4 * self.n_engines)
         dist, item_id = min(best)
         return (item_id, dist)
 
@@ -225,14 +221,9 @@ class NearestNeighborISP:
         # Deep pipelining: the bandwidth-delay product of the flash path
         # (~260K pages/s x ~100 us) needs well over a hundred requests in
         # flight; the tagged controller supports exactly this.
-        in_flight = []
-        for i in range(n_comparisons):
-            in_flight.append(self.sim.process(
-                _compare(ids[i % len(ids)])))
-            if len(in_flight) >= 32 * self.n_engines:
-                yield in_flight.pop(0)
-        for proc in in_flight:
-            yield proc
+        yield from self.sim.pipeline(
+            (_compare(ids[i % len(ids)]) for i in range(n_comparisons)),
+            32 * self.n_engines)
         elapsed = max(done) - start
         return n_comparisons / units.to_s(elapsed)
 

@@ -202,7 +202,6 @@ class WordCountJob:
             node = cluster.nodes[node_id]
             extents = node.fs.physical_extents("shard.txt")
             local: Counter = Counter()
-            pending = []
 
             def one(addr):
                 data = yield from node.host_read(addr, software_path=False)
@@ -211,12 +210,8 @@ class WordCountJob:
                 for token in data.rstrip(b"\x00").split():
                     local[token.decode()] += 1
 
-            for addr in extents:
-                pending.append(self.sim.process(one(addr)))
-                if len(pending) >= 64:
-                    yield pending.pop(0)
-            for proc in pending:
-                yield proc
+            yield from self.sim.pipeline(
+                (one(addr) for addr in extents), 64)
             if node_id != 0:
                 yield from cluster.ethernet.send(
                     node_id, 0, dict(local), max(1, _wire_bytes(local)))

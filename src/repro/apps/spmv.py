@@ -102,7 +102,6 @@ class SpMVApp:
         extents = node.fs.physical_extents("matrix.csr")
         y = np.zeros(self.n_rows)
         t0 = self.sim.now
-        pending = []
 
         def one(addr):
             data = yield from node.host_read(addr, software_path=False)
@@ -116,12 +115,8 @@ class SpMVApp:
                 if entries:
                     y[row_id] += acc
 
-        for addr in extents:
-            pending.append(self.sim.process(one(addr)))
-            if len(pending) >= outstanding:
-                yield pending.pop(0)
-        for proc in pending:
-            yield proc
+        yield from self.sim.pipeline(
+            (one(addr) for addr in extents), outstanding)
         elapsed = self.sim.now - t0
         return y, self._stats(elapsed, len(extents))
 

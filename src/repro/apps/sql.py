@@ -155,7 +155,6 @@ class TableScan:
         extents = node.fs.physical_extents(self.table.name)
         t0 = self.sim.now
         results: List[Dict] = []
-        pending = []
 
         def one(addr):
             data = yield from node.host_read(addr, software_path=False)
@@ -167,12 +166,8 @@ class TableScan:
                         row = {k: row[k] for k in project}
                     results.append(row)
 
-        for addr in extents:
-            pending.append(self.sim.process(one(addr)))
-            if len(pending) >= outstanding:
-                yield pending.pop(0)
-        for proc in pending:
-            yield proc
+        yield from self.sim.pipeline(
+            (one(addr) for addr in extents), outstanding)
         elapsed = self.sim.now - t0
         page_bytes = len(extents) * node.geometry.page_size
         stats = self._stats(elapsed, page_bytes, len(results))

@@ -57,8 +57,7 @@ class BlueDBMNode:
     tracing to every path through the node.  ``coalesce`` /
     ``coalesce_max_pages`` enable the splitter's admission-side
     coalescing stage (stripe-adjacent reads merge into multi-page
-    commands); ``host_queue_depth`` is the default in-flight bound of
-    the host interface's asynchronous ``submit`` path.
+    commands).
     """
 
     def __init__(self, sim: Simulator, node_id: int = 0,
@@ -78,7 +77,6 @@ class BlueDBMNode:
                  bandwidth_window_ns: int = 1_000_000,
                  coalesce: bool = False,
                  coalesce_max_pages: int = 8,
-                 host_queue_depth: int = 8,
                  endurance: int = 3000,
                  fault_plan=None):
         self.sim = sim
@@ -125,8 +123,7 @@ class BlueDBMNode:
         self.pcie = PCIeLink(sim, self.host_config)
         self.host = HostInterface(sim, self.host_config, self.cpu,
                                   self.pcie, self.host_port,
-                                  geometry.page_size, tracer=tracer,
-                                  queue_depth=host_queue_depth)
+                                  geometry.page_size, tracer=tracer)
 
         # On-board DRAM buffer (Figure 2's fourth service).
         self.dram = DRAMStore(sim, page_size=geometry.page_size,

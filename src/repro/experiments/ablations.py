@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 
 from ..api import ONE_CARD_GEOMETRY, RunResult, ScenarioSpec, Session, \
-    drive_pipelined, experiment
+    experiment
 from ..flash import FlashCard, FlashGeometry, FlashTiming, PhysAddr
 from ..flash.device import StorageDevice
 from ..ftl import BlockDeviceFTL
@@ -32,7 +32,8 @@ def tag_bandwidth(tags: int) -> float:
         yield from card.read_page(TAGS_GEO.striped(i))
         done.append(sim.now)
 
-    drive_pipelined(sim, reader, N_TAG_READS, outstanding=2 * tags + 8)
+    sim.run_process(sim.pipeline(
+        (reader(i) for i in range(N_TAG_READS)), 2 * tags + 8))
     return units.bandwidth_gbytes(N_TAG_READS * TAGS_GEO.page_size,
                                   max(done))
 

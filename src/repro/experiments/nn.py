@@ -18,7 +18,6 @@ from ..api import (
     RunResult,
     ScenarioSpec,
     Session,
-    drive_pipelined,
     experiment,
 )
 from ..apps import (
@@ -170,7 +169,8 @@ def pipelined_host_rate(n_comparisons: int = N_COMPARISONS,
         yield from node.cpu.compute(SoftwareNN.COMPARE_NS_PER_8K)
         done.append(sim.now)
 
-    drive_pipelined(sim, one, n_comparisons, outstanding)
+    sim.run_process(sim.pipeline(
+        (one(i) for i in range(n_comparisons)), outstanding))
     return n_comparisons / units.to_s(max(done))
 
 

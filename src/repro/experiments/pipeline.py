@@ -3,8 +3,8 @@
 Two registered extensions probe the asynchronous request path this
 repo grew on top of the paper's card:
 
-* ``qd_sweep`` — one closed-loop host worker drives
-  :meth:`~repro.host.iface.HostInterface.submit` at queue depths 1→64.
+* ``qd_sweep`` — one closed-loop host worker keeps the
+  :class:`~repro.api.Session` window at queue depths 1→64.
   Single-command latency is ~50 µs, so bandwidth at depth 1 is a small
   fraction of the card's; it must rise monotonically with depth until
   the PCIe/flash ceiling saturates — the paper's "multiple commands

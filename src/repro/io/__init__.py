@@ -12,10 +12,6 @@ kept private bookkeeping; now they all speak :class:`IORequest`:
   timestamps accumulated as it traverses the layers.
 * :class:`~repro.io.stage.StageSpan` — the timing span layers use to
   charge wall-clock to a named stage.
-* :class:`~repro.io.batch.RequestBatch` /
-  :class:`~repro.io.batch.BatchItem` — a parent span over
-  asynchronously-submitted child operations with per-child completion
-  events delivered out of order (the queue-depth host interface).
 * :class:`~repro.io.tracer.RequestTracer` — collects completed
   requests; attributes end-to-end latency to stages (reconciling with
   Figure 12's software/storage/transfer/network taxonomy) and keeps
@@ -27,7 +23,6 @@ kept private bookkeeping; now they all speak :class:`IORequest`:
   whose grant order is decided by a policy.
 """
 
-from .batch import BatchItem, RequestBatch
 from .request import UNSAMPLED, IOKind, IORequest
 from .scheduler import (
     POLICIES,
@@ -50,8 +45,6 @@ __all__ = [
     "IOKind",
     "IORequest",
     "UNSAMPLED",
-    "BatchItem",
-    "RequestBatch",
     "StageSpan",
     "BatchStageSpan",
     "RequestTracer",

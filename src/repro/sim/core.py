@@ -325,8 +325,8 @@ class _Condition(Event):
 
         Once the composite has fired, the losing siblings must not keep
         a reference to it: a long-lived pending event re-used across
-        many ``any_of`` waits (the async submission pump's completion
-        events, open-loop in-flight tails) would otherwise accumulate
+        many ``any_of`` waits (a Session worker's in-flight request
+        window, open-loop in-flight tails) would otherwise accumulate
         one dead callback per wait — unbounded memory growth and a
         linear callback scan when it finally fires.
         """
@@ -514,3 +514,25 @@ class Simulator:
         if not proc.ok:
             raise proc._value
         return proc._value
+
+    def pipeline(self, generators: Iterable[Generator], depth: int):
+        """Run ``generators`` with at most ``depth`` in flight, in order.
+
+        The in-order issue window (DES generator): each generator starts
+        as its own process; once ``depth`` are pending, the oldest is
+        awaited before the next starts, and the tail drains in issue
+        order.  Returns the processes' values in issue order.  Drive it
+        with ``yield from`` inside a model, or
+        ``sim.run_process(sim.pipeline(...))`` at top level.
+        """
+        if depth < 1:
+            raise ValueError(f"depth must be >= 1, got {depth}")
+        results = []
+        pending: deque = deque()
+        for generator in generators:
+            pending.append(self.process(generator))
+            if len(pending) >= depth:
+                results.append((yield pending.popleft()))
+        while pending:
+            results.append((yield pending.popleft()))
+        return results

@@ -8,6 +8,7 @@ from repro.api import (
     SpecError,
     TenantSpec,
     TopologySpec,
+    VolumeSpec,
     WorkloadSpec,
 )
 from repro.core import BlueDBMCluster
@@ -129,19 +130,51 @@ def test_async_worker_sustains_depth_and_beats_synchronous():
         "queue depth 8 must complete several times the synchronous loop")
 
 
-@pytest.mark.parametrize("access", ["isp", "host"])
+@pytest.mark.parametrize("access", ["isp", "host", "volume"])
 def test_async_drain_counters_match_tracer(access):
     # Completions are counted from the completion events, so requests
     # still in flight at the window edge are counted once a draining
     # run finishes them — the counter and the tracer must agree.
     spec = ScenarioSpec(
         name="drain-count", geometry=SMALL_GEO,
+        volume=VolumeSpec(fill=1.0) if access == "volume" else None,
         workload=WorkloadSpec(duration_ns=1_500_000, queue_depth=8,
                               drain=True, tenants=(
             TenantSpec(access, access=access, workers=2),)))
     result = Session(spec).run()
     assert (result.metrics["completions"][access]
             == result.tenant_stats[access]["completed"])
+
+
+def _peak_outstanding(requests) -> int:
+    """Most requests in flight at once; a completion at time t frees
+    its slot before an issue at the same t takes one."""
+    edges = sorted([(r.issued_ns, 1) for r in requests]
+                   + [(r.completed_ns, -1) for r in requests])
+    peak = outstanding = 0
+    for _, step in edges:
+        outstanding += step
+        peak = max(peak, outstanding)
+    return peak
+
+
+def test_async_window_keeps_exactly_queue_depth_outstanding():
+    # Host tenants refill per completion and volume tenants refill in
+    # coalescible chunks, but both hold the window at queue_depth: never
+    # more in flight, and the whole window is reached.
+    spec = ScenarioSpec(
+        name="window", geometry=SMALL_GEO, volume=VolumeSpec(fill=1.0),
+        workload=WorkloadSpec(duration_ns=500_000, queue_depth=3,
+                              drain=True, tenants=(
+            TenantSpec("host", access="host", workers=1),
+            TenantSpec("vol", access="volume", workers=1))))
+    session = Session(spec)
+    session.run()
+    for name in ("host", "vol"):
+        requests = [r for r in session.tracer.requests
+                    if r.tenant == name]
+        assert len(requests) > 3
+        assert _peak_outstanding(requests) == 3, name
 
 
 def test_deterministic_reruns():

@@ -28,8 +28,7 @@ PACKAGES = ["repro.io", "repro.sim", "repro.api", "repro.flash",
 PINNED = {
     "repro.io": [
         "WeightedFairPolicy", "TokenBucketPolicy", "QueueEntry",
-        "ScheduledResource", "RequestBatch", "BatchItem",
-        "BatchStageSpan", "StageSpan", "IORequest", "IOKind",
+        "ScheduledResource", "BatchStageSpan", "StageSpan", "IORequest", "IOKind",
         "RequestTracer", "POLICIES",
     ],
     "repro.sim": [

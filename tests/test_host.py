@@ -372,18 +372,6 @@ class TestHostInterface:
         assert sim.run_process(proc(sim)).startswith(b"written via host")
         assert iface.writes.value == 1
 
-    def test_erase_via_host(self, sim):
-        card, iface = self._build(sim)
-        addr = PhysAddr(block=1)
-
-        def proc(sim):
-            yield sim.process(iface.write_page(addr, b"temp"))
-            yield sim.process(iface.erase_block(addr))
-            data = yield sim.process(iface.read_page(addr))
-            return data
-
-        assert sim.run_process(proc(sim)) == b"\xff" * GEO.page_size
-
     def test_host_throughput_capped_by_pcie(self, sim):
         """Figure 13 Host-Local: PCIe (1.6 GB/s) caps host-side reads
         below the flash device's native bandwidth."""

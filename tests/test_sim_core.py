@@ -284,3 +284,53 @@ class TestRunControl:
             sim.process(proc(sim, name))
         sim.run()
         assert log == ["p0", "p1", "p2"]
+
+
+class TestPipeline:
+    def test_results_in_issue_order_when_later_finishes_first(self, sim):
+        finished = []
+
+        def op(name, delay):
+            yield sim.timeout(delay)
+            finished.append(name)
+            return name
+
+        results = sim.run_process(sim.pipeline(
+            (op(name, delay) for name, delay in
+             [("slow", 300), ("fast", 10), ("mid", 100)]), depth=3))
+        assert finished == ["fast", "mid", "slow"]
+        assert results == ["slow", "fast", "mid"]
+        assert sim.now == 300
+
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    def test_at_most_depth_alive(self, sim, depth):
+        alive = [0]
+        peak = [0]
+
+        def op(i):
+            alive[0] += 1
+            peak[0] = max(peak[0], alive[0])
+            yield sim.timeout(10 + (i * 7) % 13)
+            alive[0] -= 1
+            return i
+
+        results = sim.run_process(sim.pipeline(
+            (op(i) for i in range(12)), depth))
+        assert results == list(range(12))
+        assert peak[0] == depth
+
+    def test_depth_beyond_count_drains(self, sim):
+        def op(i):
+            yield sim.timeout(50 - 10 * i)
+            return i * i
+
+        results = sim.run_process(sim.pipeline(
+            (op(i) for i in range(4)), depth=16))
+        assert results == [0, 1, 4, 9]
+        # All four overlapped: the slowest alone sets the end time.
+        assert sim.now == 50
+
+    def test_empty_and_bad_depth(self, sim):
+        assert sim.run_process(sim.pipeline(iter(()), 4)) == []
+        with pytest.raises(ValueError, match="depth"):
+            sim.run_process(sim.pipeline(iter(()), 0))
