@@ -13,8 +13,9 @@ The pin file holds two kinds of exact values:
   output moves by a byte.
 * ``workloads``: for each ``bench/workloads.py`` workload at seed 0
   and scale 0.05, the ``RunResult`` digest (sha256 of ``to_json()``),
-  the simulator's event count, the ``Process`` objects built and the
-  completed requests.  ``tests/test_golden.py`` asserts them.
+  the simulator's event count, the ``Process`` objects built, the
+  completed requests and the sha256 of every FTL core's GC victim
+  order.  ``tests/test_golden.py`` asserts them.
 
 The script runs every experiment serially, rewrites every sha256 and
 workload entry, and leaves each ``wall_clock_s`` baseline untouched.
@@ -68,12 +69,29 @@ def workload_specs() -> dict:
     return module.SPECS
 
 
+def gc_victims_sha256(session) -> str:
+    """sha256 of ``[[core.name, core.gc_victims], ...]`` over the
+    session's FTL cores (volume and dvol shards), sorted by name.
+
+    Equal-validity victims are tied on the block key; a tie resolved
+    the other way on symmetric chips need not move the ``RunResult``
+    digest, so the victim order is pinned on its own.
+    """
+    volumes = list(session.volumes.values())
+    if session.dvol is not None:
+        volumes += list(session.dvol.shards.values())
+    order = sorted([volume.core.name, volume.core.gc_victims]
+                   for volume in volumes)
+    return hashlib.sha256(json.dumps(order).encode()).hexdigest()
+
+
 def workload_pin(make_spec) -> dict:
     """Run one bench workload; return its exact work counters.
 
     ``processes`` counts the ``Process`` objects built from
     ``Session(spec)`` through ``run()`` (what ``bench/`` reports per
-    completion as ``sim.processes_per_req``).
+    completion as ``sim.processes_per_req``); ``gc_victims`` is
+    :func:`gc_victims_sha256`.
     """
     processes = 0
     init = Process.__init__
@@ -94,6 +112,7 @@ def workload_pin(make_spec) -> dict:
         "events": session.sim._eid,
         "processes": processes,
         "completions": sum(result.metrics["completions"].values()),
+        "gc_victims": gc_victims_sha256(session),
     }
 
 

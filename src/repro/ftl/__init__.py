@@ -17,11 +17,10 @@ host-interface flows and a QoS-arbitrated GC port.)
 from .allocator import ALLOCATION_MODES, BlockAllocator
 from .core import WEAR_LEVELING_MODES, FtlCore, OutOfSpaceError
 from .ftl import BlockDeviceFTL
-from .mapping import BlockState, PageMap
+from .mapping import PageMap
 
 __all__ = [
     "PageMap",
-    "BlockState",
     "BlockAllocator",
     "ALLOCATION_MODES",
     "FtlCore",

@@ -137,7 +137,6 @@ class FtlCore:
                                         device.wear, node=device.node,
                                         mode=mode)
         self._lock = Resource(sim, capacity=1, name=f"{name}-alloc")
-        self._full_blocks: Set[_BlockKey] = set()
         #: block -> next page expected to program; writers (foreground
         #: and GC alike) gate on it so same-block programs reach the
         #: chip in allocation order (the NAND in-block order rule).
@@ -273,7 +272,7 @@ class FtlCore:
         if addr.page >= self._program_next.get(key, 0):
             self._program_next[key] = addr.page + 1
             if addr.page + 1 >= self.geometry.pages_per_block:
-                self._full_blocks.add(key)
+                self.map.seal(key)
         for gate in self._program_gates.pop(key, ()):
             if not gate.triggered:
                 gate.succeed()
@@ -491,7 +490,7 @@ class FtlCore:
         """Collect until the free-block floor holds (DES generator; the
         allocation lock must already be held)."""
         while (self.allocator.free_blocks < self.gc_low_watermark
-               and self._full_blocks):
+               and self.map.sealed):
             freed = yield from self.collect_once()
             if not freed:
                 break
@@ -522,7 +521,7 @@ class FtlCore:
             # watermark is fine — ``ensure_space`` stops there, and a
             # migration hands its victim back to the free pool.
             return
-        candidates = [key for key in self._full_blocks
+        candidates = [key for key in self.map.sealed
                       if key not in self._suspect]
         if not candidates:
             return
@@ -604,10 +603,13 @@ class FtlCore:
         """Greedy GC: relocate the fewest-valid full block through the
         GC port, erase it.  Returns True if reclaimed.
 
-        The victim tiebreak is the block key tuple, so equal-validity
-        ties resolve identically on every run and every facade — GC
-        victim order is reproducible by construction, never an artifact
-        of set-iteration order.
+        The victim is the page map's index top,
+        :meth:`~repro.ftl.mapping.PageMap.min_victim`: the least
+        ``(valid_count, block_key)`` over the sealed blocks, kept
+        incrementally instead of rescanned per pick.  The tiebreak is
+        the block key tuple, so equal-validity ties resolve identically
+        on every run and every facade — GC victim order is reproducible
+        by construction, never an artifact of set-iteration order.
 
         ``victim_key``/``force`` serve the static wear leveler: an
         explicit victim is collected even when every page is still
@@ -620,19 +622,15 @@ class FtlCore:
         that went *suspect* after a program failure.
         """
         if victim_key is None:
-            victim_key = min(
-                self._full_blocks,
-                key=lambda key: (self.map.block_state(
-                    self._addr_of(key)).valid_count, key),
-                default=None)
+            victim_key = self.map.min_victim()
         if victim_key is None:
             return False
         victim = self._addr_of(victim_key)
-        state = self.map.block_state(victim)
-        if not force and state.valid_count >= self.geometry.pages_per_block:
+        if (not force and self.map.valid_count(victim)
+                >= self.geometry.pages_per_block):
             # Every page still valid: nothing to reclaim anywhere.
             return False
-        self._full_blocks.discard(victim_key)
+        self.map.unseal(victim_key)
         self.gc_runs += 1
         self.gc_victims.append(victim_key)
         yield from self._relocate_valid_pages(victim)
@@ -681,14 +679,14 @@ class FtlCore:
         key = (self.device.node, card, bus, chip, block)
         victim = self._addr_of(key)
         had_state = (key in self._program_next
-                     or self.map.block_state(victim).valid_count > 0)
+                     or self.map.valid_count(victim) > 0)
         if not had_state:
             return False
         moved_before = self.gc_moved_pages
         yield from self._relocate_valid_pages(victim)
         yield from self._await_no_readers(key)
         self.map.drop_block(victim)
-        self._full_blocks.discard(key)
+        self.map.unseal(key)
         self._program_next.pop(key, None)
         self._suspect.discard(key)
         self.device.badblocks.mark_bad(victim)

@@ -40,8 +40,8 @@ class TestPageMap:
         pmap.map_page(7, old)
         assert pmap.map_page(7, new) == old
         assert pmap.reverse(old) is None
-        assert pmap.block_state(old).valid_count == 0
-        assert pmap.block_state(new).valid_count == 1
+        assert pmap.valid_count(old) == 0
+        assert pmap.valid_count(new) == 1
 
     def test_unmap(self):
         pmap = PageMap(GEO)

@@ -3,7 +3,9 @@
 Hypothesis drives random sequences of write/overwrite/trim/read against
 the block-device FTL while a plain dict records what *should* be
 stored.  Any divergence — lost writes, stale reads after overwrite,
-GC corrupting live data, TRIM resurrecting pages — fails the machine.
+GC corrupting live data, TRIM resurrecting pages — fails the machine,
+as does a GC victim index that disagrees with a scan of the sealed
+blocks.
 """
 
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.flash import FlashGeometry, FlashTiming
 from repro.flash.device import StorageDevice
-from repro.ftl import BlockDeviceFTL
+from repro.ftl import BlockDeviceFTL, FtlCore
 from repro.sim import Simulator
 
 GEO = FlashGeometry(buses_per_card=2, chips_per_bus=2, blocks_per_chip=8,
@@ -67,6 +69,13 @@ class FTLMachine(RuleBasedStateMachine):
     @invariant()
     def write_amplification_sane(self):
         assert self.ftl.core.write_amplification() >= 1.0
+
+    @invariant()
+    def victim_index_matches_scan(self):
+        core = self.ftl.core
+        scan = min(((core.map.valid_count(FtlCore._addr_of(key)), key)
+                    for key in core.map.sealed), default=(None, None))
+        assert core.map.min_victim() == scan[1]
 
 
 TestFTLStateful = FTLMachine.TestCase

@@ -5,10 +5,11 @@ workloads' exact work counters.
 bytes (asserted by ``run_registered`` in each benchmark file) and, for
 each ``bench/workloads.py`` workload at seed 0 and scale 0.05, the
 ``RunResult`` digest, the simulator's event count, the ``Process``
-objects built and the completed requests (asserted here).  A
-deliberate one-event change anywhere on a workload's path moves the
-event count, so it fails a named test rather than waiting for someone
-to diff outputs by hand.
+objects built, the completed requests and the sha256 of the GC victim
+order (asserted here).  A deliberate one-event change anywhere on a
+workload's path moves the event count, so it fails a named test rather
+than waiting for someone to diff outputs by hand; a GC tie resolved the
+other way moves the victim pin even when the digest holds.
 """
 
 import importlib.util
@@ -58,6 +59,8 @@ def test_wall_clock_gate_keeps_its_baselines():
 def test_workload_counters_match_golden_pins(name):
     pinned = PINS["workloads"][name]
     measured = golden.workload_pin(SPECS[name])
+    assert set(pinned) == set(measured) == {
+        "digest", "events", "processes", "completions", "gc_victims"}
     moved = {key: (measured[key], pinned[key]) for key in pinned
              if measured[key] != pinned[key]}
     assert not moved, (
