@@ -844,6 +844,26 @@ class ScenarioSpec:
         if self.splitter_in_flight is not None \
                 and self.splitter_in_flight < 1:
             raise SpecError("splitter_in_flight must be >= 1")
+        if self.splitter_policy is None:
+            # These program the splitter's shared admission stage, which
+            # only exists under a policy; without one they never apply.
+            unused = (["splitter_in_flight"]
+                      if self.splitter_in_flight is not None else [])
+            for where, volume in (
+                    ("volume", self.volume),
+                    ("dvol.volume", self.dvol and self.dvol.volume)):
+                if volume is not None:
+                    unused += [f"{where}.{attr}" for attr in
+                               ("gc_weight", "gc_rate_mbps", "gc_burst_kb")
+                               if getattr(volume, attr) is not None]
+            if self.workload is not None:
+                unused += [f"tenant {t.name!r} weight/rate_mbps"
+                           for t in self.workload.tenants
+                           if t.has_policy_qos]
+            if unused:
+                raise SpecError(
+                    f"{', '.join(unused)} program splitter admission QoS, "
+                    f"which needs a splitter_policy")
         if self.coalesce_max_pages < 1:
             raise SpecError(f"coalesce_max_pages must be >= 1, "
                             f"got {self.coalesce_max_pages}")

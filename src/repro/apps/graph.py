@@ -32,7 +32,6 @@ class DistributedGraph:
             raise ValueError("need at least degree 1")
         self.cluster = cluster
         self.n_vertices = n_vertices
-        self.avg_degree = avg_degree
         self.adjacency: Dict[int, List[int]] = {}
         rng = random.Random(seed)
         page_size = cluster.page_size

@@ -55,9 +55,7 @@ class LSHIndex:
                  bits_per_hash: int = 12, seed: int = 0):
         if n_tables < 1 or bits_per_hash < 1:
             raise ValueError("need >= 1 table and >= 1 bit per hash")
-        self.item_bytes = item_bytes
         self.n_tables = n_tables
-        self.bits_per_hash = bits_per_hash
         rng = random.Random(seed)
         total_bits = item_bytes * 8
         self._positions: List[List[int]] = [
@@ -249,20 +247,16 @@ class TieredPageStore:
         self.rng = random.Random(seed)
         self._paging = Resource(sim, capacity=paging_width,
                                 name="paging-path")
-        self.misses = 0
-        self.hits = 0
 
     def read(self, page: int):
         """Read one page (DES generator), maybe via the slow tier."""
         if self.miss_fraction > 0 and self.rng.random() < self.miss_fraction:
-            self.misses += 1
             yield self._paging.request()
             try:
                 data = yield from self.secondary.read(page)
             finally:
                 self._paging.release()
             return data
-        self.hits += 1
         data = yield from self.dram.read(page)
         return data
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence
 
-from ..sim import Counter, Resource, Simulator, Store, units
+from ..sim import Resource, Simulator, Store, units
 
 __all__ = ["Engine", "EngineArray", "stream_job"]
 
@@ -39,8 +39,6 @@ class Engine:
         self.name = name
         self.setup_ns = setup_ns
         self.unit = Resource(sim, capacity=1, name=name)
-        self.pages_processed = Counter(f"{name}-pages")
-        self.bytes_processed = Counter(f"{name}-bytes")
 
     # -- functional core (override me) --------------------------------------
     def process_page(self, data: bytes, context: Any = None) -> Any:
@@ -57,10 +55,7 @@ class Engine:
                 + units.transfer_ns(len(data), self.bytes_per_ns))
         finally:
             self.unit.release()
-        result = self.process_page(data, context)
-        self.pages_processed.add()
-        self.bytes_processed.add(len(data))
-        return result
+        return self.process_page(data, context)
 
 
 class EngineArray:
@@ -84,10 +79,6 @@ class EngineArray:
     @property
     def aggregate_bytes_per_ns(self) -> float:
         return sum(e.bytes_per_ns for e in self.engines)
-
-    @property
-    def pages_processed(self) -> int:
-        return sum(e.pages_processed.value for e in self.engines)
 
 
 def stream_job(sim: Simulator, pages: Store, array: EngineArray,

@@ -52,8 +52,7 @@ class BlueDBMNode:
     :data:`repro.io.scheduler.POLICIES` or a policy instance) enables
     policy-arbitrated admission across the node's three splitter ports
     (ISP / host / network service), bounded to ``splitter_in_flight``
-    outstanding commands; ``scheduler_policy`` selects the accelerator
-    scheduler's discipline; ``tracer`` attaches end-to-end request
+    outstanding commands; ``tracer`` attaches end-to-end request
     tracing to every path through the node.  ``coalesce`` /
     ``coalesce_max_pages`` enable the splitter's admission-side
     coalescing stage (stripe-adjacent reads merge into multi-page
@@ -71,10 +70,8 @@ class BlueDBMNode:
                  seed: int = 0,
                  splitter_policy=None,
                  splitter_in_flight: Optional[int] = None,
-                 scheduler_policy=None,
                  tracer: Optional[RequestTracer] = None,
                  port_qos: Optional[dict] = None,
-                 bandwidth_window_ns: int = 1_000_000,
                  coalesce: bool = False,
                  coalesce_max_pages: int = 8,
                  endurance: int = 3000,
@@ -101,7 +98,6 @@ class BlueDBMNode:
                                       policy=splitter_policy,
                                       total_in_flight=splitter_in_flight,
                                       tracer=tracer,
-                                      bandwidth_window_ns=bandwidth_window_ns,
                                       coalesce=coalesce,
                                       coalesce_max_pages=coalesce_max_pages)
         # Port 0: local in-store processors; port 1: host software;
@@ -132,8 +128,7 @@ class BlueDBMNode:
         # File system + accelerator sharing.
         self.fs = RFS(sim, self.device)
         self.scheduler = AcceleratorScheduler(sim, accelerator_units,
-                                              name=f"accel-n{node_id}",
-                                              policy=scheduler_policy)
+                                              name=f"accel-n{node_id}")
 
     # -- access paths -----------------------------------------------------
     def isp_read(self, addr: PhysAddr, request=None):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..sim import BandwidthMeter, Counter, Resource, Simulator, units
+from ..sim import Resource, Simulator, units
 
 __all__ = ["DRAMStore"]
 
@@ -30,8 +30,6 @@ class DRAMStore:
         self.latency_ns = latency_ns
         self._bus = Resource(sim, capacity=1, name="dram-bus")
         self._pages: Dict[int, bytes] = {}
-        self.reads = Counter("dram-reads")
-        self.meter = BandwidthMeter(sim, "dram")
 
     def store(self, page: int, data: bytes) -> None:
         """Populate a page without simulated time (test/bench setup)."""
@@ -46,13 +44,10 @@ class DRAMStore:
         yield self.sim.timeout(self.latency_ns)
         yield self._bus.request()
         try:
-            self.meter.record(0)
             yield self.sim.timeout(
                 units.transfer_ns(self.page_size, self.bandwidth_gbs))
-            self.meter.record(self.page_size)
         finally:
             self._bus.release()
-        self.reads.add()
         return self._pages.get(page, b"\x00" * self.page_size)
 
     def write(self, page: int, data: bytes):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..sim import BandwidthMeter, Counter, Resource, Simulator, units
+from ..sim import Resource, Simulator, units
 
 __all__ = ["HardDisk"]
 
@@ -34,9 +34,6 @@ class HardDisk:
         self._actuator = Resource(sim, capacity=1, name="hdd-actuator")
         self._pages: Dict[int, bytes] = {}
         self._head_at: Optional[int] = None
-        self.reads = Counter("hdd-reads")
-        self.seeks = Counter("hdd-seeks")
-        self.meter = BandwidthMeter(sim, "hdd")
 
     def store(self, page: int, data: bytes) -> None:
         """Populate a page without simulated time (test/bench setup)."""
@@ -54,16 +51,12 @@ class HardDisk:
         yield self._actuator.request()
         try:
             if self._head_at is None or page != self._head_at + 1:
-                self.seeks.add()
                 yield self.sim.timeout(self.seek_ns + self.rotational_ns)
             self._head_at = page
-            self.meter.record(0)
             yield self.sim.timeout(
                 units.transfer_ns(self.page_size, self.transfer_gbs))
-            self.meter.record(self.page_size)
         finally:
             self._actuator.release()
-        self.reads.add()
         return self._pages.get(page, b"\x00" * self.page_size)
 
     def write(self, page: int, data: bytes):
@@ -73,7 +66,6 @@ class HardDisk:
         yield self._actuator.request()
         try:
             if self._head_at is None or page != self._head_at + 1:
-                self.seeks.add()
                 yield self.sim.timeout(self.seek_ns + self.rotational_ns)
             self._head_at = page
             yield self.sim.timeout(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Optional
 
-from ..sim import BandwidthMeter, Counter, Resource, Simulator, units
+from ..sim import Resource, Simulator, units
 
 __all__ = ["CommoditySSD"]
 
@@ -49,9 +49,6 @@ class CommoditySSD:
         # sequential scans still hit the prefetcher.
         self._recent: "deque[int]" = deque(maxlen=64)
         self._recent_set: set = set()
-        self.reads = Counter("ssd-reads")
-        self.sequential_hits = Counter("ssd-seq-hits")
-        self.meter = BandwidthMeter(sim, "ssd")
 
     def _note_access(self, page: int) -> None:
         if len(self._recent) == self._recent.maxlen:
@@ -82,13 +79,10 @@ class CommoditySSD:
             if sequential:
                 # The prefetcher already staged this page: the request
                 # streams straight out of the device buffer.
-                self.sequential_hits.add()
                 yield self._media.request()
                 try:
-                    self.meter.record(0)
                     yield self.sim.timeout(
                         units.transfer_ns(self.page_size, self.seq_gbs))
-                    self.meter.record(self.page_size)
                 finally:
                     self._media.release()
             else:
@@ -96,16 +90,13 @@ class CommoditySSD:
                 yield self.sim.timeout(self.latency_ns // 2)
                 yield self._media.request()
                 try:
-                    self.meter.record(0)
                     yield self.sim.timeout(
                         units.transfer_ns(self.page_size, self.rand_gbs))
-                    self.meter.record(self.page_size)
                 finally:
                     self._media.release()
                 yield self.sim.timeout(self.latency_ns // 2)
         finally:
             self._queue.release()
-        self.reads.add()
         return self._pages.get(page, b"\x00" * self.page_size)
 
     def write(self, page: int, data: bytes):

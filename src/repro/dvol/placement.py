@@ -57,7 +57,6 @@ class PlacementPlanner:
             raise ValueError(f"unknown placement {placement!r}; expected "
                              f"one of {PLACEMENT_MODES}")
         self.shards = shards
-        self.shard_pages = shard_pages
         self.placement = placement
         self.chunk = stripe_chunk_pages
         self.hash_seed = hash_seed

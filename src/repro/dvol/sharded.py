@@ -134,7 +134,6 @@ class ShardedVolume:
                                       request)
         data = yield from self.read(src, iface, lpn, software_path,
                                     request)
-        iface.reads.add()
         if owned:
             iface.tracer.complete(request)
         return data
@@ -147,7 +146,6 @@ class ShardedVolume:
                                       request)
         yield from self.write(src, iface, lpn, data, software_path,
                               request)
-        iface.writes.add()
         if owned:
             iface.tracer.complete(request)
 

@@ -142,15 +142,13 @@ class FlashCard:
             self._tag_pool.items.append(t)
         self.tag_count = tags
 
-        # Telemetry the benchmarks read.
+        # Device-command and fault counts the benchmarks read; the
+        # per-read ECC correction count rides on each ReadResult.
         self.reads = Counter("reads")
         self.writes = Counter("writes")
         self.erases = Counter("erases")
-        self.bits_corrected = Counter("bits_corrected")
         self.uncorrectable = Counter("uncorrectable")
         self.program_failures = Counter("program_failures")
-        self.bytes_read = Counter("bytes_read")
-        self.bytes_written = Counter("bytes_written")
 
     # -- internals ---------------------------------------------------------
     def _chip(self, addr: PhysAddr) -> FlashChip:
@@ -226,13 +224,11 @@ class FlashCard:
         if flips:
             try:
                 data, corrected_bits = ecc.decode_page(data, parity)
-                self.bits_corrected.add(corrected_bits)
             except ecc.UncorrectableError:
                 self.uncorrectable.add()
                 self.badblocks.mark_bad(addr)
                 raise UncorrectablePageError(addr) from None
         self.reads.add()
-        self.bytes_read.add(self.geometry.page_size)
         return ReadResult(addr, data, tag, corrected_bits)
 
     def read_pages(self, addrs, requests=None):
@@ -454,7 +450,6 @@ class FlashCard:
                 self.program_failures.add()
                 raise
         self.writes.add()
-        self.bytes_written.add(self.geometry.page_size)
 
     def write_page(self, addr: PhysAddr, data: bytes,
                    request: Optional[IORequest] = None):

@@ -28,12 +28,12 @@ counts: every admission request carries its payload size as the
 scheduling *cost* (weighted fair share charges ``bytes / weight`` of
 virtual time; token buckets drain ``bytes`` of tokens), and every
 serviced operation lands in the splitter's
-:class:`~repro.sim.stats.BandwidthLedger` — per-tenant bytes per
-window, the number rate caps and fair-share ratios are asserted
-against.  The scheduling identity comes from the *request* when one is
-attached (so remote tenants arriving through the shared network port
-are scheduled and accounted individually), falling back to the port's
-configured tenant.
+:class:`~repro.sim.stats.BandwidthLedger` — per-tenant bytes and the
+busiest window, the numbers rate caps and fair-share ratios are
+asserted against.  The scheduling identity comes from the *request*
+when one is attached (so remote tenants arriving through the shared
+network port are scheduled and accounted individually), falling back
+to the port's configured tenant.
 """
 
 from __future__ import annotations
@@ -42,12 +42,15 @@ from typing import List, Optional
 
 from ..io import (BatchStageSpan, IOKind, IORequest, RequestTracer,
                   ScheduledResource, StageSpan)
-from ..sim import BandwidthLedger, Counter, Simulator
+from ..sim import BandwidthLedger, Simulator
 from .coalesce import Coalescer
 from .controller import FlashCard, ReadResult
 from .geometry import DEFAULT_GEOMETRY, PhysAddr
 
 __all__ = ["FlashSplitter", "SplitterPort"]
+
+#: Width of one :class:`~repro.sim.stats.BandwidthLedger` window (1 ms).
+BANDWIDTH_WINDOW_NS = 1_000_000
 
 
 class SplitterPort:
@@ -77,8 +80,6 @@ class SplitterPort:
                       paced=True)
             if splitter.coalesce else None)
         self._next_user_tag = 0
-        self.reads = Counter(f"user{user_id}-reads")
-        self.writes = Counter(f"user{user_id}-writes")
 
     @property
     def max_in_flight(self) -> int:
@@ -139,8 +140,8 @@ class SplitterPort:
 
         ``batch`` admits a coalesced command instead: ``request`` is the
         group head (whose identity the command inherits), ``batch``
-        every child request — each charged the shared wait — and the
-        grant is ``len(batch)`` pages wide.
+        every child request — each charged the shared wait — under one
+        grant at the merged byte cost.
         """
         sim = self.splitter.sim
         tenant = self.sched_tenant(request)
@@ -152,21 +153,18 @@ class SplitterPort:
             deadline = request.deadline_ns
         elif self.deadline_ns is not None:
             deadline = sim.now + self.deadline_ns
-        if batch is None:
-            span, pages = StageSpan(sim, request, "queue"), 1
-        else:
-            span, pages = BatchStageSpan(sim, batch, "queue"), len(batch)
+        span = (StageSpan(sim, request, "queue") if batch is None
+                else BatchStageSpan(sim, batch, "queue"))
         with span:
             yield self._slots.request(tenant=tenant, priority=priority,
-                                      deadline_ns=deadline, cost=cost,
-                                      pages=pages)
+                                      deadline_ns=deadline, cost=cost)
             admission = self.splitter.admission
             if admission is not None:
                 try:
                     yield admission.request(tenant=tenant,
                                             priority=priority,
                                             deadline_ns=deadline,
-                                            cost=cost, pages=pages)
+                                            cost=cost)
                 except BaseException:
                     self._slots.release()
                     raise
@@ -193,7 +191,6 @@ class SplitterPort:
         user_tag = self._rename()
         if self.coalescer is not None:
             result = yield self.coalescer.submit(addr, request)
-            self.reads.add()
             if owned:
                 self.splitter.tracer.complete(request)
             return ReadResult(result.addr, result.data, user_tag,
@@ -204,7 +201,6 @@ class SplitterPort:
                 addr, request=request)
         finally:
             self._retire()
-        self.reads.add()
         self.splitter.bandwidth.record(self.sched_tenant(request), size)
         if owned:
             self.splitter.tracer.complete(request)
@@ -227,7 +223,6 @@ class SplitterPort:
         self._rename()
         if self.write_coalescer is not None:
             yield self.write_coalescer.submit(addr, request, data)
-            self.writes.add()
             if owned:
                 self.splitter.tracer.complete(request)
             return
@@ -237,7 +232,6 @@ class SplitterPort:
                 addr, data, request=request)
         finally:
             self._retire()
-        self.writes.add()
         self.splitter.bandwidth.record(self.sched_tenant(request), len(data))
         if owned:
             self.splitter.tracer.complete(request)
@@ -278,7 +272,7 @@ class FlashSplitter:
     tracing to every operation issued through any port.
 
     Every serviced operation is charged to its scheduling tenant in
-    the :attr:`bandwidth` ledger (bytes per ``bandwidth_window_ns``
+    the :attr:`bandwidth` ledger (bytes per :data:`BANDWIDTH_WINDOW_NS`
     window); :meth:`configure_tenant` programs per-tenant weighted-fair
     weights and token-bucket rates into the admission policy.
     """
@@ -287,7 +281,6 @@ class FlashSplitter:
                  fair_share: Optional[int] = None,
                  policy=None, total_in_flight: Optional[int] = None,
                  tracer: Optional[RequestTracer] = None,
-                 bandwidth_window_ns: int = 1_000_000,
                  coalesce: bool = False, coalesce_max_pages: int = 8):
         if coalesce and coalesce_max_pages < 2:
             raise ValueError(
@@ -300,11 +293,8 @@ class FlashSplitter:
         self.coalesce = coalesce
         self.coalesce_max_pages = coalesce_max_pages
         self.ports: List[SplitterPort] = []
-        self.bandwidth = BandwidthLedger(sim, window_ns=bandwidth_window_ns,
+        self.bandwidth = BandwidthLedger(sim, window_ns=BANDWIDTH_WINDOW_NS,
                                          name="splitter-bandwidth")
-        #: tenant -> the raw QoS parameters programmed via
-        #: :meth:`configure_tenant` (for reporting).
-        self.tenant_qos: dict = {}
         self.admission: Optional[ScheduledResource] = None
         if policy is not None:
             capacity = total_in_flight or self.tag_count
@@ -320,11 +310,10 @@ class FlashSplitter:
         ``weight`` feeds weighted fair share; ``rate_mbps`` (MB/s) and
         ``burst_kb`` (KiB) feed token-bucket rate limiting.  Policies
         that don't use a parameter ignore it, so the same configuration
-        works under every discipline.  No-op (but still recorded) when
-        no shared admission stage is enabled.
+        works under every discipline.  No-op when no shared admission
+        stage is enabled (:class:`~repro.api.spec.ScenarioSpec` rejects
+        such parameters without a ``splitter_policy``).
         """
-        self.tenant_qos[tenant] = {
-            "weight": weight, "rate_mbps": rate_mbps, "burst_kb": burst_kb}
         if self.admission is not None:
             rate = None if rate_mbps is None else rate_mbps * 1e6 / 1e9
             burst = None if burst_kb is None else burst_kb * 1024

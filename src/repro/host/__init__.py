@@ -2,7 +2,6 @@
 
 * :mod:`~repro.host.config` — :class:`HostConfig` timing parameters.
 * :mod:`~repro.host.pcie` — asymmetric-bandwidth PCIe link model.
-* :mod:`~repro.host.dma` — burst assembly with per-buffer reorder FIFOs.
 * :mod:`~repro.host.buffers` — the 128+128 host page buffers.
 * :mod:`~repro.host.cpu` — multi-core compute + DRAM bandwidth model.
 * :mod:`~repro.host.scheduler` — FIFO accelerator-sharing scheduler.
@@ -13,7 +12,6 @@
 from .buffers import PageBufferPool
 from .config import HostConfig
 from .cpu import HostCPU
-from .dma import BurstAssembler
 from .iface import HostInterface
 from .pcie import PCIeLink
 from .scheduler import AcceleratorScheduler
@@ -21,7 +19,6 @@ from .scheduler import AcceleratorScheduler
 __all__ = [
     "HostConfig",
     "PCIeLink",
-    "BurstAssembler",
     "PageBufferPool",
     "HostCPU",
     "AcceleratorScheduler",

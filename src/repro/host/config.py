@@ -31,7 +31,6 @@ class HostConfig:
     pcie_host_to_dev_gbs: float = 1.0    # storage writes leave host DRAM
     pcie_latency_ns: int = 1 * units.US  # portal/DMA round-trip setup
     dma_engines: int = 4                 # per direction
-    dma_burst_bytes: int = 128           # burst assembly granularity
 
     # Page buffers (Section 3.3)
     read_buffers: int = 128

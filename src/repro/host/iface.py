@@ -34,7 +34,7 @@ from typing import Optional
 from ..flash import PhysAddr, ReadResult
 from ..flash.splitter import SplitterPort
 from ..io import IOKind, IORequest, RequestTracer, StageSpan
-from ..sim import Counter, Simulator
+from ..sim import Simulator
 from .buffers import PageBufferPool
 from .config import HostConfig
 from .cpu import HostCPU
@@ -62,8 +62,6 @@ class HostInterface:
                                            "read-buffers")
         self.write_buffers = PageBufferPool(sim, config.write_buffers,
                                             "write-buffers")
-        self.reads = Counter("host-reads")
-        self.writes = Counter("host-writes")
 
     def _start(self, kind: IOKind, addr: PhysAddr, size: int,
                request: Optional[IORequest]) -> tuple:
@@ -139,7 +137,6 @@ class HostInterface:
         request, owned = self._start(IOKind.READ, addr, self.page_size,
                                      request)
         result = yield from self._read_flow(addr, software_path, request)
-        self.reads.add()
         if owned:
             self.tracer.complete(request)
         return result.data
@@ -150,7 +147,6 @@ class HostInterface:
         """Write one page from host memory to flash (DES generator)."""
         request, owned = self._start(IOKind.WRITE, addr, len(data), request)
         yield from self._write_flow(addr, data, software_path, request)
-        self.writes.add()
         if owned:
             self.tracer.complete(request)
 
@@ -167,7 +163,6 @@ class HostInterface:
                                      request)
         data = yield from volume.read_flow(lpn, self, software_path,
                                            request)
-        self.reads.add()
         if owned:
             self.tracer.complete(request)
         return data
@@ -184,6 +179,5 @@ class HostInterface:
         request, owned = self._start(IOKind.WRITE, lpn, len(data), request)
         yield from volume.write_flow(self, lpn, data, software_path,
                                      request, tenant=self.tenant)
-        self.writes.add()
         if owned:
             self.tracer.complete(request)

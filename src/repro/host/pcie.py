@@ -9,7 +9,7 @@ throughput — exactly the ceiling visible in Figure 13's Host-Local bar.
 
 from __future__ import annotations
 
-from ..sim import BandwidthMeter, Resource, Simulator, units
+from ..sim import Resource, Simulator, units
 from .config import HostConfig
 
 __all__ = ["PCIeLink"]
@@ -27,8 +27,6 @@ class PCIeLink:
                                       name="dma-read-engines")
         self._write_engines = Resource(sim, capacity=config.dma_engines,
                                        name="dma-write-engines")
-        self.to_host_meter = BandwidthMeter(sim, "pcie-d2h")
-        self.to_dev_meter = BandwidthMeter(sim, "pcie-h2d")
 
     def device_to_host(self, num_bytes: int):
         """DMA ``num_bytes`` from the device into host DRAM (generator)."""
@@ -38,10 +36,8 @@ class PCIeLink:
         try:
             yield self._to_host_wire.request()
             try:
-                self.to_host_meter.record(0)
                 yield self.sim.timeout(units.transfer_ns(
                     num_bytes, self.config.pcie_dev_to_host_gbs))
-                self.to_host_meter.record(num_bytes)
             finally:
                 self._to_host_wire.release()
             yield self.sim.timeout(self.config.pcie_latency_ns)
@@ -56,10 +52,8 @@ class PCIeLink:
         try:
             yield self._to_dev_wire.request()
             try:
-                self.to_dev_meter.record(0)
                 yield self.sim.timeout(units.transfer_ns(
                     num_bytes, self.config.pcie_host_to_dev_gbs))
-                self.to_dev_meter.record(num_bytes)
             finally:
                 self._to_dev_wire.release()
             yield self.sim.timeout(self.config.pcie_latency_ns)

@@ -9,8 +9,8 @@ implementation, a simple FIFO-based policy is used."
 The paper's FIFO policy remains the default, but the scheduler is a
 thin wrapper over the unified pipeline's
 :class:`~repro.io.scheduler.ScheduledResource`: the policy-ordered
-grant queue, wait statistics, and per-application grant accounting all
-come from there; this class only adds unit-index bookkeeping.  Pass
+grant queue comes from there; this class only adds unit-index
+bookkeeping.  Pass
 ``policy="rr"`` (fair share across applications), ``"priority"`` or
 ``"edf"`` — or a policy instance — and the same unit pool is arbitrated
 under that discipline.
@@ -19,7 +19,7 @@ under that discipline.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Optional
 
 from ..io import ScheduledResource
 from ..sim import Simulator
@@ -73,16 +73,6 @@ class AcceleratorScheduler:
     @property
     def policy(self):
         return self._units.policy
-
-    @property
-    def wait_stats(self):
-        """Grant-wait histogram (exact min/mean/max, bucketed p50/p99)."""
-        return self._units.wait_stats
-
-    @property
-    def grants(self) -> Dict[str, int]:
-        """Units granted per application id."""
-        return self._units.grants
 
     @property
     def queue_depth(self) -> int:

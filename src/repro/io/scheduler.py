@@ -14,8 +14,7 @@ resource like :class:`repro.sim.resources.Resource`, except that when a
 unit frees up the *policy* decides which waiter is granted next.  With
 the default FIFO policy it is semantically identical to ``Resource``.
 Entries carry a *cost* (bytes for I/O admission) so that weighted fair
-share and token buckets account bandwidth, not just slot counts, and
-the resource keeps per-tenant served-byte totals.
+share and token buckets account bandwidth, not just slot counts.
 
 Rate-limiting policies are the one departure from pure reordering: a
 token bucket may have waiters that are not yet *eligible*.  The policy
@@ -30,9 +29,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import OrderedDict, deque
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, Optional, Tuple, Union
 
-from ..sim import Event, LatencyHistogram, Simulator
+from ..sim import Event, Simulator
 
 __all__ = [
     "QueueEntry",
@@ -55,36 +54,28 @@ class QueueEntry:
     ``cost`` is the amount of the resource's accounted quantity this
     grant consumes — bytes for splitter admission, 1 for unit-shaped
     resources.  Weighted fair share charges ``cost / weight`` of virtual
-    time per grant; token buckets drain ``cost`` tokens.
-
-    ``pages`` is the entry's *batch width*: a coalesced multi-page
-    command occupies one grant slot but carries the merged pages'
-    combined cost, so fair-share and rate policies arbitrate the real
-    load while the capacity count still reflects commands.  Unit
-    entries leave it at 1.
+    time per grant; token buckets drain ``cost`` tokens.  A coalesced
+    multi-page command occupies one grant slot but carries the merged
+    pages' combined cost, so fair-share and rate policies arbitrate the
+    real load while the capacity count still reflects commands.
     """
 
-    __slots__ = ("seq", "tenant", "priority", "deadline_ns", "enqueued_ns",
-                 "payload", "cost", "pages")
+    __slots__ = ("seq", "tenant", "priority", "deadline_ns", "payload",
+                 "cost")
 
     def __init__(self, seq: int, tenant: str, priority: int,
-                 deadline_ns: Optional[int], enqueued_ns: int,
-                 payload: object, cost: int = 1, pages: int = 1):
-        if pages < 1:
-            raise ValueError(f"pages must be >= 1, got {pages}")
+                 deadline_ns: Optional[int], payload: object, cost: int = 1):
         self.seq = seq
         self.tenant = tenant
         self.priority = priority
         self.deadline_ns = deadline_ns
-        self.enqueued_ns = enqueued_ns
         self.payload = payload
         self.cost = cost
-        self.pages = pages
 
     def __repr__(self) -> str:
         return (f"<QueueEntry #{self.seq} tenant={self.tenant!r} "
                 f"prio={self.priority} deadline={self.deadline_ns} "
-                f"cost={self.cost} pages={self.pages}>")
+                f"cost={self.cost}>")
 
 
 class SchedulerPolicy:
@@ -478,11 +469,9 @@ class ScheduledResource:
     ``release()`` frees a unit and pumps the policy: whichever waiter
     it picks is granted immediately — unless the policy is rate-limited
     and reports no eligible waiter, in which case the resource parks a
-    wakeup at the earliest refill instant.  Wait statistics (overall
-    and per tenant) are log-bucketed histograms, so memory stays O(1)
-    no matter how many requests a heavy multi-tenant run pushes
-    through; ``served`` accumulates each tenant's granted cost (bytes,
-    for I/O admission) for bandwidth accounting.
+    wakeup at the earliest refill instant.  The resource keeps no
+    per-grant statistics: a caller that traces charges its wait to the
+    request's ``queue`` stage.
     """
 
     def __init__(self, sim: Simulator, capacity: int,
@@ -498,14 +487,6 @@ class ScheduledResource:
         self.in_use = 0
         self._seq = itertools.count()
         self._wakeup_at: Optional[int] = None
-        self.wait_stats = LatencyHistogram(f"{name}-wait")
-        self.tenant_waits: Dict[str, LatencyHistogram] = {}
-        self.grants: Dict[str, int] = {}
-        #: tenant -> total granted cost (bytes for I/O admission).
-        self.served: Dict[str, int] = {}
-        #: tenant -> total pages granted (> grants when commands are
-        #: coalesced: one grant may carry several merged pages).
-        self.served_pages: Dict[str, int] = {}
 
     @property
     def available(self) -> int:
@@ -520,18 +501,15 @@ class ScheduledResource:
         self.policy.configure_tenant(tenant, **params)
 
     def request(self, tenant: str = "default", priority: int = 0,
-                deadline_ns: Optional[int] = None, cost: int = 1,
-                pages: int = 1) -> Event:
+                deadline_ns: Optional[int] = None, cost: int = 1) -> Event:
         """Event firing when the policy grants this waiter a unit.
 
         ``cost`` is the accounted quantity this grant consumes (bytes
-        for I/O admission; 1 for unit-shaped resources).  ``pages`` is
-        the grant's batch width — how many coalesced pages ride on this
-        single slot (1 for ordinary requests).
+        for I/O admission; 1 for unit-shaped resources).
         """
         event = Event(self.sim)
         entry = QueueEntry(next(self._seq), tenant, priority, deadline_ns,
-                           self.sim.now, event, cost=cost, pages=pages)
+                           event, cost=cost)
         self.policy.push(entry)
         self._pump()
         return event
@@ -550,7 +528,8 @@ class ScheduledResource:
             if ready is None:
                 return
             if ready <= now:
-                self._grant(self.policy.pop(now))
+                self.in_use += 1
+                self.policy.pop(now).payload.succeed()
             else:
                 self._park(ready)
                 return
@@ -568,22 +547,6 @@ class ScheduledResource:
             self._pump()
 
         timeout.callbacks.append(_fire)
-
-    def _grant(self, entry: QueueEntry) -> None:
-        self.in_use += 1
-        waited = self.sim.now - entry.enqueued_ns
-        self.wait_stats.record(waited)
-        stats = self.tenant_waits.get(entry.tenant)
-        if stats is None:
-            stats = self.tenant_waits[entry.tenant] = LatencyHistogram(
-                f"{self.name}-wait-{entry.tenant}")
-        stats.record(waited)
-        self.grants[entry.tenant] = self.grants.get(entry.tenant, 0) + 1
-        self.served[entry.tenant] = (
-            self.served.get(entry.tenant, 0) + entry.cost)
-        self.served_pages[entry.tenant] = (
-            self.served_pages.get(entry.tenant, 0) + entry.pages)
-        entry.payload.succeed()
 
     def use(self, hold_ns: int, tenant: str = "default"):
         """Process helper: acquire, hold for ``hold_ns``, release."""

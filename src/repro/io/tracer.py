@@ -14,7 +14,7 @@ A :class:`RequestTracer` is the single collection point for completed
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..sim import LatencyHistogram, Simulator
 from .request import UNSAMPLED, IOKind, IORequest
@@ -30,11 +30,10 @@ NETWORK_COMPONENT = "network"
 
 
 class RequestTracer:
-    """Collects completed requests and attributes their latency.
+    """Folds completed requests into statistics and attributes their latency.
 
-    ``keep_requests`` bounds how many completed request objects are
-    retained for inspection (histograms and counters always cover every
-    completion).
+    Only aggregates are kept — a completed request object is not
+    retained, so memory does not grow with the number of requests.
 
     ``sample`` enables deterministic 1-in-N tracing for open-loop-scale
     runs: :meth:`start` returns a request object for every ``sample``-th
@@ -47,18 +46,12 @@ class RequestTracer:
     everything and is byte-identical to the pre-sampling tracer.
     """
 
-    def __init__(self, sim: Simulator, keep_requests: int = 100_000,
-                 sample: int = 1):
-        if keep_requests < 0:
-            raise ValueError(f"negative keep_requests {keep_requests}")
+    def __init__(self, sim: Simulator, sample: int = 1):
         if sample < 1:
             raise ValueError(f"trace sample must be >= 1, got {sample}")
         self.sim = sim
-        self.keep_requests = keep_requests
         self.sample = sample
         self.started = 0
-        self.requests: List[IORequest] = []
-        self.dropped = 0
         self.stage_histograms: Dict[str, LatencyHistogram] = {}
         self.tenant_latency: Dict[str, LatencyHistogram] = {}
         self.tenant_completed: Dict[str, int] = {}
@@ -114,10 +107,6 @@ class RequestTracer:
         if request.missed_deadline():
             self.tenant_deadline_misses[tenant] = (
                 self.tenant_deadline_misses.get(tenant, 0) + weight)
-        if len(self.requests) < self.keep_requests:
-            self.requests.append(request)
-        else:
-            self.dropped += 1
 
     # -- attribution ----------------------------------------------------
     @staticmethod
@@ -185,15 +174,6 @@ class RequestTracer:
         for hist in self.tenant_latency.values():
             merged.merge(hist)
         return merged
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready rendering of everything the tracer aggregated."""
-        return {
-            "completed": self.completed_count,
-            "dropped": self.dropped,
-            "stages": self.stage_summary(),
-            "tenants": self.tenant_summary(),
-        }
 
     @property
     def completed_count(self) -> int:

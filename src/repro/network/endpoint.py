@@ -61,8 +61,6 @@ class Endpoint:
             if end_to_end_fc else None)
         self._message_ids = itertools.count()
         self._partial: Dict[Tuple[int, int], int] = {}
-        self.sent = Counter("sent")
-        self.received = Counter("received")
         # Payload-byte counters: what end-to-end bandwidth accounting
         # (e.g. remote-tenant QoS) reconciles against.
         self.sent_bytes = Counter("sent-bytes")
@@ -95,7 +93,6 @@ class Endpoint:
             if remote._e2e_credits is not None:
                 yield remote._e2e_credits.take(1)
             yield from self.switch.inject(packet)
-        self.sent.add()
         self.sent_bytes.add(payload_bytes)
 
     # -- receive --------------------------------------------------------------
@@ -118,7 +115,6 @@ class Endpoint:
                 self._partial[key] = accumulated
                 continue
             self._partial.pop(key, None)
-            self.received.add()
             self.received_bytes.add(accumulated)
             return Message(packet.src, packet.payload, accumulated)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from ..sim import Counter, Resource, Simulator, Store, units
+from ..sim import Resource, Simulator, Store, units
 from .endpoint import Message
 
 __all__ = ["EthernetFabric"]
@@ -41,7 +41,6 @@ class EthernetFabric:
                       for n in range(n_nodes)]
         self._queues: Dict[int, Store] = {
             n: Store(sim, name=f"eth-q{n}") for n in range(n_nodes)}
-        self.messages = Counter("eth-messages")
 
     def send(self, src: int, dst: int, payload: Any, payload_bytes: int):
         """Send a message host-to-host (DES generator).
@@ -60,7 +59,6 @@ class EthernetFabric:
             nic.release()
         self.sim.process(self._deliver(src, dst, payload, payload_bytes),
                          name="eth-deliver")
-        self.messages.add()
 
     def _deliver(self, src: int, dst: int, payload: Any,
                  payload_bytes: int):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..sim import BandwidthMeter, Counter, CreditPool, Resource, Simulator, Store
+from ..sim import Counter, CreditPool, Resource, Simulator, Store
 from .packet import NetworkConfig, Packet
 
 __all__ = ["SerialLink"]
@@ -32,12 +32,10 @@ class SerialLink:
         self._credits = CreditPool(sim, initial=config.link_credits,
                                    name=f"{name}-credits")
         self._rx_buffer = Store(sim, name=f"{name}-rx")
-        self.packets_sent = Counter(f"{name}-pkts")
         # Payload bytes serialized onto this wire — every hop charges
         # its own link, so an h-hop message shows up here h times while
         # the endpoint counters see it exactly once at each end.
         self.payload_bytes = Counter(f"{name}-payload-bytes")
-        self.meter = BandwidthMeter(sim, name=f"{name}-bw")
 
     def transmit(self, packet: Packet):
         """Send one packet (DES generator).
@@ -52,14 +50,11 @@ class SerialLink:
         yield self._credits.take(1)
         yield self._tx.request()
         try:
-            self.meter.record(0)
             yield self.sim.timeout(self.config.serialize_ns(
                 packet.payload_bytes))
-            self.meter.record(packet.payload_bytes)
         finally:
             self._tx.release()
         self.sim.process(self._propagate(packet), name="link-prop")
-        self.packets_sent.add()
         self.payload_bytes.add(packet.payload_bytes)
 
     def _propagate(self, packet: Packet):

@@ -32,9 +32,7 @@ class NodeSwitch:
         self.in_links: Dict[int, SerialLink] = {}
         # Receive buffers, one bounded FIFO per logical endpoint.
         self.endpoint_queues: Dict[int, Store] = {}
-        self.forwarded = Counter(f"node{node}-forwarded")
         self.forwarded_bytes = Counter(f"node{node}-forwarded-bytes")
-        self.delivered = Counter(f"node{node}-delivered")
 
     # -- wiring (done by StorageNetwork at build time) ---------------------
     def attach_out(self, port: int, link: SerialLink) -> None:
@@ -80,7 +78,6 @@ class NodeSwitch:
             raise KeyError(
                 f"node {self.node}: packet for unregistered endpoint "
                 f"{packet.endpoint}")
-        self.delivered.add()
         return queue.put(packet)
 
     def _forward_loop(self, link: SerialLink):
@@ -91,6 +88,5 @@ class NodeSwitch:
                 yield self._deliver(packet)
             else:
                 port = self.table.next_port(packet.dst, packet.endpoint)
-                self.forwarded.add()
                 self.forwarded_bytes.add(packet.payload_bytes)
                 yield from self.out_links[port].transmit(packet)

@@ -7,7 +7,7 @@ Public surface:
   event/coroutine primitives.
 * :mod:`~repro.sim.resources` — FIFO stores, counted resources, credit
   pools (token flow control), gates.
-* :mod:`~repro.sim.stats` — counters, latency histograms, bandwidth meters.
+* :mod:`~repro.sim.stats` — counters, latency histograms, bandwidth ledgers.
 * :mod:`~repro.sim.units` — ns/µs/GB/Gbps conversion helpers.
 """
 
@@ -24,7 +24,6 @@ from .core import (
 from .resources import CreditPool, Gate, Resource, Store
 from .stats import (
     BandwidthLedger,
-    BandwidthMeter,
     Counter,
     LatencyHistogram,
     UtilizationTracker,
@@ -46,7 +45,6 @@ __all__ = [
     "Gate",
     "Counter",
     "LatencyHistogram",
-    "BandwidthMeter",
     "BandwidthLedger",
     "UtilizationTracker",
     "units",

@@ -1,4 +1,4 @@
-"""Measurement utilities: counters, latency histograms, bandwidth meters.
+"""Measurement utilities: counters, latency histograms, bandwidth ledgers.
 
 Benchmarks reproduce the paper's figures from these collectors; they are
 deliberately simple so a reader can audit what each reported number means.
@@ -6,13 +6,13 @@ deliberately simple so a reader can audit what each reported number means.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .core import Simulator
-from .units import bandwidth_gbps, bandwidth_gbytes
+from .units import bandwidth_gbytes
 
-__all__ = ["Counter", "LatencyHistogram", "BandwidthMeter",
-           "BandwidthLedger", "UtilizationTracker"]
+__all__ = ["Counter", "LatencyHistogram", "BandwidthLedger",
+           "UtilizationTracker"]
 
 
 class Counter:
@@ -143,54 +143,19 @@ class LatencyHistogram:
                 f"p50≈{self.percentile(50):.0f}ns)")
 
 
-class BandwidthMeter:
-    """Tracks bytes moved over a window of simulated time."""
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self.total_bytes = 0
-        self.start_ns: Optional[int] = None
-        self.last_ns: Optional[int] = None
-
-    def record(self, num_bytes: int) -> None:
-        """Record ``num_bytes`` transferred at the current sim time."""
-        if num_bytes < 0:
-            raise ValueError(f"negative byte count {num_bytes}")
-        now = self.sim.now
-        if self.start_ns is None:
-            self.start_ns = now
-        self.last_ns = now
-        self.total_bytes += num_bytes
-
-    @property
-    def elapsed_ns(self) -> int:
-        if self.start_ns is None or self.last_ns is None:
-            return 0
-        return self.last_ns - self.start_ns
-
-    def gbytes_per_sec(self, elapsed_ns: Optional[int] = None) -> float:
-        """Observed GB/s over the measured (or supplied) window."""
-        window = self.elapsed_ns if elapsed_ns is None else elapsed_ns
-        return bandwidth_gbytes(self.total_bytes, window)
-
-    def gbits_per_sec(self, elapsed_ns: Optional[int] = None) -> float:
-        """Observed Gbps over the measured (or supplied) window."""
-        window = self.elapsed_ns if elapsed_ns is None else elapsed_ns
-        return bandwidth_gbps(self.total_bytes, window)
-
-
 class BandwidthLedger:
-    """Per-tenant bytes serviced, bucketed into fixed simulated-time windows.
+    """Per-tenant bytes serviced, with each tenant's busiest window.
 
-    :class:`BandwidthMeter` tracks one stream's total; QoS accounting
-    needs *per-tenant* byte counts **per window** so rate caps can be
+    QoS accounting needs *per-tenant* byte counts, and rate caps are
     checked window by window ("never exceeds rate x window + one
-    burst") and fairness can be measured over exactly the contended
-    interval.  Windows are aligned to multiples of ``window_ns`` from
-    time zero; iteration order of tenants is first-seen order, which is
-    deterministic for a deterministic simulation — byte-identical
-    results across repeat runs.
+    burst"), so besides each tenant's running total the ledger keeps
+    the largest byte count any one fixed simulated-time window saw.
+    Windows are aligned to multiples of ``window_ns`` from time zero.
+    Simulated time never runs backwards, so only the current window's
+    counts are held: once time leaves a window its counts can only have
+    raised the peaks.  Iteration order of tenants is first-seen order,
+    which is deterministic for a deterministic simulation —
+    byte-identical results across repeat runs.
     """
 
     def __init__(self, sim: Simulator, window_ns: int = 1_000_000,
@@ -201,33 +166,32 @@ class BandwidthLedger:
         self.window_ns = window_ns
         self.name = name
         self.totals: Dict[str, int] = {}
-        #: window index (now // window_ns) -> tenant -> bytes.
-        self._windows: Dict[int, Dict[str, int]] = {}
+        #: tenant -> the busiest window's byte count so far.
+        self.peaks: Dict[str, int] = {}
+        self._window = -1
+        #: tenant -> bytes within window ``_window``.
+        self._current: Dict[str, int] = {}
 
     def record(self, tenant: str, num_bytes: int) -> None:
         """Charge ``num_bytes`` to ``tenant`` at the current sim time."""
         if num_bytes < 0:
             raise ValueError(f"negative byte count {num_bytes}")
         self.totals[tenant] = self.totals.get(tenant, 0) + num_bytes
-        window = self._windows.setdefault(self.sim.now // self.window_ns, {})
-        window[tenant] = window.get(tenant, 0) + num_bytes
-
-    def tenants(self) -> List[str]:
-        return list(self.totals)
+        window = self.sim.now // self.window_ns
+        if window != self._window:
+            self._window = window
+            self._current = {}
+        current = self._current[tenant] = (
+            self._current.get(tenant, 0) + num_bytes)
+        if current > self.peaks.get(tenant, -1):
+            self.peaks[tenant] = current
 
     def total_bytes(self, tenant: str) -> int:
         return self.totals.get(tenant, 0)
 
-    def window_series(self, tenant: str) -> List[Tuple[int, int]]:
-        """(window start ns, bytes) pairs for ``tenant``, time-ordered."""
-        return [(index * self.window_ns, counts[tenant])
-                for index, counts in sorted(self._windows.items())
-                if tenant in counts]
-
     def peak_window_bytes(self, tenant: str) -> int:
         """The busiest single window's byte count for ``tenant``."""
-        return max((counts.get(tenant, 0)
-                    for counts in self._windows.values()), default=0)
+        return self.peaks.get(tenant, 0)
 
     def gbytes_per_sec(self, tenant: str,
                        elapsed_ns: Optional[int] = None) -> float:

@@ -169,10 +169,19 @@ def test_async_window_keeps_exactly_queue_depth_outstanding():
             TenantSpec("host", access="host", workers=1),
             TenantSpec("vol", access="volume", workers=1))))
     session = Session(spec)
+    completed = []
+    complete = session.tracer.complete
+
+    def record(request):
+        # The tracer keeps only aggregates; keep the requests here.
+        complete(request)
+        if request:
+            completed.append(request)
+
+    session.tracer.complete = record
     session.run()
     for name in ("host", "vol"):
-        requests = [r for r in session.tracer.requests
-                    if r.tenant == name]
+        requests = [r for r in completed if r.tenant == name]
         assert len(requests) > 3
         assert _peak_outstanding(requests) == 3, name
 

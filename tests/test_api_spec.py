@@ -12,6 +12,7 @@ The contract the declarative API gives its callers:
 """
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +20,14 @@ from hypothesis import strategies as st
 
 from repro.api import (
     RESULT_SCHEMA_KEYS,
+    DistributedVolumeSpec,
     RunResult,
     ScenarioSpec,
     Session,
     SpecError,
     TenantSpec,
     TopologySpec,
+    VolumeSpec,
     WorkloadSpec,
 )
 from repro.flash import FlashGeometry, FlashTiming
@@ -122,8 +125,9 @@ scenarios = st.builds(
     topology=topologies,
     n_endpoints=st.integers(2, 6),
     isp_queue_depth=st.integers(1, 32),
-    splitter_policy=st.sampled_from([None, "fifo", "rr", "priority",
-                                     "edf"]),
+    # Tenant weight/rate and splitter_in_flight need an admission
+    # policy (see test_admission_qos_without_policy_rejected).
+    splitter_policy=st.sampled_from(["fifo", "rr", "priority", "edf"]),
     splitter_in_flight=st.one_of(st.none(), st.integers(1, 64)),
     coalesce=st.booleans(),
     coalesce_max_pages=st.integers(2, 16),
@@ -223,10 +227,11 @@ def test_remote_policy_qos_requires_tracing():
     tenants = (TenantSpec("r1", access="remote_isp", node=1, target=0,
                           weight=2.0),)
     with pytest.raises(SpecError):
-        ScenarioSpec(n_nodes=2, trace=False, workload=WorkloadSpec(
-            duration_ns=1000, tenants=tenants))
+        ScenarioSpec(n_nodes=2, trace=False, splitter_policy="wfq",
+                     workload=WorkloadSpec(duration_ns=1000,
+                                           tenants=tenants))
     # With tracing (the default) the same mix is fine.
-    ScenarioSpec(n_nodes=2, workload=WorkloadSpec(
+    ScenarioSpec(n_nodes=2, splitter_policy="wfq", workload=WorkloadSpec(
         duration_ns=1000, tenants=tenants))
 
 
@@ -238,13 +243,38 @@ def test_rate_without_burst_gets_default_burst():
 
 
 def test_policy_qos_label_conflict_rejected():
-    with pytest.raises(SpecError):
-        ScenarioSpec(n_nodes=3, workload=WorkloadSpec(
+    with pytest.raises(SpecError, match="admission label"):
+        ScenarioSpec(n_nodes=3, splitter_policy="wfq", workload=WorkloadSpec(
             duration_ns=1000, tenants=(
                 TenantSpec("a", access="remote_isp", node=1, target=0,
                            weight=2.0),
                 TenantSpec("b", access="remote_isp", node=1, target=0,
                            weight=3.0),)))
+
+
+@pytest.mark.parametrize("fields, named", [
+    (dict(splitter_in_flight=8), "splitter_in_flight"),
+    (dict(volume=VolumeSpec(gc_weight=0.5)), "volume.gc_weight"),
+    (dict(volume=VolumeSpec(gc_rate_mbps=200.0)), "volume.gc_rate_mbps"),
+    (dict(volume=VolumeSpec(gc_rate_mbps=200.0, gc_burst_kb=32.0)),
+     "volume.gc_burst_kb"),
+    (dict(n_nodes=2, dvol=DistributedVolumeSpec(
+        shards=2, volume=VolumeSpec(gc_weight=2.0))),
+     "dvol.volume.gc_weight"),
+    (dict(workload=WorkloadSpec(duration_ns=1000, tenants=(
+        TenantSpec("host", access="host", weight=2.0),))),
+     "tenant 'host'"),
+    (dict(workload=WorkloadSpec(duration_ns=1000, tenants=(
+        TenantSpec("net", access="net", rate_mbps=100.0),))),
+     "tenant 'net'"),
+])
+def test_admission_qos_without_policy_rejected(fields, named):
+    # Without a splitter policy there is no admission stage, so these
+    # parameters would silently never apply.
+    with pytest.raises(SpecError, match=re.escape(named)):
+        ScenarioSpec(**fields)
+    # The same spec under a policy is valid.
+    ScenarioSpec(splitter_policy="wfq", **fields)
 
 
 def test_sized_topology_must_cover_the_cluster():

@@ -108,7 +108,6 @@ class TestEngine:
         sim.process(feeder(sim))
         results = sim.run_process(job(sim))
         assert sorted(results) == list(range(10))
-        assert array.pages_processed == 10
 
 
 class TestBlueDBMNode:

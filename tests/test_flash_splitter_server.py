@@ -93,8 +93,8 @@ class TestSplitter:
 
         sim.process(proc(sim))
         sim.run()
-        assert port.reads.value == 1
-        assert port.writes.value == 1
+        assert card.reads.value == 1
+        assert card.writes.value == 1
 
 
 class TestFlashServerATU:

@@ -5,9 +5,13 @@ must agree with the cluster's analytic Figure 12 ``LatencyBreakdown``
 on the ISP-F and H-F paths (within 1%).
 """
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import (ScenarioSpec, Session, TenantSpec, VolumeSpec,
+                       WorkloadSpec)
 from repro.core import BlueDBMCluster
 from repro.flash import FlashCard, FlashGeometry, FlashSplitter, PhysAddr
 from repro.io import (
@@ -26,6 +30,24 @@ GEO = FlashGeometry(buses_per_card=2, chips_per_bus=2, blocks_per_chip=4,
 @pytest.fixture
 def sim():
     return Simulator()
+
+
+def record_completions(tracer):
+    """Keep every request ``tracer`` completes, for inspection.
+
+    The tracer itself keeps only aggregates; tests that look at one
+    request's stage ledger collect the requests here instead.
+    """
+    kept = []
+    complete = tracer.complete
+
+    def _complete(request):
+        complete(request)
+        if request:
+            kept.append(request)
+
+    tracer.complete = _complete
+    return kept
 
 
 class TestIORequest:
@@ -158,13 +180,31 @@ class TestRequestTracer:
     def test_complete_none_is_noop(self, sim):
         RequestTracer(sim).complete(None)
 
-    def test_keep_requests_bound(self, sim):
-        tracer = RequestTracer(sim, keep_requests=1)
-        tracer.complete(tracer.start("read", None, 64))
-        tracer.complete(tracer.start("read", None, 64))
-        assert len(tracer.requests) == 1
-        assert tracer.dropped == 1
-        assert tracer.completed_count == 2
+    @staticmethod
+    def _live_requests_after(duration_ns):
+        """Traced completions and the IORequest objects still reachable
+        after a drained, traced volume run of ``duration_ns``."""
+        spec = ScenarioSpec(
+            name="memory", geometry=GEO, volume=VolumeSpec(fill=1.0),
+            workload=WorkloadSpec(duration_ns=duration_ns, queue_depth=4,
+                                  drain=True, tenants=(TenantSpec(
+                                      "vol", access="volume",
+                                      software_path=False),)))
+        session = Session(spec)
+        session.run()
+        gc.collect()
+        live = sum(isinstance(obj, IORequest) for obj in gc.get_objects())
+        return session.tracer.completed_count, live
+
+    def test_retained_requests_do_not_grow_with_run_length(self):
+        # Histograms and counters cover every completion; no completed
+        # request object outlives its run, so a million-request run
+        # holds no more requests than a short one.
+        short_done, short_live = self._live_requests_after(1_000_000)
+        long_done, long_live = self._live_requests_after(4_000_000)
+        assert long_done > 2 * short_done > 0
+        assert long_live <= short_live
+        assert long_live < short_done
 
 
 class TestTraceSampling:
@@ -240,13 +280,14 @@ class TestSplitterTracing:
         card = FlashCard(sim, geometry=GEO)
         splitter = FlashSplitter(sim, card, tracer=tracer)
         port = splitter.add_port(tenant="isp")
+        completed = record_completions(tracer)
 
         def proc(sim):
             yield sim.process(port.read_page(PhysAddr()))
 
         sim.run_process(proc(sim))
         assert tracer.completed_count == 1
-        req = tracer.requests[0]
+        [req] = completed
         assert req.tenant == "isp"
         assert req.kind is IOKind.READ
         # The card charged real stages onto the request.
@@ -262,6 +303,7 @@ class TestSplitterTracing:
         splitter = FlashSplitter(sim, card, tracer=tracer)
         server = FlashServer(sim, splitter.add_port(tenant="isp"),
                              queue_depth=4)
+        completed = record_completions(tracer)
         addrs = [GEO.striped(i) for i in range(8)]
         out = Store(sim)
 
@@ -275,7 +317,8 @@ class TestSplitterTracing:
         assert tracer.completed_count == len(addrs)
         # Out-of-order completions waited in page buffers: at least one
         # request spent time in the reorder stage, and all have it.
-        assert all("reorder" in r.stages for r in tracer.requests)
+        assert len(completed) == len(addrs)
+        assert all("reorder" in r.stages for r in completed)
 
 
 class TestTracingDoesNotDemoteQoS:
@@ -325,12 +368,13 @@ class TestTracingDoesNotDemoteQoS:
         card = FlashCard(sim, geometry=GEO)
         splitter = FlashSplitter(sim, card, tracer=tracer)
         port = splitter.add_port(tenant="host")
+        completed = record_completions(tracer)
 
         def proc(sim):
             yield sim.process(port.write_page(PhysAddr(), b"w"))
 
         sim.run_process(proc(sim))
-        req = tracer.requests[0]
+        [req] = completed
         assert req.stage_ns("storage") == (
             card.timing.cmd_overhead_ns + card.timing.t_prog_ns)
         assert req.stage_ns("device") > 0
@@ -349,6 +393,7 @@ class TestFigure12Reconciliation:
         cluster = BlueDBMCluster(
             sim, 3, node_kwargs=dict(geometry=self.BENCH_GEO),
             tracer=tracer)
+        completed = record_completions(tracer)
         addr = PhysAddr(node=1, page=3)
         cluster.nodes[1].device.store.program(addr, b"remote page data")
 
@@ -361,7 +406,7 @@ class TestFigure12Reconciliation:
 
         breakdown = sim.run_process(proc(sim))
         assert tracer.completed_count == 1
-        components = tracer.figure12_components(tracer.requests[0])
+        components = tracer.figure12_components(completed[0])
         return breakdown, components
 
     @pytest.mark.parametrize("path", ["ISP-F", "H-F"])

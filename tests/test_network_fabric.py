@@ -262,7 +262,7 @@ class TestEndToEndFlowControl:
         sim.process(sender(sim))
         sim.run()
         # Receiver never drains: exactly `capacity` sends complete.
-        assert sender_ep.sent.value == CONFIG.endpoint_capacity
+        assert sender_ep.sent_bytes.value == CONFIG.endpoint_capacity * 16
 
     def test_without_e2e_network_backs_up(self, sim):
         net = StorageNetwork(sim, line(2), n_endpoints=1)
@@ -279,7 +279,7 @@ class TestEndToEndFlowControl:
         # stall propagated backwards (link-level backpressure), and far
         # fewer than 100 sends completed -- but nothing was dropped.
         assert receiver_ep.pending == CONFIG.endpoint_capacity
-        assert sender_ep.sent.value < 100
+        assert sender_ep.sent_bytes.value < 100 * 16
 
     def test_e2e_drained_receiver_passes_everything(self, sim):
         net = StorageNetwork(sim, line(2), n_endpoints=1,

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.sim import (
     BandwidthLedger,
-    BandwidthMeter,
     Counter,
     LatencyHistogram,
     Simulator,
@@ -204,14 +203,32 @@ class TestBandwidthLedger:
             ledger.record("b", 10)
             yield sim.timeout(2500)   # into the third window
             ledger.record("a", 200)
+            yield sim.timeout(1000)   # a quieter fourth window
+            ledger.record("a", 50)
+            ledger.record("a", 60)
+            ledger.record("b", 0)
 
         sim.process(proc(sim))
         sim.run()
-        assert ledger.total_bytes("a") == 300
+        assert ledger.total_bytes("a") == 410
         assert ledger.total_bytes("b") == 10
-        assert ledger.window_series("a") == [(0, 100), (2000, 200)]
+        # The peak is the busiest single window, not the latest one.
         assert ledger.peak_window_bytes("a") == 200
+        assert ledger.peak_window_bytes("b") == 10
         assert ledger.peak_window_bytes("missing") == 0
+
+    def test_peak_sums_within_one_window(self, sim):
+        ledger = BandwidthLedger(sim, window_ns=1000)
+
+        def proc(sim):
+            ledger.record("a", 100)
+            yield sim.timeout(999)    # still window 0
+            ledger.record("a", 100)
+            yield sim.timeout(1)      # window 1 starts afresh
+            ledger.record("a", 150)
+
+        sim.run_process(proc(sim))
+        assert ledger.peak_window_bytes("a") == 200
 
     def test_rate_over_elapsed(self, sim):
         ledger = BandwidthLedger(sim, window_ns=1000)
@@ -233,30 +250,6 @@ class TestBandwidthLedger:
         ledger = BandwidthLedger(sim)
         with pytest.raises(ValueError):
             ledger.record("t", -1)
-
-
-class TestBandwidthMeter:
-    def test_measures_rate(self, sim):
-        meter = BandwidthMeter(sim)
-
-        def proc(sim):
-            meter.record(0)  # open window
-            yield sim.timeout(8000)
-            meter.record(8000)
-
-        sim.process(proc(sim))
-        sim.run()
-        assert meter.gbytes_per_sec() == pytest.approx(1.0)
-
-    def test_explicit_window(self, sim):
-        meter = BandwidthMeter(sim)
-        meter.record(1250)
-        assert meter.gbits_per_sec(elapsed_ns=1000) == pytest.approx(10.0)
-
-    def test_empty_meter(self, sim):
-        meter = BandwidthMeter(sim)
-        assert meter.elapsed_ns == 0
-        assert meter.gbytes_per_sec() == 0.0
 
 
 class TestUtilizationTracker:
