@@ -19,12 +19,7 @@ import random
 from typing import Callable, Dict, List, Optional
 
 from ..core import BlueDBMCluster, BlueDBMNode
-from ..dvol import (
-    DvolRouter,
-    PlacementPlanner,
-    ShardServiceIface,
-    ShardedVolume,
-)
+from ..dvol import PlacementPlanner, ShardServiceIface, ShardedVolume
 from ..faults import fault_seed_override
 from ..flash import Coalescer
 from ..host import HostInterface
@@ -77,11 +72,12 @@ class Session:
                            else spec.fault.endurance),
                 fault_plan=spec.fault.build_plan(fault_seed_override()),
             )
-        # An active distributed volume claims three endpoints of its
-        # own right after the application block (requests + two response
-        # lanes), leaving the cluster's request/response protocol — and
-        # any app endpoints the spec reserved — untouched.
-        dvol_eps = 3 if (spec.dvol is not None and spec.n_nodes > 1) else 0
+        # An active distributed volume claims its endpoint block right
+        # after the application block, leaving the cluster's
+        # request/response protocol — and any app endpoints the spec
+        # reserved — untouched.
+        dvol_eps = (ShardedVolume.ENDPOINTS
+                    if spec.dvol is not None and spec.n_nodes > 1 else 0)
         if spec.n_nodes == 1:
             self.cluster: Optional[BlueDBMCluster] = None
             self.nodes: List[BlueDBMNode] = [
@@ -143,7 +139,8 @@ class Session:
                                 spec.volume.fill)
 
     def _build_dvol(self) -> None:
-        """Build the cluster-wide sharded volume and its routing tier.
+        """Build the cluster-wide sharded volume and its per-node
+        request channels.
 
         Nodes ``0 .. shards-1`` each get a shard
         :class:`~repro.volume.LogicalVolume` (GC on a dedicated
@@ -151,7 +148,7 @@ class Session:
         port* — deliberately slot-capped at ``remote_in_flight`` — that
         remote operations are admitted through, optionally behind a
         slot-paced read :class:`~repro.flash.Coalescer`.  Every node gets a
-        :class:`~repro.dvol.DvolRouter` on the volume's private
+        :class:`~repro.network.RpcChannel` on the volume's private
         endpoint block, so any node can source remote operations.  Each
         dvol *tenant* gets its own splitter port and
         :class:`~repro.host.HostInterface` on its home node (the full
@@ -190,13 +187,8 @@ class Session:
                 coalescer=coalescer)
             self.dvol.add_shard(shard, volume, service)
         if self.cluster is not None:
-            request_ep = 1 + spec.app_endpoints
-            response_eps = (request_ep + 1, request_ep + 2)
-            for node_id in range(spec.n_nodes):
-                router = DvolRouter(
-                    self.sim, self.cluster.network, node_id, request_ep,
-                    response_eps, geometry.page_size)
-                self.dvol.add_router(node_id, router)
+            self.dvol.connect(self.cluster.network,
+                              first_ep=1 + spec.app_endpoints)
         windows = spec.dvol_windows()
         for tenant in dvol_tenants:
             self._attach_tenant(tenant, self.dvol, windows[tenant.name],

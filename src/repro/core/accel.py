@@ -76,10 +76,6 @@ class EngineArray:
         self._next = (self._next + 1) % len(self.engines)
         return engine
 
-    @property
-    def aggregate_bytes_per_ns(self) -> float:
-        return sum(e.bytes_per_ns for e in self.engines)
-
 
 def stream_job(sim: Simulator, pages: Store, array: EngineArray,
                n_pages: int, context: Any = None,

@@ -14,21 +14,28 @@ by Figures 13 and 20):
   integrated network.
 * **H-D** — like H-RH-F but served from the remote node's DRAM.
 
-The request/response protocol runs on logical endpoints: endpoint 0
-carries requests; responses are spread over the remaining endpoints so
-that parallel serial lanes between nodes can all be used (deterministic
-per-endpoint routing, Section 3.2.3).
+The request/response protocol is one
+:class:`~repro.network.RpcChannel` over every node: endpoint 0 carries
+requests; responses are spread over the endpoints after the
+application block so that parallel serial lanes between nodes can all
+be used (deterministic per-endpoint routing, Section 3.2.3).
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, List, Optional
 
 from ..flash import PhysAddr
 from ..io import IOKind, IORequest, RequestTracer, StageSpan
-from ..network import EthernetFabric, NetworkConfig, StorageNetwork, Topology, ring
-from ..sim import Event, Simulator, Store
+from ..network import (
+    EthernetFabric,
+    NetworkConfig,
+    RpcChannel,
+    StorageNetwork,
+    Topology,
+    ring,
+)
+from ..sim import Simulator, Store
 from .node import BlueDBMNode
 
 __all__ = ["BlueDBMCluster", "LatencyBreakdown"]
@@ -108,20 +115,14 @@ class BlueDBMCluster:
                                       n_endpoints=n_endpoints)
         self.ethernet = EthernetFabric(sim, n_nodes)
         self.app_endpoints = app_endpoints
-        self._first_response_ep = 1 + app_endpoints
-        self.n_response_eps = n_endpoints - self._first_response_ep
-
-        self._req_ids = itertools.count()
-        self._pending: Dict[int, Event] = {}
+        # One channel over every node, so request numbering is global.
+        self.rpc = RpcChannel(sim, self.network, range(n_nodes), REQUEST_EP,
+                              range(1 + app_endpoints, n_endpoints),
+                              self._serve)
         # Non-protocol Ethernet traffic (application messages) per node.
         self.app_inbox: List[Store] = [
             Store(sim, name=f"app-inbox-{n}") for n in range(n_nodes)]
         for node in range(n_nodes):
-            sim.process(self._flash_service(node),
-                        name=f"flash-service-{node}")
-            for ep in range(self._first_response_ep, n_endpoints):
-                sim.process(self._response_dispatcher(node, ep),
-                            name=f"resp-dispatch-{node}-{ep}")
             sim.process(self._ethernet_service(node),
                         name=f"eth-service-{node}")
 
@@ -132,57 +133,18 @@ class BlueDBMCluster:
     # ------------------------------------------------------------------
     # Remote flash/DRAM service (runs on every storage device)
     # ------------------------------------------------------------------
-    def _flash_service(self, node_id: int):
-        """Serve remote page requests arriving on the request endpoint."""
-        endpoint = self.network.endpoint(node_id, REQUEST_EP)
-        while True:
-            message = yield from endpoint.receive()
-            self.sim.process(
-                self._serve(node_id, message.src, message.payload),
-                name=f"serve-{node_id}")
-
-    def _serve(self, node_id: int, requester: int, request: Dict[str, Any]):
+    def _serve(self, node_id: int, msg: Dict[str, Any]):
+        """Serve one remote page request arriving on the request endpoint."""
         node = self.nodes[node_id]
-        io_req = request.get("request")
-        if request["kind"] == "flash":
-            result = yield from node.net_read(request["addr"], request=io_req)
+        if msg["kind"] == "flash":
+            result = yield from node.net_read(msg["addr"],
+                                              request=msg["request"])
             data = result.data
-        elif request["kind"] == "dram":
-            data = yield from node.dram.read(request["page"])
+        elif msg["kind"] == "dram":
+            data = yield from node.dram.read(msg["page"])
         else:
-            raise ValueError(f"unknown request kind {request['kind']!r}")
-        reply_ep = self.network.endpoint(node_id, request["reply_ep"])
-        yield from reply_ep.send(
-            requester,
-            {"req_id": request["req_id"], "data": data},
-            self.page_size)
-
-    def _response_dispatcher(self, node_id: int, ep_id: int):
-        endpoint = self.network.endpoint(node_id, ep_id)
-        while True:
-            message = yield from endpoint.receive()
-            event = self._pending.pop(message.payload["req_id"], None)
-            if event is not None:
-                event.succeed(message.payload["data"])
-
-    def _remote_request(self, src: int, dst: int,
-                        request: Dict[str, Any],
-                        io_request: Optional[IORequest] = None):
-        """Issue a request over the integrated network; wait for data.
-
-        ``io_request`` rides along in the protocol message so the
-        remote flash service charges its stages to the same request.
-        """
-        req_id = next(self._req_ids)
-        reply_ep = self._first_response_ep + (req_id % self.n_response_eps)
-        request = dict(request, req_id=req_id, reply_ep=reply_ep,
-                       request=io_request)
-        event = self.sim.event()
-        self._pending[req_id] = event
-        endpoint = self.network.endpoint(src, REQUEST_EP)
-        yield from endpoint.send(dst, request, _REQUEST_BYTES)
-        data = yield event
-        return data
+            raise ValueError(f"unknown request kind {msg['kind']!r}")
+        yield from self.rpc.reply(node_id, msg, data, self.page_size)
 
     # -- tracing helpers -----------------------------------------------
     def _trace_start(self, kind: IOKind, addr: Any, tenant: str,
@@ -198,14 +160,12 @@ class BlueDBMCluster:
         """Annotate analytic network propagation and complete the trace.
 
         Propagation is deterministic per route (Section 3.2.3), so it is
-        recorded as an annotation — the same ``2 * hops * hop_latency``
-        term :meth:`_attribute` uses — rather than a timed span.
+        recorded as an annotation — the same round trip
+        :meth:`_attribute` uses — rather than a timed span.
         """
         if not request:
             return
-        hops = self.network.hop_count(src, dst) if src != dst else 0
-        request.annotate("network",
-                         2 * hops * self.network.config.hop_latency_ns)
+        request.annotate("network", 2 * self.network.propagation_ns(src, dst))
         self.tracer.complete(request)
 
     # ------------------------------------------------------------------
@@ -229,7 +189,7 @@ class BlueDBMCluster:
             else:
                 yield self.app_inbox[node_id].put(message)
 
-    def _serve_via_host(self, node_id: int, request: Dict[str, Any]):
+    def _serve_via_host(self, node_id: int, msg: Dict[str, Any]):
         """The generic-cluster data path the integrated network avoids.
 
         The remote *host software* performs the read: the data crosses
@@ -240,32 +200,28 @@ class BlueDBMCluster:
         skip.
         """
         node = self.nodes[node_id]
-        io_req = request.get("request")
+        io_req = msg["request"]
         # NIC interrupt + scheduler wakeup before the host can serve.
         with StageSpan(self.sim, io_req, "software"):
             yield self.sim.timeout(self.NIC_WAKEUP_NS)
-        if request["kind"] == "flash":
-            data = yield from node.host_read(request["addr"], request=io_req)
+        if msg["kind"] == "flash":
+            data = yield from node.host_read(msg["addr"], request=io_req)
             # Kernel block-I/O overhead of the synchronous read.
             with StageSpan(self.sim, io_req, "software"):
                 yield self.sim.timeout(self.REMOTE_BLOCKIO_NS)
-        elif request["kind"] == "dram":
+        elif msg["kind"] == "dram":
             with StageSpan(self.sim, io_req, "software"):
                 yield from node.cpu.compute(
                     node.host_config.software_request_ns)
-            data = yield from node.dram.read(request["page"])
+            data = yield from node.dram.read(msg["page"])
         else:
-            raise ValueError(f"unknown request kind {request['kind']!r}")
+            raise ValueError(f"unknown request kind {msg['kind']!r}")
         # Response software cost + push the page back into the device.
         with StageSpan(self.sim, io_req, "software"):
             yield from node.cpu.compute(node.host_config.software_request_ns)
         with StageSpan(self.sim, io_req, "pcie"):
             yield from node.pcie.host_to_device(self.page_size)
-        reply_ep = self.network.endpoint(node_id, request["reply_ep"])
-        yield from reply_ep.send(
-            request["requester"],
-            {"req_id": request["req_id"], "data": data},
-            self.page_size)
+        yield from self.rpc.reply(node_id, msg, data, self.page_size)
 
     # ------------------------------------------------------------------
     # The four measured access paths (all DES generators -> (data, bd))
@@ -274,9 +230,9 @@ class BlueDBMCluster:
         """ISP-F: in-store processor reads remote flash directly."""
         io_req = self._trace_start(IOKind.READ, addr, f"isp-n{src}")
         t0 = self.sim.now
-        data = yield from self._remote_request(
+        data = yield from self.rpc.call(
             src, addr.node, {"kind": "flash", "addr": addr},
-            io_request=io_req)
+            _REQUEST_BYTES, io_req)
         breakdown = self._attribute(src, addr.node, self.sim.now - t0,
                                     software=0)
         self._trace_finish(io_req, src, addr.node)
@@ -292,9 +248,9 @@ class BlueDBMCluster:
             yield from node.cpu.compute(node.host_config.software_request_ns)
             yield self.sim.timeout(node.host_config.rpc_ns)
         software = self.sim.now - t0
-        data = yield from self._remote_request(
+        data = yield from self.rpc.call(
             src, addr.node, {"kind": "flash", "addr": addr},
-            io_request=io_req)
+            _REQUEST_BYTES, io_req)
         with StageSpan(self.sim, io_req, "pcie"):
             yield from node.pcie.device_to_host(self.page_size)
         with StageSpan(self.sim, io_req, "interrupt"):
@@ -306,60 +262,38 @@ class BlueDBMCluster:
 
     def host_remote_via_host(self, src: int, addr: PhysAddr):
         """H-RH-F: request detours through the remote host's software."""
+        return (yield from self._via_remote_host(
+            src, addr.node, addr, {"kind": "flash", "addr": addr},
+            remote_sw=self.NIC_WAKEUP_NS + self.REMOTE_BLOCKIO_NS))
+
+    def host_remote_dram(self, src: int, dst: int, page: int):
+        """H-D: like H-RH-F but served from the remote node's DRAM."""
+        return (yield from self._via_remote_host(
+            src, dst, page, {"kind": "dram", "page": page},
+            remote_sw=self.NIC_WAKEUP_NS, storage_override=0))
+
+    def _via_remote_host(self, src: int, dst: int, addr: Any,
+                         message: Dict[str, Any], remote_sw: int,
+                         storage_override: Optional[int] = None):
+        """H-RH-F / H-D: local software, an Ethernet RPC to ``dst``'s
+        host, the page back over the integrated network, then the local
+        PCIe crossing and completion interrupt.  ``remote_sw`` is the
+        remote host's fixed kernel cost beyond one software request."""
         node = self.nodes[src]
         io_req = self._trace_start(IOKind.READ, addr, f"host-n{src}")
         t0 = self.sim.now
         with StageSpan(self.sim, io_req, "software"):
             yield from node.cpu.compute(node.host_config.software_request_ns)
         software = self.sim.now - t0
-        req_id = next(self._req_ids)
-        reply_ep = self._first_response_ep + (req_id % self.n_response_eps)
-        event = self.sim.event()
-        self._pending[req_id] = event
-        yield from self.ethernet.send(
-            src, addr.node,
-            {"kind": "flash", "addr": addr, "req_id": req_id,
-             "reply_ep": reply_ep, "requester": src, "request": io_req},
-            _REQUEST_BYTES)
-        data = yield event
+        data = yield from self.rpc.call(src, dst, message, _REQUEST_BYTES,
+                                        io_req, send=self.ethernet.send)
         with StageSpan(self.sim, io_req, "pcie"):
             yield from node.pcie.device_to_host(self.page_size)
         with StageSpan(self.sim, io_req, "interrupt"):
             yield self.sim.timeout(node.host_config.interrupt_ns)
-        remote_sw = (self.nodes[addr.node].host_config.software_request_ns
-                     + self.NIC_WAKEUP_NS + self.REMOTE_BLOCKIO_NS)
+        remote_sw += self.nodes[dst].host_config.software_request_ns
         breakdown = self._attribute(
-            src, addr.node, self.sim.now - t0,
-            software=software + self.ethernet.rpc_latency_ns + remote_sw)
-        self._trace_finish(io_req, src, addr.node)
-        return data, breakdown
-
-    def host_remote_dram(self, src: int, dst: int, page: int):
-        """H-D: like H-RH-F but served from the remote node's DRAM."""
-        node = self.nodes[src]
-        io_req = self._trace_start(IOKind.READ, page, f"host-n{src}")
-        t0 = self.sim.now
-        with StageSpan(self.sim, io_req, "software"):
-            yield from node.cpu.compute(node.host_config.software_request_ns)
-        software = self.sim.now - t0
-        req_id = next(self._req_ids)
-        reply_ep = self._first_response_ep + (req_id % self.n_response_eps)
-        event = self.sim.event()
-        self._pending[req_id] = event
-        yield from self.ethernet.send(
-            src, dst,
-            {"kind": "dram", "page": page, "req_id": req_id,
-             "reply_ep": reply_ep, "requester": src, "request": io_req},
-            _REQUEST_BYTES)
-        data = yield event
-        with StageSpan(self.sim, io_req, "pcie"):
-            yield from node.pcie.device_to_host(self.page_size)
-        with StageSpan(self.sim, io_req, "interrupt"):
-            yield self.sim.timeout(node.host_config.interrupt_ns)
-        remote_sw = (self.nodes[dst].host_config.software_request_ns
-                     + self.NIC_WAKEUP_NS)
-        breakdown = self._attribute(
-            src, dst, self.sim.now - t0, storage_override=0,
+            src, dst, self.sim.now - t0, storage_override=storage_override,
             software=software + self.ethernet.rpc_latency_ns + remote_sw)
         self._trace_finish(io_req, src, dst)
         return data, breakdown
@@ -377,8 +311,7 @@ class BlueDBMCluster:
         timing = self.nodes[dst].flash_timing
         storage = (storage_override if storage_override is not None
                    else timing.cmd_overhead_ns + timing.t_read_ns)
-        hops = self.network.hop_count(src, dst) if src != dst else 0
-        network = 2 * hops * self.network.config.hop_latency_ns
+        network = 2 * self.network.propagation_ns(src, dst)
         transfer = max(0, total - software - storage - network)
         return LatencyBreakdown(software=software, storage=storage,
                                 transfer=transfer, network=network)

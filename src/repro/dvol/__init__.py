@@ -8,12 +8,13 @@ behaving as **one** storage appliance:
 * :mod:`~repro.dvol.placement` — the pure planner mapping a
   cluster-wide LPN space onto per-node shards (striped or hashed, chunk
   granular so stripe adjacency survives within a shard);
-* :mod:`~repro.dvol.router` — the per-node routing tier forwarding
-  remote ``read_lpn``/``write_lpn`` node-to-node over
-  :mod:`repro.network`, with tenant identity riding the request so the
-  destination splitter arbitrates remote traffic individually;
-* :mod:`~repro.dvol.sharded` — the :class:`ShardedVolume` facade tying
-  them together behind ``read_lpn``/``write_lpn``.
+* :mod:`~repro.dvol.sharded` — the :class:`ShardedVolume` facade
+  behind ``read_lpn``/``write_lpn``: per-node shards, plus one
+  :class:`~repro.network.RpcChannel` per node forwarding remote
+  operations node-to-node over :mod:`repro.network` to a
+  controller-side :class:`ShardServiceIface`, with tenant identity
+  riding the request so the destination splitter arbitrates remote
+  traffic individually.
 
 Declaratively, a :class:`~repro.api.DistributedVolumeSpec` plus tenants
 with ``access="dvol"`` builds all of this through
@@ -21,12 +22,10 @@ with ``access="dvol"`` builds all of this through
 """
 
 from .placement import PLACEMENT_MODES, PlacementPlanner
-from .router import DvolRouter, ShardServiceIface
-from .sharded import ShardedVolume
+from .sharded import ShardServiceIface, ShardedVolume
 
 __all__ = [
     "PLACEMENT_MODES",
-    "DvolRouter",
     "PlacementPlanner",
     "ShardServiceIface",
     "ShardedVolume",

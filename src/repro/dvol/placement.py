@@ -37,7 +37,7 @@ class PlacementPlanner:
 
     The forward map :meth:`locate`, its inverse :meth:`lpn_of`, and the
     contiguous-run splitter :meth:`split_run` are the whole interface;
-    the routing tier and the session's functional prefill both consume
+    remote routing and the session's functional prefill both consume
     exactly these.
     """
 

@@ -7,7 +7,7 @@ FTL-backed shards reached over the integrated network:
 * ``dvol_scan`` — a logically-sequential cluster scan, one tenant per
   node, each walking its own slice of the shared address space.  With
   striped chunk placement half of every tenant's pages live on the
-  other node, so the scan exercises the whole remote path (router →
+  other node, so the scan exercises the whole remote path (channel →
   destination splitter → response).  Remote coalescing on/off: on, the
   network service port's remote read :class:`~repro.flash.Coalescer` merges
   the stripe-adjacent remote runs into multi-page commands; off, the

@@ -94,9 +94,6 @@ class Schema:
             raise KeyError(f"no column {name!r}")
         return self.columns[self._index[name]]
 
-    def offset_of(self, name: str) -> int:
-        return self._offsets[self._index[name]]
-
     def pack_row(self, row: Dict[str, Any]) -> bytes:
         return b"".join(c.pack(row[c.name]) for c in self.columns)
 

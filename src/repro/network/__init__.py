@@ -10,6 +10,8 @@
   FIFO semantics and optional end-to-end flow control.
 * :mod:`~repro.network.fabric` — :class:`StorageNetwork`, the assembled
   rack fabric.
+* :mod:`~repro.network.rpc` — :class:`RpcChannel`, the one remote
+  request/response protocol over logical endpoints.
 * :mod:`~repro.network.ethernet` — conventional host-network baseline.
 """
 
@@ -19,6 +21,7 @@ from .fabric import StorageNetwork
 from .link import SerialLink
 from .packet import NetworkConfig, Packet
 from .routing import RoutingTable, build_routing_tables, shortest_hop_counts
+from .rpc import RpcChannel
 from .switch import NodeSwitch
 from .topology import (
     Cable,
@@ -40,6 +43,7 @@ __all__ = [
     "Message",
     "StorageNetwork",
     "EthernetFabric",
+    "RpcChannel",
     "RoutingTable",
     "build_routing_tables",
     "shortest_hop_counts",

@@ -120,8 +120,7 @@ class Endpoint:
 
     def _return_credit(self, src: int):
         """Model the credit-return flow-control packet's flight time."""
-        hops = self.network.hop_count(self.node, src)
-        yield self.sim.timeout(hops * self.network.config.hop_latency_ns)
+        yield self.sim.timeout(self.network.propagation_ns(self.node, src))
         self._e2e_credits.give(1)
 
     @property

@@ -88,6 +88,14 @@ class StorageNetwork:
         """Shortest-path hop distance between two nodes."""
         return self._hops[src][dst]
 
+    def propagation_ns(self, src: int, dst: int) -> int:
+        """One-way propagation delay from ``src`` to ``dst``.
+
+        Deterministic per route (Section 3.2.3): hops x hop latency, so
+        zero for a node-local message.
+        """
+        return self._hops[src][dst] * self.config.hop_latency_ns
+
     def average_hop_count(self) -> float:
         """Mean hops over all ordered node pairs (ring analytics, §6.3)."""
         n = self.topology.n_nodes

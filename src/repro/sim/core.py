@@ -222,11 +222,6 @@ class Process(Event):
         """Diagnostic label (lazy: most processes are never named)."""
         return (self._name or getattr(self._generator, "__name__", "process"))
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return not self._triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._triggered:

@@ -43,8 +43,8 @@ class TestClusterConstruction:
     def test_app_endpoint_reservation(self, sim):
         cluster = BlueDBMCluster(sim, 2, n_endpoints=5, app_endpoints=2,
                                  node_kwargs=NODE_KW)
-        assert cluster.n_response_eps == 2
-        assert cluster._first_response_ep == 3
+        assert cluster.rpc.request_ep == 0
+        assert cluster.rpc.response_eps == (3, 4)
 
     def test_app_endpoints_validation(self, sim):
         with pytest.raises(ValueError):
@@ -123,12 +123,44 @@ class TestRemotePathDetails:
         cluster = BlueDBMCluster(sim, 2, node_kwargs=NODE_KW)
 
         def proc(sim):
-            yield from cluster._remote_request(
-                0, 1, {"kind": "teleport"})
+            yield from cluster.rpc.call(0, 1, {"kind": "teleport"}, 32)
 
         sim.process(proc(sim))
         with pytest.raises(ValueError, match="unknown request kind"):
             sim.run()
+
+    def test_unmatched_reply_fails_loudly(self, sim):
+        """A reply whose ``req_id`` matches no pending call is a routing
+        bug: it must stop the run, not strand its caller forever."""
+        cluster = BlueDBMCluster(sim, 2, node_kwargs=NODE_KW)
+        response_ep = 1  # the first response endpoint (no app block)
+
+        def proc(sim):
+            yield from cluster.network.endpoint(1, response_ep).send(
+                0, {"req_id": 99, "data": b""}, 8)
+
+        sim.process(proc(sim))
+        with pytest.raises(RuntimeError, match="unknown request 99"):
+            sim.run()
+
+    def test_replies_alternate_lanes_by_request_id(self, sim):
+        """Request ``i`` is answered on response endpoint
+        ``1 + i % 2``: four sequential reads put two pages on each lane
+        at the source."""
+        cluster = BlueDBMCluster(sim, 2, n_endpoints=3,
+                                 node_kwargs=NODE_KW)
+        page = GEO.page_size
+
+        def proc(sim):
+            for i in range(4):
+                yield from cluster.isp_remote_flash(
+                    0, PhysAddr(node=1, page=i))
+
+        sim.run_process(proc(sim))
+        lanes = [cluster.network.endpoint(0, ep).received_bytes.value
+                 for ep in (1, 2)]
+        assert lanes == [2 * page, 2 * page]
+        assert not cluster.rpc._pending
 
     def test_h_rh_f_includes_remote_blockio_tax(self, sim):
         """The generic path's calibrated kernel costs actually appear in

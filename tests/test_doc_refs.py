@@ -1,6 +1,6 @@
 """Doc references name code that exists.
 
-Two kinds of reference rot after a deletion:
+Three kinds of reference rot after a deletion:
 
 * a Sphinx role target in ``src/repro`` (``:class:``, ``:meth:``,
   ``:func:``, ``:attr:``, ``:data:``, ``:mod:`` or ``:exc:`` followed
@@ -8,7 +8,10 @@ Two kinds of reference rot after a deletion:
 * a ``Class.attr`` code span in ``README.md`` or ``docs/*.md``, where
   ``Class`` is exported by a ``repro`` package, whose ``attr`` is
   neither a class attribute nor an attribute the class source assigns
-  on ``self``.
+  on ``self``;
+* a CamelCase name in those files — a ``Name``, ``Name.attr`` or
+  ``Name(…)`` code span, or ``Name.attr``/``Name(`` inside a fenced
+  block — that no ``class`` statement in ``src/repro`` defines.
 
 Each failure names the file and line of the stale reference.
 """
@@ -16,6 +19,7 @@ Each failure names the file and line of the stale reference.
 import ast
 import importlib
 import inspect
+import keyword
 import pathlib
 import pkgutil
 import re
@@ -24,6 +28,7 @@ import repro
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
+DOCS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
 
 ROLE = re.compile(
     r":(?:class|meth|func|attr|data|mod|exc):`~?(repro\.[\w.]+)`")
@@ -31,6 +36,17 @@ ROLE = re.compile(
 #: arguments, ``=value``, ``/get``) up to the closing backtick is kept
 #: out of the lookup.
 DOC_REF = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)[^`]*`")
+#: A code span that starts with a capitalized name: ``Name``,
+#: ``Name.attr…`` or ``Name(…)``.
+SPAN_NAME = re.compile(r"`([A-Z]\w*)(?:[.(][^`\n]*)?`")
+#: Inside a fenced block: a capitalized name used as ``Name.attr`` or
+#: ``Name(``.
+FENCED_NAME = re.compile(r"\b([A-Z]\w*)(?=\.\w|\()")
+FENCE = re.compile(r"^```.*?^```", re.S | re.M)
+#: CamelCase names the docs may mention that are not repro classes.
+NOT_REPRO = {
+    "Random",  # random.Random: per-worker RNG streams (docs/api.md)
+}
 
 _MISSING = object()
 
@@ -120,7 +136,7 @@ def markdown_refs():
     """``(file:line, Class, attr)`` for every exported-class span."""
     classes = exported_classes()
     found = []
-    for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+    for path in DOCS:
         text = path.read_text()
         for match in DOC_REF.finditer(text):
             cls = classes.get(match.group(1))
@@ -128,6 +144,38 @@ def markdown_refs():
                 where = (f"{path.relative_to(ROOT).as_posix()}:"
                          f"{_line(text, match.start())}")
                 found.append((where, cls, match.group(2)))
+    return found
+
+
+def repro_class_names() -> set:
+    """Every name a ``class`` statement under src/repro defines."""
+    names = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                names.add(node.name)
+    return names
+
+
+def markdown_class_names():
+    """``(file:line, Name)`` for every CamelCase name the docs use as
+    code: in a code span outside fenced blocks, or as ``Name.attr`` /
+    ``Name(`` inside one."""
+    found = []
+    for path in DOCS:
+        text = path.read_text()
+        # Blank the fenced blocks (keeping offsets) for the span scan.
+        spans = FENCE.sub(lambda m: re.sub(r"[^\n]", " ", m.group(0)), text)
+        matches = list(SPAN_NAME.finditer(spans))
+        for fence in FENCE.finditer(text):
+            matches.extend(FENCED_NAME.finditer(text, fence.start(),
+                                                fence.end()))
+        for match in matches:
+            name = match.group(1)
+            if re.search("[a-z]", name) and not keyword.iskeyword(name):
+                where = (f"{path.relative_to(ROOT).as_posix()}:"
+                         f"{_line(text, match.start())}")
+                found.append((where, name))
     return found
 
 
@@ -145,3 +193,12 @@ def test_markdown_class_attributes_exist():
     stale = [f"{where}: {cls.__name__}.{attr}" for where, cls, attr in refs
              if _member(cls, attr) is _MISSING]
     assert not stale, "stale Class.attr references:\n" + "\n".join(stale)
+
+
+def test_markdown_class_names_exist():
+    names = markdown_class_names()
+    assert len(names) > 50, "class-name scan found almost nothing"
+    known = repro_class_names() | NOT_REPRO
+    stale = sorted(f"{where}: {name}" for where, name in names
+                   if name not in known)
+    assert not stale, "names no repro class defines:\n" + "\n".join(stale)

@@ -68,7 +68,7 @@ def test_remote_read_crosses_network_and_returns_erased_pattern():
 
     session.sim.run_process(driver(session.sim))
     assert all(d == b"\xff" * PAGE for d in datas)
-    routers = {n: r.stats() for n, r in dvol.routers.items()}
+    routers = dvol.stats()["routers"]
     assert routers[0]["remote_reads"] == 2      # lpns 8, 24 live on node 1
     assert routers[1]["served_reads"] == 2
 
@@ -91,7 +91,7 @@ def test_remote_write_read_roundtrip_under_tenant_identity():
     assert out == [payload]
     # LPN 9 lives in node 1's chunk: the write and the read both
     # crossed the network and were served by node 1's shard.
-    stats = dvol.routers[1].stats()
+    stats = dvol.stats()["routers"][1]
     assert stats["served_writes"] == 1
     assert stats["served_reads"] == 1
     # The shard accounted the program to the *source* tenant, not to
@@ -139,6 +139,26 @@ def test_hashed_placement_serves_the_same_scan():
     # Both placements expose the same logical capacity.
     assert (striped.metrics["dvol"]["logical_pages"]
             == hashed.metrics["dvol"]["logical_pages"])
+
+
+def test_remote_isp_and_dvol_share_one_fabric():
+    """The cluster's remote ISP path and the distributed volume — both
+    owners of the request/response protocol — run concurrently on one
+    fabric, each through its own channels, and every call is answered."""
+    spec = dvol_spec(drain=True, write_fraction=0.2)
+    remote = TenantSpec("r1", access="remote_isp", node=1, target=0,
+                        addr_space=256, workers=2)
+    spec = dataclasses.replace(spec, workload=dataclasses.replace(
+        spec.workload, tenants=spec.workload.tenants + (remote,)))
+    session = Session(spec)
+    result = session.run()
+    assert result.metrics["completions"]["t0"] > 0
+    assert result.metrics["completions"]["r1"] > 0
+    channels = [session.cluster.rpc, *session.dvol.channels.values()]
+    assert all(not channel._pending for channel in channels)
+    routers = result.metrics["dvol"]["routers"]
+    assert routers[0]["remote_reads"] == routers[1]["served_reads"] > 0
+    assert routers[0]["remote_writes"] == routers[1]["served_writes"] > 0
 
 
 def test_single_node_dvol_is_all_local():

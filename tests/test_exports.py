@@ -58,7 +58,7 @@ PINNED = {
     ],
     "repro.dvol": [
         "ShardedVolume", "PlacementPlanner", "PLACEMENT_MODES",
-        "DvolRouter", "ShardServiceIface",
+        "ShardServiceIface",
     ],
     "repro.parallel": [
         "parallel_map", "WorkerPool", "PointError", "active_pool",

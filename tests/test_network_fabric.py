@@ -247,6 +247,10 @@ class TestFabricMessaging:
         assert net.hop_count(0, 10) == 10
         assert net.hop_count(0, 19) == 1
         assert 5.0 <= net.average_hop_count() <= 5.5
+        assert net.propagation_ns(3, 3) == 0
+        for dst in (1, 10, 19):
+            assert (net.propagation_ns(0, dst)
+                    == net.hop_count(0, dst) * CONFIG.hop_latency_ns)
 
 
 class TestEndToEndFlowControl:
