@@ -95,8 +95,7 @@ class GraphTraversal:
         if addr.node == self.home:
             result = yield from self.cluster.nodes[self.home].isp_read(addr)
             return result.data
-        data, _ = yield from self.cluster.isp_remote_flash(self.home, addr)
-        return data
+        return (yield from self.cluster.isp_remote_flash(self.home, addr))
 
     def _fetch_h_f(self, vertex: int):
         """H-F: host software drives; data still moves on the integrated
@@ -104,17 +103,15 @@ class GraphTraversal:
         addr = self.graph.address(vertex)
         if addr.node == self.home:
             return (yield from self.cluster.nodes[self.home].host_read(addr))
-        data, _ = yield from self.cluster.host_remote_flash(self.home, addr)
-        return data
+        return (yield from self.cluster.host_remote_flash(self.home, addr))
 
     def _fetch_h_rh_f(self, vertex: int):
         """H-RH-F: requests detour through the remote host's software."""
         addr = self.graph.address(vertex)
         if addr.node == self.home:
             return (yield from self.cluster.nodes[self.home].host_read(addr))
-        data, _ = yield from self.cluster.host_remote_via_host(
-            self.home, addr)
-        return data
+        return (yield from self.cluster.host_remote_via_host(
+            self.home, addr))
 
     def _fetch_dram_mixed(self, vertex: int, dram_fraction: float):
         """RAMCloud-style: remote server answers from DRAM with
@@ -126,9 +123,8 @@ class GraphTraversal:
                 data = yield from node.dram.read(
                     self.graph.dram_page(vertex))
                 return data
-            data, _ = yield from self.cluster.host_remote_dram(
-                self.home, addr.node, self.graph.dram_page(vertex))
-            return data
+            return (yield from self.cluster.host_remote_dram(
+                self.home, addr.node, self.graph.dram_page(vertex)))
         data = yield from self._fetch_h_rh_f(vertex)
         return data
 

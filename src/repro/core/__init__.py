@@ -8,7 +8,7 @@
 """
 
 from .accel import Engine, EngineArray, stream_job
-from .cluster import BlueDBMCluster, LatencyBreakdown
+from .cluster import BlueDBMCluster
 from .node import BlueDBMNode
 
 __all__ = [
@@ -17,5 +17,4 @@ __all__ = [
     "stream_job",
     "BlueDBMNode",
     "BlueDBMCluster",
-    "LatencyBreakdown",
 ]

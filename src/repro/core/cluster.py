@@ -38,31 +38,10 @@ from ..network import (
 from ..sim import Simulator, Store
 from .node import BlueDBMNode
 
-__all__ = ["BlueDBMCluster", "LatencyBreakdown"]
+__all__ = ["BlueDBMCluster"]
 
 REQUEST_EP = 0
 _REQUEST_BYTES = 32  # a flash command: address + tag + reply route
-
-
-class LatencyBreakdown:
-    """Figure 12's four latency components, in nanoseconds."""
-
-    __slots__ = ("software", "storage", "transfer", "network")
-
-    def __init__(self, software: int = 0, storage: int = 0,
-                 transfer: int = 0, network: int = 0):
-        self.software = software
-        self.storage = storage
-        self.transfer = transfer
-        self.network = network
-
-    @property
-    def total(self) -> int:
-        return self.software + self.storage + self.transfer + self.network
-
-    def as_dict(self) -> Dict[str, int]:
-        return {"software": self.software, "storage": self.storage,
-                "transfer": self.transfer, "network": self.network}
 
 
 class BlueDBMCluster:
@@ -157,11 +136,11 @@ class BlueDBMCluster:
 
     def _trace_finish(self, request: Optional[IORequest],
                       src: int, dst: int) -> None:
-        """Annotate analytic network propagation and complete the trace.
+        """Annotate network propagation and complete the trace.
 
-        Propagation is deterministic per route (Section 3.2.3), so it is
-        recorded as an annotation — the same round trip
-        :meth:`_attribute` uses — rather than a timed span.
+        Propagation is deterministic per route (Section 3.2.3), so the
+        request + response round trip is recorded as the ``network``
+        annotation Figure 12 reads rather than as a timed span.
         """
         if not request:
             return
@@ -201,9 +180,16 @@ class BlueDBMCluster:
         """
         node = self.nodes[node_id]
         io_req = msg["request"]
-        # NIC interrupt + scheduler wakeup before the host can serve.
-        with StageSpan(self.sim, io_req, "software"):
-            yield self.sim.timeout(self.NIC_WAKEUP_NS)
+        # The Ethernet RPC's fixed latency is software/NIC/kernel time
+        # (EthernetFabric), so this software span opens when the send
+        # left the wire, ``rpc_latency_ns`` before delivery, and runs on
+        # through the NIC interrupt + scheduler wakeup.
+        if io_req:
+            io_req.enter("software",
+                         self.sim.now - self.ethernet.rpc_latency_ns)
+        yield self.sim.timeout(self.NIC_WAKEUP_NS)
+        if io_req:
+            io_req.exit("software", self.sim.now)
         if msg["kind"] == "flash":
             data = yield from node.host_read(msg["addr"], request=io_req)
             # Kernel block-I/O overhead of the synchronous read.
@@ -224,30 +210,25 @@ class BlueDBMCluster:
         yield from self.rpc.reply(node_id, msg, data, self.page_size)
 
     # ------------------------------------------------------------------
-    # The four measured access paths (all DES generators -> (data, bd))
+    # The four measured access paths (DES generators -> page data)
     # ------------------------------------------------------------------
     def isp_remote_flash(self, src: int, addr: PhysAddr):
         """ISP-F: in-store processor reads remote flash directly."""
         io_req = self._trace_start(IOKind.READ, addr, f"isp-n{src}")
-        t0 = self.sim.now
         data = yield from self.rpc.call(
             src, addr.node, {"kind": "flash", "addr": addr},
             _REQUEST_BYTES, io_req)
-        breakdown = self._attribute(src, addr.node, self.sim.now - t0,
-                                    software=0)
         self._trace_finish(io_req, src, addr.node)
-        return data, breakdown
+        return data
 
     def host_remote_flash(self, src: int, addr: PhysAddr):
         """H-F: local host software reads remote flash over the
         integrated network (one local software + PCIe crossing)."""
         node = self.nodes[src]
         io_req = self._trace_start(IOKind.READ, addr, f"host-n{src}")
-        t0 = self.sim.now
         with StageSpan(self.sim, io_req, "software"):
             yield from node.cpu.compute(node.host_config.software_request_ns)
             yield self.sim.timeout(node.host_config.rpc_ns)
-        software = self.sim.now - t0
         data = yield from self.rpc.call(
             src, addr.node, {"kind": "flash", "addr": addr},
             _REQUEST_BYTES, io_req)
@@ -255,66 +236,36 @@ class BlueDBMCluster:
             yield from node.pcie.device_to_host(self.page_size)
         with StageSpan(self.sim, io_req, "interrupt"):
             yield self.sim.timeout(node.host_config.interrupt_ns)
-        breakdown = self._attribute(src, addr.node, self.sim.now - t0,
-                                    software=software)
         self._trace_finish(io_req, src, addr.node)
-        return data, breakdown
+        return data
 
     def host_remote_via_host(self, src: int, addr: PhysAddr):
         """H-RH-F: request detours through the remote host's software."""
         return (yield from self._via_remote_host(
-            src, addr.node, addr, {"kind": "flash", "addr": addr},
-            remote_sw=self.NIC_WAKEUP_NS + self.REMOTE_BLOCKIO_NS))
+            src, addr.node, addr, {"kind": "flash", "addr": addr}))
 
     def host_remote_dram(self, src: int, dst: int, page: int):
         """H-D: like H-RH-F but served from the remote node's DRAM."""
         return (yield from self._via_remote_host(
-            src, dst, page, {"kind": "dram", "page": page},
-            remote_sw=self.NIC_WAKEUP_NS, storage_override=0))
+            src, dst, page, {"kind": "dram", "page": page}))
 
     def _via_remote_host(self, src: int, dst: int, addr: Any,
-                         message: Dict[str, Any], remote_sw: int,
-                         storage_override: Optional[int] = None):
+                         message: Dict[str, Any]):
         """H-RH-F / H-D: local software, an Ethernet RPC to ``dst``'s
         host, the page back over the integrated network, then the local
-        PCIe crossing and completion interrupt.  ``remote_sw`` is the
-        remote host's fixed kernel cost beyond one software request."""
+        PCIe crossing and completion interrupt."""
         node = self.nodes[src]
         io_req = self._trace_start(IOKind.READ, addr, f"host-n{src}")
-        t0 = self.sim.now
         with StageSpan(self.sim, io_req, "software"):
             yield from node.cpu.compute(node.host_config.software_request_ns)
-        software = self.sim.now - t0
         data = yield from self.rpc.call(src, dst, message, _REQUEST_BYTES,
                                         io_req, send=self.ethernet.send)
         with StageSpan(self.sim, io_req, "pcie"):
             yield from node.pcie.device_to_host(self.page_size)
         with StageSpan(self.sim, io_req, "interrupt"):
             yield self.sim.timeout(node.host_config.interrupt_ns)
-        remote_sw += self.nodes[dst].host_config.software_request_ns
-        breakdown = self._attribute(
-            src, dst, self.sim.now - t0, storage_override=storage_override,
-            software=software + self.ethernet.rpc_latency_ns + remote_sw)
         self._trace_finish(io_req, src, dst)
-        return data, breakdown
-
-    # ------------------------------------------------------------------
-    def _attribute(self, src: int, dst: int, total: int, software: int,
-                   storage_override: Optional[int] = None
-                   ) -> LatencyBreakdown:
-        """Split a measured total into Figure 14's four components.
-
-        Storage is the device's first-byte latency (command + array
-        read); network is the propagation of request + response; the
-        rest of the measured time is data transfer.
-        """
-        timing = self.nodes[dst].flash_timing
-        storage = (storage_override if storage_override is not None
-                   else timing.cmd_overhead_ns + timing.t_read_ns)
-        network = 2 * self.network.propagation_ns(src, dst)
-        transfer = max(0, total - software - storage - network)
-        return LatencyBreakdown(software=software, storage=storage,
-                                transfer=transfer, network=network)
+        return data
 
 
 def _direct(n_nodes: int) -> Topology:

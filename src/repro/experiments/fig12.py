@@ -1,10 +1,11 @@
 """Figure 12: latency breakdown of remote 8 KB page access.
 
 Four access paths (ISP-F, H-F, H-RH-F, H-D), each split into software /
-storage / data-transfer / network components.  Each path now runs under
-the unified request tracer, so next to the analytic breakdown the
-result carries the traced mean and p99 end-to-end latency (the ROADMAP
-"p99 columns next to the means" item) and the per-stage histograms.
+storage / data-transfer / network components.  Each path runs under the
+unified request tracer: the split is
+:meth:`~repro.io.RequestTracer.figure12_components` of the path's first
+request's stage ledger, and the traced mean and p99 end-to-end latency
+and the per-stage histograms come from all its repetitions.
 """
 
 from __future__ import annotations
@@ -23,59 +24,55 @@ REPEATS = 16
 
 
 def measure_path(path: str):
-    """Run one access path; return (first breakdown, tracer)."""
+    """Run one access path; return (first request's components, tracer)."""
     session = Session(ScenarioSpec(name=f"fig12-{path}", n_nodes=3,
                                    geometry=BENCH_GEOMETRY))
-    sim, cluster = session.sim, session.cluster
+    sim, cluster, tracer = session.sim, session.cluster, session.tracer
     addr = PhysAddr(node=1, page=3)
     cluster.nodes[1].device.store.program(addr, b"remote page data")
     cluster.nodes[1].dram.store(0, b"remote dram data")
+    access = {
+        "ISP-F": lambda: cluster.isp_remote_flash(0, addr),
+        "H-F": lambda: cluster.host_remote_flash(0, addr),
+        "H-RH-F": lambda: cluster.host_remote_via_host(0, addr),
+        "H-D": lambda: cluster.host_remote_dram(0, 1, 0),
+    }[path]
+    # The tracer keeps only aggregates; hold on to the first request.
+    first = []
+    complete = tracer.complete
+
+    def complete_keeping_first(request):
+        if request and not first:
+            first.append(request)
+        complete(request)
+
+    tracer.complete = complete_keeping_first
 
     def proc(sim):
-        first = None
         for _ in range(REPEATS):
-            if path == "ISP-F":
-                _, bd = yield from cluster.isp_remote_flash(0, addr)
-            elif path == "H-F":
-                _, bd = yield from cluster.host_remote_flash(0, addr)
-            elif path == "H-RH-F":
-                _, bd = yield from cluster.host_remote_via_host(0, addr)
-            else:
-                _, bd = yield from cluster.host_remote_dram(0, 1, 0)
-            if first is None:
-                first = bd
-        return first
+            yield from access()
 
-    breakdown = sim.run_process(proc(sim))
-    return breakdown, session.tracer
+    sim.run_process(proc(sim))
+    return tracer.figure12_components(first[0]), tracer
 
 
 def fig12_point(path: str) -> dict:
     """One point: an access-path name -> plain-dict measurement.
 
-    The tracer and breakdown objects stay in the worker; only plain
+    The tracer and request objects stay in the worker; only plain
     picklable numbers cross back to the parent.
     """
     breakdown, tracer = measure_path(path)
     overall = tracer.overall_latency()
     return {
         "metrics": {
-            "breakdown": breakdown.as_dict(),
-            "total_ns": breakdown.total,
+            "breakdown": breakdown,
+            "total_ns": sum(breakdown.values()),
             "mean_ns": overall.mean,
             "p99_ns": overall.percentile(99),
             "count": overall.count,
             "stages": tracer.stage_summary(),
         },
-        "breakdown_ns": {
-            "software": breakdown.software,
-            "storage": breakdown.storage,
-            "transfer": breakdown.transfer,
-            "network": breakdown.network,
-            "total": breakdown.total,
-        },
-        "mean_ns": overall.mean,
-        "p99_ns": overall.percentile(99),
         "elapsed_ns": tracer.sim.now,
     }
 
@@ -88,17 +85,17 @@ def run_fig12(jobs: int = 1) -> RunResult:
     rows = []
     runs = parallel_map(fig12_point, PATHS, jobs=jobs)
     for path, run in zip(PATHS, runs):
-        bd = run["breakdown_ns"]
-        result.metrics[path] = run["metrics"]
+        metrics = result.metrics[path] = run["metrics"]
+        bd = metrics["breakdown"]
         rows.append([
             path,
             f"{units.to_us(bd['software']):.1f}",
             f"{units.to_us(bd['storage']):.1f}",
             f"{units.to_us(bd['transfer']):.1f}",
             f"{units.to_us(bd['network']):.2f}",
-            f"{units.to_us(bd['total']):.1f}",
-            f"{units.to_us(run['mean_ns']):.1f}",
-            f"{units.to_us(run['p99_ns']):.1f}",
+            f"{units.to_us(metrics['total_ns']):.1f}",
+            f"{units.to_us(metrics['mean_ns']):.1f}",
+            f"{units.to_us(metrics['p99_ns']):.1f}",
         ])
     result.elapsed_ns = sum(run["elapsed_ns"] for run in runs)
     result.add_table(

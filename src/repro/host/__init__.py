@@ -3,7 +3,7 @@
 * :mod:`~repro.host.config` — :class:`HostConfig` timing parameters.
 * :mod:`~repro.host.pcie` — asymmetric-bandwidth PCIe link model.
 * :mod:`~repro.host.buffers` — the 128+128 host page buffers.
-* :mod:`~repro.host.cpu` — multi-core compute + DRAM bandwidth model.
+* :mod:`~repro.host.cpu` — multi-core compute model.
 * :mod:`~repro.host.scheduler` — FIFO accelerator-sharing scheduler.
 * :mod:`~repro.host.iface` — :class:`HostInterface`, the full software
   read/write path (syscall -> RPC -> flash -> DMA -> interrupt).

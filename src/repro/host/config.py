@@ -44,10 +44,8 @@ class HostConfig:
     syscall_ns: int = 4 * units.US
     driver_ns: int = 10 * units.US
 
-    # Host CPU & memory
+    # Host CPU
     n_cores: int = 24
-    dram_gbs: float = 40.0               # aggregate DRAM bandwidth
-    dram_latency_ns: int = 100
 
     def __post_init__(self):
         if self.pcie_dev_to_host_gbs <= 0 or self.pcie_host_to_dev_gbs <= 0:
@@ -58,8 +56,6 @@ class HostConfig:
             raise ValueError("need at least one DMA engine")
         if self.n_cores < 1:
             raise ValueError("need at least one core")
-        if self.dram_gbs <= 0:
-            raise ValueError("DRAM bandwidth must be positive")
 
     @property
     def software_request_ns(self) -> int:

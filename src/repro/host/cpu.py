@@ -2,28 +2,24 @@
 
 Application software runs as worker processes that claim a core for each
 compute slice; the model tracks utilization so Figure 21's CPU columns
-can be reproduced.  Host DRAM is modeled as a shared bandwidth pool with
-a fixed access latency — enough to express both the "DRAM-resident data
-is very fast" and the "DRAM bandwidth eventually bottlenecks many
-threads" behaviours of Figures 16-17.
+can be reproduced.
 """
 
 from __future__ import annotations
 
-from ..sim import Resource, Simulator, UtilizationTracker, units
+from ..sim import Resource, Simulator, UtilizationTracker
 from .config import HostConfig
 
 __all__ = ["HostCPU"]
 
 
 class HostCPU:
-    """Cores + DRAM of one host server."""
+    """The cores of one host server."""
 
     def __init__(self, sim: Simulator, config: HostConfig):
         self.sim = sim
         self.config = config
         self.cores = Resource(sim, capacity=config.n_cores, name="cores")
-        self._dram = Resource(sim, capacity=1, name="dram")
         self.tracker = UtilizationTracker(sim, "cpu")
 
     def compute(self, duration_ns: int):
@@ -40,23 +36,6 @@ class HostCPU:
             self.tracker.busy(duration_ns)
         finally:
             self.cores.release()
-
-    def dram_read(self, num_bytes: int):
-        """Fetch ``num_bytes`` from host DRAM (DES generator).
-
-        Models shared-bandwidth contention: concurrent readers serialize
-        on the memory controller.  The fixed latency covers the cache-miss
-        path.
-        """
-        if num_bytes < 0:
-            raise ValueError("negative read size")
-        yield self._dram.request()
-        try:
-            yield self.sim.timeout(units.transfer_ns(
-                num_bytes, self.config.dram_gbs))
-        finally:
-            self._dram.release()
-        yield self.sim.timeout(self.config.dram_latency_ns)
 
     @property
     def utilization(self) -> float:

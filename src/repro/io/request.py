@@ -15,7 +15,8 @@ tracer can map them onto the paper's Figure 12 components:
 ==============  ========================================================
 stage           charged by
 ==============  ========================================================
-``software``    host CPU syscall/driver time + RPC portal writes
+``software``    host CPU syscall/driver time, RPC portal writes, remote
+                host kernel costs and the Ethernet RPC's fixed latency
 ``queue``       waiting for a splitter slot / QoS admission grant
 ``tag``         waiting for a physical tag on the card
 ``storage``     flash command overhead + chip array read/program

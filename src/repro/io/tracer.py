@@ -7,9 +7,8 @@ A :class:`RequestTracer` is the single collection point for completed
   all requests — "how long do requests spend waiting for admission?";
 * per-tenant end-to-end latency histograms and completion counts — the
   raw material for per-tenant throughput/p99 QoS reporting;
-* Figure 12 attribution: mapping the stage ledger onto the paper's
-  software / storage / transfer / network taxonomy so traced paths
-  reconcile with :class:`~repro.core.cluster.LatencyBreakdown`.
+* Figure 12 attribution: the one mapping of a request's stage ledger
+  onto the paper's software / storage / transfer / network taxonomy.
 """
 
 from __future__ import annotations
@@ -21,10 +20,6 @@ from .request import UNSAMPLED, IOKind, IORequest
 
 __all__ = ["RequestTracer"]
 
-#: Stages whose time is host software cost (Figure 12 "Software").
-SOFTWARE_STAGES = ("software",)
-#: Stages that are flash array access (Figure 12 "Storage Access").
-STORAGE_STAGES = ("storage",)
 #: Annotation carrying analytic network propagation (Figure 12 "Network").
 NETWORK_COMPONENT = "network"
 
@@ -113,23 +108,24 @@ class RequestTracer:
     def figure12_components(request: IORequest) -> Dict[str, int]:
         """Map a completed request's ledger onto Figure 12's components.
 
-        ``software`` and ``storage`` come from the corresponding timed
-        stages, ``network`` from the cluster's analytic propagation
-        annotation, and ``transfer`` is the residual — the same
-        decomposition :meth:`BlueDBMCluster._attribute` applies to its
-        measured totals, so the two agree on the integrated-network
-        paths (ISP-F and H-F), where every software cost is a timed
-        span.  On the Ethernet-detour paths (H-RH-F, H-D) the traced
-        attribution is *finer* than the analytic one — ``_attribute``
-        approximates the remote side with fixed terms (e.g. the
-        Ethernet RPC latency counted as software), while the spans
-        record what each remote stage actually took — so their software
-        and transfer splits legitimately differ there.
+        ``software`` is the ``software`` stage (host CPU, portal writes,
+        kernel costs and the Ethernet RPC's fixed latency), ``storage``
+        the ``storage`` stage (flash command + array access), ``network``
+        the cluster's propagation annotation, and ``transfer`` the
+        residual: every other stage (queueing, card bus and aurora, PCIe,
+        interrupt) plus the wire time no span claims.  A negative
+        residual means spans double-count time, so it raises
+        :class:`ValueError` instead of being clamped away.
         """
-        software = sum(request.stage_ns(s) for s in SOFTWARE_STAGES)
-        storage = sum(request.stage_ns(s) for s in STORAGE_STAGES)
+        software = request.stage_ns("software")
+        storage = request.stage_ns("storage")
         network = request.annotations.get(NETWORK_COMPONENT, 0)
-        transfer = max(0, request.total_ns - software - storage - network)
+        transfer = request.total_ns - software - storage - network
+        if transfer < 0:
+            raise ValueError(
+                f"{request!r}: software {software} + storage {storage} + "
+                f"network {network} ns exceed its total "
+                f"{request.total_ns} ns")
         return {"software": software, "storage": storage,
                 "transfer": transfer, "network": network}
 

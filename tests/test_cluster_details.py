@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core import BlueDBMCluster, LatencyBreakdown
+from repro.core import BlueDBMCluster
 from repro.core.cluster import _direct
 from repro.flash import FlashGeometry, PhysAddr
+from repro.io import RequestTracer
 from repro.network import Topology
 from repro.sim import Simulator, units
 
@@ -16,18 +17,6 @@ NODE_KW = dict(geometry=GEO)
 @pytest.fixture
 def sim():
     return Simulator()
-
-
-class TestLatencyBreakdown:
-    def test_total_is_component_sum(self):
-        bd = LatencyBreakdown(software=10, storage=20, transfer=30,
-                              network=5)
-        assert bd.total == 65
-        assert bd.as_dict() == {"software": 10, "storage": 20,
-                                "transfer": 30, "network": 5}
-
-    def test_defaults_zero(self):
-        assert LatencyBreakdown().total == 0
 
 
 class TestClusterConstruction:
@@ -64,21 +53,27 @@ class TestClusterConstruction:
 
 class TestRemotePathDetails:
     def test_isp_f_breakdown_attribution(self, sim):
-        cluster = BlueDBMCluster(sim, 3, node_kwargs=NODE_KW)
+        tracer = RequestTracer(sim)
+        cluster = BlueDBMCluster(sim, 3, node_kwargs=NODE_KW, tracer=tracer)
         addr = PhysAddr(node=1, page=0)
+        completed = []
+        complete = tracer.complete
 
-        def proc(sim):
-            _, bd = yield from cluster.isp_remote_flash(0, addr)
-            return bd
+        def keep(request):
+            complete(request)
+            completed.append(request)
 
-        bd = sim.run_process(proc(sim))
+        tracer.complete = keep
+        sim.run_process(cluster.isp_remote_flash(0, addr))
+        [request] = completed
+        bd = RequestTracer.figure12_components(request)
         # Storage component equals the device's first-byte latency.
         timing = cluster.nodes[1].flash_timing
-        assert bd.storage == timing.cmd_overhead_ns + timing.t_read_ns
+        assert bd["storage"] == timing.cmd_overhead_ns + timing.t_read_ns
         # Network is request + response propagation over 1 hop each way.
         hop = cluster.network.config.hop_latency_ns
-        assert bd.network == 2 * hop
-        assert bd.transfer > 0
+        assert bd["network"] == 2 * hop
+        assert bd["transfer"] > 0
 
     def test_concurrent_mixed_path_requests(self, sim):
         """All four paths in flight simultaneously must not cross wires
@@ -91,22 +86,22 @@ class TestRemotePathDetails:
         got = {}
 
         def isp(sim, page):
-            data, _ = yield from cluster.isp_remote_flash(
+            data = yield from cluster.isp_remote_flash(
                 0, PhysAddr(node=1, page=page))
             got[f"isp{page}"] = data[:6]
 
         def hf(sim):
-            data, _ = yield from cluster.host_remote_flash(
+            data = yield from cluster.host_remote_flash(
                 0, PhysAddr(node=1, page=2))
             got["hf"] = data[:6]
 
         def hrhf(sim):
-            data, _ = yield from cluster.host_remote_via_host(
+            data = yield from cluster.host_remote_via_host(
                 0, PhysAddr(node=1, page=3))
             got["hrhf"] = data[:6]
 
         def hd(sim):
-            data, _ = yield from cluster.host_remote_dram(0, 1, 0)
+            data = yield from cluster.host_remote_dram(0, 1, 0)
             got["hd"] = data[:5]
 
         sim.process(isp(sim, 0))
@@ -167,21 +162,13 @@ class TestRemotePathDetails:
         the measured latency."""
         cluster = BlueDBMCluster(sim, 3, node_kwargs=NODE_KW)
         addr = PhysAddr(node=1, page=0)
-
-        def hf(sim):
-            _, bd = yield from cluster.host_remote_flash(0, addr)
-            return bd.total
-
-        hf_total = sim.run_process(hf(sim))
+        sim.run_process(cluster.host_remote_flash(0, addr))
+        hf_total = sim.now
 
         sim2 = Simulator()
         cluster2 = BlueDBMCluster(sim2, 3, node_kwargs=NODE_KW)
-
-        def hrhf(sim2):
-            _, bd = yield from cluster2.host_remote_via_host(0, addr)
-            return bd.total
-
-        hrhf_total = sim2.run_process(hrhf(sim2))
+        sim2.run_process(cluster2.host_remote_via_host(0, addr))
+        hrhf_total = sim2.now
         floor = (cluster.ethernet.rpc_latency_ns
                  + cluster.NIC_WAKEUP_NS + cluster.REMOTE_BLOCKIO_NS)
         assert hrhf_total - hf_total >= floor

@@ -10,6 +10,7 @@ from repro.core import (
     stream_job,
 )
 from repro.flash import FlashGeometry, FlashTiming, PhysAddr
+from repro.io import RequestTracer
 from repro.sim import Simulator, Store, units
 
 # Small, fast node configuration shared by these tests.
@@ -21,6 +22,21 @@ NODE_KW = dict(geometry=GEO)
 @pytest.fixture
 def sim():
     return Simulator()
+
+
+def traced_cluster(sim):
+    """A 3-node cluster whose tracer also keeps each completed request."""
+    tracer = RequestTracer(sim)
+    completed = []
+    complete = tracer.complete
+
+    def keep(request):
+        complete(request)
+        completed.append(request)
+
+    tracer.complete = keep
+    return BlueDBMCluster(sim, 3, node_kwargs=NODE_KW,
+                          tracer=tracer), completed
 
 
 class CountBytes(Engine):
@@ -179,49 +195,43 @@ class TestClusterPaths:
         return BlueDBMCluster(sim, n, node_kwargs=NODE_KW)
 
     def test_isp_remote_flash_returns_data(self, sim):
-        cluster = self._cluster(sim)
+        cluster, completed = traced_cluster(sim)
         addr = PhysAddr(node=1, page=2)
         cluster.nodes[1].device.store.program(addr, b"remote bytes")
 
-        def proc(sim):
-            data, bd = yield from cluster.isp_remote_flash(0, addr)
-            return data, bd
-
-        data, bd = sim.run_process(proc(sim))
+        data = sim.run_process(cluster.isp_remote_flash(0, addr))
         assert data.startswith(b"remote bytes")
-        assert bd.software == 0
-        assert bd.network > 0
-        assert bd.total > 0
+        [request] = completed
+        bd = RequestTracer.figure12_components(request)
+        assert bd["software"] == 0
+        assert bd["network"] > 0
+        assert request.total_ns > 0
 
-    def test_latency_ordering_matches_figure12(self, sim):
+    def test_latency_ordering_matches_figure12(self):
         """ISP-F < H-F < H-RH-F, and H-D has no flash storage component."""
-        cluster = self._cluster(sim)
         addr = PhysAddr(node=1, page=0)
-        cluster.nodes[1].dram.store(0, b"dram page")
         results = {}
 
         def run(name, gen_factory):
             s = Simulator()
-            c = BlueDBMCluster(s, 3, node_kwargs=NODE_KW)
+            c, completed = traced_cluster(s)
             c.nodes[1].dram.store(0, b"dram page")
-
-            def proc(s):
-                data, bd = yield from gen_factory(c)
-                return bd
-
-            results[name] = s.run_process(proc(s))
+            s.run_process(gen_factory(c))
+            [results[name]] = completed
 
         run("isp_f", lambda c: c.isp_remote_flash(0, addr))
         run("h_f", lambda c: c.host_remote_flash(0, addr))
         run("h_rh_f", lambda c: c.host_remote_via_host(0, addr))
         run("h_d", lambda c: c.host_remote_dram(0, 1, 0))
 
-        assert (results["isp_f"].total < results["h_f"].total
-                < results["h_rh_f"].total)
-        assert results["h_d"].storage == 0
+        assert (results["isp_f"].total_ns < results["h_f"].total_ns
+                < results["h_rh_f"].total_ns)
+        bd = {name: RequestTracer.figure12_components(request)
+              for name, request in results.items()}
+        assert bd["h_d"]["storage"] == 0
         # Network propagation is insignificant in every path (Fig. 12).
-        for bd in results.values():
-            assert bd.network < 0.1 * bd.total
+        for name, request in results.items():
+            assert bd[name]["network"] < 0.1 * request.total_ns
 
     def test_remote_reads_preserve_correctness_under_load(self, sim):
         cluster = self._cluster(sim)
@@ -233,7 +243,7 @@ class TestClusterPaths:
 
         def reader(sim, page):
             addr = PhysAddr(node=2, page=page)
-            data, _ = yield from cluster.isp_remote_flash(0, addr)
+            data = yield from cluster.isp_remote_flash(0, addr)
             collected[page] = data[:6]
 
         for page in range(8):

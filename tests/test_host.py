@@ -183,19 +183,6 @@ class TestHostCPU:
         sim.run()
         assert done == [100, 100, 200, 200]
 
-    def test_dram_contention_serializes(self, sim):
-        cpu = HostCPU(sim, CONFIG)
-        done = []
-
-        def reader(sim):
-            yield sim.process(cpu.dram_read(40_000))  # 1000 ns at 40 GB/s
-            done.append(sim.now)
-
-        sim.process(reader(sim))
-        sim.process(reader(sim))
-        sim.run()
-        assert done[1] >= 2000
-
     def test_utilization_normalized_to_socket(self, sim):
         config = HostConfig(n_cores=2)
         cpu = HostCPU(sim, config)

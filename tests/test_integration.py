@@ -161,7 +161,7 @@ class TestMultiNodeScaling:
                 result = yield sim.process(cluster.nodes[0].isp_read(addr))
                 collected[target] = result.data[:5]
             else:
-                data, _ = yield from cluster.isp_remote_flash(0, addr)
+                data = yield from cluster.isp_remote_flash(0, addr)
                 collected[target] = data[:5]
 
         for target in range(3):

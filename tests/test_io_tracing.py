@@ -1,8 +1,9 @@
 """Tests for the unified request pipeline: requests, spans, tracer.
 
-Includes the reconciliation contract: the tracer's stage attribution
-must agree with the cluster's analytic Figure 12 ``LatencyBreakdown``
-on the ISP-F and H-F paths (within 1%).
+The exact Figure 12 attribution of each remote access path is pinned by
+closed forms in ``test_timing_oracles.py``; here the tracer's
+attribution is checked against the host costs it reads and against a
+ledger whose spans double-count time.
 """
 
 import gc
@@ -381,7 +382,7 @@ class TestTracingDoesNotDemoteQoS:
 
 
 class TestFigure12Reconciliation:
-    """Tracer attribution must agree with the analytic LatencyBreakdown."""
+    """The tracer's Figure 12 split reconciles with the request ledger."""
 
     BENCH_GEO = FlashGeometry(buses_per_card=8, chips_per_bus=8,
                               blocks_per_chip=16, pages_per_block=32,
@@ -396,36 +397,32 @@ class TestFigure12Reconciliation:
         completed = record_completions(tracer)
         addr = PhysAddr(node=1, page=3)
         cluster.nodes[1].device.store.program(addr, b"remote page data")
-
-        def proc(sim):
-            if path == "ISP-F":
-                _, bd = yield from cluster.isp_remote_flash(0, addr)
-            else:
-                _, bd = yield from cluster.host_remote_flash(0, addr)
-            return bd
-
-        breakdown = sim.run_process(proc(sim))
+        access = (cluster.isp_remote_flash if path == "ISP-F"
+                  else cluster.host_remote_flash)
+        sim.run_process(access(0, addr))
         assert tracer.completed_count == 1
         components = tracer.figure12_components(completed[0])
-        return breakdown, components
-
-    @pytest.mark.parametrize("path", ["ISP-F", "H-F"])
-    def test_attribution_within_one_percent(self, path):
-        breakdown, components = self._run(path)
-        analytic = breakdown.as_dict()
-        total = breakdown.total
-        assert total > 0
-        for component, value in analytic.items():
-            traced = components[component]
-            assert abs(traced - value) <= 0.01 * max(value, total * 0.01), (
-                f"{path} {component}: tracer={traced} analytic={value}")
-        # And the component sums both explain the same total.
-        assert sum(components.values()) == total
+        assert sum(components.values()) == completed[0].total_ns
+        return cluster, components
 
     def test_isp_f_has_no_software_stage(self):
         _, components = self._run("ISP-F")
         assert components["software"] == 0
 
     def test_h_f_software_matches_cpu_and_rpc(self):
-        breakdown, components = self._run("H-F")
-        assert components["software"] == breakdown.software > 0
+        cluster, components = self._run("H-F")
+        host = cluster.nodes[0].host_config
+        assert components["software"] == (
+            host.software_request_ns + host.rpc_ns) > 0
+
+    def test_overlapping_spans_raise(self):
+        """Software and storage spans over the same 100 ns claim 200 ns
+        of a 100 ns request: the residual is negative, not clamped."""
+        req = IORequest("read", None, 64, issued_ns=0)
+        req.enter("software", 0)
+        req.enter("storage", 0)
+        req.exit("software", 100)
+        req.exit("storage", 100)
+        req.completed_ns = 100
+        with pytest.raises(ValueError, match="exceed its total 100 ns"):
+            RequestTracer.figure12_components(req)
