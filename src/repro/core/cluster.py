@@ -135,16 +135,19 @@ class BlueDBMCluster:
                                  tenant=tenant)
 
     def _trace_finish(self, request: Optional[IORequest],
-                      src: int, dst: int) -> None:
+                      src: int, dst: int, crossings: int) -> None:
         """Annotate network propagation and complete the trace.
 
         Propagation is deterministic per route (Section 3.2.3), so the
-        request + response round trip is recorded as the ``network``
-        annotation Figure 12 reads rather than as a timed span.
+        ``crossings`` of the integrated network a request made — 2 for
+        a request + response round trip, 1 when only the reply crossed
+        it — are recorded as the ``network`` annotation Figure 12 reads
+        rather than as a timed span.
         """
         if not request:
             return
-        request.annotate("network", 2 * self.network.propagation_ns(src, dst))
+        request.annotate("network", crossings
+                         * self.network.propagation_ns(src, dst))
         self.tracer.complete(request)
 
     # ------------------------------------------------------------------
@@ -218,7 +221,7 @@ class BlueDBMCluster:
         data = yield from self.rpc.call(
             src, addr.node, {"kind": "flash", "addr": addr},
             _REQUEST_BYTES, io_req)
-        self._trace_finish(io_req, src, addr.node)
+        self._trace_finish(io_req, src, addr.node, crossings=2)
         return data
 
     def host_remote_flash(self, src: int, addr: PhysAddr):
@@ -236,7 +239,7 @@ class BlueDBMCluster:
             yield from node.pcie.device_to_host(self.page_size)
         with StageSpan(self.sim, io_req, "interrupt"):
             yield self.sim.timeout(node.host_config.interrupt_ns)
-        self._trace_finish(io_req, src, addr.node)
+        self._trace_finish(io_req, src, addr.node, crossings=2)
         return data
 
     def host_remote_via_host(self, src: int, addr: PhysAddr):
@@ -264,7 +267,9 @@ class BlueDBMCluster:
             yield from node.pcie.device_to_host(self.page_size)
         with StageSpan(self.sim, io_req, "interrupt"):
             yield self.sim.timeout(node.host_config.interrupt_ns)
-        self._trace_finish(io_req, src, dst)
+        # The request went over Ethernet; only the reply crossed the
+        # integrated network.
+        self._trace_finish(io_req, src, dst, crossings=1)
         return data
 
 

@@ -32,7 +32,7 @@ _BlockKey = Tuple[int, int, int, int, int]
 
 
 def _block_key(addr: PhysAddr) -> _BlockKey:
-    return (addr.node, addr.card, addr.bus, addr.chip, addr.block)
+    return addr[:5]
 
 
 @dataclass(frozen=True)

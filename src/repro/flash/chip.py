@@ -135,8 +135,7 @@ class FlashChip:
         self.faults = None
 
     def _owns(self, addr: PhysAddr) -> bool:
-        return (addr.node == self.node and addr.card == self.card
-                and addr.bus == self.bus and addr.chip == self.chip)
+        return addr[:4] == (self.node, self.card, self.bus, self.chip)
 
     def _check(self, addr: PhysAddr) -> None:
         if not self._owns(addr):

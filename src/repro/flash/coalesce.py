@@ -196,7 +196,7 @@ class Coalescer:
         its completion rides on."""
         geometry = self.splitter.geometry
         key: GroupKey = (self.port.sched_tenant(request),
-                         (addr.node, addr.card),
+                         addr[:2],  # (node, card)
                          geometry.striped_index(addr))
         size = self._page_size if data is None else len(data)
         pending = _Pending(addr, key, request, Event(self.sim), data, size)

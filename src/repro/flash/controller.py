@@ -155,7 +155,7 @@ class FlashCard:
         if addr.node != self.node or addr.card != self.card:
             raise ValueError(f"{addr} not on card {self.card} "
                              f"of node {self.node}")
-        key = (addr.bus, addr.chip)
+        key = addr[2:4]  # (bus, chip)
         if key not in self.chips:
             raise ValueError(f"{addr} addresses a nonexistent chip")
         return self.chips[key]

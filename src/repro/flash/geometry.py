@@ -12,8 +12,8 @@ cards per node (1 TB/node, Section 5.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from collections import namedtuple
+from dataclasses import dataclass
 
 __all__ = ["FlashGeometry", "PhysAddr", "DEFAULT_GEOMETRY"]
 
@@ -138,76 +138,70 @@ class FlashGeometry:
         though they interleave across buses and cards.
         """
         self.validate(addr)
+        _node, card, bus, chip, block, page = addr
         n_units = (self.cards_per_node * self.buses_per_card
                    * self.chips_per_bus)
-        unit = (addr.bus + self.buses_per_card
-                * (addr.card + self.cards_per_node * addr.chip))
-        offset = addr.block * self.pages_per_block + addr.page
+        unit = bus + self.buses_per_card * (card + self.cards_per_node * chip)
+        offset = block * self.pages_per_block + page
         return offset * n_units + unit
 
     def validate(self, addr: "PhysAddr") -> None:
         """Raise ValueError if ``addr`` exceeds this geometry."""
-        if not 0 <= addr.card < self.cards_per_node:
-            raise ValueError(f"card {addr.card} out of range")
-        if not 0 <= addr.bus < self.buses_per_card:
-            raise ValueError(f"bus {addr.bus} out of range")
-        if not 0 <= addr.chip < self.chips_per_bus:
-            raise ValueError(f"chip {addr.chip} out of range")
-        if not 0 <= addr.block < self.blocks_per_chip:
-            raise ValueError(f"block {addr.block} out of range")
-        if not 0 <= addr.page < self.pages_per_block:
-            raise ValueError(f"page {addr.page} out of range")
-
-    def iter_block_pages(self, addr: "PhysAddr") -> Iterator["PhysAddr"]:
-        """All page addresses within the block containing ``addr``."""
-        for page in range(self.pages_per_block):
-            yield PhysAddr(node=addr.node, card=addr.card, bus=addr.bus,
-                           chip=addr.chip, block=addr.block, page=page)
+        _node, card, bus, chip, block, page = addr
+        if not 0 <= card < self.cards_per_node:
+            raise ValueError(f"card {card} out of range")
+        if not 0 <= bus < self.buses_per_card:
+            raise ValueError(f"bus {bus} out of range")
+        if not 0 <= chip < self.chips_per_bus:
+            raise ValueError(f"chip {chip} out of range")
+        if not 0 <= block < self.blocks_per_chip:
+            raise ValueError(f"block {block} out of range")
+        if not 0 <= page < self.pages_per_block:
+            raise ValueError(f"page {page} out of range")
 
 
-@dataclass(frozen=True, order=True)
-class PhysAddr:
+_ADDR_FIELDS = ("node", "card", "bus", "chip", "block", "page")
+
+
+class PhysAddr(namedtuple("PhysAddr", _ADDR_FIELDS, defaults=(0,) * 6)):
     """A physical flash page address in the cluster's global address space.
 
     ``node`` selects the BlueDBM storage device; the remaining fields
-    address raw NAND within it.  Frozen and ordered so addresses can key
-    dicts and sort deterministically.
+    address raw NAND within it.  An immutable tuple of the six fields,
+    so addresses key dicts, order and hash exactly as that tuple does.
+    Hot builders that already hold valid fields may skip the field
+    check with ``tuple.__new__(PhysAddr, (node, card, bus, chip, block,
+    page))``.  A named field read costs several plain attribute reads
+    on CPython 3.11, so per-request readers slice (``addr[:5]`` is the
+    block key) or unpack the tuple instead.
     """
 
-    node: int = 0
-    card: int = 0
-    bus: int = 0
-    chip: int = 0
-    block: int = 0
-    page: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, node: int = 0, card: int = 0, bus: int = 0,
+                chip: int = 0, block: int = 0, page: int = 0):
         # Addresses are built in every hot loop; OR-ing the fields is
         # negative iff any field is (two's complement), so the valid
-        # case pays one comparison instead of six getattr calls.
-        if (self.node | self.card | self.bus | self.chip
-                | self.block | self.page) < 0:
-            for name in ("node", "card", "bus", "chip", "block", "page"):
-                if getattr(self, name) < 0:
+        # case pays one comparison instead of six.
+        if (node | card | bus | chip | block | page) < 0:
+            for name, value in zip(_ADDR_FIELDS, (node, card, bus, chip,
+                                                  block, page)):
+                if value < 0:
                     raise ValueError(f"negative {name} in address")
+        return tuple.__new__(cls, (node, card, bus, chip, block, page))
+
+    @classmethod
+    def _make(cls, iterable) -> "PhysAddr":
+        # ``_replace`` builds through here: keep the field check.
+        return cls(*iterable)
 
     def block_addr(self) -> "PhysAddr":
         """Address of page 0 of this page's block (erase granularity)."""
-        return PhysAddr(node=self.node, card=self.card, bus=self.bus,
-                        chip=self.chip, block=self.block, page=0)
+        return tuple.__new__(PhysAddr, self[:5] + (0,))
 
     def chip_key(self) -> tuple:
         """Hashable identity of the chip holding this page."""
-        return (self.node, self.card, self.bus, self.chip)
-
-    def bus_key(self) -> tuple:
-        """Hashable identity of the bus holding this page."""
-        return (self.node, self.card, self.bus)
-
-    def at_node(self, node: int) -> "PhysAddr":
-        """Same card-local address on a different node."""
-        return PhysAddr(node=node, card=self.card, bus=self.bus,
-                        chip=self.chip, block=self.block, page=self.page)
+        return self[:4]
 
     def __str__(self) -> str:
         return (f"n{self.node}/c{self.card}/b{self.bus}/ch{self.chip}"

@@ -8,7 +8,7 @@ model's error injector both consume this state.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set, Tuple
+from typing import Dict, Iterable, ItemsView, Set, Tuple
 
 from .geometry import FlashGeometry, PhysAddr
 
@@ -18,7 +18,7 @@ _BlockKey = Tuple[int, int, int, int, int]
 
 
 def _block_key(addr: PhysAddr) -> _BlockKey:
-    return (addr.node, addr.card, addr.bus, addr.chip, addr.block)
+    return addr[:5]
 
 
 class WearTracker:
@@ -45,6 +45,15 @@ class WearTracker:
 
     def erase_count(self, addr: PhysAddr) -> int:
         return self._erases.get(_block_key(addr), 0)
+
+    def block_erase_count(self, key: _BlockKey) -> int:
+        """:meth:`erase_count` by block key ``(node, card, bus, chip,
+        block)``, for callers that hold no address."""
+        return self._erases.get(key, 0)
+
+    def erase_counts(self) -> ItemsView[_BlockKey, int]:
+        """``(block key, erase count)`` of every block erased so far."""
+        return self._erases.items()
 
     def wear_fraction(self, addr: PhysAddr) -> float:
         """Erase count relative to rated endurance (may exceed 1.0)."""
@@ -124,6 +133,11 @@ class BadBlockTable:
 
     def is_bad(self, addr: PhysAddr) -> bool:
         return _block_key(addr) in self._grown
+
+    def is_bad_block(self, key: _BlockKey) -> bool:
+        """:meth:`is_bad` by block key ``(node, card, bus, chip,
+        block)``."""
+        return key in self._grown
 
     def mark_bad(self, addr: PhysAddr) -> None:
         """Retire a block that failed in service (grown bad block)."""

@@ -42,7 +42,7 @@ class _Page:
 
 
 def _block_key(addr: PhysAddr) -> _BlockKey:
-    return (addr.node, addr.card, addr.bus, addr.chip, addr.block)
+    return addr[:5]
 
 
 class PageStore:

@@ -38,6 +38,7 @@ from ..flash import BadBlockTable, FlashGeometry, PhysAddr, WearTracker
 __all__ = ["BlockAllocator", "ALLOCATION_MODES"]
 
 _ChipKey = Tuple[int, int, int, int]
+_BlockKey = Tuple[int, int, int, int, int]
 
 #: Legal ``mode`` values: the seed's chip rotation and the
 #: stripe-adjacent sequential mode logical volumes use.
@@ -71,21 +72,18 @@ class BlockAllocator:
         # With all cards present this enumeration order is exactly the
         # striped unit order (bus-fastest, then card, then chip), which
         # is what makes sequential mode's unit walk stripe-adjacent.
+        erase_count = wear.block_erase_count
         for chip in range(geometry.chips_per_bus):
             for card in self.cards:
                 for bus in range(geometry.buses_per_card):
                     key = (node, card, bus, chip)
                     self._chips.append(key)
-                    blocks = [
-                        b for b in range(geometry.blocks_per_chip)
-                        if not badblocks.is_bad(PhysAddr(
-                            node=node, card=card, bus=bus, chip=chip,
-                            block=b))
-                    ]
+                    blocks = range(geometry.blocks_per_chip)
+                    if not badblocks.pristine:
+                        blocks = [b for b in blocks
+                                  if not badblocks.is_bad_block(key + (b,))]
                     self._free[key] = set(blocks)
-                    heap = [(wear.erase_count(PhysAddr(
-                        node=node, card=card, bus=bus, chip=chip,
-                        block=b)), b) for b in blocks]
+                    heap = [(erase_count(key + (b,)), b) for b in blocks]
                     heapq.heapify(heap)
                     self._heaps[key] = heap
         self._rr = 0  # round-robin cursor over chips
@@ -104,11 +102,6 @@ class BlockAllocator:
     def free_blocks(self) -> int:
         return sum(len(blocks) for blocks in self._free.values())
 
-    def _erase_count(self, key: _ChipKey, block: int) -> int:
-        node, card, bus, chip = key
-        return self.wear.erase_count(PhysAddr(
-            node=node, card=card, bus=bus, chip=chip, block=block))
-
     def _take_block(self, key: _ChipKey) -> Optional[int]:
         """Pop the least-worn free block of a chip (wear leveling).
 
@@ -126,7 +119,7 @@ class BlockAllocator:
             if block not in free:
                 heapq.heappop(heap)
                 continue
-            current = self._erase_count(key, block)
+            current = self.wear.block_erase_count(key + (block,))
             if current != count:
                 heapq.heapreplace(heap, (current, block))
                 continue
@@ -164,9 +157,7 @@ class BlockAllocator:
                     continue
                 open_ = (block, 0)
             block, page = open_
-            node, card, bus, chip = key
-            addr = PhysAddr(node=node, card=card, bus=bus, chip=chip,
-                            block=block, page=page)
+            addr = tuple.__new__(PhysAddr, key + (block, page))
             page += 1
             self._open[key] = (None if page >= self.geometry.pages_per_block
                                else (block, page))
@@ -182,8 +173,13 @@ class BlockAllocator:
             *(self._free[key] for key in active))
         if not common:
             return None
-        return min(common, key=lambda b: (
-            sum(self._erase_count(key, b) for key in active), b))
+        # One pass over the erased blocks: untouched blocks add nothing.
+        totals = dict.fromkeys(common, 0)
+        live = set(active)
+        for key, count in self.wear.erase_counts():
+            if key[4] in totals and key[:4] in live:
+                totals[key[4]] += count
+        return min(common, key=lambda b: (totals[b], b))
 
     def _next_sequential(self) -> Optional[PhysAddr]:
         """One page off the open stripe group, striped-index order.
@@ -205,9 +201,7 @@ class BlockAllocator:
         while addr is None:
             key = self._chips[unit]
             if key not in self._retired:
-                node, card, bus, chip = key
-                addr = PhysAddr(node=node, card=card, bus=bus, chip=chip,
-                                block=block, page=page)
+                addr = tuple.__new__(PhysAddr, key + (block, page))
             unit += 1
             if unit >= len(self._chips):
                 unit = 0
@@ -217,6 +211,50 @@ class BlockAllocator:
                     return addr
         self._seq_open = (block, unit, page)
         return addr
+
+    def take_group(self, limit: int) -> Optional[List[_BlockKey]]:
+        """Claim one whole stripe group of at most ``limit`` pages at
+        once -> its blocks, as ``(node, card, bus, chip, block)`` keys
+        in unit order.
+
+        The next ``len(blocks) * pages_per_block`` calls to
+        :meth:`next_page` would return page ``p`` of every block in
+        turn, for ``p`` ascending; this leaves the allocator exactly as
+        those calls would.  Returns None, changing nothing, when a group
+        is partly handed out or the next one does not fit in ``limit``.
+        """
+        ppb = self.geometry.pages_per_block
+        if self.mode == "sequential":
+            if self._seq_open is not None:
+                return None
+            block = self._common_block()
+            if block is not None:
+                units = [key for key in self._chips
+                         if key not in self._retired]
+                if len(units) * ppb > limit:
+                    return None
+                for key in units:
+                    self._take_specific(key, block)
+                # The page walk closes a group only on stepping past its
+                # last unit: retired trailing units leave it open there.
+                last = self._chips.index(units[-1]) + 1
+                if last < len(self._chips):
+                    self._seq_open = (block, last, ppb - 1)
+                return [key + (block,) for key in units]
+        # The rotation (also sequential mode's fallback): with no block
+        # open, every chip that has a free block opens its least-worn
+        # one in rotation order, and each round programs one page on
+        # each of them; chips without a free block are skipped.
+        if any(self._open.values()):
+            return None
+        n_chips = len(self._chips)
+        order = [self._chips[(self._rr + i) % n_chips]
+                 for i in range(n_chips)]
+        units = [key for key in order if self._free[key]]
+        if not units or len(units) * ppb > limit:
+            return None
+        self._rr = (self._chips.index(units[-1]) + 1) % n_chips
+        return [key + (self._take_block(key),) for key in units]
 
     def release_block(self, addr: PhysAddr) -> None:
         """Return an erased block to its chip's free list."""
@@ -228,7 +266,7 @@ class BlockAllocator:
         if not self.badblocks.is_bad(addr):
             self._free[key].add(addr.block)
             heapq.heappush(self._heaps[key],
-                           (self._erase_count(key, addr.block), addr.block))
+                           (self.wear.erase_count(addr), addr.block))
 
     def retire_block(self, addr: PhysAddr) -> None:
         """Drop a grown-bad block from circulation permanently."""

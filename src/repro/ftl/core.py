@@ -132,7 +132,7 @@ class FtlCore:
         self.gc_low_watermark = gc_low_watermark
         self.wear_leveling = wear_leveling
         self.wl_spread_threshold = wl_spread_threshold
-        self.map = PageMap(self.geometry)
+        self.map = PageMap(self.geometry, node=device.node)
         self.allocator = BlockAllocator(self.geometry, device.badblocks,
                                         device.wear, node=device.node,
                                         mode=mode)
@@ -233,7 +233,7 @@ class FtlCore:
 
     @staticmethod
     def _key(addr: PhysAddr) -> _BlockKey:
-        return (addr.node, addr.card, addr.bus, addr.chip, addr.block)
+        return addr[:5]
 
     @staticmethod
     def _addr_of(key: _BlockKey) -> PhysAddr:
@@ -475,22 +475,38 @@ class FtlCore:
         stripe-adjacent runs under sequential allocation — and count as
         programmed for GC purposes, but not as user writes, so
         write-amplification measures only the workload.
+
+        Each whole stripe group is claimed, mapped and sealed in one
+        step (:meth:`BlockAllocator.take_group`,
+        :meth:`PageMap.map_group`); the pages of a partly handed-out
+        group go through the run-time :meth:`PageMap.map_page` and
+        :meth:`program_done`, page by page.
         """
-        for lpn in range(start, start + count):
-            addr = self.allocator.next_page()
-            if addr is None:
-                raise OutOfSpaceError(
-                    f"prefill exhausted the device at LPN {lpn}")
-            self.map.map_page(lpn, addr)
-            self.program_done(addr)
-            self.prefilled_pages += 1
+        pages_per_block = self.geometry.pages_per_block
+        lpn, end = start, start + count
+        while lpn < end:
+            blocks = self.allocator.take_group(end - lpn)
+            if blocks is not None:
+                self.map.map_group(lpn, blocks)
+                for key in blocks:
+                    self._program_next[key] = pages_per_block
+                mapped = len(blocks) * pages_per_block
+            else:
+                addr = self.allocator.next_page()
+                if addr is None:
+                    raise OutOfSpaceError(
+                        f"prefill exhausted the device at LPN {lpn}")
+                self.map.map_page(lpn, addr)
+                self.program_done(addr)
+                mapped = 1
+            lpn += mapped
+            self.prefilled_pages += mapped
 
     # -- garbage collection ----------------------------------------------
     def ensure_space(self):
         """Collect until the free-block floor holds (DES generator; the
         allocation lock must already be held)."""
-        while (self.allocator.free_blocks < self.gc_low_watermark
-               and self.map.sealed):
+        while self.allocator.free_blocks < self.gc_low_watermark:
             freed = yield from self.collect_once()
             if not freed:
                 break

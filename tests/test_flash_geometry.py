@@ -48,13 +48,6 @@ class TestPhysAddr:
     def test_keys(self):
         addr = PhysAddr(node=1, card=0, bus=2, chip=3, block=4, page=5)
         assert addr.chip_key() == (1, 0, 2, 3)
-        assert addr.bus_key() == (1, 0, 2)
-
-    def test_at_node(self):
-        addr = PhysAddr(node=0, bus=1, block=2, page=3)
-        moved = addr.at_node(7)
-        assert moved.node == 7
-        assert moved.bus == 1 and moved.block == 2 and moved.page == 3
 
     def test_ordering_and_hashing(self):
         a = PhysAddr(block=1)
@@ -130,10 +123,3 @@ class TestStriping:
     def test_striped_index_validates(self, geo):
         with pytest.raises(ValueError):
             geo.striped_index(PhysAddr(bus=geo.buses_per_card))
-
-    def test_iter_block_pages(self, geo):
-        addr = PhysAddr(bus=1, chip=1, block=2, page=3)
-        pages = list(geo.iter_block_pages(addr))
-        assert len(pages) == geo.pages_per_block
-        assert all(p.block == 2 and p.bus == 1 for p in pages)
-        assert [p.page for p in pages] == list(range(geo.pages_per_block))

@@ -175,7 +175,7 @@ class TestGlobalAddressSpace:
         sim = Simulator()
         cluster = BlueDBMCluster(sim, 2, node_kwargs=dict(geometry=GEO))
         a = PhysAddr(node=0, card=1, bus=3, chip=2, block=5, page=7)
-        b = a.at_node(1)
+        b = a._replace(node=1)
         cluster.nodes[0].device.store.program(a, b"zero")
         cluster.nodes[1].device.store.program(b, b"one")
         assert cluster.nodes[0].device.store.read_data(a)[:4] == b"zero"

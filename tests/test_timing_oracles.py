@@ -186,16 +186,14 @@ def test_h_rh_f():
           stages={"software": software, "queue": 0, "tag": 0,
                   "storage": t.storage, "device": t.device,
                   "pcie": pcie, "interrupt": interrupts},
-          network=2 * t.hop,
+          # Only the reply crosses the integrated network.
+          network=t.hop,
           total=(software + t.eth_wire + t.storage + t.device + pcie
                  + interrupts + t.reply_wire + t.hop),
           software=software,
           storage=t.storage,
-          # Only the reply crosses the integrated network, but the
-          # annotation charges a round trip: one hop comes out of
-          # the residual.
           transfer=(t.eth_wire + t.device + pcie + interrupts
-                    + t.reply_wire - t.hop))
+                    + t.reply_wire))
 
 
 def test_h_d():
@@ -207,25 +205,25 @@ def test_h_d():
     check(request,
           stages={"software": software, "pcie": pcie,
                   "interrupt": t.interrupt},
-          network=2 * t.hop,
+          network=t.hop,
           total=(software + t.eth_wire + t.dram + pcie + t.interrupt
                  + t.reply_wire + t.hop),
           software=software,
           storage=0,
           transfer=(t.eth_wire + t.dram + pcie + t.interrupt
-                    + t.reply_wire - t.hop))
+                    + t.reply_wire))
 
 
 def test_default_parameters_give_the_figure12_totals():
     """The paper-default parameters put numbers on the closed forms."""
-    expected = {"ISP-F": (0, 116_770), "H-F": (15_000, 141_890),
-                "H-RH-F": (203_000, 348_717), "H-D": (102_000, 130_721)}
-    for path, (software, total) in expected.items():
+    expected = {"ISP-F": (0, 116_770, 960), "H-F": (15_000, 141_890, 960),
+                "H-RH-F": (203_000, 348_717, 480),
+                "H-D": (102_000, 130_721, 480)}
+    for path, (software, total, network) in expected.items():
         _, request = first_access(path)
         components = RequestTracer.figure12_components(request)
-        assert (components["software"], request.total_ns) == (
-            software, total), path
-        assert components["network"] == 960
+        assert (components["software"], request.total_ns,
+                components["network"]) == (software, total, network), path
 
 
 @pytest.mark.parametrize("path", PATHS)

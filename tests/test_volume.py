@@ -83,8 +83,8 @@ class TestProgramPages:
     def test_reorder_within_block_rejected_up_front(self, sim, device):
         card = device.cards[0]
         block = PhysAddr(node=0, card=0, bus=0, chip=0, block=0)
-        addrs = [dataclasses.replace(block, page=1),
-                 dataclasses.replace(block, page=0)]
+        addrs = [block._replace(page=1),
+                 block._replace(page=0)]
         datas = [b"x" * GEO.page_size] * 2
         with pytest.raises(ProgramError, match="reorder"):
             sim.run_process(card.program_pages(addrs, datas))
@@ -94,7 +94,7 @@ class TestProgramPages:
     def test_in_order_same_block_pages_allowed(self, sim, device):
         card = device.cards[0]
         block = PhysAddr(node=0, card=0, bus=0, chip=0, block=0)
-        addrs = [dataclasses.replace(block, page=p) for p in range(3)]
+        addrs = [block._replace(page=p) for p in range(3)]
         datas = [bytes([p]) * GEO.page_size for p in range(3)]
         sim.run_process(card.program_pages(addrs, datas))
         for addr, data in zip(addrs, datas):
