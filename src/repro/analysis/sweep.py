@@ -11,10 +11,10 @@ result series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Sequence
 
-__all__ = ["SweepResult", "sweep", "cross_sweep"]
+__all__ = ["SweepResult", "sweep"]
 
 
 @dataclass
@@ -35,12 +35,6 @@ class SweepResult:
     def series(self, key: str) -> List[Any]:
         """Extract one field when results are dictionaries."""
         return [r[key] for r in self.results]
-
-    def argmax(self):
-        """Parameter value with the largest (scalar) result."""
-        best = max(range(len(self.results)),
-                   key=lambda i: self.results[i])
-        return self.values[best]
 
     def is_monotone_increasing(self, tolerance: float = 0.0) -> bool:
         """True if the (scalar) series never drops by more than
@@ -64,18 +58,3 @@ def sweep(parameter: str, values: Sequence[Any],
     return SweepResult(parameter, values,
                        [experiment(v) for v in values])
 
-
-def cross_sweep(param_a: str, values_a: Sequence[Any],
-                param_b: str, values_b: Sequence[Any],
-                experiment: Callable[[Any, Any], Any]
-                ) -> Dict[Any, SweepResult]:
-    """2-D sweep: one :class:`SweepResult` over ``param_b`` per value of
-    ``param_a``."""
-    values_a, values_b = list(values_a), list(values_b)
-    if not values_a or not values_b:
-        raise ValueError("empty sweep axis")
-    return {
-        a: SweepResult(param_b, values_b,
-                       [experiment(a, b) for b in values_b])
-        for a in values_a
-    }

@@ -36,7 +36,7 @@ from .registry import (
     get_experiment,
     run_experiment,
 )
-from .result import RESULT_SCHEMA_KEYS, RunResult, TableResult
+from .result import RunResult, TableResult
 from .session import Session
 from .spec import (
     BENCH_GEOMETRY,
@@ -67,7 +67,6 @@ __all__ = [
     "Session",
     "RunResult",
     "TableResult",
-    "RESULT_SCHEMA_KEYS",
     "Experiment",
     "experiment",
     "get_experiment",

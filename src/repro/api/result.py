@@ -17,12 +17,7 @@ from typing import Any, Dict, List, Optional
 
 from ..reporting import format_table
 
-__all__ = ["TableResult", "RunResult", "RESULT_SCHEMA_KEYS"]
-
-#: Keys every serialized RunResult carries (the JSON "schema").
-RESULT_SCHEMA_KEYS = ("experiment", "title", "tables", "series",
-                      "metrics", "tenant_stats", "stage_stats",
-                      "elapsed_ns", "spec", "meta")
+__all__ = ["TableResult", "RunResult"]
 
 
 def _jsonable(value: Any) -> Any:

@@ -12,17 +12,16 @@ FIFOs.  Here an :class:`Engine` is a Python object with
 
 :class:`EngineArray` models the replicated engines the paper deploys
 ("we use 4 engines per bus to maximize the flash bandwidth", Section
-7.3); :func:`stream_job` wires a Flash Server page stream through an
-array and collects results, which is the canonical ISP dataflow.
+7.3).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Sequence
 
-from ..sim import Resource, Simulator, Store, units
+from ..sim import Resource, Simulator, units
 
-__all__ = ["Engine", "EngineArray", "stream_job"]
+__all__ = ["Engine", "EngineArray"]
 
 
 class Engine:
@@ -76,35 +75,3 @@ class EngineArray:
         self._next = (self._next + 1) % len(self.engines)
         return engine
 
-
-def stream_job(sim: Simulator, pages: Store, array: EngineArray,
-               n_pages: int, context: Any = None,
-               on_result: Optional[Callable[[Any], None]] = None):
-    """The canonical ISP dataflow (DES generator -> list of results).
-
-    Pulls ``n_pages`` :class:`~repro.flash.controller.ReadResult` items
-    from ``pages`` (typically fed by ``FlashServer.stream_pages``),
-    dispatches each to an engine, and gathers results.  Pages overlap
-    freely across engines; results are returned in completion order.
-    """
-    if n_pages < 0:
-        raise ValueError("negative page count")
-    results: List[Any] = []
-    in_flight: List = []
-
-    def _one(result_page):
-        engine = array.pick()
-        value = yield from engine.run_page(result_page.data, context)
-        if on_result is not None:
-            on_result(value)
-        results.append(value)
-
-    for _ in range(n_pages):
-        page = yield pages.get()
-        in_flight.append(sim.process(_one(page)))
-        # Keep the in-flight list from growing without bound.
-        if len(in_flight) >= 4 * len(array):
-            yield in_flight.pop(0)
-    for proc in in_flight:
-        yield proc
-    return results

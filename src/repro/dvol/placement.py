@@ -35,10 +35,9 @@ class PlacementPlanner:
     the same machine); the planner only uses whole chunks of it, so
     :attr:`total_pages` is ``shards * (shard_pages // chunk) * chunk``.
 
-    The forward map :meth:`locate`, its inverse :meth:`lpn_of`, and the
-    contiguous-run splitter :meth:`split_run` are the whole interface;
-    remote routing and the session's functional prefill both consume
-    exactly these.
+    The map :meth:`locate` and the contiguous-run splitter
+    :meth:`split_run` are the whole interface; remote routing and the
+    session's functional prefill both consume exactly these.
     """
 
     def __init__(self, shards: int, shard_pages: int,
@@ -62,8 +61,8 @@ class PlacementPlanner:
         self.hash_seed = hash_seed
         #: full chunks per shard (= rounds of the dealing scheme).
         self.rounds = shard_pages // self.chunk
-        #: round -> (pos -> node, node -> pos) permutation pair.
-        self._perms: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
+        #: round -> (pos -> node) permutation.
+        self._perms: Dict[int, Tuple[int, ...]] = {}
 
     @property
     def total_pages(self) -> int:
@@ -71,8 +70,8 @@ class PlacementPlanner:
         return self.shards * self.rounds * self.chunk
 
     # -- the per-round dealing permutation ------------------------------
-    def _perm(self, round_: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """(pos->node, node->pos) for one round of chunk dealing.
+    def _perm(self, round_: int) -> Tuple[int, ...]:
+        """pos->node for one round of chunk dealing.
 
         ``striped`` is the identity; ``hashed`` orders the shards by a
         keyed BLAKE2s digest of (seed, round, shard) — a deterministic
@@ -83,22 +82,17 @@ class PlacementPlanner:
         if cached is not None:
             return cached
         if self.placement == "striped":
-            identity = tuple(range(self.shards))
-            perm = (identity, identity)
+            perm = tuple(range(self.shards))
         else:
-            order = sorted(
+            perm = tuple(sorted(
                 range(self.shards),
                 key=lambda node: hashlib.blake2s(
                     f"{self.hash_seed}:{round_}:{node}".encode()
-                ).digest())
-            inverse = [0] * self.shards
-            for pos, node in enumerate(order):
-                inverse[node] = pos
-            perm = (tuple(order), tuple(inverse))
+                ).digest()))
         self._perms[round_] = perm
         return perm
 
-    # -- forward / inverse maps -----------------------------------------
+    # -- the global -> shard map ----------------------------------------
     def locate(self, lpn: int) -> Tuple[int, int]:
         """Global LPN -> ``(node, shard_lpn)``."""
         if not 0 <= lpn < self.total_pages:
@@ -107,21 +101,8 @@ class PlacementPlanner:
         chunk = self.chunk
         global_chunk, offset = divmod(lpn, chunk)
         round_, pos = divmod(global_chunk, self.shards)
-        node = self._perm(round_)[0][pos]
+        node = self._perm(round_)[pos]
         return node, round_ * chunk + offset
-
-    def lpn_of(self, node: int, shard_lpn: int) -> int:
-        """``(node, shard_lpn)`` -> global LPN (inverse of :meth:`locate`)."""
-        if not 0 <= node < self.shards:
-            raise ValueError(f"node {node} outside {self.shards} shards")
-        chunk = self.chunk
-        round_, offset = divmod(shard_lpn, chunk)
-        if not 0 <= round_ < self.rounds:
-            raise ValueError(
-                f"shard LPN {shard_lpn} outside the shard's "
-                f"{self.rounds * chunk} placed pages")
-        pos = self._perm(round_)[1][node]
-        return (round_ * self.shards + pos) * chunk + offset
 
     # -- contiguous-run splitting ---------------------------------------
     def split_run(self, start: int, count: int

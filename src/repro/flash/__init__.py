@@ -29,7 +29,7 @@ from .chip import (
     ProgramError,
     ProgramFailedError,
 )
-from .coalesce import Coalescer, first_group, plan_groups
+from .coalesce import Coalescer, first_group
 from .controller import (
     FlashCard,
     PartialReadError,
@@ -66,7 +66,6 @@ __all__ = [
     "SplitterPort",
     "Coalescer",
     "first_group",
-    "plan_groups",
     "FlashServer",
     "FileHandle",
 ]

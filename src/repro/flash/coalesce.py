@@ -17,10 +17,10 @@ sequential reader's outstanding window merges into full-width commands
 while a random reader's almost never does.
 
 Grouping is greedy in arrival order and is factored into the pure
-:func:`first_group` / :func:`plan_groups` helpers so property tests can
-drive the planner without a simulator: groups partition their input
-exactly, stay within one tenant and one card, take stripe-consecutive
-pages only, and never exceed the page cap.
+:func:`first_group` helper so property tests can drive the planner
+without a simulator: groups partition their input exactly, stay within
+one tenant and one card, take stripe-consecutive pages only, and never
+exceed the page cap.
 
 One :class:`Coalescer` engine serves every site; two constructor
 arguments say what differs:
@@ -56,7 +56,7 @@ from ..io import IORequest
 from ..sim import Event, Simulator
 from .controller import PartialReadError
 
-__all__ = ["Coalescer", "first_group", "plan_groups"]
+__all__ = ["Coalescer", "first_group"]
 
 #: (tenant, card-identity, stripe index) — the only attributes the
 #: grouping rule reads.
@@ -94,25 +94,6 @@ def first_group(keys: Sequence[GroupKey], max_pages: int) -> List[int]:
         else:
             break
     return group
-
-
-def plan_groups(keys: Sequence[GroupKey],
-                max_pages: int) -> List[List[int]]:
-    """Partition a static arrival queue into merged commands.
-
-    Repeatedly applies :func:`first_group` the way the dispatcher does
-    when every entry is already staged; returns position groups in
-    dispatch order.  This is the reference model the hypothesis
-    property tests check the coalescer against.
-    """
-    remaining = list(range(len(keys)))
-    groups: List[List[int]] = []
-    while remaining:
-        local = first_group([keys[pos] for pos in remaining], max_pages)
-        groups.append([remaining[i] for i in local])
-        remaining = [pos for i, pos in enumerate(remaining)
-                     if i not in set(local)]
-    return groups
 
 
 def _carve(staging, max_pages: int):

@@ -115,7 +115,7 @@ class FlashCard:
         self.store = store if store is not None else PageStore(geometry)
         self.wear = wear if wear is not None else WearTracker()
         self.badblocks = (badblocks if badblocks is not None
-                          else BadBlockTable(geometry))
+                          else BadBlockTable())
         self.rng = random.Random(seed ^ (node << 16) ^ card)
 
         self.chips: Dict[Tuple[int, int], FlashChip] = {}
@@ -492,11 +492,6 @@ class FlashCard:
             self._tag_pool.put_nowait(tag)
 
     # -- capacity views ------------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        """Commands currently holding a tag."""
-        return self.tag_count - len(self._tag_pool.items)
-
     def peak_read_bandwidth(self) -> float:
         """Theoretical card read ceiling in GB/s (bus-limited)."""
         return min(

@@ -35,7 +35,7 @@ class StorageDevice:
         self.node = node
         self.store = PageStore(geometry)
         self.wear = WearTracker(endurance=endurance)
-        self.badblocks = BadBlockTable(geometry)
+        self.badblocks = BadBlockTable()
         self.cards: List[FlashCard] = [
             FlashCard(sim, geometry=geometry, timing=timing, errors=errors,
                       wear=self.wear, badblocks=self.badblocks,

@@ -21,14 +21,12 @@ __all__ = [
     "decode_word",
     "encode_page",
     "decode_page",
-    "parity_bytes_for",
     "UncorrectableError",
 ]
 
 SECDED_WORD_BYTES = 8
 _DATA_BITS = 64
 _HAMMING_BITS = 7  # positions 1..127 cover 64 data bits with 7 checks
-_CODE_BITS = _DATA_BITS + _HAMMING_BITS  # 71, +1 overall parity -> 72
 
 
 class UncorrectableError(Exception):
@@ -125,14 +123,6 @@ def decode_word(data: int, parity: int) -> Tuple[int, int]:
         return data, 1
     # Non-zero syndrome with clean overall parity => double error.
     raise UncorrectableError(f"double bit error (syndrome {syndrome:#x})")
-
-
-def parity_bytes_for(page_size: int) -> int:
-    """Bytes of parity needed to protect a page of ``page_size`` bytes."""
-    if page_size % SECDED_WORD_BYTES != 0:
-        raise ValueError(
-            f"page size {page_size} not a multiple of {SECDED_WORD_BYTES}")
-    return page_size // SECDED_WORD_BYTES
 
 
 def encode_page(data: bytes) -> bytes:

@@ -58,11 +58,6 @@ class FlashGeometry:
     def pages_per_node(self) -> int:
         return self.cards_per_node * self.pages_per_card
 
-    @property
-    def blocks_per_card(self) -> int:
-        return (self.buses_per_card * self.chips_per_bus
-                * self.blocks_per_chip)
-
     # -- capacities --------------------------------------------------------
     @property
     def card_bytes(self) -> int:
@@ -73,20 +68,13 @@ class FlashGeometry:
         return self.cards_per_node * self.card_bytes
 
     # -- address arithmetic -------------------------------------------------
-    def linear_page(self, addr: "PhysAddr") -> int:
-        """Node-local linear page number for ``addr`` (ignores node id)."""
-        self.validate(addr)
-        return (((addr.card * self.buses_per_card + addr.bus)
-                 * self.chips_per_bus + addr.chip)
-                * self.pages_per_chip
-                + addr.block * self.pages_per_block
-                + addr.page)
-
     def from_linear(self, linear: int, node: int = 0) -> "PhysAddr":
-        """Inverse of :meth:`linear_page`.
+        """Address of node-local linear page number ``linear``.
 
-        Consecutive linear pages stripe across pages within a block first;
-        use :meth:`striped` for bus-interleaved layouts.
+        The number is mixed-radix over (card, bus, chip, block, page),
+        page fastest: consecutive linear pages fill a block first, so
+        ``linear // pages_per_block`` numbers the node's blocks.  Use
+        :meth:`striped` for bus-interleaved layouts.
         """
         if not 0 <= linear < self.pages_per_node:
             raise ValueError(f"linear page {linear} out of range")
@@ -198,10 +186,6 @@ class PhysAddr(namedtuple("PhysAddr", _ADDR_FIELDS, defaults=(0,) * 6)):
     def block_addr(self) -> "PhysAddr":
         """Address of page 0 of this page's block (erase granularity)."""
         return tuple.__new__(PhysAddr, self[:5] + (0,))
-
-    def chip_key(self) -> tuple:
-        """Hashable identity of the chip holding this page."""
-        return self[:4]
 
     def __str__(self) -> str:
         return (f"n{self.node}/c{self.card}/b{self.bus}/ch{self.chip}"

@@ -8,9 +8,9 @@ model's error injector both consume this state.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, ItemsView, Set, Tuple
+from typing import Dict, ItemsView, Set, Tuple
 
-from .geometry import FlashGeometry, PhysAddr
+from .geometry import PhysAddr
 
 __all__ = ["WearTracker", "BadBlockTable"]
 
@@ -59,9 +59,6 @@ class WearTracker:
         """Erase count relative to rated endurance (may exceed 1.0)."""
         return self.erase_count(addr) / self.endurance
 
-    def is_worn_out(self, addr: PhysAddr) -> bool:
-        return self.erase_count(addr) >= self.endurance
-
     @property
     def total_erases(self) -> int:
         return sum(self._erases.values())
@@ -69,11 +66,6 @@ class WearTracker:
     @property
     def max_erase_count(self) -> int:
         return max(self._erases.values(), default=0)
-
-    @property
-    def min_erase_count_touched(self) -> int:
-        """Minimum erase count among blocks erased at least once."""
-        return min(self._erases.values(), default=0)
 
     def spread(self) -> int:
         """Max − min erase count over *touched* blocks (0 if none).
@@ -87,28 +79,6 @@ class WearTracker:
         counts = self._erases.values()
         return max(counts) - min(counts)
 
-    def chip_summaries(self) -> Dict[Tuple[int, int, int, int],
-                                     Dict[str, int]]:
-        """Per-chip erase-count summaries over touched blocks.
-
-        Maps ``(node, card, bus, chip)`` to ``blocks_touched`` /
-        ``total_erases`` / ``min_erase_count`` / ``max_erase_count``,
-        in deterministic (sorted) chip order.
-        """
-        summaries: Dict[Tuple[int, int, int, int], Dict[str, int]] = {}
-        for key in sorted(self._erases):
-            node, card, bus, chip, _block = key
-            count = self._erases[key]
-            entry = summaries.setdefault(
-                (node, card, bus, chip),
-                {"blocks_touched": 0, "total_erases": 0,
-                 "min_erase_count": count, "max_erase_count": count})
-            entry["blocks_touched"] += 1
-            entry["total_erases"] += count
-            entry["min_erase_count"] = min(entry["min_erase_count"], count)
-            entry["max_erase_count"] = max(entry["max_erase_count"], count)
-        return summaries
-
 
 class BadBlockTable:
     """Grown bad blocks.
@@ -117,8 +87,7 @@ class BadBlockTable:
     erase failures; a fresh table has no bad blocks.
     """
 
-    def __init__(self, geometry: FlashGeometry):
-        self.geometry = geometry
+    def __init__(self):
         self._grown: Set[_BlockKey] = set()
 
     @property
@@ -146,16 +115,3 @@ class BadBlockTable:
     @property
     def grown_bad_count(self) -> int:
         return len(self._grown)
-
-    def good_blocks(self, node: int, card: int,
-                    buses: Iterable[int] = None) -> Iterable[PhysAddr]:
-        """Yield block addresses (page 0) of all good blocks on a card."""
-        geo = self.geometry
-        bus_range = range(geo.buses_per_card) if buses is None else buses
-        for bus in bus_range:
-            for chip in range(geo.chips_per_bus):
-                for block in range(geo.blocks_per_chip):
-                    addr = PhysAddr(node=node, card=card, bus=bus,
-                                    chip=chip, block=block, page=0)
-                    if not self.is_bad(addr):
-                        yield addr

@@ -85,11 +85,6 @@ class SplitterPort:
     def max_in_flight(self) -> int:
         return self._slots.capacity
 
-    @property
-    def in_flight(self) -> int:
-        """Commands this port currently holds slots for."""
-        return self._slots.in_use
-
     def _rename(self) -> int:
         """Allocate the next user-visible tag (monotonic per user)."""
         tag = self._next_user_tag
@@ -345,13 +340,6 @@ class FlashSplitter:
         return {port.tenant: port.write_coalescer.stats()
                 for port in self.ports
                 if port.write_coalescer is not None}
-
-    @property
-    def in_flight(self) -> int:
-        """Commands currently admitted across all ports."""
-        if self.admission is not None:
-            return self.admission.in_use
-        return sum(port.in_flight for port in self.ports)
 
     def add_port(self, max_in_flight: Optional[int] = None,
                  tenant: Optional[str] = None, priority: int = 0,

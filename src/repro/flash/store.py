@@ -58,10 +58,6 @@ class PageStore:
     def __len__(self) -> int:
         return self._count
 
-    def is_programmed(self, addr: PhysAddr) -> bool:
-        block = self._blocks.get(_block_key(addr))
-        return block is not None and addr.page in block
-
     def program(self, addr: PhysAddr, data: bytes) -> None:
         """Store ``data`` (padded with 0xFF to page size)."""
         page_size = self.geometry.page_size

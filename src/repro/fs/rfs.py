@@ -69,16 +69,10 @@ class RFS:
         self._files[name] = inode
         return inode
 
-    def exists(self, name: str) -> bool:
-        return name in self._files
-
     def stat(self, name: str) -> Inode:
         if name not in self._files:
             raise FileNotFoundError(f"no such file: {name!r}")
         return self._files[name]
-
-    def list_files(self) -> List[str]:
-        return sorted(self._files)
 
     # -- data path (DES generators) -------------------------------------------
     def write_file(self, name: str, data: bytes):
@@ -97,28 +91,6 @@ class RFS:
             yield from self.core.write(lpn, chunk, self.device.write_page)
             inode.lpns.append(lpn)
 
-    def append_page(self, name: str, data: bytes):
-        """Append one page worth of data (the log FS's natural unit)."""
-        if len(data) > self.page_size:
-            raise ValueError(
-                f"append_page takes at most {self.page_size} bytes")
-        inode = self.stat(name)
-        lpn = self._next_lpn
-        self._next_lpn += 1
-        yield from self.core.write(lpn, data, self.device.write_page)
-        inode.lpns.append(lpn)
-        inode.size += len(data)
-
-    def read_file(self, name: str):
-        """Read back a file's exact contents -> bytes."""
-        inode = self.stat(name)
-        chunks: List[bytes] = []
-        for lpn in inode.lpns:
-            data = yield from self.core.read(lpn, self.device.read_page)
-            chunks.append(data)
-        joined = b"".join(chunks)
-        return joined[:inode.size]
-
     def read_page(self, name: str, page_index: int):
         """Read one page of a file -> bytes (page-size padded)."""
         inode = self.stat(name)
@@ -128,14 +100,6 @@ class RFS:
         data = yield from self.core.read(inode.lpns[page_index],
                                          self.device.read_page)
         return data
-
-    def delete(self, name: str):
-        """Delete a file, invalidating its pages for GC."""
-        inode = self.stat(name)
-        for lpn in inode.lpns:
-            yield self.sim.timeout(0)
-            self.core.trim(lpn)
-        del self._files[name]
 
     # -- the BlueDBM-specific query (Section 4, step 1) -----------------------
     def physical_extents(self, name: str) -> List[PhysAddr]:

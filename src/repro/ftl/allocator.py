@@ -188,29 +188,41 @@ class BlockAllocator:
         consecutive :meth:`FlashGeometry.striped_index` values, which is
         the adjacency the write coalescer merges on.
         """
-        if self._seq_open is None:
+        open_ = self._seq_open
+        if open_ is None:
             block = self._common_block()
             if block is None:
                 return None
             for key in self._chips:
                 if key not in self._retired:
                     self._take_specific(key, block)
-            self._seq_open = (block, 0, 0)
-        block, unit, page = self._seq_open
-        addr = None
-        while addr is None:
-            key = self._chips[unit]
-            if key not in self._retired:
-                addr = tuple.__new__(PhysAddr, key + (block, page))
-            unit += 1
-            if unit >= len(self._chips):
+            open_ = self._live_step(block, 0, 0)
+        block, unit, page = open_
+        chips = self._chips
+        addr = tuple.__new__(PhysAddr, chips[unit] + (block, page))
+        unit += 1
+        if unit < len(chips) and chips[unit] not in self._retired:
+            self._seq_open = (block, unit, page)
+        else:
+            # Step past retired units at once, so the group closes on
+            # its last live page.
+            self._seq_open = self._live_step(block, unit, page)
+        return addr
+
+    def _live_step(self, block: int, unit: int, page: int
+                   ) -> Optional[Tuple[int, int, int]]:
+        """The first live ``(block, unit, page)`` of the stripe walk at
+        or after the given one, or None past the group's last page."""
+        chips, retired = self._chips, self._retired
+        while True:
+            if unit >= len(chips):
                 unit = 0
                 page += 1
                 if page >= self.geometry.pages_per_block:
-                    self._seq_open = None
-                    return addr
-        self._seq_open = (block, unit, page)
-        return addr
+                    return None
+            if chips[unit] not in retired:
+                return block, unit, page
+            unit += 1
 
     def take_group(self, limit: int) -> Optional[List[_BlockKey]]:
         """Claim one whole stripe group of at most ``limit`` pages at
@@ -235,11 +247,6 @@ class BlockAllocator:
                     return None
                 for key in units:
                     self._take_specific(key, block)
-                # The page walk closes a group only on stepping past its
-                # last unit: retired trailing units leave it open there.
-                last = self._chips.index(units[-1]) + 1
-                if last < len(self._chips):
-                    self._seq_open = (block, last, ppb - 1)
                 return [key + (block,) for key in units]
         # The rotation (also sequential mode's fallback): with no block
         # open, every chip that has a free block opens its least-worn
@@ -294,3 +301,6 @@ class BlockAllocator:
         self._free[key].clear()
         self._heaps[key].clear()
         self._open[key] = None
+        if self._seq_open is not None:
+            # Keep the sequential cursor on a live unit.
+            self._seq_open = self._live_step(*self._seq_open)

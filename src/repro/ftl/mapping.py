@@ -9,11 +9,12 @@ The state is flat.  L2P is a list indexed by LPN holding each page's
 :class:`~repro.flash.PhysAddr` (or None); it grows on demand, since a
 core on the 1 TB default geometry touches only the LPNs it writes.
 P2L and validity are kept per block, keyed by the dense *block number*
-``linear_page // pages_per_block``: one ``array`` of LPNs per block
-(``-1`` = invalid or free) plus its valid-page count.  Within one node
-the block number orders exactly like the ``(node, card, bus, chip,
-block)`` block key, so it can stand in for the key everywhere the key
-is compared.
+(the mixed-radix index of ``(card, bus, chip, block)``, which
+``geometry.from_linear(number * pages_per_block)`` decodes): one
+``array`` of LPNs per block (``-1`` = invalid or free) plus its
+valid-page count.  Within one node the block number orders exactly
+like the ``(node, card, bus, chip, block)`` block key, so it can stand
+in for the key everywhere the key is compared.
 
 :class:`PageMap` also indexes the *sealed* (fully programmed) blocks for
 greedy GC: a seal flag per block number plus a lazy-deletion min-heap

@@ -1,7 +1,7 @@
 """Host CPU timing model: a 24-core Xeon server (Section 5).
 
 Application software runs as worker processes that claim a core for each
-compute slice; the model tracks utilization so Figure 21's CPU columns
+compute slice; the model tracks busy core-time so Figure 21's CPU columns
 can be reproduced.
 """
 
@@ -20,7 +20,7 @@ class HostCPU:
         self.sim = sim
         self.config = config
         self.cores = Resource(sim, capacity=config.n_cores, name="cores")
-        self.tracker = UtilizationTracker(sim, "cpu")
+        self.tracker = UtilizationTracker("cpu")
 
     def compute(self, duration_ns: int):
         """Run ``duration_ns`` of work on one core (DES generator).
@@ -36,14 +36,3 @@ class HostCPU:
             self.tracker.busy(duration_ns)
         finally:
             self.cores.release()
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of one core-equivalent busy over the window so far.
-
-        Normalized to the full socket: 1.0 means all cores pegged.
-        """
-        window = self.sim.now
-        if window <= 0:
-            return 0.0
-        return min(1.0, self.tracker.busy_ns / (window * self.config.n_cores))

@@ -78,6 +78,3 @@ class AcceleratorScheduler:
     def queue_depth(self) -> int:
         return self._units.queue_depth
 
-    @property
-    def units_free(self) -> int:
-        return len(self._free)

@@ -170,16 +170,6 @@ class IORequest:
             return 0
         return self.completed_ns - self.issued_ns
 
-    @property
-    def accounted_ns(self) -> int:
-        """Time explained by stage spans + annotations."""
-        return sum(self.stages.values()) + sum(self.annotations.values())
-
-    @property
-    def unattributed_ns(self) -> int:
-        """End-to-end time no stage claimed (transfer residual et al.)."""
-        return max(0, self.total_ns - self.accounted_ns)
-
     def missed_deadline(self) -> bool:
         """True if the request completed after its deadline."""
         return (self.deadline_ns is not None and self.completed_ns is not None

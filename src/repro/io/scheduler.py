@@ -547,13 +547,3 @@ class ScheduledResource:
             self._pump()
 
         timeout.callbacks.append(_fire)
-
-    def use(self, hold_ns: int, tenant: str = "default"):
-        """Process helper: acquire, hold for ``hold_ns``, release."""
-        def _use(sim=self.sim):
-            yield self.request(tenant=tenant)
-            try:
-                yield sim.timeout(hold_ns)
-            finally:
-                self.release()
-        return _use()

@@ -171,6 +171,3 @@ class RequestTracer:
             merged.merge(hist)
         return merged
 
-    @property
-    def completed_count(self) -> int:
-        return sum(self.tenant_completed.values())

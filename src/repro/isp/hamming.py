@@ -39,10 +39,6 @@ class HammingEngine(Engine):
         super().__init__(sim, bytes_per_ns, name=name)
         self.query = bytes(query)
 
-    def set_query(self, query: bytes) -> None:
-        """Load a new query page (software does this over DMA)."""
-        self.query = bytes(query)
-
     def process_page(self, data: bytes, context=None) -> int:
         """Hamming distance between the stored query and this item."""
         return hamming_distance(self.query, data)

@@ -101,10 +101,6 @@ class SpMVEngine(Engine):
         super().__init__(sim, bytes_per_ns, name=name)
         self.x = np.asarray(x, dtype=np.float64)
 
-    def set_vector(self, x: np.ndarray) -> None:
-        """Load a new dense vector (lives in on-board DRAM)."""
-        self.x = np.asarray(x, dtype=np.float64)
-
     def process_page(self, data: bytes, context=None) -> Dict[int, float]:
         partial: Dict[int, float] = {}
         for row_id, entries in decode_rows(data):

@@ -84,10 +84,6 @@ class StorageNetwork:
             raise KeyError(f"no endpoint {endpoint_id} on node {node}")
         return self._endpoints[key]
 
-    def hop_count(self, src: int, dst: int) -> int:
-        """Shortest-path hop distance between two nodes."""
-        return self._hops[src][dst]
-
     def propagation_ns(self, src: int, dst: int) -> int:
         """One-way propagation delay from ``src`` to ``dst``.
 

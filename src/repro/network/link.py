@@ -75,12 +75,3 @@ class SerialLink:
         packet = yield self._rx_buffer.get()
         self._credits.give(1)
         return packet
-
-    @property
-    def buffered(self) -> int:
-        """Packets currently waiting in the receive buffer."""
-        return len(self._rx_buffer)
-
-    @property
-    def credits_available(self) -> int:
-        return self._credits.credits

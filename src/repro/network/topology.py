@@ -7,8 +7,8 @@ configuration, Section 6.3), line, distributed star, 2-D mesh, fat tree —
 plus fully-connected for small testbeds.  Rewiring means building a new
 topology; route programming is done in software from a configuration
 (Section 3.2.3: no discovery protocol, a network configuration file
-populates the routing tables), reproduced here by
-:func:`Topology.to_config` / :func:`Topology.from_config`.
+populates the routing tables), written here by
+:func:`Topology.to_config`.
 """
 
 from __future__ import annotations
@@ -112,20 +112,6 @@ class Topology:
             "cables": [[c.node_a, c.port_a, c.node_b, c.port_b]
                        for c in self.cables],
         }, indent=2)
-
-    @classmethod
-    def from_config(cls, text: str) -> "Topology":
-        """Parse a configuration produced by :meth:`to_config`."""
-        raw = json.loads(text)
-        topo = cls(raw["n_nodes"], raw.get("max_ports", MAX_PORTS))
-        for node_a, port_a, node_b, port_b in raw["cables"]:
-            cable = Cable(node_a, port_a, node_b, port_b)
-            for node, port in ((node_a, port_a), (node_b, port_b)):
-                if port >= topo.max_ports:
-                    raise ValueError(f"port {port} exceeds max_ports")
-                topo._next_port[node] = max(topo._next_port[node], port + 1)
-            topo.cables.append(cable)
-        return topo
 
 
 def line(n_nodes: int, lanes: int = 1) -> Topology:

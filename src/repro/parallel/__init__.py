@@ -10,8 +10,7 @@ experiments pin in ``tests/test_qos_determinism.py``.
 from .runner import (
     PointError,
     WorkerPool,
-    active_pool,
     parallel_map,
 )
 
-__all__ = ["PointError", "WorkerPool", "parallel_map", "active_pool"]
+__all__ = ["PointError", "WorkerPool", "parallel_map"]

@@ -34,10 +34,9 @@ from __future__ import annotations
 import multiprocessing
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from typing import Any, Callable, Iterable, List, Optional, Sequence
 
-__all__ = ["PointError", "WorkerPool", "parallel_map", "active_pool"]
+__all__ = ["PointError", "WorkerPool", "parallel_map"]
 
 
 class PointError(RuntimeError):
@@ -135,24 +134,6 @@ class WorkerPool:
         self.close()
 
 
-#: The ambient pool a caller running many sweeps installs (the
-#: determinism suite does) so nested ``parallel_map`` calls share one
-#: set of workers instead of spawning a pool per sweep.
-_ACTIVE: Optional[WorkerPool] = None
-
-
-@contextmanager
-def active_pool(pool: WorkerPool):
-    """Route every ``parallel_map`` in this context through ``pool``."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = pool
-    try:
-        yield pool
-    finally:
-        _ACTIVE = previous
-
-
 def parallel_map(fn: Callable[[Any], Any], points: Iterable[Any],
                  jobs: int = 1,
                  pool: Optional[WorkerPool] = None) -> List[Any]:
@@ -161,20 +142,17 @@ def parallel_map(fn: Callable[[Any], Any], points: Iterable[Any],
     Execution substrate, in priority order:
 
     1. an explicit ``pool`` argument;
-    2. the ambient pool installed by :func:`active_pool` (how one
-       pool serves every sweep run inside the context);
-    3. an ephemeral spawn pool of ``min(jobs, len(points))`` workers
+    2. an ephemeral spawn pool of ``min(jobs, len(points))`` workers
        when ``jobs > 1`` and there is more than one point;
-    4. otherwise the exact serial path — a plain loop in this process,
+    3. otherwise the exact serial path — a plain loop in this process,
        with zero subprocess machinery.
 
     For pure point functions (see the module docstring) the result is
-    byte-identical across all four substrates.
+    byte-identical across all three substrates.
     """
     points = list(points)
-    target = pool if pool is not None else _ACTIVE
-    if target is not None:
-        return target.map(fn, points)
+    if pool is not None:
+        return pool.map(fn, points)
     if jobs <= 1 or len(points) <= 1:
         return [fn(point) for point in points]
     with WorkerPool(min(jobs, len(points))) as target:

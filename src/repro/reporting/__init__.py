@@ -2,19 +2,18 @@
 
 * :mod:`~repro.reporting.resources` — parametric FPGA resource model.
 * :mod:`~repro.reporting.power` — node/cluster power, RAMCloud sizing.
-* :mod:`~repro.reporting.tables` — ASCII tables/series for benchmarks.
+* :mod:`~repro.reporting.tables` — ASCII tables for benchmarks.
 """
 
 from .power import NodePower, PowerModel, ramcloud_equivalent
 from .resources import (
     ModuleUsage,
     artix7_flash_controller,
-    fits_artix7,
     fits_virtex7,
     totals,
     virtex7_host,
 )
-from .tables import banner, format_series, format_table
+from .tables import banner, format_table
 
 __all__ = [
     "NodePower",
@@ -24,9 +23,7 @@ __all__ = [
     "artix7_flash_controller",
     "virtex7_host",
     "totals",
-    "fits_artix7",
     "fits_virtex7",
     "banner",
-    "format_series",
     "format_table",
 ]

@@ -74,9 +74,6 @@ class PowerModel:
     def capacity_bytes(self) -> int:
         return self.n_nodes * self.flash_per_node_bytes
 
-    def watts_per_tb(self) -> float:
-        return self.cluster_w / (self.capacity_bytes / TB)
-
 
 def ramcloud_equivalent(dataset_bytes: int,
                         dram_per_server_bytes: int = 50 * GB,

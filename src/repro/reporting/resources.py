@@ -34,8 +34,6 @@ ARTIX7_REGS = 269_200
 ARTIX7_BRAM = 365
 VIRTEX7_LUTS = 303_600
 VIRTEX7_REGS = 607_200
-VIRTEX7_RAMB36 = 1_030
-VIRTEX7_RAMB18 = 2_060
 
 
 @dataclass(frozen=True)
@@ -164,14 +162,6 @@ def totals(rows: List[ModuleUsage]) -> ModuleUsage:
         sum(r.total_luts for r in top),
         sum(r.total_registers for r in top),
         sum(r.total_bram for r in top))
-
-
-def fits_artix7(rows: List[ModuleUsage]) -> bool:
-    """Does the flash controller design fit its Artix-7?"""
-    t = totals(rows)
-    return (t.total_luts <= ARTIX7_LUTS
-            and t.total_registers <= ARTIX7_REGS
-            and t.total_bram <= ARTIX7_BRAM)
 
 
 def fits_virtex7(rows: List[ModuleUsage]) -> bool:

@@ -1,4 +1,4 @@
-"""ASCII table/series formatting for benchmark output.
+"""ASCII table formatting for benchmark output.
 
 Every benchmark prints the same rows or series the paper reports, with
 the paper's reference value alongside the simulator's measurement, so a
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-__all__ = ["format_table", "format_series", "banner"]
+__all__ = ["format_table", "banner"]
 
 
 def banner(title: str) -> str:
@@ -38,16 +38,6 @@ def format_table(headers: Sequence[str],
     out.append(line(["-" * w for w in widths]))
     out.extend(line(row) for row in rendered)
     return "\n".join(out)
-
-
-def format_series(x_label: str, xs: Sequence, series: dict,
-                  title: Optional[str] = None) -> str:
-    """Render named series against a shared x axis (figure data)."""
-    headers = [x_label] + list(series)
-    rows = []
-    for i, x in enumerate(xs):
-        rows.append([x] + [series[name][i] for name in series])
-    return format_table(headers, rows, title=title)
 
 
 def _cell(value) -> str:

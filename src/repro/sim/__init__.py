@@ -5,8 +5,8 @@ Public surface:
 * :class:`~repro.sim.core.Simulator` — the event loop (integer ns clock).
 * :class:`~repro.sim.core.Event`, :class:`~repro.sim.core.Process` —
   event/coroutine primitives.
-* :mod:`~repro.sim.resources` — FIFO stores, counted resources, credit
-  pools (token flow control), gates.
+* :mod:`~repro.sim.resources` — FIFO stores, counted resources and
+  credit pools (token flow control).
 * :mod:`~repro.sim.stats` — counters, latency histograms, bandwidth ledgers.
 * :mod:`~repro.sim.units` — ns/µs/GB/Gbps conversion helpers.
 """
@@ -21,7 +21,7 @@ from .core import (
     Simulator,
     Timeout,
 )
-from .resources import CreditPool, Gate, Resource, Store
+from .resources import CreditPool, Resource, Store
 from .stats import (
     BandwidthLedger,
     Counter,
@@ -42,7 +42,6 @@ __all__ = [
     "Store",
     "Resource",
     "CreditPool",
-    "Gate",
     "Counter",
     "LatencyHistogram",
     "BandwidthLedger",

@@ -444,12 +444,6 @@ class Simulator:
                 f"cannot schedule {event!r} at negative delay {delay} "
                 f"(now={self.now})")
 
-    def peek(self) -> Optional[int]:
-        """Time of the next scheduled event, or None if the queue is empty."""
-        if self._ready:
-            return self.now
-        return self._queue[0][0] if self._queue else None
-
     def run(self, until: Optional[int] = None) -> None:
         """Run until the queue drains or the clock reaches ``until`` ns."""
         if until is not None and until < self.now:

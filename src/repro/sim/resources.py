@@ -10,7 +10,6 @@ classes model that world:
 * :class:`Resource` — counted resource (e.g. DMA engines, bus slots).
 * :class:`CreditPool` — token/credit counter used by the link-layer
   token-based flow control (Section 3.2.2).
-* :class:`Gate` — a level-triggered condition processes can wait on.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Any, Deque, Optional
 
 from .core import Event, Simulator, SimulationError
 
-__all__ = ["Store", "Resource", "CreditPool", "Gate"]
+__all__ = ["Store", "Resource", "CreditPool"]
 
 
 def _resolved(event: Event, value: Any = None) -> Event:
@@ -118,17 +117,6 @@ class Store:
         self.items.append(item)
         self._dispatch()
 
-    def try_get(self) -> Any:
-        """Non-blocking get: returns the front item or None if empty.
-
-        Only safe when no getter processes are waiting (used by pollers).
-        """
-        if self._getters or not self.items:
-            return None
-        item = self.items.popleft()
-        self._dispatch()
-        return item
-
     def _dispatch(self) -> None:
         progressed = True
         while progressed:
@@ -184,16 +172,6 @@ class Resource:
         else:
             self.in_use -= 1
 
-    def use(self, hold_ns: int):
-        """Process helper: acquire, hold for ``hold_ns``, release."""
-        def _use(sim=self.sim):
-            yield self.request()
-            try:
-                yield sim.timeout(hold_ns)
-            finally:
-                self.release()
-        return _use()
-
 
 class CreditPool:
     """Token-based flow-control credits (link layer, Section 3.2.2).
@@ -236,36 +214,3 @@ class CreditPool:
             event, amount = self._waiters.popleft()
             self.credits -= amount
             event.succeed()
-
-
-class Gate:
-    """A level condition: processes wait until the gate is open.
-
-    Used for interrupt-style notifications (e.g. "read buffer N is ready")
-    without busy polling.
-    """
-
-    def __init__(self, sim: Simulator, is_open: bool = False):
-        self.sim = sim
-        self._open = is_open
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def wait(self) -> Event:
-        event = Event(self.sim)
-        if self._open:
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
-
-    def open(self) -> None:
-        self._open = True
-        while self._waiters:
-            self._waiters.popleft().succeed()
-
-    def close(self) -> None:
-        self._open = False

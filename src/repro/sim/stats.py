@@ -27,9 +27,6 @@ class Counter:
             raise ValueError(f"counter decrement not allowed ({amount})")
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0
-
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, {self.value})"
 
@@ -77,16 +74,6 @@ class LatencyHistogram:
     @property
     def mean(self) -> float:
         return self.total_ns / self.count if self.count else 0.0
-
-    @property
-    def minimum(self) -> int:
-        """Smallest recorded sample (exact)."""
-        return self.min_ns or 0
-
-    @property
-    def maximum(self) -> int:
-        """Largest recorded sample (exact)."""
-        return self.max_ns or 0
 
     def percentile(self, p: float) -> float:
         """Estimated percentile, p in [0, 100] (0 when empty)."""
@@ -216,29 +203,14 @@ class BandwidthLedger:
 class UtilizationTracker:
     """Tracks busy time of a component (e.g. a host CPU core).
 
-    Call :meth:`busy` for each busy interval; :meth:`utilization` reports
-    busy/elapsed over the observation window.
+    Call :meth:`busy` for each busy interval; ``busy_ns`` is the sum.
     """
 
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
+    def __init__(self, name: str = ""):
         self.name = name
         self.busy_ns = 0
-        self._window_start = sim.now
 
     def busy(self, duration_ns: int) -> None:
         if duration_ns < 0:
             raise ValueError(f"negative busy duration {duration_ns}")
         self.busy_ns += duration_ns
-
-    def reset(self) -> None:
-        self.busy_ns = 0
-        self._window_start = self.sim.now
-
-    def utilization(self, elapsed_ns: Optional[int] = None) -> float:
-        """Fraction of the window spent busy, clamped to [0, 1]."""
-        window = (self.sim.now - self._window_start
-                  if elapsed_ns is None else elapsed_ns)
-        if window <= 0:
-            return 0.0
-        return min(1.0, self.busy_ns / window)

@@ -13,48 +13,25 @@ Conventions
 from __future__ import annotations
 
 __all__ = [
-    "NS",
     "US",
     "MS",
     "S",
-    "KB",
-    "MB",
     "GB",
-    "us",
-    "ms",
     "seconds",
     "to_us",
     "to_ms",
     "to_s",
     "gbps_to_bytes_per_ns",
-    "gbytes_to_bytes_per_ns",
     "transfer_ns",
     "bandwidth_gbps",
     "bandwidth_gbytes",
 ]
 
-NS = 1
 US = 1_000
 MS = 1_000_000
 S = 1_000_000_000
 
-KB = 1_000
-MB = 1_000_000
 GB = 1_000_000_000
-
-KIB = 1024
-MIB = 1024 * 1024
-GIB = 1024 * 1024 * 1024
-
-
-def us(value: float) -> int:
-    """Microseconds -> integer nanoseconds."""
-    return int(round(value * US))
-
-
-def ms(value: float) -> int:
-    """Milliseconds -> integer nanoseconds."""
-    return int(round(value * MS))
 
 
 def seconds(value: float) -> int:
@@ -83,11 +60,6 @@ def gbps_to_bytes_per_ns(gbps: float) -> float:
     10 Gbps == 1.25 bytes/ns.
     """
     return gbps / 8.0
-
-
-def gbytes_to_bytes_per_ns(gbs: float) -> float:
-    """Bandwidth in GB/s -> bytes per nanosecond (1 GB/s == 1 byte/ns)."""
-    return gbs
 
 
 def transfer_ns(num_bytes: int, bytes_per_ns: float) -> int:

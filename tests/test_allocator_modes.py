@@ -26,7 +26,7 @@ N_UNITS = (GEO.cards_per_node * GEO.buses_per_card * GEO.chips_per_bus)
 
 
 def make_allocator(mode="striped", geometry=GEO, wear=None):
-    return BlockAllocator(geometry, BadBlockTable(geometry),
+    return BlockAllocator(geometry, BadBlockTable(),
                           wear or WearTracker(), node=0, mode=mode)
 
 
@@ -148,7 +148,7 @@ class TestSequentialMode:
         assert alloc.next_page() is None
 
     def test_bad_block_excluded_and_rotation_fallback_used(self):
-        badblocks = BadBlockTable(GEO)
+        badblocks = BadBlockTable()
         # Block 1 bad on one chip: no stripe group can use block 1.
         badblocks.mark_bad(PhysAddr(node=0, bus=1, chip=0, block=1))
         alloc = BlockAllocator(GEO, badblocks, WearTracker(), node=0,
@@ -169,6 +169,23 @@ class TestSequentialMode:
         groups = [a for a in addrs if a.block != 1]
         indices = [GEO.striped_index(a) for a in groups]
         assert indices[:3 * N_UNITS] == sorted(indices[:3 * N_UNITS])
+
+    def test_group_closes_on_last_live_page_before_retired_tail(self):
+        alloc = make_allocator(mode="sequential")
+        # Retire unit 3 of 4, the last in chip order: a stripe group is
+        # then 3 units x 4 pages.
+        alloc.retire_chip(card=0, bus=1, chip=1)
+        live = [GEO.striped(unit)[:4] for unit in range(3)]
+        run = [alloc.next_page() for _ in range(17)]
+        assert run[:12] == [PhysAddr(*live[unit], 0, page)
+                            for page in range(4) for unit in range(3)]
+        # Page 13 opens block 1 on every live chip, and the walk goes on
+        # in striped order through that group.
+        assert run[12:] == [PhysAddr(*live[0], 1, 0),
+                            PhysAddr(*live[1], 1, 0),
+                            PhysAddr(*live[2], 1, 0),
+                            PhysAddr(*live[0], 1, 1),
+                            PhysAddr(*live[1], 1, 1)]
 
     def test_sequential_wear_prefers_cold_stripe_group(self):
         wear = WearTracker()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.__main__ import main
-from repro.analysis import SweepResult, cross_sweep, sweep
+from repro.analysis import SweepResult, sweep
 from repro.network import NetworkConfig, StorageNetwork, line
 from repro.sim import Simulator, units
 
@@ -14,7 +14,6 @@ class TestSweep:
         assert result.values == [1, 2, 3]
         assert result.results == [1, 4, 9]
         assert result.as_dict() == {1: 1, 2: 4, 3: 9}
-        assert result.argmax() == 3
 
     def test_monotonicity_helper(self):
         up = SweepResult("x", [1, 2, 3], [1.0, 2.0, 3.0])
@@ -33,12 +32,6 @@ class TestSweep:
             sweep("x", [], lambda x: x)
         with pytest.raises(ValueError):
             SweepResult("x", [1], [])
-
-    def test_cross_sweep(self):
-        grid = cross_sweep("a", [1, 2], "b", [10, 20],
-                           lambda a, b: a * b)
-        assert grid[1].results == [10, 20]
-        assert grid[2].results == [20, 40]
 
     def test_sweep_over_real_simulations(self):
         """Each point runs an independent simulator: link speed sweep."""

@@ -48,7 +48,8 @@ class TestClusterConstruction:
         topo.connect(1, 2)
         cluster = BlueDBMCluster(sim, 3, topology=topo,
                                  node_kwargs=NODE_KW)
-        assert cluster.network.hop_count(0, 2) == 2
+        assert (cluster.network.propagation_ns(0, 2)
+                == 2 * cluster.network.config.hop_latency_ns)
 
 
 class TestRemotePathDetails:

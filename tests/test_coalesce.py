@@ -1,8 +1,8 @@
 """Coalescing stage: planner properties + DES integration.
 
-The grouping rule is a pure function (:func:`repro.flash.plan_groups` /
-:func:`repro.flash.first_group`), so hypothesis can state its contract
-directly:
+The grouping rule is a pure function (:func:`repro.flash.first_group`,
+applied repeatedly by :func:`plan_groups` below), so hypothesis can
+state its contract directly:
 
 * groups **partition** the staged entries exactly — every input page is
   in exactly one merged command, none invented, none dropped;
@@ -28,7 +28,6 @@ from repro.flash import (
     FlashSplitter,
     FlashCard,
     first_group,
-    plan_groups,
 )
 from repro.io import IORequest, RequestTracer
 from repro.sim import Simulator
@@ -36,6 +35,23 @@ from repro.sim import Simulator
 # ----------------------------------------------------------------------
 # planner properties
 # ----------------------------------------------------------------------
+def plan_groups(keys, max_pages):
+    """Partition a static arrival queue into merged commands.
+
+    Repeatedly applies :func:`first_group` the way the dispatcher does
+    when every entry is already staged; returns position groups in
+    dispatch order.
+    """
+    remaining = list(range(len(keys)))
+    groups = []
+    while remaining:
+        local = first_group([keys[pos] for pos in remaining], max_pages)
+        groups.append([remaining[i] for i in local])
+        remaining = [pos for i, pos in enumerate(remaining)
+                     if i not in set(local)]
+    return groups
+
+
 keys = st.lists(
     st.tuples(st.sampled_from(["a", "b", "c"]),     # tenant
               st.integers(0, 1),                    # card identity

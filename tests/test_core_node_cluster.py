@@ -7,7 +7,6 @@ from repro.core import (
     BlueDBMNode,
     Engine,
     EngineArray,
-    stream_job,
 )
 from repro.flash import FlashGeometry, FlashTiming, PhysAddr
 from repro.io import RequestTracer
@@ -103,27 +102,6 @@ class TestEngine:
             CountBytes(sim, bytes_per_ns=0)
         with pytest.raises(ValueError):
             EngineArray([])
-
-    def test_stream_job_processes_everything(self, sim):
-        engines = [CountBytes(sim, 1.0) for _ in range(2)]
-        array = EngineArray(engines)
-        pages = Store(sim)
-
-        class FakeResult:
-            def __init__(self, data):
-                self.data = data
-
-        def feeder(sim):
-            for i in range(10):
-                yield pages.put(FakeResult(bytes([0xFF] * i)))
-
-        def job(sim):
-            results = yield from stream_job(sim, pages, array, 10)
-            return results
-
-        sim.process(feeder(sim))
-        results = sim.run_process(job(sim))
-        assert sorted(results) == list(range(10))
 
 
 class TestBlueDBMNode:
@@ -253,7 +231,8 @@ class TestClusterPaths:
 
     def test_two_node_cluster_uses_line(self, sim):
         cluster = BlueDBMCluster(sim, 2, node_kwargs=NODE_KW)
-        assert cluster.network.hop_count(0, 1) == 1
+        assert (cluster.network.propagation_ns(0, 1)
+                == cluster.network.config.hop_latency_ns)
 
     def test_invalid_cluster_sizes(self, sim):
         with pytest.raises(ValueError):

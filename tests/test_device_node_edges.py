@@ -97,7 +97,7 @@ class TestNodeOptions:
     def test_custom_accelerator_unit_count(self, sim):
         node = BlueDBMNode(sim, geometry=GEO, flash_timing=FAST,
                            accelerator_units=3)
-        assert node.scheduler.units_free == 3
+        assert node.scheduler.n_units == 3
 
     def test_onboard_dram_bandwidth_option(self, sim):
         node = BlueDBMNode(sim, geometry=GEO, flash_timing=FAST,

@@ -3,7 +3,7 @@
 :class:`repro.dvol.PlacementPlanner` is a pure function from LPN to
 ``(node, shard_lpn)`` — these properties pin the contract everything
 else in :mod:`repro.dvol` leans on: the map is a bijection (every LPN
-lands on exactly one shard slot, and comes back through the inverse),
+lands on exactly one shard slot, and every shard slot is reached),
 contiguous runs shatter into at most ``shards`` stripe-adjacent
 sub-runs covering exactly the original pages, and the striped and
 hashed modes are two bijections over the *same* page sets.
@@ -44,10 +44,14 @@ def test_every_lpn_maps_to_exactly_one_slot(planner):
 
 @settings(max_examples=200, deadline=None)
 @given(planners())
-def test_locate_and_lpn_of_are_inverses(planner):
-    for lpn in range(planner.total_pages):
-        node, shard_lpn = planner.locate(lpn)
-        assert planner.lpn_of(node, shard_lpn) == lpn
+def test_locate_covers_every_shard_slot(planner):
+    slots = [planner.locate(lpn) for lpn in range(planner.total_pages)]
+    # Injective, and onto every (node, shard_lpn) the shards place.
+    assert len(set(slots)) == len(slots)
+    assert set(slots) == {(node, shard_lpn)
+                          for node in range(planner.shards)
+                          for shard_lpn in range(planner.rounds
+                                                 * planner.chunk)}
 
 
 @settings(max_examples=200, deadline=None)
@@ -59,12 +63,13 @@ def test_split_run_covers_run_in_few_contiguous_pieces(planner, data):
     start = data.draw(st.integers(min_value=0, max_value=total - 1))
     count = data.draw(st.integers(min_value=1, max_value=total - start))
     runs = planner.split_run(start, count)
+    lpn_at = {planner.locate(lpn): lpn for lpn in range(total)}
 
     covered = []
     for node, shard_start, length in runs:
         assert length >= 1
         for off in range(length):
-            covered.append(planner.lpn_of(node, shard_start + off))
+            covered.append(lpn_at[(node, shard_start + off)])
     # Exactly the requested pages, each once.
     assert sorted(covered) == list(range(start, start + count))
 
@@ -114,7 +119,3 @@ def test_out_of_range_rejected():
         planner.locate(planner.total_pages)
     with pytest.raises(ValueError):
         planner.locate(-1)
-    with pytest.raises(ValueError):
-        planner.lpn_of(2, 0)
-    with pytest.raises(ValueError):
-        planner.lpn_of(0, 16)

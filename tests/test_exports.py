@@ -35,7 +35,7 @@ PINNED = {
         "BandwidthLedger", "LatencyHistogram", "Simulator", "Event",
     ],
     "repro.flash": [
-        "Coalescer", "first_group", "plan_groups",
+        "Coalescer", "first_group",
         "FlashSplitter", "SplitterPort", "FlashCard", "WearTracker",
         "BadBlockTable", "ProgramFailedError", "BadBlockProgramError",
     ],
@@ -61,7 +61,7 @@ PINNED = {
         "ShardServiceIface",
     ],
     "repro.parallel": [
-        "parallel_map", "WorkerPool", "PointError", "active_pool",
+        "parallel_map", "WorkerPool", "PointError",
     ],
 }
 

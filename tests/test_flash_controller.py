@@ -310,7 +310,8 @@ class TestBandwidth:
 
     def test_in_flight_gauge(self, sim):
         card = make_card(sim)
-        assert card.in_flight == 0
+        # No command holds a tag: the whole pool is free.
+        assert len(card._tag_pool.items) == card.tag_count
 
     def test_invalid_tags_rejected(self, sim):
         with pytest.raises(ValueError):

@@ -53,11 +53,11 @@ class TestWordCodec:
 
 class TestPageCodec:
     def test_parity_overhead_is_one_byte_per_word(self):
-        assert ecc.parity_bytes_for(8192) == 1024
+        assert len(ecc.encode_page(bytes(8192))) == 1024
 
     def test_parity_requires_word_multiple(self):
         with pytest.raises(ValueError):
-            ecc.parity_bytes_for(100)
+            ecc.encode_page(bytes(100))
 
     def test_page_roundtrip_clean(self):
         data = bytes(range(256)) * 4  # 1024 bytes

@@ -26,7 +26,6 @@ class TestCapacities:
         assert geo.pages_per_bus == 32
         assert geo.pages_per_card == 64
         assert geo.pages_per_node == 128
-        assert geo.blocks_per_card == 16
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
@@ -43,11 +42,13 @@ class TestPhysAddr:
         blk = addr.block_addr()
         assert blk.page == 0
         assert blk.block == 7
-        assert blk.chip_key() == addr.chip_key()
+        assert blk[:4] == addr[:4]
 
     def test_keys(self):
         addr = PhysAddr(node=1, card=0, bus=2, chip=3, block=4, page=5)
-        assert addr.chip_key() == (1, 0, 2, 3)
+        # Readers slice the tuple: [:4] is the chip, [:5] the block.
+        assert addr[:4] == (1, 0, 2, 3)
+        assert addr[:5] == (1, 0, 2, 3, 4)
 
     def test_ordering_and_hashing(self):
         a = PhysAddr(block=1)
@@ -60,13 +61,23 @@ class TestPhysAddr:
                             page=5)) == "n1/c0/b2/ch3/blk4/p5"
 
 
+def _linear(geo, addr):
+    """The mixed-radix (card, bus, chip, block, page) number, page
+    fastest: the layout :meth:`FlashGeometry.from_linear` decodes."""
+    return ((((addr.card * geo.buses_per_card + addr.bus)
+              * geo.chips_per_bus + addr.chip)
+             * geo.blocks_per_chip + addr.block)
+            * geo.pages_per_block + addr.page)
+
+
 class TestLinearMapping:
     def test_roundtrip_all_pages(self, geo):
         seen = set()
         for linear in range(geo.pages_per_node):
             addr = geo.from_linear(linear, node=3)
             assert addr.node == 3
-            assert geo.linear_page(addr) == linear
+            geo.validate(addr)
+            assert _linear(geo, addr) == linear
             seen.add((addr.card, addr.bus, addr.chip, addr.block, addr.page))
         assert len(seen) == geo.pages_per_node
 
@@ -86,14 +97,14 @@ class TestLinearMapping:
     def test_roundtrip_property_default_geometry(self, linear):
         geo = DEFAULT_GEOMETRY
         linear %= geo.pages_per_node
-        assert geo.linear_page(geo.from_linear(linear)) == linear
+        assert _linear(geo, geo.from_linear(linear)) == linear
 
 
 class TestStriping:
     def test_striped_spreads_over_chips_first(self, geo):
         # First (cards*buses*chips) indices must each hit a distinct chip.
         n_units = geo.cards_per_node * geo.buses_per_card * geo.chips_per_bus
-        chips = {geo.striped(i).chip_key() for i in range(n_units)}
+        chips = {geo.striped(i)[:4] for i in range(n_units)}
         assert len(chips) == n_units
 
     def test_striped_covers_all_pages(self, geo):
@@ -104,7 +115,7 @@ class TestStriping:
         n_units = geo.cards_per_node * geo.buses_per_card * geo.chips_per_bus
         first = geo.striped(0)
         second = geo.striped(n_units)
-        assert first.chip_key() == second.chip_key()
+        assert first[:4] == second[:4]
         assert (second.block, second.page) != (first.block, first.page)
 
     def test_striped_out_of_range(self, geo):

@@ -226,14 +226,6 @@ class TestScheduledResource:
         with pytest.raises(ValueError):
             ScheduledResource(sim, capacity=0)
 
-    def test_use_helper(self, sim):
-        res = ScheduledResource(sim, capacity=1)
-        sim.process(res.use(25, tenant="x"))
-        sim.run()
-        assert sim.now == 25
-        assert res.in_use == 0
-        assert res.queue_depth == 0
-
     def test_queue_depth(self, sim):
         res = ScheduledResource(sim, capacity=1)
 
@@ -279,7 +271,7 @@ class TestAcceleratorSchedulerPolicies:
         sim.run()
         # batch holds the unit; urgent jumps ahead of bg in the queue.
         assert order == ["batch", "urgent", "bg"]
-        assert sched.units_free == 1
+        assert len(sched._free) == 1
 
     def test_rr_policy_fair_shares_apps(self):
         from repro.host import AcceleratorScheduler

@@ -79,8 +79,10 @@ class TestIORequest:
         req.annotate("network", 10)
         req.completed_ns = 200
         assert req.total_ns == 100
-        assert req.accounted_ns == 60
-        assert req.unattributed_ns == 40
+        assert req.stage_ns("storage") == 50
+        # 40 ns no stage or annotation claimed.
+        assert (req.total_ns - req.stage_ns("storage")
+                - req.annotations["network"]) == 40
 
     def test_deadline_miss(self):
         req = IORequest("read", None, 64, deadline_ns=50, issued_ns=0)
@@ -175,7 +177,7 @@ class TestRequestTracer:
         summary = tracer.tenant_summary()
         assert summary["isp"]["completed"] == 2
         assert summary["host"]["completed"] == 1
-        assert tracer.completed_count == 3
+        assert sum(tracer.tenant_completed.values()) == 3
         assert tracer.stage_histograms["storage"].count == 3
 
     def test_complete_none_is_noop(self, sim):
@@ -195,7 +197,7 @@ class TestRequestTracer:
         session.run()
         gc.collect()
         live = sum(isinstance(obj, IORequest) for obj in gc.get_objects())
-        return session.tracer.completed_count, live
+        return sum(session.tracer.tenant_completed.values()), live
 
     def test_retained_requests_do_not_grow_with_run_length(self):
         # Histograms and counters cover every completion; no completed
@@ -271,7 +273,7 @@ class TestTraceSampling:
             tracer.complete(second)
 
         sim.run_process(proc(sim))
-        assert tracer.completed_count == 0
+        assert sum(tracer.tenant_completed.values()) == 0
         assert tracer.stage_histograms == {}
 
 
@@ -287,7 +289,7 @@ class TestSplitterTracing:
             yield sim.process(port.read_page(PhysAddr()))
 
         sim.run_process(proc(sim))
-        assert tracer.completed_count == 1
+        assert sum(tracer.tenant_completed.values()) == 1
         [req] = completed
         assert req.tenant == "isp"
         assert req.kind is IOKind.READ
@@ -315,7 +317,7 @@ class TestSplitterTracing:
         sim.process(server.stream_pages(addrs, out))
         sim.process(consumer(sim))
         sim.run()
-        assert tracer.completed_count == len(addrs)
+        assert sum(tracer.tenant_completed.values()) == len(addrs)
         # Out-of-order completions waited in page buffers: at least one
         # request spent time in the reorder stage, and all have it.
         assert len(completed) == len(addrs)
@@ -400,7 +402,7 @@ class TestFigure12Reconciliation:
         access = (cluster.isp_remote_flash if path == "ISP-F"
                   else cluster.host_remote_flash)
         sim.run_process(access(0, addr))
-        assert tracer.completed_count == 1
+        assert sum(tracer.tenant_completed.values()) == 1
         components = tracer.figure12_components(completed[0])
         assert sum(components.values()) == completed[0].total_ns
         return cluster, components

@@ -60,11 +60,6 @@ class TestHamming:
         assert dist == 800
         assert elapsed == 100
 
-    def test_engine_query_reload(self, sim):
-        engine = HammingEngine(sim, b"\x00")
-        engine.set_query(b"\xff")
-        assert engine.process_page(b"\xff") == 0
-
 
 class TestMorrisPratt:
     def test_failure_function_classic(self):

@@ -16,7 +16,6 @@ Spawning a pool costs seconds, so every process-backed test shares one
 module-scoped two-worker pool.
 """
 
-import os
 import time
 
 import pytest
@@ -26,7 +25,6 @@ from hypothesis import strategies as st
 from repro.parallel import (
     PointError,
     WorkerPool,
-    active_pool,
     parallel_map,
 )
 
@@ -40,10 +38,6 @@ def boom_on_three(x):
     if x == 3:
         raise ValueError(f"boom at {x}")
     return x
-
-
-def worker_pid(_):
-    return os.getpid()
 
 
 def sleep_then_return(args):
@@ -92,18 +86,6 @@ def test_merge_order_ignores_completion_order(pool):
     points = [(0, 0.5), (1, 0.0), (2, 0.1), (3, 0.0)]
     assert parallel_map(sleep_then_return, points, pool=pool) \
         == [0, 1, 2, 3]
-
-
-def test_active_pool_routes_nested_parallel_map(pool):
-    here = os.getpid()
-    with active_pool(pool) as installed:
-        assert installed is pool
-        # Even jobs=1 calls route through the ambient pool: a sweep
-        # run inside the context never falls back to this process.
-        pids = parallel_map(worker_pid, [1, 2, 3], jobs=1)
-        assert here not in pids
-    # Leaving the context restores the serial path.
-    assert parallel_map(worker_pid, [1, 2, 3], jobs=1) == [here] * 3
 
 
 @settings(deadline=None, max_examples=15)

@@ -48,7 +48,6 @@ from repro.experiments.volume import (
     volume_scan_spec,
     write_burst_spec,
 )
-from repro.parallel import WorkerPool, active_pool
 
 
 def _shorten(spec, duration_ns):
@@ -294,14 +293,6 @@ def test_ablation_ftl_is_deterministic():
 # ----------------------------------------------------------------------
 # jobs=2 vs jobs=1: the parallel runner's headline guarantee
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def pool2():
-    # One shared two-worker pool for every jobs=2 pin below: spawning
-    # workers costs seconds, running points through them does not.
-    with WorkerPool(2) as pool:
-        yield pool
-
-
 @pytest.mark.parametrize("runner,kwargs", [
     (run_qd_sweep, dict(depths=(1, 8), window_ns=600_000)),
     (run_gc_steady, dict(policies=("fifo",), fills=(0.9,),
@@ -315,15 +306,14 @@ def pool2():
     (run_qos_gc, dict(duration_ns=4_000_000)),
 ], ids=["qd_sweep", "gc_steady", "open_loop", "dvol_qd_sweep",
         "fault_storm", "qos_gc"])
-def test_runner_jobs2_is_byte_identical_to_serial(pool2, runner, kwargs):
+def test_runner_jobs2_is_byte_identical_to_serial(runner, kwargs):
     # The whole-experiment pin behind `repro run --jobs N`:
     # fanning a sweep's points across worker processes must change
     # nothing — not a digit, not a key order — in the merged
     # RunResult JSON.  (Reduced grids/durations keep tier-1 fast;
     # the full grids go through the identical code path.)
     serial = runner(jobs=1, **kwargs).to_json()
-    with active_pool(pool2):
-        parallel = runner(jobs=2, **kwargs).to_json()
+    parallel = runner(jobs=2, **kwargs).to_json()
     assert serial == parallel
 
 

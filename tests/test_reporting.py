@@ -8,15 +8,13 @@ from repro.reporting import (
     NodePower,
     PowerModel,
     artix7_flash_controller,
-    fits_artix7,
     fits_virtex7,
-    format_series,
     format_table,
     ramcloud_equivalent,
     totals,
     virtex7_host,
 )
-from repro.reporting.resources import ARTIX7_LUTS
+from repro.reporting.resources import ARTIX7_BRAM, ARTIX7_LUTS, ARTIX7_REGS
 
 
 class TestResourceModel:
@@ -46,7 +44,10 @@ class TestResourceModel:
         rows = artix7_flash_controller(small)
         by_name = {r.name: r for r in rows}
         assert by_name["Bus Controller"].count == 4
-        assert fits_artix7(rows)
+        t = totals(rows)
+        assert t.total_luts <= ARTIX7_LUTS
+        assert t.total_registers <= ARTIX7_REGS
+        assert t.total_bram <= ARTIX7_BRAM
 
     def test_table2_matches_paper_for_default_config(self):
         rows = virtex7_host()
@@ -93,7 +94,6 @@ class TestPowerModel:
         model = PowerModel(n_nodes=20)
         assert model.cluster_w == 4800.0
         assert model.capacity_bytes == 20 * 10 ** 12
-        assert model.watts_per_tb() == pytest.approx(240.0)
 
     def test_ramcloud_needs_order_of_magnitude_more_power(self):
         # 20 TB in DRAM at 50 GB/server vs the 20-node BlueDBM rack.
@@ -115,12 +115,6 @@ class TestFormatting:
         lines = text.strip().splitlines()
         assert lines[0].split() == ["a", "bb"]
         assert "100" in lines[3]
-
-    def test_format_series(self):
-        text = format_series("threads", [1, 2],
-                             {"dram": [10, 20], "isp": [30, 30]})
-        assert "threads" in text
-        assert "dram" in text and "isp" in text
 
     def test_title_banner(self):
         text = format_table(["x"], [[1]], title="Figure 99")

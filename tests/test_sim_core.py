@@ -265,14 +265,6 @@ class TestRunControl:
         with pytest.raises(SimulationError):
             sim.run(until=100)
 
-    def test_peek_reports_next_event_time(self, sim):
-        def proc(sim):
-            yield sim.timeout(123)
-
-        sim.process(proc(sim))
-        sim.run(until=0)
-        assert sim.peek() == 123
-
     def test_deterministic_fifo_order_same_timestamp(self, sim):
         log = []
 

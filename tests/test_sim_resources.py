@@ -1,8 +1,8 @@
-"""Tests for Store, Resource, CreditPool, and Gate."""
+"""Tests for Store, Resource and CreditPool."""
 
 import pytest
 
-from repro.sim import CreditPool, Gate, Resource, SimulationError, Simulator, Store
+from repro.sim import CreditPool, Resource, SimulationError, Simulator, Store
 
 
 @pytest.fixture
@@ -91,18 +91,6 @@ class TestStore:
         sim.run()
         assert order == [("g0", "a"), ("g1", "b")]
 
-    def test_try_get_nonblocking(self, sim):
-        store = Store(sim)
-        assert store.try_get() is None
-
-        def proc(sim):
-            yield store.put("x")
-
-        sim.process(proc(sim))
-        sim.run()
-        assert store.try_get() == "x"
-        assert store.try_get() is None
-
     def test_zero_capacity_rejected(self, sim):
         with pytest.raises(SimulationError):
             Store(sim, capacity=0)
@@ -171,16 +159,6 @@ class TestResource:
         sim.process(holder(sim))
         sim.run()
         assert res.available == 2
-
-    def test_use_helper(self, sim):
-        res = Resource(sim, capacity=1)
-
-        def proc(sim):
-            yield sim.process(res.use(30))
-            return sim.now
-
-        assert sim.run_process(proc(sim)) == 30
-        assert res.available == 1
 
 
 class TestCreditPool:
@@ -251,52 +229,3 @@ class TestCreditPool:
             pool.give(0)
         with pytest.raises(SimulationError):
             CreditPool(sim, initial=-1)
-
-
-class TestGate:
-    def test_wait_on_open_gate_immediate(self, sim):
-        gate = Gate(sim, is_open=True)
-
-        def proc(sim):
-            yield gate.wait()
-            return sim.now
-
-        assert sim.run_process(proc(sim)) == 0
-
-    def test_wait_blocks_until_open(self, sim):
-        gate = Gate(sim)
-
-        def waiter(sim):
-            yield gate.wait()
-            return sim.now
-
-        def opener(sim):
-            yield sim.timeout(500)
-            gate.open()
-
-        sim.process(opener(sim))
-        assert sim.run_process(waiter(sim)) == 500
-
-    def test_open_releases_all_waiters(self, sim):
-        gate = Gate(sim)
-        woken = []
-
-        def waiter(sim, name):
-            yield gate.wait()
-            woken.append(name)
-
-        for name in ["a", "b", "c"]:
-            sim.process(waiter(sim, name))
-
-        def opener(sim):
-            yield sim.timeout(1)
-            gate.open()
-
-        sim.process(opener(sim))
-        sim.run()
-        assert woken == ["a", "b", "c"]
-
-    def test_close_reblocks(self, sim):
-        gate = Gate(sim, is_open=True)
-        gate.close()
-        assert not gate.is_open

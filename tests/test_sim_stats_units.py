@@ -20,11 +20,9 @@ def sim():
 
 class TestUnits:
     def test_us_roundtrip(self):
-        assert units.us(1.5) == 1500
         assert units.to_us(1500) == 1.5
 
     def test_ms_and_seconds(self):
-        assert units.ms(2) == 2_000_000
         assert units.seconds(1) == 1_000_000_000
         assert units.to_ms(500_000) == 0.5
         assert units.to_s(2_000_000_000) == 2.0
@@ -32,10 +30,6 @@ class TestUnits:
     def test_gbps_conversion(self):
         # 10 Gbps = 1.25 bytes per ns.
         assert units.gbps_to_bytes_per_ns(10) == 1.25
-
-    def test_gbytes_conversion(self):
-        # 1 GB/s = 1 byte per ns.
-        assert units.gbytes_to_bytes_per_ns(1.6) == 1.6
 
     def test_transfer_ns(self):
         # 8KB at 1.25 B/ns -> 6400 ns.
@@ -76,8 +70,6 @@ class TestCounter:
         c.add()
         c.add(4)
         assert c.value == 5
-        c.reset()
-        assert c.value == 0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -115,7 +107,7 @@ class TestLatencyHistogram:
         hist = LatencyHistogram()
         hist.record(2 ** 70)
         assert hist.buckets[LatencyHistogram.MAX_BUCKET] == 1
-        assert hist.maximum == 2 ** 70
+        assert hist.max_ns == 2 ** 70
 
     def test_single_value_percentiles_are_exact(self):
         hist = LatencyHistogram()
@@ -146,7 +138,7 @@ class TestLatencyHistogram:
             hist.record(s)
         for p in (1, 25, 50, 75, 99):
             value = hist.percentile(p)
-            assert hist.minimum <= value <= hist.maximum + 1
+            assert hist.min_ns <= value <= hist.max_ns + 1
 
     @given(st.lists(st.integers(0, 10**9), min_size=1))
     def test_percentiles_monotone_and_bounded(self, samples):
@@ -155,7 +147,7 @@ class TestLatencyHistogram:
             hist.record(s)
         assert hist.percentile(10) <= hist.percentile(50) \
             <= hist.percentile(99)
-        assert hist.minimum <= hist.percentile(50) <= hist.maximum + 1
+        assert hist.min_ns <= hist.percentile(50) <= hist.max_ns + 1
 
     def test_merge_equals_recording_into_one(self):
         # Per-stage histograms are merged for overall latency; merging
@@ -253,28 +245,10 @@ class TestBandwidthLedger:
 
 
 class TestUtilizationTracker:
-    def test_utilization_fraction(self, sim):
-        tracker = UtilizationTracker(sim)
-
-        def proc(sim):
-            tracker.busy(250)
-            yield sim.timeout(1000)
-
-        sim.process(proc(sim))
-        sim.run()
-        assert tracker.utilization() == pytest.approx(0.25)
-
-    def test_clamped_to_one(self, sim):
-        tracker = UtilizationTracker(sim)
-
-        def proc(sim):
-            tracker.busy(5000)
-            yield sim.timeout(1000)
-
-        sim.process(proc(sim))
-        sim.run()
-        assert tracker.utilization() == 1.0
-
-    def test_zero_window(self, sim):
-        tracker = UtilizationTracker(sim)
-        assert tracker.utilization() == 0.0
+    def test_busy_time_accumulates(self):
+        tracker = UtilizationTracker("cpu")
+        tracker.busy(250)
+        tracker.busy(750)
+        assert tracker.busy_ns == 1000
+        with pytest.raises(ValueError):
+            tracker.busy(-1)

@@ -62,7 +62,7 @@ class TestTagRenamingUnderContention:
 
         def observe(port):
             max_in_flight[port.user_id] = max(
-                max_in_flight[port.user_id], port.in_flight)
+                max_in_flight[port.user_id], port._slots.in_use)
 
         def worker(sim, port, ops):
             for op, addr in ops:
@@ -126,16 +126,14 @@ class TestTagRenamingUnderContention:
 
     def test_error_paths_release_slots_and_tags(self, sim, card):
         bad = [PhysAddr(bus=0, chip=0, block=1, page=p) for p in range(8)]
-        splitter, ports, _, max_in_flight, errors = self._run(
+        _, ports, _, max_in_flight, errors = self._run(
             sim, card, bad_pages=bad)
         # Some operations hit the bad block and raised.
         assert errors, "expected at least one error-path operation"
         # Yet nothing leaked: all slots returned...
         for port in ports:
-            assert port.in_flight == 0
-        assert splitter.in_flight == 0
+            assert port._slots.in_use == 0
         # ...and the card's physical tag pool is whole again.
-        assert card.in_flight == 0
         assert len(card._tag_pool.items) == card.tag_count
 
     @pytest.mark.parametrize("policy", [None, "fifo", "rr", "priority",
@@ -145,9 +143,9 @@ class TestTagRenamingUnderContention:
             sim, card, policy=policy)
         for port in ports:
             assert max_in_flight[port.user_id] <= self.CAP
-            assert port.in_flight == 0
+            assert port._slots.in_use == 0
             tags = seen_tags[port.user_id]
             assert len(set(tags)) == len(tags)
-        assert card.in_flight == 0
+        assert len(card._tag_pool.items) == card.tag_count
         if splitter.admission is not None:
             assert splitter.admission.in_use == 0

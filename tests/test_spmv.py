@@ -80,13 +80,6 @@ class TestEngine:
         partial = sim.run_process(proc(sim))
         assert partial == {0: 5.0, 1: -2.0}
 
-    def test_vector_reload(self):
-        sim = Simulator()
-        engine = SpMVEngine(sim, np.zeros(2))
-        engine.set_vector(np.array([10.0, 0.0]))
-        page = encode_rows([(0, [(0, 3.0)])], 512)
-        assert engine.process_page(page) == {0: 30.0}
-
 
 class TestSpMVApp:
     def _setup(self, n_rows=80, n_cols=60):

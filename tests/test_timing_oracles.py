@@ -72,8 +72,9 @@ class Terms:
         assert cluster.nodes[SRC].flash_timing == flash
         net = cluster.network.config
         page = cluster.page_size
-        assert cluster.network.hop_count(SRC, DST) == 1
         self.hop = net.hop_latency_ns
+        # One hop apart.
+        assert cluster.network.propagation_ns(SRC, DST) == self.hop
         # Flash: command + array read, then card bus and aurora link.
         self.storage = flash.cmd_overhead_ns + flash.t_read_ns
         self.device = (ns(page, flash.bus_bytes_per_ns)
