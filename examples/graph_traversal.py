@@ -34,11 +34,11 @@ def main():
         traversal = GraphTraversal(graph, home_node=0, seed=11)
 
         def run(sim, config=config, traversal=traversal):
-            rate, paths = yield from traversal.run(config, 1, 100)
-            return rate, paths
+            rate, path = yield from traversal.run(config, 1, 100)
+            return rate, path
 
-        rate, paths = session.sim.run_process(run(session.sim))
-        assert paths[0] == graph.reference_walk(1, 100), config
+        rate, path = session.sim.run_process(run(session.sim))
+        assert path == graph.reference_walk(1, 100), config
         results[config] = rate
 
     print(f"\n{'config':10s} {'lookups/s':>10s}  description")

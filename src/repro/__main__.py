@@ -134,7 +134,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def main() -> int:
     parser = argparse.ArgumentParser(
         prog="repro", description="BlueDBM reproduction toolkit")
     sub = parser.add_subparsers(dest="command")
@@ -156,7 +156,7 @@ def main(argv=None) -> int:
                             help="override every FaultSpec's seed (only "
                                  "affects experiments that inject "
                                  "faults; propagates to --jobs workers)")
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     handlers = {"info": cmd_info, "demo": cmd_demo, "list": cmd_list,
                 "experiments": cmd_list, "run": cmd_run, None: cmd_info}
     return handlers[args.command](args)

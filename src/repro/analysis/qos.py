@@ -72,9 +72,9 @@ def qos_scenario(policy: str, geometry: FlashGeometry, duration_ns: int,
                               seed=seed, drain=True))
 
 
-def run_policy(policy: str, geometry: FlashGeometry, duration_ns: int,
-               seed: int = 1234) -> RequestTracer:
+def run_policy(policy: str, geometry: FlashGeometry,
+               duration_ns: int) -> RequestTracer:
     """Run the three-tenant contention workload under ``policy``."""
-    session = Session(qos_scenario(policy, geometry, duration_ns, seed))
+    session = Session(qos_scenario(policy, geometry, duration_ns))
     session.run()
     return session.tracer

@@ -36,13 +36,9 @@ class SweepResult:
         """Extract one field when results are dictionaries."""
         return [r[key] for r in self.results]
 
-    def is_monotone_increasing(self, tolerance: float = 0.0) -> bool:
-        """True if the (scalar) series never drops by more than
-        ``tolerance`` (relative)."""
-        for a, b in zip(self.results, self.results[1:]):
-            if b < a * (1.0 - tolerance):
-                return False
-        return True
+    def is_monotone_increasing(self) -> bool:
+        """True if the (scalar) series never drops."""
+        return all(b >= a for a, b in zip(self.results, self.results[1:]))
 
 
 def sweep(parameter: str, values: Sequence[Any],

@@ -126,8 +126,8 @@ class RunResult:
             "meta": _jsonable(self.meta),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
     def save(self, path) -> None:
         """Write the JSON rendering to ``path``."""

@@ -38,7 +38,7 @@ class Session:
     Attributes
     ----------
     sim : the session's simulator (fresh, time starts at zero).
-    tracer : the unified request tracer (None when ``spec.trace`` off).
+    tracer : the unified request tracer (1-in-``spec.trace_sample``).
     nodes : every :class:`BlueDBMNode`, indexed by node id.
     cluster : the :class:`BlueDBMCluster`, or None for 1-node scenarios.
     node : shorthand for ``nodes[0]``.
@@ -47,9 +47,7 @@ class Session:
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
         self.sim = Simulator()
-        self.tracer: Optional[RequestTracer] = (
-            RequestTracer(self.sim, sample=spec.trace_sample)
-            if spec.trace else None)
+        self.tracer = RequestTracer(self.sim, sample=spec.trace_sample)
         node_kwargs = dict(
             geometry=spec.geometry,
             flash_timing=spec.timing,
@@ -681,16 +679,15 @@ class Session:
         # use) could collide keys; keep the unambiguous raw labels then.
         return relabeled if len(relabeled) == len(stats) else stats
 
-    def result(self, experiment: Optional[str] = None) -> RunResult:
+    def result(self) -> RunResult:
         """Snapshot the session's tracer into a fresh RunResult."""
-        result = RunResult(experiment=experiment or self.spec.name,
+        result = RunResult(experiment=self.spec.name,
                            elapsed_ns=self.sim.now,
                            spec=self.spec.to_dict())
-        if self.tracer is not None:
-            workload = self.spec.workload
-            window = (self.sim.now if workload is None or workload.drain
-                      else workload.duration_ns)
-            result.tenant_stats = self.tracer.tenant_summary(window)
-            result.stage_stats = self.tracer.stage_summary()
+        workload = self.spec.workload
+        window = (self.sim.now if workload is None or workload.drain
+                  else workload.duration_ns)
+        result.tenant_stats = self.tracer.tenant_summary(window)
+        result.stage_stats = self.tracer.stage_summary()
         return result
 

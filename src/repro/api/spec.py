@@ -28,16 +28,7 @@ from ..flash import FlashGeometry, FlashTiming
 from ..ftl import ALLOCATION_MODES, WEAR_LEVELING_MODES
 from ..host import HostConfig
 from ..io import POLICIES
-from ..network import (
-    NetworkConfig,
-    Topology,
-    fat_tree,
-    fully_connected,
-    line,
-    mesh2d,
-    ring,
-    star,
-)
+from ..network import NetworkConfig, Topology, fully_connected
 
 __all__ = [
     "BENCH_GEOMETRY",
@@ -92,9 +83,7 @@ def _opt_load(cls, value):
 # ----------------------------------------------------------------------
 # topology
 # ----------------------------------------------------------------------
-#: kind -> the topology builder's extra argument names.
-_TOPOLOGY_KINDS = ("auto", "ring", "line", "star", "mesh2d",
-                   "fully_connected", "fat_tree", "custom")
+_TOPOLOGY_KINDS = ("auto", "fully_connected", "custom")
 
 
 @dataclass(frozen=True)
@@ -102,48 +91,26 @@ class TopologySpec:
     """How the storage network wires the nodes together.
 
     ``auto`` keeps the cluster's historical default (a 4-lane ring for
-    three or more nodes, a line otherwise).  ``custom`` wires exactly
-    the cable list in ``links`` — this is how Figure 13 gives each
-    remote node its own parallel serial lanes.
+    three or more nodes, a line otherwise); ``fully_connected`` cables
+    every pair once.  ``custom`` wires exactly the cable list in
+    ``links``, which can express any other wiring — this is how
+    Figure 13 gives each remote node its own parallel serial lanes.
     """
 
     kind: str = "auto"
-    lanes: int = 1
     links: Tuple[Tuple[int, int], ...] = ()
-    rows: int = 0
-    cols: int = 0
-    n_spine: int = 0
-    n_leaf: int = 0
 
     def __post_init__(self):
         if self.kind not in _TOPOLOGY_KINDS:
             raise SpecError(f"unknown topology kind {self.kind!r}; "
                             f"expected one of {_TOPOLOGY_KINDS}")
-        if self.lanes < 1:
-            raise SpecError(f"lanes must be >= 1, got {self.lanes}")
         if self.kind == "custom" and not self.links:
             raise SpecError("custom topology needs at least one link")
-        if self.kind == "mesh2d" and (self.rows < 1 or self.cols < 1):
-            raise SpecError("mesh2d topology needs rows and cols >= 1")
-        if self.kind == "fat_tree" and (self.n_spine < 1
-                                        or self.n_leaf < 1):
-            raise SpecError("fat_tree topology needs n_spine/n_leaf >= 1")
-        # Parameters that the chosen kind would silently ignore are
-        # spec errors: a 4-lane star does not exist, so saying one must
-        # not construct a 1-lane star that *looks* 4-lane.
-        ignored = []
-        if self.lanes != 1 and self.kind not in ("ring", "line"):
-            ignored.append("lanes")
+        # A cable list the chosen kind would silently ignore is a spec
+        # error.
         if self.links and self.kind != "custom":
-            ignored.append("links")
-        if (self.rows or self.cols) and self.kind != "mesh2d":
-            ignored.append("rows/cols")
-        if (self.n_spine or self.n_leaf) and self.kind != "fat_tree":
-            ignored.append("n_spine/n_leaf")
-        if ignored:
             raise SpecError(
-                f"topology kind {self.kind!r} does not use "
-                f"{', '.join(ignored)}")
+                f"topology kind {self.kind!r} does not use links")
         # Normalize links (JSON round-trips lists; specs store tuples).
         object.__setattr__(self, "links",
                            tuple((int(a), int(b)) for a, b in self.links))
@@ -152,40 +119,19 @@ class TopologySpec:
         """Materialize the :class:`~repro.network.Topology` (None=auto)."""
         if self.kind == "auto":
             return None
-        if self.kind == "ring":
-            topo = ring(n_nodes, lanes=self.lanes)
-        elif self.kind == "line":
-            topo = line(n_nodes, lanes=self.lanes)
-        elif self.kind == "star":
-            topo = star(n_nodes)
-        elif self.kind == "fully_connected":
-            topo = fully_connected(n_nodes)
-        elif self.kind == "mesh2d":
-            # mesh2d takes (width, height): a row holds ``cols`` nodes.
-            topo = mesh2d(self.cols, self.rows)
-        elif self.kind == "fat_tree":
-            topo = fat_tree(n_spine=self.n_spine, n_leaf=self.n_leaf)
-        else:
-            topo = Topology(n_nodes)
-            for a, b in self.links:
-                if not (0 <= a < n_nodes and 0 <= b < n_nodes):
-                    raise SpecError(
-                        f"link ({a}, {b}) outside 0..{n_nodes - 1}")
-                topo.connect(a, b)
-        # Sized builders (mesh2d, fat_tree) carry their own node count;
-        # it must cover the scenario's, or remote accesses would die
-        # mid-simulation on a node with no network attachment.
-        if topo.n_nodes != n_nodes:
-            raise SpecError(
-                f"{self.kind} topology spans {topo.n_nodes} nodes but "
-                f"the scenario has {n_nodes}")
+        if self.kind == "fully_connected":
+            return fully_connected(n_nodes)
+        topo = Topology(n_nodes)
+        for a, b in self.links:
+            if not (0 <= a < n_nodes and 0 <= b < n_nodes):
+                raise SpecError(
+                    f"link ({a}, {b}) outside 0..{n_nodes - 1}")
+            topo.connect(a, b)
         return topo
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "lanes": self.lanes,
-                "links": [list(l) for l in self.links],
-                "rows": self.rows, "cols": self.cols,
-                "n_spine": self.n_spine, "n_leaf": self.n_leaf}
+        return {"kind": self.kind,
+                "links": [list(l) for l in self.links]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "TopologySpec":
@@ -791,7 +737,6 @@ class ScenarioSpec:
     splitter_in_flight: Optional[int] = None
     coalesce: bool = False
     coalesce_max_pages: int = 8
-    trace: bool = True
     trace_sample: int = 1
     volume: Optional[VolumeSpec] = None
     dvol: Optional[DistributedVolumeSpec] = None
@@ -899,17 +844,16 @@ class ScenarioSpec:
                         and (tenant.access == "remote_isp"
                              or (tenant.access == "dvol"
                                  and self.n_nodes > 1))
-                        and (not self.trace or self.trace_sample > 1)):
+                        and self.trace_sample > 1):
                     # A remote tenant's scheduling identity rides on
-                    # the traced request; without tracing (or with
-                    # 1-in-N sampling leaving most requests untraced)
-                    # it collapses into the shared 'net' port label and
-                    # the configured weight/rate silently never
-                    # applies.
+                    # the traced request; with 1-in-N sampling leaving
+                    # most requests untraced it collapses into the
+                    # shared 'net' port label and the configured
+                    # weight/rate silently never applies.
                     raise SpecError(
                         f"tenant {tenant.name!r} programs weight/rate "
                         f"QoS on a remote path, which requires "
-                        f"trace=True and trace_sample=1")
+                        f"trace_sample=1")
                 if tenant.has_policy_qos:
                     label = tenant.sched_label()
                     other = policy_labels.get(label)
@@ -1014,7 +958,6 @@ class ScenarioSpec:
             "splitter_in_flight": self.splitter_in_flight,
             "coalesce": self.coalesce,
             "coalesce_max_pages": self.coalesce_max_pages,
-            "trace": self.trace,
             "trace_sample": self.trace_sample,
             "volume": (None if self.volume is None
                        else self.volume.to_dict()),

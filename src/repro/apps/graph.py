@@ -129,14 +129,11 @@ class GraphTraversal:
         return data
 
     # -- the measured walk ------------------------------------------------------
-    def run(self, config: str, start: int, steps: int,
-            n_chains: int = 1):
-        """(DES generator) -> (lookups_per_second, visited_paths).
+    def run(self, config: str, start: int, steps: int):
+        """(DES generator) -> (lookups_per_second, visited_path).
 
         ``config`` is one of ``isp-f``, ``h-f``, ``h-rh-f``,
         ``dram-50f``, ``dram-30f``, ``h-dram`` (Figure 20's x axis).
-        ``n_chains`` independent walks run concurrently (distinct start
-        vertices) to model a multi-query workload.
         """
         fetchers = {
             "isp-f": self._fetch_isp_f,
@@ -149,34 +146,21 @@ class GraphTraversal:
         if config not in fetchers:
             raise ValueError(f"unknown config {config!r}; "
                              f"options: {sorted(fetchers)}")
-        if steps < 1 or n_chains < 1:
-            raise ValueError("steps and n_chains must be >= 1")
+        if steps < 1:
+            raise ValueError("steps must be >= 1")
         fetch = fetchers[config]
-        paths: List[List[int]] = []
+        engine = GraphWalkEngine(self.sim)
         t0 = self.sim.now
-        done = []
-
-        def chain(chain_start: int):
-            engine = GraphWalkEngine(self.sim)
-            path = [chain_start]
-            v = chain_start
-            for _ in range(steps):
-                data = yield from fetch(v)
-                _, nxt = yield from engine.run_page(data)
-                if nxt is None:
-                    break
-                v = nxt
-                path.append(v)
-            paths.append(path)
-            done.append(self.sim.now)
-
-        procs = [
-            self.sim.process(chain((start + c) % self.graph.n_vertices))
-            for c in range(n_chains)
-        ]
-        for proc in procs:
-            yield proc
-        elapsed = max(done) - t0
-        total_lookups = sum(len(p) - 1 for p in paths)
-        rate = total_lookups / units.to_s(elapsed) if elapsed else 0.0
-        return rate, paths
+        v = start % self.graph.n_vertices
+        path = [v]
+        for _ in range(steps):
+            data = yield from fetch(v)
+            _, nxt = yield from engine.run_page(data)
+            if nxt is None:
+                break
+            v = nxt
+            path.append(v)
+        elapsed = self.sim.now - t0
+        lookups = len(path) - 1
+        rate = lookups / units.to_s(elapsed) if elapsed else 0.0
+        return rate, path

@@ -14,8 +14,8 @@ The full application the paper benchmarks in Figures 16-19:
   DRAM-with-misses store) and compute distances on host cores.
 
 Functional correctness is tested against a brute-force oracle; the
-timing knobs (``compare_ns`` etc.) reproduce the paper's measured
-constants: the host needs ~4 threads to match one BlueDBM node's 320K
+timing constants (``COMPARE_NS_PER_8K`` etc.) reproduce the paper's
+measurements: the host needs ~4 threads to match one BlueDBM node's 320K
 comparisons/s.
 """
 
@@ -94,8 +94,7 @@ class LSHIndex:
 
 
 def make_item_corpus(n_items: int, item_bytes: int, seed: int = 0,
-                     n_clusters: int = 4,
-                     flip_fraction: float = 0.02) -> Dict[int, bytes]:
+                     n_clusters: int = 4) -> Dict[int, bytes]:
     """Synthetic 8KB-item corpus with planted similarity structure.
 
     Items are noisy copies of ``n_clusters`` random centroids (a small
@@ -108,7 +107,7 @@ def make_item_corpus(n_items: int, item_bytes: int, seed: int = 0,
     centroids = [bytes(rng.randrange(256) for _ in range(item_bytes))
                  for _ in range(n_clusters)]
     corpus = {}
-    n_flip = max(1, int(item_bytes * 8 * flip_fraction))
+    n_flip = max(1, int(item_bytes * 8 * 0.02))
     for item_id in range(n_items):
         base = bytearray(centroids[item_id % n_clusters])
         for bit in rng.sample(range(item_bytes * 8), n_flip):
@@ -132,12 +131,13 @@ def brute_force_nearest(query: bytes,
 class NearestNeighborISP:
     """The accelerated path on one BlueDBM node."""
 
-    def __init__(self, node: BlueDBMNode, n_engines: int = 8,
-                 engine_bytes_per_ns: float = 0.4):
+    #: Each Hamming engine's stream rate.
+    ENGINE_BYTES_PER_NS = 0.4
+
+    def __init__(self, node: BlueDBMNode, n_engines: int = 8):
         self.node = node
         self.sim = node.sim
         self.n_engines = n_engines
-        self.engine_bytes_per_ns = engine_bytes_per_ns
         self._addr_of: Dict[int, PhysAddr] = {}
         self._items: Dict[int, bytes] = {}
         self.index: Optional[LSHIndex] = None
@@ -159,22 +159,21 @@ class NearestNeighborISP:
             index.insert(item_id, data)
         self.index = index
 
-    def query(self, query: bytes, candidate_ids: Optional[List[int]] = None):
+    def query(self, query: bytes):
         """One full query (DES generator) -> (best_id, best_distance).
 
         Software hashes the query and streams candidate addresses; the
         engines read flash and compare at device bandwidth.
         """
-        if candidate_ids is None:
-            if self.index is None:
-                raise RuntimeError("load() must run before query()")
-            candidate_ids = self.index.candidates(query)
+        if self.index is None:
+            raise RuntimeError("load() must run before query()")
+        candidate_ids = self.index.candidates(query)
         if not candidate_ids:
             return (-1, None)
         # Software setup: ship the query page to the engines over DMA.
         yield from self.node.pcie.host_to_device(len(query))
         engines = EngineArray([
-            HammingEngine(self.sim, query, self.engine_bytes_per_ns,
+            HammingEngine(self.sim, query, self.ENGINE_BYTES_PER_NS,
                           name=f"hamming-{i}")
             for i in range(self.n_engines)])
         best: List[Tuple[int, int]] = []
@@ -191,8 +190,7 @@ class NearestNeighborISP:
         dist, item_id = min(best)
         return (item_id, dist)
 
-    def throughput_run(self, query: bytes, n_comparisons: int,
-                       candidate_ids: Optional[Sequence[int]] = None):
+    def throughput_run(self, query: bytes, n_comparisons: int):
         """Stream ``n_comparisons`` distance calculations (DES generator).
 
         Returns comparisons/second.  Mirrors the paper's methodology:
@@ -201,10 +199,9 @@ class NearestNeighborISP:
         """
         if n_comparisons < 1:
             raise ValueError("need at least one comparison")
-        ids = list(candidate_ids if candidate_ids is not None
-                   else self._addr_of)
+        ids = list(self._addr_of)
         engines = EngineArray([
-            HammingEngine(self.sim, query, self.engine_bytes_per_ns,
+            HammingEngine(self.sim, query, self.ENGINE_BYTES_PER_NS,
                           name=f"hamming-{i}")
             for i in range(self.n_engines)])
         start = self.sim.now
@@ -235,9 +232,11 @@ class TieredPageStore:
     catastrophic — the paper's RAMCloud cliff.
     """
 
+    #: Concurrent faults the paging path serves.
+    PAGING_WIDTH = 2
+
     def __init__(self, sim: Simulator, dram: DRAMStore, secondary,
-                 miss_fraction: float, seed: int = 0,
-                 paging_width: int = 2):
+                 miss_fraction: float, seed: int = 0):
         if not 0.0 <= miss_fraction <= 1.0:
             raise ValueError("miss_fraction must be in [0, 1]")
         self.sim = sim
@@ -245,7 +244,7 @@ class TieredPageStore:
         self.secondary = secondary
         self.miss_fraction = miss_fraction
         self.rng = random.Random(seed)
-        self._paging = Resource(sim, capacity=paging_width,
+        self._paging = Resource(sim, capacity=self.PAGING_WIDTH,
                                 name="paging-path")
 
     def read(self, page: int):
@@ -274,13 +273,10 @@ class SoftwareNN:
     COMPARE_NS_PER_8K = 12_500
 
     def __init__(self, sim: Simulator, cpu: HostCPU,
-                 read_fn: Callable[[int], Iterable],
-                 compare_ns: Optional[int] = None):
+                 read_fn: Callable[[int], Iterable]):
         self.sim = sim
         self.cpu = cpu
         self.read_fn = read_fn
-        self.compare_ns = (self.COMPARE_NS_PER_8K if compare_ns is None
-                           else compare_ns)
 
     def run(self, query: bytes, pages: Sequence[int], threads: int,
             n_comparisons: int):
@@ -304,7 +300,7 @@ class SoftwareNN:
                 page = pages[i % len(pages)]
                 i += threads
                 data = yield from self.read_fn(page)
-                yield from self.cpu.compute(self.compare_ns)
+                yield from self.cpu.compute(self.COMPARE_NS_PER_8K)
                 # Functional: the comparison really happens.
                 hamming_distance(query[:64], data[:64])
             finish_times.append(self.sim.now)

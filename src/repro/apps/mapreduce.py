@@ -95,12 +95,13 @@ def _wire_bytes(counts: Dict[str, int]) -> int:
 class WordCountJob:
     """A word-count job over files sharded across the cluster."""
 
-    def __init__(self, cluster: BlueDBMCluster, engines_per_node: int = 8,
-                 engine_bytes_per_ns: float = 0.4):
+    #: Each word-count engine's stream rate.
+    ENGINE_BYTES_PER_NS = 0.4
+
+    def __init__(self, cluster: BlueDBMCluster, engines_per_node: int = 8):
         self.cluster = cluster
         self.sim = cluster.sim
         self.engines_per_node = engines_per_node
-        self.engine_bytes_per_ns = engine_bytes_per_ns
         self._loaded = False
 
     def load(self, shards: Sequence[Sequence[bytes]]):
@@ -132,7 +133,7 @@ class WordCountJob:
             node = cluster.nodes[node_id]
             extents = node.fs.physical_extents("shard.txt")
             handle = node.flash_server.register_file("wc", extents)
-            engines = [WordCountEngine(self.sim, self.engine_bytes_per_ns,
+            engines = [WordCountEngine(self.sim, self.ENGINE_BYTES_PER_NS,
                                        name=f"wc-{node_id}-{i}")
                        for i in range(self.engines_per_node)]
             out = Store(self.sim, capacity=2 * len(engines))

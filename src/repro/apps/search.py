@@ -57,12 +57,13 @@ def make_text_corpus(total_bytes: int, needle: bytes, n_matches: int,
 class StringSearchISP:
     """Hardware-accelerated exact-match search on one node."""
 
-    def __init__(self, node: BlueDBMNode, engines_per_bus: int = 4,
-                 engine_bytes_per_ns: float = 0.05):
+    #: Each Morris-Pratt engine's stream rate.
+    ENGINE_BYTES_PER_NS = 0.05
+
+    def __init__(self, node: BlueDBMNode, engines_per_bus: int = 4):
         self.node = node
         self.sim = node.sim
         self.engines_per_bus = engines_per_bus
-        self.engine_bytes_per_ns = engine_bytes_per_ns
         self._file: Optional[str] = None
 
     @property
@@ -71,10 +72,10 @@ class StringSearchISP:
         return (self.engines_per_bus * geometry.buses_per_card
                 * geometry.cards_per_node)
 
-    def setup(self, corpus: bytes, filename: str = "haystack"):
+    def setup(self, corpus: bytes):
         """Store the haystack through the file system (DES generator)."""
-        yield from self.node.fs.write_file(filename, corpus)
-        self._file = filename
+        yield from self.node.fs.write_file("haystack", corpus)
+        self._file = "haystack"
 
     def run(self, needle: bytes):
         """(DES generator) -> (match_offsets, search_gbs, cpu_util).
@@ -136,7 +137,7 @@ class StringSearchISP:
                                if m >= segment_floor or index == 0)
 
         for i in range(n_engines):
-            engine = MPEngine(self.sim, needle, self.engine_bytes_per_ns,
+            engine = MPEngine(self.sim, needle, self.ENGINE_BYTES_PER_NS,
                               name=f"mp-{i}")
             segment_procs.append(self.sim.process(segment(i, engine)))
         for proc in segment_procs:
@@ -154,16 +155,16 @@ class SoftwareGrep:
 
     Reads the haystack sequentially and scans on a host core; this is
     the real MP algorithm too, but every byte crosses the device bus and
-    burns host CPU (``scan_ns_per_byte``, default ~1.1 ns/B — a fast
+    burns host CPU (``SCAN_NS_PER_BYTE``, ~1.1 ns/B — a fast
     string-search inner loop of the era).
     """
 
-    def __init__(self, sim: Simulator, cpu, device,
-                 scan_ns_per_byte: float = 1.08):
+    SCAN_NS_PER_BYTE = 1.08
+
+    def __init__(self, sim: Simulator, cpu, device):
         self.sim = sim
         self.cpu = cpu
         self.device = device
-        self.scan_ns_per_byte = scan_ns_per_byte
         #: Per-page device read latency (issue -> data back), across
         #: every :meth:`run` — the mean/p99 the Figure 21 table reports
         #: for the software rows.
@@ -177,17 +178,17 @@ class SoftwareGrep:
                 page, corpus[page * page_size:(page + 1) * page_size])
         return n_pages
 
-    def run(self, needle: bytes, n_pages: int, page_size: int = 8192,
-            readahead: int = 8):
+    #: The kernel's sequential readahead window, in pages.
+    READAHEAD = 8
+
+    def run(self, needle: bytes, n_pages: int, page_size: int = 8192):
         """(DES generator) -> (match_offsets, scan_gbs, cpu_util).
 
-        ``readahead`` models the kernel's sequential readahead window:
-        device reads overlap the CPU scan, so throughput settles at
-        min(device rate, scan rate) — I/O bound on SSD at ~65 % of one
-        core, exactly Figure 21's software rows.
+        ``READAHEAD`` models the kernel's sequential readahead
+        window: device reads overlap the CPU scan, so throughput settles
+        at min(device rate, scan rate) — I/O bound on SSD at ~65 % of
+        one core, exactly Figure 21's software rows.
         """
-        if readahead < 1:
-            raise ValueError("readahead must be >= 1")
         fail = failure_function(needle)
         stream_state = 0
         matches: List[int] = []
@@ -203,11 +204,11 @@ class SoftwareGrep:
         pending = []
         next_issue = 0
         for page in range(n_pages):
-            while next_issue < n_pages and len(pending) < readahead:
+            while next_issue < n_pages and len(pending) < self.READAHEAD:
                 pending.append(self.sim.process(_read(next_issue)))
                 next_issue += 1
             data = yield pending.pop(0)
-            scan_ns = int(len(data) * self.scan_ns_per_byte)
+            scan_ns = int(len(data) * self.SCAN_NS_PER_BYTE)
             yield from self.cpu.compute(scan_ns)
             found, stream_state = mp_search(
                 data, needle, fail, state=stream_state,

@@ -39,12 +39,13 @@ def make_sparse_matrix(n_rows: int, n_cols: int, density: float = 0.05,
 class SpMVApp:
     """y = A @ x with A resident in one node's flash."""
 
-    def __init__(self, node: BlueDBMNode, n_engines: int = 8,
-                 engine_bytes_per_ns: float = 0.4):
+    #: Each SpMV engine's stream rate.
+    ENGINE_BYTES_PER_NS = 0.4
+
+    def __init__(self, node: BlueDBMNode, n_engines: int = 8):
         self.node = node
         self.sim = node.sim
         self.n_engines = n_engines
-        self.engine_bytes_per_ns = engine_bytes_per_ns
         self.n_rows = 0
         self.nnz = 0
 
@@ -65,7 +66,7 @@ class SpMVApp:
         yield from node.pcie.host_to_device(x.nbytes)
         extents = node.fs.physical_extents("matrix.csr")
         handle = node.flash_server.register_file("spmv", extents)
-        engines = [SpMVEngine(self.sim, x, self.engine_bytes_per_ns,
+        engines = [SpMVEngine(self.sim, x, self.ENGINE_BYTES_PER_NS,
                               name=f"spmv-{i}")
                    for i in range(self.n_engines)]
         y = np.zeros(self.n_rows)

@@ -83,12 +83,15 @@ class FlashTable:
 class TableScan:
     """Executes predicate scans over a :class:`FlashTable`."""
 
-    def __init__(self, table: FlashTable, n_engines: int = 8,
-                 engine_bytes_per_ns: float = 0.4):
+    #: Each filter engine's stream rate.
+    ENGINE_BYTES_PER_NS = 0.4
+    #: Host-scan reads kept in flight (async I/O).
+    HOST_OUTSTANDING = 64
+
+    def __init__(self, table: FlashTable, n_engines: int = 8):
         self.table = table
         self.sim = table.sim
         self.n_engines = n_engines
-        self.engine_bytes_per_ns = engine_bytes_per_ns
 
     # -- offloaded path ----------------------------------------------------
     def offloaded(self, predicate: Predicate,
@@ -107,7 +110,7 @@ class TableScan:
             f"{self.table.name}-scan", extents)
 
         engines = [FilterEngine(self.sim, self.table.schema, predicate,
-                                project, self.engine_bytes_per_ns,
+                                project, self.ENGINE_BYTES_PER_NS,
                                 name=f"filter-{i}")
                    for i in range(self.n_engines)]
         t0 = self.sim.now
@@ -142,8 +145,7 @@ class TableScan:
 
     # -- host scan path ---------------------------------------------------------
     def host_scan(self, predicate: Predicate,
-                  project: Optional[Sequence[str]] = None,
-                  outstanding: int = 64):
+                  project: Optional[Sequence[str]] = None):
         """(DES generator) -> (rows, stats dict).
 
         Every page crosses PCIe; the host CPU decodes and filters.
@@ -167,7 +169,7 @@ class TableScan:
                     results.append(row)
 
         yield from self.sim.pipeline(
-            (one(addr) for addr in extents), outstanding)
+            (one(addr) for addr in extents), self.HOST_OUTSTANDING)
         elapsed = self.sim.now - t0
         page_bytes = len(extents) * node.geometry.page_size
         stats = self._stats(elapsed, page_bytes, len(results))

@@ -28,15 +28,12 @@ class Engine:
     """One in-store processing engine instance."""
 
     def __init__(self, sim: Simulator, bytes_per_ns: float,
-                 name: str = "engine", setup_ns: int = 0):
+                 name: str = "engine"):
         if bytes_per_ns <= 0:
             raise ValueError("engine throughput must be positive")
-        if setup_ns < 0:
-            raise ValueError("negative setup time")
         self.sim = sim
         self.bytes_per_ns = bytes_per_ns
         self.name = name
-        self.setup_ns = setup_ns
         self.unit = Resource(sim, capacity=1, name=name)
 
     # -- functional core (override me) --------------------------------------
@@ -50,8 +47,7 @@ class Engine:
         yield self.unit.request()
         try:
             yield self.sim.timeout(
-                self.setup_ns
-                + units.transfer_ns(len(data), self.bytes_per_ns))
+                units.transfer_ns(len(data), self.bytes_per_ns))
         finally:
             self.unit.release()
         return self.process_page(data, context)

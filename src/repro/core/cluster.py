@@ -126,13 +126,11 @@ class BlueDBMCluster:
         yield from self.rpc.reply(node_id, msg, data, self.page_size)
 
     # -- tracing helpers -----------------------------------------------
-    def _trace_start(self, kind: IOKind, addr: Any, tenant: str,
-                     size: Optional[int] = None) -> Optional[IORequest]:
+    def _trace_start(self, kind: IOKind, addr: Any,
+                     tenant: str) -> Optional[IORequest]:
         if self.tracer is None:
             return None
-        return self.tracer.start(kind, addr,
-                                 self.page_size if size is None else size,
-                                 tenant=tenant)
+        return self.tracer.start(kind, addr, self.page_size, tenant=tenant)
 
     def _trace_finish(self, request: Optional[IORequest],
                       src: int, dst: int, crossings: int) -> None:
@@ -185,11 +183,11 @@ class BlueDBMCluster:
         io_req = msg["request"]
         # The Ethernet RPC's fixed latency is software/NIC/kernel time
         # (EthernetFabric), so this software span opens when the send
-        # left the wire, ``rpc_latency_ns`` before delivery, and runs on
+        # left the wire, ``RPC_LATENCY_NS`` before delivery, and runs on
         # through the NIC interrupt + scheduler wakeup.
         if io_req:
             io_req.enter("software",
-                         self.sim.now - self.ethernet.rpc_latency_ns)
+                         self.sim.now - self.ethernet.RPC_LATENCY_NS)
         yield self.sim.timeout(self.NIC_WAKEUP_NS)
         if io_req:
             io_req.exit("software", self.sim.now)

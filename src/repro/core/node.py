@@ -9,7 +9,7 @@ Assembles, around a two-card :class:`~repro.flash.device.StorageDevice`:
 * the host side — CPU, PCIe link, and the RPC/DMA
   :class:`~repro.host.iface.HostInterface`;
 * the on-board DRAM buffer;
-* an RFS file system instance and the FIFO accelerator scheduler.
+* an RFS file system instance.
 
 Network endpoints are attached by the cluster when it wires nodes into
 the storage fabric.
@@ -32,13 +32,7 @@ from ..flash import (
 )
 from ..flash.device import StorageDevice
 from ..fs import RFS
-from ..host import (
-    AcceleratorScheduler,
-    HostConfig,
-    HostCPU,
-    HostInterface,
-    PCIeLink,
-)
+from ..host import HostConfig, HostCPU, HostInterface, PCIeLink
 from ..io import RequestTracer
 from ..sim import Simulator
 
@@ -49,7 +43,7 @@ class BlueDBMNode:
     """A host server coupled with its BlueDBM storage device.
 
     QoS wiring: ``splitter_policy`` (a name from
-    :data:`repro.io.scheduler.POLICIES` or a policy instance) enables
+    :data:`repro.io.scheduler.POLICIES`) enables
     policy-arbitrated admission across the node's three splitter ports
     (ISP / host / network service), bounded to ``splitter_in_flight``
     outstanding commands; ``tracer`` attaches end-to-end request
@@ -65,10 +59,9 @@ class BlueDBMNode:
                  errors: Optional[ErrorModel] = None,
                  host_config: Optional[HostConfig] = None,
                  isp_queue_depth: int = 32,
-                 accelerator_units: int = 8,
                  onboard_dram_gbs: float = 10.0,
                  seed: int = 0,
-                 splitter_policy=None,
+                 splitter_policy: Optional[str] = None,
                  splitter_in_flight: Optional[int] = None,
                  tracer: Optional[RequestTracer] = None,
                  port_qos: Optional[dict] = None,
@@ -80,7 +73,6 @@ class BlueDBMNode:
         self.node_id = node_id
         self.geometry = geometry
         self.host_config = host_config or HostConfig()
-        self.flash_timing = flash_timing or FlashTiming()
         self.tracer = tracer
 
         # Storage device: two custom flash cards with shared management.
@@ -125,15 +117,13 @@ class BlueDBMNode:
         self.dram = DRAMStore(sim, page_size=geometry.page_size,
                               bandwidth_gbs=onboard_dram_gbs)
 
-        # File system + accelerator sharing.
+        # File system.
         self.fs = RFS(sim, self.device)
-        self.scheduler = AcceleratorScheduler(sim, accelerator_units,
-                                              name=f"accel-n{node_id}")
 
     # -- access paths -----------------------------------------------------
-    def isp_read(self, addr: PhysAddr, request=None):
+    def isp_read(self, addr: PhysAddr):
         """In-store processor read: no host software or PCIe involved."""
-        return (yield from self.isp_port.read_page(addr, request=request))
+        return (yield from self.isp_port.read_page(addr))
 
     def net_read(self, addr: PhysAddr, request=None):
         """Read on behalf of a remote node (network service port)."""

@@ -20,14 +20,16 @@ __all__ = ["DRAMStore"]
 class DRAMStore:
     """A page-granular in-memory store with bandwidth contention."""
 
+    #: Fixed access latency per page.
+    LATENCY_NS = 100
+
     def __init__(self, sim: Simulator, page_size: int = 8192,
-                 bandwidth_gbs: float = 40.0, latency_ns: int = 100):
+                 bandwidth_gbs: float = 40.0):
         if bandwidth_gbs <= 0:
             raise ValueError("bandwidth must be positive")
         self.sim = sim
         self.page_size = page_size
         self.bandwidth_gbs = bandwidth_gbs
-        self.latency_ns = latency_ns
         self._bus = Resource(sim, capacity=1, name="dram-bus")
         self._pages: Dict[int, bytes] = {}
 
@@ -41,7 +43,7 @@ class DRAMStore:
         """Read one page -> bytes (DES generator)."""
         if page < 0:
             raise ValueError(f"negative page {page}")
-        yield self.sim.timeout(self.latency_ns)
+        yield self.sim.timeout(self.LATENCY_NS)
         yield self._bus.request()
         try:
             yield self.sim.timeout(
@@ -54,7 +56,7 @@ class DRAMStore:
         """Write one page (DES generator)."""
         if len(data) > self.page_size:
             raise ValueError("data exceeds page size")
-        yield self.sim.timeout(self.latency_ns)
+        yield self.sim.timeout(self.LATENCY_NS)
         yield self._bus.request()
         try:
             yield self.sim.timeout(

@@ -20,17 +20,14 @@ __all__ = ["HardDisk"]
 class HardDisk:
     """A 7200-RPM-class disk with one head assembly."""
 
-    def __init__(self, sim: Simulator, page_size: int = 8192,
-                 seek_ns: int = 8 * units.MS,
-                 rotational_ns: int = 4 * units.MS,
-                 transfer_gbs: float = 0.15):
-        if transfer_gbs <= 0:
-            raise ValueError("transfer rate must be positive")
+    #: Average seek, average rotational delay and platter rate.
+    SEEK_NS = 8 * units.MS
+    ROTATIONAL_NS = 4 * units.MS
+    TRANSFER_GBS = 0.15
+
+    def __init__(self, sim: Simulator, page_size: int = 8192):
         self.sim = sim
         self.page_size = page_size
-        self.seek_ns = seek_ns
-        self.rotational_ns = rotational_ns
-        self.transfer_gbs = transfer_gbs
         self._actuator = Resource(sim, capacity=1, name="hdd-actuator")
         self._pages: Dict[int, bytes] = {}
         self._head_at: Optional[int] = None
@@ -51,10 +48,10 @@ class HardDisk:
         yield self._actuator.request()
         try:
             if self._head_at is None or page != self._head_at + 1:
-                yield self.sim.timeout(self.seek_ns + self.rotational_ns)
+                yield self.sim.timeout(self.SEEK_NS + self.ROTATIONAL_NS)
             self._head_at = page
             yield self.sim.timeout(
-                units.transfer_ns(self.page_size, self.transfer_gbs))
+                units.transfer_ns(self.page_size, self.TRANSFER_GBS))
         finally:
             self._actuator.release()
         return self._pages.get(page, b"\x00" * self.page_size)
@@ -66,10 +63,10 @@ class HardDisk:
         yield self._actuator.request()
         try:
             if self._head_at is None or page != self._head_at + 1:
-                yield self.sim.timeout(self.seek_ns + self.rotational_ns)
+                yield self.sim.timeout(self.SEEK_NS + self.ROTATIONAL_NS)
             self._head_at = page
             yield self.sim.timeout(
-                units.transfer_ns(self.page_size, self.transfer_gbs))
+                units.transfer_ns(self.page_size, self.TRANSFER_GBS))
         finally:
             self._actuator.release()
         self.store(page, data)

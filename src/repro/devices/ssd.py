@@ -17,7 +17,7 @@ real bytes so applications can run against it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Optional
+from typing import Dict
 
 from ..sim import Resource, Simulator, units
 
@@ -27,21 +27,19 @@ __all__ = ["CommoditySSD"]
 class CommoditySSD:
     """A block-addressed commodity SSD with hidden internal management."""
 
-    def __init__(self, sim: Simulator, page_size: int = 8192,
-                 seq_gbs: float = 0.6, rand_gbs: float = 0.3,
-                 latency_ns: int = 120 * units.US, queue_depth: int = 32):
-        if seq_gbs <= 0 or rand_gbs <= 0:
-            raise ValueError("bandwidths must be positive")
-        if rand_gbs > seq_gbs:
-            raise ValueError("random rate cannot exceed sequential rate")
-        if queue_depth < 1:
-            raise ValueError("queue depth must be >= 1")
+    #: Sequential (prefetched) and random media rates.
+    SEQ_GBS = 0.6
+    RAND_GBS = 0.3
+    #: Random-access FTL lookup / chip-conflict penalty.
+    LATENCY_NS = 120 * units.US
+    #: NVMe queue slots.
+    QUEUE_DEPTH = 32
+
+    def __init__(self, sim: Simulator, page_size: int = 8192):
         self.sim = sim
         self.page_size = page_size
-        self.seq_gbs = seq_gbs
-        self.rand_gbs = rand_gbs
-        self.latency_ns = latency_ns
-        self._queue = Resource(sim, capacity=queue_depth, name="nvme-queue")
+        self._queue = Resource(sim, capacity=self.QUEUE_DEPTH,
+                               name="nvme-queue")
         self._media = Resource(sim, capacity=1, name="ssd-media")
         self._pages: Dict[int, bytes] = {}
         # Multi-stream sequential detection: real devices track several
@@ -82,19 +80,19 @@ class CommoditySSD:
                 yield self._media.request()
                 try:
                     yield self.sim.timeout(
-                        units.transfer_ns(self.page_size, self.seq_gbs))
+                        units.transfer_ns(self.page_size, self.SEQ_GBS))
                 finally:
                     self._media.release()
             else:
                 # FTL lookup / chip-conflict penalty on random access.
-                yield self.sim.timeout(self.latency_ns // 2)
+                yield self.sim.timeout(self.LATENCY_NS // 2)
                 yield self._media.request()
                 try:
                     yield self.sim.timeout(
-                        units.transfer_ns(self.page_size, self.rand_gbs))
+                        units.transfer_ns(self.page_size, self.RAND_GBS))
                 finally:
                     self._media.release()
-                yield self.sim.timeout(self.latency_ns // 2)
+                yield self.sim.timeout(self.LATENCY_NS // 2)
         finally:
             self._queue.release()
         return self._pages.get(page, b"\x00" * self.page_size)
@@ -108,10 +106,10 @@ class CommoditySSD:
             yield self._media.request()
             try:
                 yield self.sim.timeout(
-                    units.transfer_ns(self.page_size, self.rand_gbs))
+                    units.transfer_ns(self.page_size, self.RAND_GBS))
             finally:
                 self._media.release()
-            yield self.sim.timeout(self.latency_ns)
+            yield self.sim.timeout(self.LATENCY_NS)
         finally:
             self._queue.release()
         self.store(page, data)

@@ -57,7 +57,7 @@ class ShardServiceIface:
 
     Implements the interface protocol
     :class:`~repro.volume.LogicalVolume` flows drive
-    (``_read_flow``/``_write_flow`` plus a ``tenant`` label) without any
+    (``_read_flow``/``_write_flow``) without any
     host-side machinery: remote operations served here pay splitter
     admission and the device — never the destination host's software,
     buffers, PCIe or interrupts, which is exactly what the integrated
@@ -68,16 +68,14 @@ class ShardServiceIface:
     """
 
     def __init__(self, sim: Simulator, port, page_size: int,
-                 coalescer: Optional[Coalescer] = None,
-                 tenant: str = "dvol"):
+                 coalescer: Optional[Coalescer] = None):
         self.sim = sim
         self.port = port
         self.page_size = page_size
         self.coalescer = coalescer
-        self.tenant = tenant
 
     def _read_flow(self, addr, software_path: bool,
-                   request: Optional[IORequest], interrupt: bool = True):
+                   request: Optional[IORequest]):
         if self.coalescer is not None:
             result = yield self.coalescer.submit(addr, request)
             return result
@@ -96,11 +94,10 @@ class ShardedVolume:
     ENDPOINTS = 3
 
     def __init__(self, sim: Simulator, planner: PlacementPlanner,
-                 page_size: int, name: str = "dvol"):
+                 page_size: int):
         self.sim = sim
         self.planner = planner
         self.page_size = page_size
-        self.name = name
         self.shards: Dict[int, object] = {}
         self.services: Dict[int, ShardServiceIface] = {}
         #: node id -> its channel (each node numbers its own requests).
@@ -218,8 +215,7 @@ class ShardedVolume:
         request = msg["request"]
         if msg["op"] == "read":
             data = yield from volume.read_flow(
-                msg["lpn"], self.services[node], False, request,
-                interrupt=False)
+                msg["lpn"], self.services[node], False, request)
             self._ops[node]["served_reads"] += 1
             yield from self.channels[node].reply(node, msg, data,
                                                  self.page_size)
@@ -235,11 +231,10 @@ class ShardedVolume:
 
     # -- traced top-level operations -------------------------------------
     def read_lpn(self, src: int, iface, lpn: int,
-                 software_path: bool = True,
-                 request: Optional[IORequest] = None):
+                 software_path: bool = True):
         """Traced cluster-wide logical read (DES generator) -> bytes."""
         request, owned = iface._start(IOKind.READ, lpn, self.page_size,
-                                      request)
+                                      None)
         data = yield from self.read(src, iface, lpn, software_path,
                                     request)
         if owned:
@@ -247,11 +242,9 @@ class ShardedVolume:
         return data
 
     def write_lpn(self, src: int, iface, lpn: int, data: bytes,
-                  software_path: bool = True,
-                  request: Optional[IORequest] = None):
+                  software_path: bool = True):
         """Traced cluster-wide logical write (DES generator)."""
-        request, owned = iface._start(IOKind.WRITE, lpn, len(data),
-                                      request)
+        request, owned = iface._start(IOKind.WRITE, lpn, len(data), None)
         yield from self.write(src, iface, lpn, data, software_path,
                               request)
         if owned:

@@ -32,11 +32,11 @@ def measure(config: str) -> tuple:
     traversal = GraphTraversal(graph, home_node=0, seed=13)
 
     def proc(sim):
-        rate, paths = yield from traversal.run(config, 1, STEPS)
-        return rate, paths
+        rate, path = yield from traversal.run(config, 1, STEPS)
+        return rate, path
 
-    rate, paths = sim.run_process(proc(sim))
-    assert paths[0] == graph.reference_walk(1, STEPS), config
+    rate, path = sim.run_process(proc(sim))
+    assert path == graph.reference_walk(1, STEPS), config
     overall = session.tracer.overall_latency()
     return rate, overall
 

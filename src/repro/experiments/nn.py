@@ -48,8 +48,7 @@ def _node_session(throttled: bool) -> Session:
         timing=THROTTLED_TIMING if throttled else None))
 
 
-def isp_rate(throttled: bool = False,
-             n_comparisons: int = 4 * N_COMPARISONS) -> float:
+def isp_rate(throttled: bool = False) -> float:
     """In-store accelerated comparisons/s on one node."""
     session = _node_session(throttled)
     sim, node = session.sim, session.node
@@ -58,14 +57,13 @@ def isp_rate(throttled: bool = False,
     app.load(items, LSHIndex(ITEM_BYTES, seed=1))
 
     def proc(sim):
-        rate = yield from app.throughput_run(items[0], n_comparisons)
+        rate = yield from app.throughput_run(items[0], 4 * N_COMPARISONS)
         return rate
 
     return sim.run_process(proc(sim))
 
 
 def software_rate(threads: int, backend: str,
-                  n_comparisons: int = N_COMPARISONS,
                   dram_gbs: float = 40.0,
                   miss_fraction: float = 0.0,
                   sequential: bool = False) -> float:
@@ -138,14 +136,13 @@ def software_rate(threads: int, backend: str,
 
     def proc(sim):
         rate = yield from app.run(items[0], pages, threads=threads,
-                                  n_comparisons=n_comparisons)
+                                  n_comparisons=N_COMPARISONS)
         return rate
 
     return sim.run_process(proc(sim))
 
 
-def pipelined_host_rate(n_comparisons: int = N_COMPARISONS,
-                        outstanding: int = 128) -> float:
+def pipelined_host_rate(n_comparisons: int = N_COMPARISONS) -> float:
     """Async host software on unthrottled BlueDBM: PCIe-bound.
 
     Deeply pipelined reads (kernel-bypass style) so the 1.6 GB/s PCIe
@@ -170,7 +167,7 @@ def pipelined_host_rate(n_comparisons: int = N_COMPARISONS,
         done.append(sim.now)
 
     sim.run_process(sim.pipeline(
-        (one(i) for i in range(n_comparisons)), outstanding))
+        (one(i) for i in range(n_comparisons)), 128))
     return n_comparisons / units.to_s(max(done))
 
 

@@ -107,8 +107,8 @@ _CLUSTER_NET = NetworkConfig(max_packet_payload=1024)
 
 
 def qos_cluster_scenario(policy: str,
-                         duration_ns: int = CLUSTER_DURATION_NS,
-                         seed: int = 1234) -> ScenarioSpec:
+                         duration_ns: int = CLUSTER_DURATION_NS
+                         ) -> ScenarioSpec:
     """Remote tenants on nodes 1-3 contend for node 0's splitter.
 
     Each remote node is wired to the target with two parallel serial
@@ -132,7 +132,7 @@ def qos_cluster_scenario(policy: str,
         splitter_policy=policy,
         splitter_in_flight=CLUSTER_ADMISSION_SLOTS,
         workload=WorkloadSpec(duration_ns=duration_ns, tenants=tenants,
-                              seed=seed, drain=True))
+                              seed=1234, drain=True))
 
 
 def qos_cluster_point(args: Tuple[str, int]) -> RunResult:

@@ -28,7 +28,7 @@ class StorageDevice:
                  geometry: FlashGeometry = DEFAULT_GEOMETRY,
                  timing: Optional[FlashTiming] = None,
                  errors: Optional[ErrorModel] = None,
-                 node: int = 0, tags_per_card: int = 128, seed: int = 0,
+                 node: int = 0, seed: int = 0,
                  endurance: int = 3000):
         self.sim = sim
         self.geometry = geometry
@@ -40,7 +40,7 @@ class StorageDevice:
             FlashCard(sim, geometry=geometry, timing=timing, errors=errors,
                       wear=self.wear, badblocks=self.badblocks,
                       store=self.store, node=node, card=index,
-                      tags=tags_per_card, seed=seed)
+                      seed=seed)
             for index in range(geometry.cards_per_node)
         ]
         # Optional repro.faults.FaultInjector shared by every chip.

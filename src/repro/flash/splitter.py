@@ -65,7 +65,6 @@ class SplitterPort:
                  max_in_flight: int, tenant: Optional[str] = None,
                  priority: int = 0, deadline_ns: Optional[int] = None):
         self.splitter = splitter
-        self.user_id = user_id
         self.tenant = tenant or f"user{user_id}"
         self.priority = priority
         self.deadline_ns = deadline_ns
@@ -256,11 +255,12 @@ class FlashSplitter:
     ``erase_block`` generators — a single :class:`FlashCard` or a whole
     multi-card :class:`~repro.flash.device.StorageDevice`.
 
-    ``fair_share`` bounds each port's in-flight commands so one user
-    cannot exhaust the target's physical tag pool and starve the rest.
+    Each port's in-flight cap (:meth:`add_port`, default: the target's
+    tag count) bounds its commands so one user cannot exhaust the
+    target's physical tag pool and starve the rest.
 
-    ``policy`` (a name from :data:`repro.io.scheduler.POLICIES` or a
-    policy instance) enables the shared admission stage: at most
+    ``policy`` (a name from :data:`repro.io.scheduler.POLICIES`)
+    enables the shared admission stage: at most
     ``total_in_flight`` commands (default: the target's tag count) are
     outstanding across *all* ports, and when a slot frees the policy
     picks the next tenant.  ``tracer`` attaches end-to-end request
@@ -273,8 +273,8 @@ class FlashSplitter:
     """
 
     def __init__(self, sim: Simulator, card,
-                 fair_share: Optional[int] = None,
-                 policy=None, total_in_flight: Optional[int] = None,
+                 policy: Optional[str] = None,
+                 total_in_flight: Optional[int] = None,
                  tracer: Optional[RequestTracer] = None,
                  coalesce: bool = False, coalesce_max_pages: int = 8):
         if coalesce and coalesce_max_pages < 2:
@@ -283,7 +283,6 @@ class FlashSplitter:
                 f"got {coalesce_max_pages}")
         self.sim = sim
         self.card = card  # the flash target (card or device)
-        self.fair_share = fair_share
         self.tracer = tracer
         self.coalesce = coalesce
         self.coalesce_max_pages = coalesce_max_pages
@@ -345,8 +344,7 @@ class FlashSplitter:
                  tenant: Optional[str] = None, priority: int = 0,
                  deadline_ns: Optional[int] = None) -> SplitterPort:
         """Attach a new user; returns its private port."""
-        limit = max_in_flight or self.fair_share or self.tag_count
-        limit = min(limit, self.tag_count)
+        limit = min(max_in_flight or self.tag_count, self.tag_count)
         port = SplitterPort(self, len(self.ports), limit, tenant=tenant,
                             priority=priority, deadline_ns=deadline_ns)
         self.ports.append(port)

@@ -50,12 +50,10 @@ class RFS:
     ...).
     """
 
-    def __init__(self, sim: Simulator, device: StorageDevice,
-                 gc_low_watermark: int = 2):
+    def __init__(self, sim: Simulator, device: StorageDevice):
         self.sim = sim
         self.device = device
-        self.core = FtlCore(sim, device, device,
-                            gc_low_watermark=gc_low_watermark, name="rfs")
+        self.core = FtlCore(sim, device, device, name="rfs")
         self.page_size = device.geometry.page_size
         self._files: Dict[str, Inode] = {}
         self._next_lpn = 0

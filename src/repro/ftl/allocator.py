@@ -50,7 +50,6 @@ class BlockAllocator:
 
     def __init__(self, geometry: FlashGeometry, badblocks: BadBlockTable,
                  wear: WearTracker, node: int = 0,
-                 cards: Optional[List[int]] = None,
                  mode: str = "striped"):
         if mode not in ALLOCATION_MODES:
             raise ValueError(f"unknown allocation mode {mode!r}; "
@@ -60,8 +59,6 @@ class BlockAllocator:
         self.wear = wear
         self.node = node
         self.mode = mode
-        self.cards = cards if cards is not None else list(
-            range(geometry.cards_per_node))
         #: Authoritative per-chip free membership; the heap may carry
         #: stale entries that are skipped at pop time.
         self._free: Dict[_ChipKey, Set[int]] = {}
@@ -69,12 +66,12 @@ class BlockAllocator:
         self._chips: List[_ChipKey] = []
         # Bus-fastest rotation: consecutive allocations land on different
         # buses, so short sequential runs still engage every channel.
-        # With all cards present this enumeration order is exactly the
-        # striped unit order (bus-fastest, then card, then chip), which
-        # is what makes sequential mode's unit walk stripe-adjacent.
+        # This enumeration order is exactly the striped unit order
+        # (bus-fastest, then card, then chip), which is what makes
+        # sequential mode's unit walk stripe-adjacent.
         erase_count = wear.block_erase_count
         for chip in range(geometry.chips_per_bus):
-            for card in self.cards:
+            for card in range(geometry.cards_per_node):
                 for bus in range(geometry.buses_per_card):
                     key = (node, card, bus, chip)
                     self._chips.append(key)

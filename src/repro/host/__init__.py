@@ -1,10 +1,9 @@
-"""Host server models: PCIe/DMA, page buffers, RPC costs, CPU, scheduler.
+"""Host server models: PCIe/DMA, page buffers, RPC costs, CPU.
 
 * :mod:`~repro.host.config` — :class:`HostConfig` timing parameters.
 * :mod:`~repro.host.pcie` — asymmetric-bandwidth PCIe link model.
 * :mod:`~repro.host.buffers` — the 128+128 host page buffers.
 * :mod:`~repro.host.cpu` — multi-core compute model.
-* :mod:`~repro.host.scheduler` — FIFO accelerator-sharing scheduler.
 * :mod:`~repro.host.iface` — :class:`HostInterface`, the full software
   read/write path (syscall -> RPC -> flash -> DMA -> interrupt).
 """
@@ -14,13 +13,11 @@ from .config import HostConfig
 from .cpu import HostCPU
 from .iface import HostInterface
 from .pcie import PCIeLink
-from .scheduler import AcceleratorScheduler
 
 __all__ = [
     "HostConfig",
     "PCIeLink",
     "PageBufferPool",
     "HostCPU",
-    "AcceleratorScheduler",
     "HostInterface",
 ]

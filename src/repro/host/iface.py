@@ -83,11 +83,8 @@ class HostInterface:
 
     # -- per-operation flows --------------------------------------------
     def _read_flow(self, addr: PhysAddr, software_path: bool,
-                   request: Optional[IORequest], interrupt: bool = True):
-        """The whole host read path for one page (DES generator).
-
-        ``interrupt=False`` skips the per-page completion interrupt.
-        """
+                   request: Optional[IORequest]):
+        """The whole host read path for one page (DES generator)."""
         if software_path:
             with StageSpan(self.sim, request, "software"):
                 yield from self.cpu.compute(self.config.software_request_ns)
@@ -100,9 +97,8 @@ class HostInterface:
                 addr, request=request)
             with StageSpan(self.sim, request, "pcie"):
                 yield from self.pcie.device_to_host(self.page_size)
-            if interrupt:
-                with StageSpan(self.sim, request, "interrupt"):
-                    yield self.sim.timeout(self.config.interrupt_ns)
+            with StageSpan(self.sim, request, "interrupt"):
+                yield self.sim.timeout(self.config.interrupt_ns)
         finally:
             self.read_buffers.release(buffer_index)
         return result
@@ -151,8 +147,7 @@ class HostInterface:
             self.tracer.complete(request)
 
     # -- blocking logical (volume) calls --------------------------------
-    def read_lpn(self, volume, lpn: int, software_path: bool = True,
-                 request: Optional[IORequest] = None):
+    def read_lpn(self, volume, lpn: int, software_path: bool = True):
         """Read one *logical* page of ``volume`` (DES generator).
 
         The volume resolves the LPN through its FTL map; the physical
@@ -160,7 +155,7 @@ class HostInterface:
         data (erased pattern for unmapped LPNs).
         """
         request, owned = self._start(IOKind.READ, lpn, self.page_size,
-                                     request)
+                                     None)
         data = yield from volume.read_flow(lpn, self, software_path,
                                            request)
         if owned:
@@ -168,15 +163,14 @@ class HostInterface:
         return data
 
     def write_lpn(self, volume, lpn: int, data: bytes,
-                  software_path: bool = True,
-                  request: Optional[IORequest] = None):
+                  software_path: bool = True):
         """Write one *logical* page of ``volume`` (DES generator).
 
         The volume allocates a fresh physical page (out-of-place remap,
         GC as needed, relocation through the volume's GC port); the
         program rides this interface's full write flow.
         """
-        request, owned = self._start(IOKind.WRITE, lpn, len(data), request)
+        request, owned = self._start(IOKind.WRITE, lpn, len(data), None)
         yield from volume.write_flow(self, lpn, data, software_path,
                                      request, tenant=self.tenant)
         if owned:

@@ -35,7 +35,6 @@ from .scheduler import (
     StrictPriorityPolicy,
     TokenBucketPolicy,
     WeightedFairPolicy,
-    bind_policy,
     make_policy,
 )
 from .stage import BatchStageSpan, StageSpan
@@ -59,5 +58,4 @@ __all__ = [
     "ScheduledResource",
     "POLICIES",
     "make_policy",
-    "bind_policy",
 ]

@@ -3,8 +3,8 @@
 The paper runs "a simple FIFO-based policy" (Section 4) everywhere a
 shared resource is arbitrated.  This module generalizes that single
 hard-coded discipline into a :class:`SchedulerPolicy` family so any
-contended point — splitter admission, accelerator units, per-port
-slots — can be scheduled FIFO, round-robin fair-share across tenants,
+contended point — splitter admission or per-port slots — can be
+scheduled FIFO, round-robin fair-share across tenants,
 weighted-fair-share (virtual-time WFQ over per-tenant weights),
 token-bucket rate-limited, strict-priority, or earliest-deadline-first,
 without the resource model knowing which.
@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import OrderedDict, deque
-from typing import Deque, Dict, Optional, Tuple, Union
+from typing import Deque, Dict, Optional, Tuple
 
 from ..sim import Event, Simulator
 
@@ -85,9 +85,8 @@ class SchedulerPolicy:
     return entries one at a time and only when non-empty.  Policies are
     pure data structures — they never touch the simulator clock (``pop``
     and :meth:`next_ready_ns` receive the current time from the caller)
-    — but they hold *per-resource* queue state, so one instance can
-    drive only one resource (see :func:`bind_policy`); pass a name or
-    class where a fresh policy per resource is wanted.
+    — but they hold *per-resource* queue state, so each resource builds
+    its own from a name (:func:`make_policy`).
 
     Per-tenant QoS parameters (``weight``, ``rate_bytes_per_ns``,
     ``burst_bytes``) arrive through :meth:`configure_tenant`; policies
@@ -207,19 +206,15 @@ class WeightedFairPolicy(SchedulerPolicy):
 
     name = "wfq"
 
-    def __init__(self, default_weight: float = 1.0):
+    def __init__(self):
         super().__init__()
-        if default_weight <= 0:
-            raise ValueError(
-                f"default_weight must be > 0, got {default_weight}")
-        self.default_weight = default_weight
         self._heap: list = []
         self._vtime = 0.0
         self._finish: Dict[str, float] = {}
 
     def weight_of(self, tenant: str) -> float:
         weight = self.tenant_config.get(tenant, {}).get(
-            "weight", self.default_weight)
+            "weight", 1.0)
         if weight <= 0:
             raise ValueError(f"tenant {tenant!r} weight must be > 0")
         return float(weight)
@@ -407,59 +402,24 @@ class EarliestDeadlinePolicy(SchedulerPolicy):
 POLICIES: Dict[str, type] = {
     "fifo": FIFOPolicy,
     "rr": RoundRobinPolicy,
-    "round-robin": RoundRobinPolicy,
     "wfq": WeightedFairPolicy,
-    "weighted": WeightedFairPolicy,
     "token-bucket": TokenBucketPolicy,
-    "tb": TokenBucketPolicy,
     "priority": StrictPriorityPolicy,
     "edf": EarliestDeadlinePolicy,
 }
 
 
-def make_policy(policy: Union[str, SchedulerPolicy, type, None]
-                ) -> SchedulerPolicy:
-    """Coerce a name / class / instance into a fresh-enough policy.
-
-    Strings look up :data:`POLICIES`; ``None`` means FIFO.  Instances
-    are returned as-is (callers own their sharing semantics).
-    """
+def make_policy(policy: Optional[str]) -> SchedulerPolicy:
+    """A fresh policy named by ``policy`` (a :data:`POLICIES` key);
+    ``None`` means FIFO."""
     if policy is None:
         return FIFOPolicy()
-    if isinstance(policy, SchedulerPolicy):
-        return policy
-    if isinstance(policy, type) and issubclass(policy, SchedulerPolicy):
-        return policy()
-    if isinstance(policy, str):
-        try:
-            return POLICIES[policy]()
-        except KeyError:
-            raise ValueError(
-                f"unknown scheduler policy {policy!r}; "
-                f"known: {sorted(set(POLICIES))}") from None
-    raise TypeError(f"cannot make a scheduler policy from {policy!r}")
-
-
-def bind_policy(policy: Union[str, SchedulerPolicy, type, None],
-                owner: str) -> SchedulerPolicy:
-    """Resolve a policy and claim it for one scheduling point.
-
-    A policy instance holds that resource's queue, so sharing one
-    between resources silently mixes their waiters (one resource's
-    release would grant another's queue entry).  Names and classes
-    yield a fresh instance every call; an explicit instance may be
-    bound exactly once, and reuse raises immediately instead of
-    corrupting grants at runtime.
-    """
-    resolved = make_policy(policy)
-    bound_to = getattr(resolved, "_bound_to", None)
-    if bound_to is not None:
+    try:
+        return POLICIES[policy]()
+    except KeyError:
         raise ValueError(
-            f"policy {resolved!r} already drives {bound_to!r}; policy "
-            f"instances hold per-resource queue state — pass the policy "
-            f"name or class to give each resource its own")
-    resolved._bound_to = owner
-    return resolved
+            f"unknown scheduler policy {policy!r}; "
+            f"known: {sorted(POLICIES)}") from None
 
 
 class ScheduledResource:
@@ -475,14 +435,13 @@ class ScheduledResource:
     """
 
     def __init__(self, sim: Simulator, capacity: int,
-                 policy: Union[str, SchedulerPolicy, None] = None,
-                 name: str = ""):
+                 policy: Optional[str] = None, name: str = ""):
         if capacity < 1:
             raise ValueError(
                 f"resource capacity must be >= 1, got {capacity}")
         self.sim = sim
         self.capacity = capacity
-        self.policy = bind_policy(policy, name or "ScheduledResource")
+        self.policy = make_policy(policy)
         self.name = name
         self.in_use = 0
         self._seq = itertools.count()

@@ -61,9 +61,8 @@ class GraphWalkEngine(Engine):
     are reproducible: neighbor ``step % degree`` at each step.
     """
 
-    def __init__(self, sim: Simulator, bytes_per_ns: float = 2.0,
-                 name: str = "graphwalk-engine"):
-        super().__init__(sim, bytes_per_ns, name=name)
+    def __init__(self, sim: Simulator):
+        super().__init__(sim, 2.0, name="graphwalk-engine")
         self.step = 0
 
     def process_page(self, data: bytes,

@@ -6,8 +6,8 @@ Ethernet, but that latency is at least 100x of the integrated network"
 DRAM+miss experiments) route requests through remote *host software* over
 a conventional NIC and kernel stack; this model captures that cost:
 
-* fixed per-message software/NIC/kernel latency (default 50 µs one way —
-  a fast kernel TCP stack of the era; ~100x the 0.48 µs hop),
+* fixed per-message software/NIC/kernel latency (45 µs one way — a
+  fast kernel TCP stack of the era; ~100x the 0.48 µs hop),
 * 10 GbE serialization,
 * FIFO per (src, dst) ordering.
 """
@@ -25,17 +25,16 @@ __all__ = ["EthernetFabric"]
 class EthernetFabric:
     """A conventional datacenter network between host servers."""
 
-    def __init__(self, sim: Simulator, n_nodes: int,
-                 rpc_latency_ns: int = 45 * units.US,
-                 link_gbps: float = 10.0):
+    #: One-way software + NIC + kernel latency per message.
+    RPC_LATENCY_NS = 45 * units.US
+    #: 10 GbE serialization rate.
+    BYTES_PER_NS = units.gbps_to_bytes_per_ns(10.0)
+
+    def __init__(self, sim: Simulator, n_nodes: int):
         if n_nodes < 1:
             raise ValueError("need at least one node")
-        if rpc_latency_ns < 0:
-            raise ValueError("negative rpc latency")
         self.sim = sim
         self.n_nodes = n_nodes
-        self.rpc_latency_ns = rpc_latency_ns
-        self.bytes_per_ns = units.gbps_to_bytes_per_ns(link_gbps)
         # One NIC per node serializes its outbound traffic.
         self._nics = [Resource(sim, capacity=1, name=f"nic-{n}")
                       for n in range(n_nodes)]
@@ -54,7 +53,7 @@ class EthernetFabric:
         yield nic.request()
         try:
             yield self.sim.timeout(
-                units.transfer_ns(payload_bytes, self.bytes_per_ns))
+                units.transfer_ns(payload_bytes, self.BYTES_PER_NS))
         finally:
             nic.release()
         self.sim.process(self._deliver(src, dst, payload, payload_bytes),
@@ -62,7 +61,7 @@ class EthernetFabric:
 
     def _deliver(self, src: int, dst: int, payload: Any,
                  payload_bytes: int):
-        yield self.sim.timeout(self.rpc_latency_ns)
+        yield self.sim.timeout(self.RPC_LATENCY_NS)
         yield self._queues[dst].put(Message(src, payload, payload_bytes))
 
     def receive(self, node: int):

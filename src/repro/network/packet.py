@@ -93,7 +93,7 @@ class Packet:
     payload_bytes: int
     last: bool = True            # final chunk of its message?
     message_id: int = 0
-    seq: int = field(default_factory=lambda: next(_seq))
+    seq: int = field(init=False, default_factory=lambda: next(_seq))
 
     def __post_init__(self):
         if self.payload_bytes < 0:

@@ -43,13 +43,10 @@ class Cable:
 class Topology:
     """Wiring of the storage network: nodes and the cables between them."""
 
-    def __init__(self, n_nodes: int, max_ports: int = MAX_PORTS):
+    def __init__(self, n_nodes: int):
         if n_nodes < 1:
             raise ValueError(f"need at least one node, got {n_nodes}")
-        if max_ports < 1:
-            raise ValueError(f"max_ports must be >= 1, got {max_ports}")
         self.n_nodes = n_nodes
-        self.max_ports = max_ports
         self.cables: List[Cable] = []
         self._next_port = [0] * n_nodes
 
@@ -61,10 +58,10 @@ class Topology:
         for node in (node_a, node_b):
             if not 0 <= node < self.n_nodes:
                 raise ValueError(f"node {node} out of range")
-            if self._next_port[node] >= self.max_ports:
+            if self._next_port[node] >= MAX_PORTS:
                 raise ValueError(
                     f"node {node} is out of ports "
-                    f"(max {self.max_ports}, Figure 5 constraint)")
+                    f"(max {MAX_PORTS}, Figure 5 constraint)")
         cable = Cable(node_a, self._next_port[node_a],
                       node_b, self._next_port[node_b])
         self._next_port[node_a] += 1
@@ -108,7 +105,7 @@ class Topology:
         """Serialize to the JSON network configuration format."""
         return json.dumps({
             "n_nodes": self.n_nodes,
-            "max_ports": self.max_ports,
+            "max_ports": MAX_PORTS,
             "cables": [[c.node_a, c.port_a, c.node_b, c.port_b]
                        for c in self.cables],
         }, indent=2)
@@ -137,12 +134,11 @@ def ring(n_nodes: int, lanes: int = 1) -> Topology:
     return topo
 
 
-def star(n_nodes: int, hub: int = 0) -> Topology:
-    """Distributed star (Figure 5a): every node cabled to a hub node."""
+def star(n_nodes: int) -> Topology:
+    """Distributed star (Figure 5a): every node cabled to hub node 0."""
     topo = Topology(n_nodes)
-    for node in range(n_nodes):
-        if node != hub:
-            topo.connect(hub, node)
+    for node in range(1, n_nodes):
+        topo.connect(0, node)
     return topo
 
 

@@ -135,24 +135,16 @@ class WorkerPool:
 
 
 def parallel_map(fn: Callable[[Any], Any], points: Iterable[Any],
-                 jobs: int = 1,
-                 pool: Optional[WorkerPool] = None) -> List[Any]:
+                 jobs: int = 1) -> List[Any]:
     """``list(map(fn, points))``, optionally across worker processes.
 
-    Execution substrate, in priority order:
-
-    1. an explicit ``pool`` argument;
-    2. an ephemeral spawn pool of ``min(jobs, len(points))`` workers
-       when ``jobs > 1`` and there is more than one point;
-    3. otherwise the exact serial path — a plain loop in this process,
-       with zero subprocess machinery.
-
-    For pure point functions (see the module docstring) the result is
-    byte-identical across all three substrates.
+    With ``jobs > 1`` and more than one point, the points run on an
+    ephemeral spawn pool of ``min(jobs, len(points))`` workers;
+    otherwise on the exact serial path — a plain loop in this process,
+    with zero subprocess machinery.  For pure point functions (see the
+    module docstring) the result is byte-identical on both.
     """
     points = list(points)
-    if pool is not None:
-        return pool.map(fn, points)
     if jobs <= 1 or len(points) <= 1:
         return [fn(point) for point in points]
     with WorkerPool(min(jobs, len(points))) as target:

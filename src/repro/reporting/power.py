@@ -57,14 +57,11 @@ class NodePower:
 class PowerModel:
     """Cluster-level power accounting."""
 
-    def __init__(self, n_nodes: int = 20,
-                 node: NodePower = NodePower(),
-                 flash_per_node_bytes: int = TB):
+    def __init__(self, n_nodes: int = 20):
         if n_nodes < 1:
             raise ValueError("need at least one node")
         self.n_nodes = n_nodes
-        self.node = node
-        self.flash_per_node_bytes = flash_per_node_bytes
+        self.node = NodePower()
 
     @property
     def cluster_w(self) -> float:
@@ -72,23 +69,21 @@ class PowerModel:
 
     @property
     def capacity_bytes(self) -> int:
-        return self.n_nodes * self.flash_per_node_bytes
+        return self.n_nodes * TB      # 1 TB of flash per node
 
 
-def ramcloud_equivalent(dataset_bytes: int,
-                        dram_per_server_bytes: int = 50 * GB,
-                        server_w: float = 200.0,
-                        dram_overhead_w: float = 50.0) -> Dict[str, float]:
+def ramcloud_equivalent(dataset_bytes: int) -> Dict[str, float]:
     """Size a RAMCloud-style cluster hosting ``dataset_bytes`` in DRAM.
 
+    Each server holds 50 GB and draws 200 W plus 50 W for its DRAM.
     Returns server count and power, for comparison against a BlueDBM
     rack of the same capacity (the Section 1/8 cost argument: ~100
     servers with 128-256 GB DRAM for 5-20 TB datasets).
     """
     if dataset_bytes < 1:
         raise ValueError("dataset must be non-empty")
-    servers = -(-dataset_bytes // dram_per_server_bytes)  # ceil
+    servers = -(-dataset_bytes // (50 * GB))  # ceil
     return {
         "servers": float(servers),
-        "power_w": servers * (server_w + dram_overhead_w),
+        "power_w": servers * (200.0 + 50.0),
     }

@@ -131,16 +131,16 @@ _VIRTEX_INFRA = ModuleUsage(
     224 - 169)
 
 
-def virtex7_host(geometry: FlashGeometry = DEFAULT_GEOMETRY,
-                 host: HostConfig = HostConfig(),
-                 network_ports: int = 8) -> List[ModuleUsage]:
-    """Table 2 rows for the host FPGA design."""
+def virtex7_host(host: HostConfig = HostConfig()) -> List[ModuleUsage]:
+    """Table 2 rows for the host FPGA design: two flash cards and eight
+    network ports."""
+    cards = DEFAULT_GEOMETRY.cards_per_node
+    network_ports = 8
     engines = 2 * host.dma_engines
     buffers = host.read_buffers + host.write_buffers
     rows = [
         ModuleUsage("Flash Interface", 1,
-                    _FLASH_IF_LUTS_PER_CARD * geometry.cards_per_node,
-                    2139 * geometry.cards_per_node // 2, 0),
+                    _FLASH_IF_LUTS_PER_CARD * cards, 2139 * cards // 2, 0),
         ModuleUsage("Network Interface", 1,
                     _NET_IF_LUTS_PER_PORT * network_ports,
                     _NET_IF_REGS_PER_PORT * network_ports, 0),

@@ -24,8 +24,8 @@ two observations profiled from the heavy scenarios (``qd_sweep``,
   top's ticket on time ties, so the merged order is exactly the order
   the single heap used to produce — results are bit-identical.
 * **Process wakeups don't need Event objects.**  Bootstrapping a new
-  process, resuming one that yielded an already-processed event, and
-  interrupting one used to allocate a throwaway ``Event`` each.  The
+  process and resuming one that yielded an already-processed event
+  used to allocate a throwaway ``Event`` each.  The
   ready lane carries those as plain ``(ticket, None, resume, value,
   ok)`` tuples instead — no allocation beyond the tuple, no callback
   list, one call to wake.
@@ -57,24 +57,11 @@ __all__ = [
     "AnyOf",
     "Simulator",
     "SimulationError",
-    "Interrupt",
 ]
 
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel (not model errors)."""
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -117,36 +104,30 @@ class Event:
             raise SimulationError("value of untriggered event")
         return self._value
 
-    def succeed(self, value: Any = None, delay: int = 0) -> "Event":
-        """Trigger the event successfully after ``delay`` ns."""
+    def succeed(self, value: Any = None) -> "Event":
+        """Trigger the event successfully at the current time."""
         if self._triggered:
             raise SimulationError(f"{self!r} already triggered")
         self._triggered = True
         self._value = value
-        if delay == 0:
-            # Inlined ready-lane schedule: succeed() is the single
-            # busiest trigger path (resource grants, queue handoffs).
-            sim = self.sim
-            eid = sim._eid
-            sim._eid = eid + 1
-            sim._ready.append((eid, self))
-        else:
-            self.sim._schedule(self, delay)
+        # Inlined ready-lane schedule: succeed() is the single busiest
+        # trigger path (resource grants, queue handoffs).
+        sim = self.sim
+        eid = sim._eid
+        sim._eid = eid + 1
+        sim._ready.append((eid, self))
         return self
 
-    def fail(self, exception: BaseException, delay: int = 0) -> "Event":
+    def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception; waiters will see it raised."""
         if self._triggered:
             raise SimulationError(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise SimulationError("fail() requires an exception instance")
-        if delay < 0:
-            raise SimulationError(
-                f"cannot fail {self!r} with negative delay {delay}")
         self._triggered = True
         self._ok = False
         self._value = exception
-        self.sim._schedule(self, delay)
+        self.sim._schedule(self, 0)
         return self
 
     def __repr__(self) -> str:
@@ -160,7 +141,7 @@ class Timeout(Event):
 
     __slots__ = ()
 
-    def __init__(self, sim: "Simulator", delay: int, value: Any = None):
+    def __init__(self, sim: "Simulator", delay: int):
         # Fully inlined (no Event.__init__ / _schedule calls): timeouts
         # are the bulk of all heap traffic, so construction is one
         # straight-line body.
@@ -168,7 +149,7 @@ class Timeout(Event):
             raise SimulationError(f"negative timeout delay {delay}")
         self.sim = sim
         self.callbacks = []
-        self._value = value
+        self._value = None
         self._ok = True
         self._triggered = True
         self._processed = False
@@ -188,7 +169,7 @@ class Process(Event):
     event's exception is thrown into it).
     """
 
-    __slots__ = ("_generator", "_send", "_waiting_on", "_name")
+    __slots__ = ("_generator", "_send", "_name")
 
     def __init__(self, sim: "Simulator", generator: Generator,
                  name: str = ""):
@@ -209,7 +190,6 @@ class Process(Event):
         self._triggered = False
         self._processed = False
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         self._name = name
         # Bootstrap: first resume at the current time, in scheduling
         # order — a direct ready-lane wake, no throwaway Event.
@@ -222,30 +202,11 @@ class Process(Event):
         """Diagnostic label (lazy: most processes are never named)."""
         return (self._name or getattr(self._generator, "__name__", "process"))
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        # Detach from whatever we were waiting on; that event may still
-        # fire later but must no longer resume us.
-        target = self._waiting_on
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        sim = self.sim
-        eid = sim._eid
-        sim._eid = eid + 1
-        sim._ready.append((eid, None, self._proceed, Interrupt(cause), False))
-
     def _resume(self, event: Event) -> None:
         """Callback form of :meth:`_proceed`, attached to real events."""
         self._proceed(event._value, event._ok)
 
     def _proceed(self, value: Any, ok: bool) -> None:
-        self._waiting_on = None
         sim = self.sim
         try:
             if ok:
@@ -276,7 +237,6 @@ class Process(Event):
                 f"process {self.name!r} yielded {result!r}, expected an Event"
             ) from None
         if callbacks is not None:
-            self._waiting_on = result
             callbacks.append(self._resume)
         elif isinstance(result, Event):
             # Already processed: resume immediately at the current time.
@@ -409,9 +369,9 @@ class Simulator:
         """A fresh pending event, to be succeeded/failed by a model."""
         return Event(self)
 
-    def timeout(self, delay: int, value: Any = None) -> Timeout:
+    def timeout(self, delay: int) -> Timeout:
         """An event firing ``delay`` ns from now."""
-        return Timeout(self, int(delay), value)
+        return Timeout(self, int(delay))
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Register ``generator`` as a concurrently-running process."""
@@ -489,13 +449,13 @@ class Simulator:
         if until is not None:
             self.now = until
 
-    def run_process(self, generator: Generator, name: str = "") -> Any:
+    def run_process(self, generator: Generator) -> Any:
         """Convenience: run ``generator`` to completion and return its value.
 
         Raises the process's exception if it failed.  Other concurrently
         registered processes keep running as usual.
         """
-        proc = self.process(generator, name)
+        proc = self.process(generator)
         self.run()
         if not proc.triggered:
             raise SimulationError(

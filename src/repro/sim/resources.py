@@ -187,7 +187,6 @@ class CreditPool:
         self.sim = sim
         self.name = name
         self.credits = initial
-        self.initial = initial
         self._waiters: Deque[tuple] = deque()
 
     def take(self, amount: int = 1) -> Event:

@@ -155,14 +155,12 @@ class LogicalVolume:
     # Both return the core's generator instead of wrapping it in one of
     # their own: every event of a request resumes each frame it passes
     # through, and these are on every volume request's path.
-    def read_flow(self, lpn: int, iface, software_path: bool,
-                  request, interrupt: bool = True):
+    def read_flow(self, lpn: int, iface, software_path: bool, request):
         """Read one logical page through ``iface``'s host read flow
-        (:meth:`FtlCore.read`; a DES generator -> bytes).
-        ``interrupt`` threads through to the host read flow."""
+        (:meth:`FtlCore.read`; a DES generator -> bytes)."""
         self._check_lpn(lpn)
         return self.core.read(lpn, iface._read_flow, software_path,
-                              request, interrupt)
+                              request)
 
     def write_flow(self, iface, lpn: int, data: bytes,
                    software_path: bool, request,

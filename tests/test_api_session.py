@@ -37,12 +37,6 @@ def test_multi_node_session_builds_cluster():
     assert all(n.tracer is session.tracer for n in session.nodes)
 
 
-def test_trace_off_means_no_tracer():
-    session = Session(ScenarioSpec(name="untraced", geometry=SMALL_GEO,
-                                   trace=False))
-    assert session.tracer is None
-
-
 def test_custom_topology_is_materialized():
     spec = ScenarioSpec(
         name="lanes", n_nodes=2, geometry=SMALL_GEO,

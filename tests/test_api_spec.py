@@ -31,7 +31,7 @@ from repro.api import (
 )
 from repro.flash import FlashGeometry, FlashTiming
 from repro.host import HostConfig
-from repro.network import NetworkConfig
+from repro.network import NetworkConfig, mesh2d
 
 # ----------------------------------------------------------------------
 # strategies
@@ -105,8 +105,7 @@ workloads = st.one_of(st.none(), st.builds(
 
 topologies = st.one_of(
     st.builds(TopologySpec, kind=st.just("auto")),
-    st.builds(TopologySpec, kind=st.sampled_from(["ring", "line"]),
-              lanes=st.integers(1, 4)),
+    st.builds(TopologySpec, kind=st.just("fully_connected")),
     st.builds(TopologySpec, kind=st.just("custom"),
               links=st.lists(
                   st.tuples(st.integers(0, 1), st.integers(0, 1)),
@@ -130,7 +129,6 @@ scenarios = st.builds(
     splitter_in_flight=st.one_of(st.none(), st.integers(1, 64)),
     coalesce=st.booleans(),
     coalesce_max_pages=st.integers(2, 16),
-    trace=st.booleans(),
     workload=workloads,
 )
 
@@ -226,10 +224,10 @@ def test_remote_policy_qos_requires_tracing():
     tenants = (TenantSpec("r1", access="remote_isp", node=1, target=0,
                           weight=2.0),)
     with pytest.raises(SpecError):
-        ScenarioSpec(n_nodes=2, trace=False, splitter_policy="wfq",
+        ScenarioSpec(n_nodes=2, trace_sample=2, splitter_policy="wfq",
                      workload=WorkloadSpec(duration_ns=1000,
                                            tenants=tenants))
-    # With tracing (the default) the same mix is fine.
+    # With every request traced (the default) the same mix is fine.
     ScenarioSpec(n_nodes=2, splitter_policy="wfq", workload=WorkloadSpec(
         duration_ns=1000, tenants=tenants))
 
@@ -277,7 +275,9 @@ def test_admission_qos_without_policy_rejected(fields, named):
 
 
 def test_sized_topology_must_cover_the_cluster():
-    spec = TopologySpec(kind="fat_tree", n_spine=1, n_leaf=2)
+    # A cable to a node outside the cluster would leave remote accesses
+    # dying mid-simulation on a node with no network attachment.
+    spec = TopologySpec(kind="custom", links=((0, 1), (1, 4)))
     with pytest.raises(SpecError):
         spec.build(4)
 
@@ -320,19 +320,17 @@ def test_custom_topology_needs_links():
 
 
 def test_inapplicable_topology_parameters_rejected():
-    # A "4-lane star" does not exist; silently building a 1-lane one
-    # would misreport every bandwidth measured on it.
+    # A cable list only a custom topology wires; silently ignoring it
+    # would misreport every bandwidth measured on the default wiring.
     with pytest.raises(SpecError):
-        TopologySpec(kind="star", lanes=4)
+        TopologySpec(kind="auto", links=((0, 1),))
     with pytest.raises(SpecError):
-        TopologySpec(kind="ring", rows=2, cols=2)
-    with pytest.raises(SpecError):
-        TopologySpec(kind="line", links=((0, 1),))
+        TopologySpec(kind="fully_connected", links=((0, 1),))
 
 
 def test_mesh2d_rows_cols_orientation():
-    # rows=2, cols=3: a row holds three consecutively-numbered nodes.
-    topo = TopologySpec(kind="mesh2d", rows=2, cols=3).build(6)
+    # Two rows of three: a row holds three consecutively-numbered nodes.
+    topo = mesh2d(3, 2)
     cabled = {frozenset((c.node_a, c.node_b)) for c in topo.cables}
     assert frozenset((0, 1)) in cabled and frozenset((1, 2)) in cabled
     assert frozenset((0, 3)) in cabled  # column neighbour one row down

@@ -57,11 +57,11 @@ class TestGraphTraversal:
         steps = 12
 
         def proc(sim):
-            rate, paths = yield from traversal.run("isp-f", 0, steps)
-            return rate, paths
+            rate, path = yield from traversal.run("isp-f", 0, steps)
+            return rate, path
 
-        rate, paths = sim.run_process(proc(sim))
-        assert paths[0] == graph.reference_walk(0, steps)
+        rate, path = sim.run_process(proc(sim))
+        assert path == graph.reference_walk(0, steps)
         assert rate > 0
 
     def test_all_configs_traverse_correctly(self, sim):
@@ -72,11 +72,11 @@ class TestGraphTraversal:
             graph, traversal = self._setup(s)
 
             def proc(s):
-                rate, paths = yield from traversal.run(config, 0, steps)
-                return paths
+                rate, path = yield from traversal.run(config, 0, steps)
+                return path
 
-            paths = s.run_process(proc(s))
-            assert paths[0] == graph.reference_walk(0, steps), config
+            path = s.run_process(proc(s))
+            assert path == graph.reference_walk(0, steps), config
 
     def test_isp_faster_than_via_remote_host(self, sim):
         steps = 10
@@ -99,19 +99,6 @@ class TestGraphTraversal:
         graph, traversal = self._setup(sim)
         with pytest.raises(ValueError):
             sim.run_process(traversal.run("warp-drive", 0, 5))
-
-    def test_multiple_chains_increase_throughput(self, sim):
-        def run(chains):
-            s = Simulator()
-            graph, traversal = self._setup(s)
-
-            def proc(s):
-                rate, _ = yield from traversal.run("isp-f", 0, 10,
-                                                   n_chains=chains)
-                return rate
-            return s.run_process(proc(s))
-
-        assert run(4) > 2 * run(1)
 
 
 class TestTextCorpus:

@@ -28,8 +28,7 @@ def sim():
 
 class TestLSHIndex:
     def test_similar_items_share_buckets(self):
-        corpus = make_item_corpus(64, ITEM_BYTES, seed=1, n_clusters=2,
-                                  flip_fraction=0.005)
+        corpus = make_item_corpus(64, ITEM_BYTES, seed=1, n_clusters=2)
         index = LSHIndex(ITEM_BYTES, n_tables=6, bits_per_hash=8, seed=2)
         for item_id, data in corpus.items():
             index.insert(item_id, data)
@@ -68,7 +67,7 @@ class TestISPQuery:
         node = BlueDBMNode(sim, geometry=GEO)
         app = NearestNeighborISP(node, n_engines=4)
         corpus = make_item_corpus(n_items, ITEM_BYTES, seed=11,
-                                  n_clusters=2, flip_fraction=0.01)
+                                  n_clusters=2)
         index = LSHIndex(ITEM_BYTES, n_tables=6, bits_per_hash=8, seed=5)
         app.load(corpus, index)
         return node, app, corpus
@@ -93,9 +92,14 @@ class TestISPQuery:
 
     def test_query_explicit_candidates(self, sim):
         node, app, corpus = self._build(sim)
+        # An index holding only items 3 and 7 makes them the candidates.
+        app.index = LSHIndex(ITEM_BYTES, n_tables=1, bits_per_hash=1,
+                             seed=5)
+        for item_id in (3, 7):
+            app.index.insert(item_id, corpus[item_id])
 
         def proc(sim):
-            result = yield from app.query(corpus[3], candidate_ids=[3, 7])
+            result = yield from app.query(corpus[3])
             return result
 
         best_id, dist = sim.run_process(proc(sim))
@@ -104,10 +108,11 @@ class TestISPQuery:
 
     def test_empty_candidates(self, sim):
         node, app, corpus = self._build(sim)
+        app.index = LSHIndex(ITEM_BYTES, n_tables=6, bits_per_hash=8,
+                             seed=5)
 
         def proc(sim):
-            result = yield from app.query(b"\x00" * ITEM_BYTES,
-                                          candidate_ids=[])
+            result = yield from app.query(b"\x00" * ITEM_BYTES)
             return result
 
         assert sim.run_process(proc(sim)) == (-1, None)

@@ -69,7 +69,7 @@ class TestRemotePathDetails:
         [request] = completed
         bd = RequestTracer.figure12_components(request)
         # Storage component equals the device's first-byte latency.
-        timing = cluster.nodes[1].flash_timing
+        timing = cluster.nodes[1].device.cards[0].timing
         assert bd["storage"] == timing.cmd_overhead_ns + timing.t_read_ns
         # Network is request + response propagation over 1 hop each way.
         hop = cluster.network.config.hop_latency_ns
@@ -170,7 +170,7 @@ class TestRemotePathDetails:
         cluster2 = BlueDBMCluster(sim2, 3, node_kwargs=NODE_KW)
         sim2.run_process(cluster2.host_remote_via_host(0, addr))
         hrhf_total = sim2.now
-        floor = (cluster.ethernet.rpc_latency_ns
+        floor = (cluster.ethernet.RPC_LATENCY_NS
                  + cluster.NIC_WAKEUP_NS + cluster.REMOTE_BLOCKIO_NS)
         assert hrhf_total - hf_total >= floor
 

@@ -164,8 +164,8 @@ class TestBlueDBMNode:
     def test_three_splitter_ports(self, sim):
         node = BlueDBMNode(sim, **NODE_KW)
         assert len(node.splitter.ports) == 3
-        assert {p.user_id for p in
-                (node.isp_port, node.host_port, node.net_port)} == {0, 1, 2}
+        assert node.splitter.ports == [node.isp_port, node.host_port,
+                                       node.net_port]
 
 
 class TestClusterPaths:

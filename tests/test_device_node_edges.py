@@ -62,9 +62,8 @@ class TestStorageDevice:
         assert device.erases == 2
 
     def test_aggregate_counters_and_tags(self, sim):
-        device = StorageDevice(sim, geometry=GEO, timing=FAST,
-                               tags_per_card=16)
-        assert device.tag_count == 32
+        device = StorageDevice(sim, geometry=GEO, timing=FAST)
+        assert device.tag_count == 2 * 128
 
         def proc(sim):
             yield from device.write_page(PhysAddr(card=1), b"x")
@@ -94,11 +93,6 @@ class TestStorageDevice:
 
 
 class TestNodeOptions:
-    def test_custom_accelerator_unit_count(self, sim):
-        node = BlueDBMNode(sim, geometry=GEO, flash_timing=FAST,
-                           accelerator_units=3)
-        assert node.scheduler.n_units == 3
-
     def test_onboard_dram_bandwidth_option(self, sim):
         node = BlueDBMNode(sim, geometry=GEO, flash_timing=FAST,
                            onboard_dram_gbs=2.0)

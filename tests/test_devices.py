@@ -68,7 +68,7 @@ class TestCommoditySSD:
         # Every read after the first hit the prefetcher: it streamed at
         # the sequential rate with no random-access penalty.
         assert took[1:] == [units.transfer_ns(ssd.page_size,
-                                              ssd.seq_gbs)] * (n - 1)
+                                              ssd.SEQ_GBS)] * (n - 1)
 
     def test_random_throughput_capped_below_sequential(self, sim):
         ssd = CommoditySSD(sim)
@@ -85,8 +85,9 @@ class TestCommoditySSD:
         gbs = units.bandwidth_gbytes(len(pages) * 8192, max(done))
         assert gbs <= 0.35
 
-    def test_queue_depth_bounds_concurrency(self, sim):
-        ssd = CommoditySSD(sim, queue_depth=1)
+    def test_queue_depth_bounds_concurrency(self, sim, monkeypatch):
+        monkeypatch.setattr(CommoditySSD, "QUEUE_DEPTH", 1)
+        ssd = CommoditySSD(sim)
         done = []
 
         def reader(sim, p):
@@ -96,15 +97,16 @@ class TestCommoditySSD:
         sim.process(reader(sim, 0))
         sim.process(reader(sim, 100))
         sim.run()
-        assert done[1] >= 2 * (ssd.latency_ns // 2)
+        assert done[1] >= 2 * (ssd.LATENCY_NS // 2)
 
     def test_invalid_parameters(self, sim):
+        ssd = CommoditySSD(sim)
         with pytest.raises(ValueError):
-            CommoditySSD(sim, seq_gbs=0)
+            ssd.store(0, bytes(ssd.page_size + 1))
         with pytest.raises(ValueError):
-            CommoditySSD(sim, rand_gbs=1.0, seq_gbs=0.5)
+            sim.run_process(ssd.read(-1))
         with pytest.raises(ValueError):
-            CommoditySSD(sim, queue_depth=0)
+            sim.run_process(ssd.write(0, bytes(ssd.page_size + 1)))
 
     def test_unwritten_page_reads_zeros(self, sim):
         ssd = CommoditySSD(sim)
@@ -124,7 +126,7 @@ class TestHardDisk:
             return sim.now
 
         elapsed = sim.run_process(proc(sim))
-        assert elapsed >= hdd.seek_ns + hdd.rotational_ns
+        assert elapsed >= hdd.SEEK_NS + hdd.ROTATIONAL_NS
 
     def test_sequential_run_skips_seeks(self, sim):
         hdd = HardDisk(sim)
@@ -136,8 +138,8 @@ class TestHardDisk:
         sim.process(proc(sim))
         sim.run()
         # Only the initial positioning: the rest is pure transfer.
-        assert sim.now == hdd.seek_ns + hdd.rotational_ns + 32 * (
-            units.transfer_ns(hdd.page_size, hdd.transfer_gbs))
+        assert sim.now == hdd.SEEK_NS + hdd.ROTATIONAL_NS + 32 * (
+            units.transfer_ns(hdd.page_size, hdd.TRANSFER_GBS))
 
     def test_sequential_bandwidth_near_platter_rate(self, sim):
         hdd = HardDisk(sim)
@@ -148,7 +150,7 @@ class TestHardDisk:
 
         sim.process(proc(sim))
         sim.run()
-        streaming = sim.now - hdd.seek_ns - hdd.rotational_ns
+        streaming = sim.now - hdd.SEEK_NS - hdd.ROTATIONAL_NS
         assert units.bandwidth_gbytes(256 * hdd.page_size, streaming) == \
             pytest.approx(0.15, rel=0.1)
 

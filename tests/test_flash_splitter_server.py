@@ -32,8 +32,9 @@ class TestSplitter:
         splitter = FlashSplitter(sim, card)
         p0 = splitter.add_port()
         p1 = splitter.add_port()
-        assert p0.user_id == 0
-        assert p1.user_id == 1
+        assert splitter.ports == [p0, p1]
+        # A port without a tenant label is named after its user id.
+        assert (p0.tenant, p1.tenant) == ("user0", "user1")
 
     def test_user_tags_are_renamed_per_port(self, sim, card):
         splitter = FlashSplitter(sim, card)
@@ -43,7 +44,7 @@ class TestSplitter:
 
         def reader(sim, port, page):
             result = yield sim.process(port.read_page(PhysAddr(page=page)))
-            tags.append((port.user_id, result.tag))
+            tags.append((splitter.ports.index(port), result.tag))
 
         sim.process(reader(sim, p0, 0))
         sim.process(reader(sim, p0, 1))
@@ -53,8 +54,8 @@ class TestSplitter:
         assert (0, 0) in tags and (0, 1) in tags and (1, 0) in tags
 
     def test_fair_share_bounds_one_user(self, sim, card):
-        splitter = FlashSplitter(sim, card, fair_share=1)
-        port = splitter.add_port()
+        splitter = FlashSplitter(sim, card)
+        port = splitter.add_port(max_in_flight=1)
         done = []
 
         def reader(sim, bus):
@@ -64,13 +65,13 @@ class TestSplitter:
         sim.process(reader(sim, 0))
         sim.process(reader(sim, 1))
         sim.run()
-        # fair_share=1 serializes this user even across buses.
+        # A one-command cap serializes this user even across buses.
         assert done[1] - done[0] >= TIMING.t_read_ns
 
     def test_two_users_share_concurrently(self, sim, card):
-        splitter = FlashSplitter(sim, card, fair_share=1)
-        p0 = splitter.add_port()
-        p1 = splitter.add_port()
+        splitter = FlashSplitter(sim, card)
+        p0 = splitter.add_port(max_in_flight=1)
+        p1 = splitter.add_port(max_in_flight=1)
         done = []
 
         def reader(sim, port, bus):

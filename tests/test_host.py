@@ -4,7 +4,6 @@ import pytest
 
 from repro.flash import FlashCard, FlashGeometry, FlashSplitter, FlashTiming, PhysAddr
 from repro.host import (
-    AcceleratorScheduler,
     HostConfig,
     HostCPU,
     HostInterface,
@@ -182,46 +181,6 @@ class TestHostCPU:
             sim.process(worker(sim))
         sim.run()
         assert done == [100, 100, 200, 200]
-
-
-class TestAcceleratorScheduler:
-    def test_fifo_grant_order(self, sim):
-        sched = AcceleratorScheduler(sim, n_units=1)
-        order = []
-
-        def app(sim, name, hold):
-            unit = yield sim.process(sched.acquire(name))
-            order.append(name)
-            yield sim.timeout(hold)
-            sched.release(unit)
-
-        sim.process(app(sim, "a", 100))
-        sim.process(app(sim, "b", 100))
-        sim.process(app(sim, "c", 100))
-        sim.run()
-        assert order == ["a", "b", "c"]
-        assert len(sched._free) == 1
-
-    def test_wait_time_recorded(self, sim):
-        sched = AcceleratorScheduler(sim, n_units=1)
-        waits = []
-
-        def app(sim, hold):
-            asked = sim.now
-            unit = yield sim.process(sched.acquire("x"))
-            waits.append(sim.now - asked)
-            yield sim.timeout(hold)
-            sched.release(unit)
-
-        sim.process(app(sim, 500))
-        sim.process(app(sim, 500))
-        sim.run()
-        assert waits == [0, 500]
-
-    def test_double_release_rejected(self, sim):
-        sched = AcceleratorScheduler(sim, n_units=2)
-        with pytest.raises(ValueError):
-            sched.release(0)
 
 
 class TestHostInterface:

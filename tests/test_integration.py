@@ -1,5 +1,6 @@
-"""Cross-module integration tests: failure injection, scheduler sharing,
-multi-node scaling, and end-to-end flows the unit tests can't see."""
+"""Cross-module integration tests: failure injection, accelerator
+sharing, multi-node scaling, and end-to-end flows the unit tests can't
+see."""
 
 import pytest
 
@@ -10,12 +11,12 @@ from repro.apps import (
     make_item_corpus,
     make_text_corpus,
 )
-from repro.core import BlueDBMCluster, BlueDBMNode
+from repro.core import BlueDBMCluster, BlueDBMNode, EngineArray
 from repro.flash import ErrorModel, FlashGeometry, PhysAddr, WearTracker
 from repro.flash.device import StorageDevice
 from repro.fs import RFS
-from repro.host import AcceleratorScheduler
-from repro.sim import Simulator, units
+from repro.isp import HammingEngine
+from repro.sim import Simulator
 
 GEO = FlashGeometry(buses_per_card=4, chips_per_bus=4, blocks_per_chip=16,
                     pages_per_block=16, page_size=2048, cards_per_node=2)
@@ -92,26 +93,25 @@ class TestErrorInjectionEndToEnd:
 class TestAcceleratorSharing:
     def test_competing_apps_share_units_fifo(self):
         """Section 4: multiple application instances compete for the
-        accelerator units through the FIFO scheduler."""
+        accelerator units; each engine holds one unit, granted FIFO."""
         sim = Simulator()
-        node = BlueDBMNode(sim, geometry=GEO, accelerator_units=2)
+        engines = EngineArray([HammingEngine(sim, bytes(1000),
+                                             bytes_per_ns=1.0)
+                               for _ in range(2)])
         order = []
 
-        def app(sim, name, hold_ns):
-            unit = yield sim.process(node.scheduler.acquire(name))
-            order.append((name, "granted", sim.now))
-            yield sim.timeout(hold_ns)
-            node.scheduler.release(unit)
+        def app(sim, name):
+            yield from engines.pick().run_page(bytes(1000))
+            order.append((name, sim.now))
 
         for i in range(4):
-            sim.process(app(sim, f"app{i}", 1000))
+            sim.process(app(sim, f"app{i}"))
         sim.run()
-        granted = [name for name, _, _ in order]
-        assert granted == ["app0", "app1", "app2", "app3"]
-        # Two units: apps 2 and 3 waited for releases.
-        times = {name: t for name, _, t in order}
-        assert times["app2"] == 1000
-        assert times["app3"] == 1000
+        assert [name for name, _ in order] == ["app0", "app1", "app2",
+                                               "app3"]
+        # Two units, 1000 ns per page: apps 2 and 3 waited for releases.
+        assert dict(order) == {"app0": 1000, "app1": 1000, "app2": 2000,
+                               "app3": 2000}
 
 
 class TestMultiNodeScaling:

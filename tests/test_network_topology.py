@@ -16,6 +16,7 @@ from repro.network import (
     shortest_hop_counts,
     star,
 )
+from repro.network.topology import MAX_PORTS
 
 
 class TestTopology:
@@ -28,11 +29,11 @@ class TestTopology:
         assert topo.ports_used(1) == 1
 
     def test_port_limit_enforced(self):
-        topo = Topology(10, max_ports=2)
-        topo.connect(0, 1)
-        topo.connect(0, 2)
+        topo = Topology(10)
+        for node in range(1, MAX_PORTS + 1):
+            topo.connect(0, node)
         with pytest.raises(ValueError, match="out of ports"):
-            topo.connect(0, 3)
+            topo.connect(0, 9)
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
@@ -56,7 +57,7 @@ class TestTopology:
         topo = ring(5, lanes=2)
         config = json.loads(topo.to_config())
         assert config["n_nodes"] == 5
-        assert config["max_ports"] == topo.max_ports
+        assert config["max_ports"] == MAX_PORTS
         assert config["cables"] == [
             [c.node_a, c.port_a, c.node_b, c.port_b] for c in topo.cables]
 
@@ -88,7 +89,7 @@ class TestBuilders:
         assert dist == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
 
     def test_star_all_two_hops_via_hub(self):
-        topo = star(6, hub=0)
+        topo = star(6)
         dist = shortest_hop_counts(topo, 1)
         assert dist[0] == 1
         assert all(dist[n] == 2 for n in range(2, 6))

@@ -12,8 +12,9 @@ The experiment refactor rests on four promises from
 * for pure point functions it is observationally ``list(map(...))``
   (stated as a hypothesis property).
 
-Spawning a pool costs seconds, so every process-backed test shares one
-module-scoped two-worker pool.
+Spawning a pool costs seconds, so the hypothesis property runs on one
+module-scoped two-worker :class:`~repro.parallel.WorkerPool`, the
+substrate ``parallel_map(jobs > 1)`` maps through.
 """
 
 import time
@@ -68,9 +69,9 @@ def test_worker_pool_rejects_serial_job_counts():
         WorkerPool(1)
 
 
-def test_crash_names_point_and_keeps_original_traceback(pool):
+def test_crash_names_point_and_keeps_original_traceback():
     with pytest.raises(PointError) as err:
-        parallel_map(boom_on_three, [1, 2, 3, 4], pool=pool)
+        parallel_map(boom_on_three, [1, 2, 3, 4], jobs=2)
     assert err.value.index == 2
     assert err.value.point == 3
     # The worker's own traceback, not the futures re-raise site.
@@ -79,16 +80,15 @@ def test_crash_names_point_and_keeps_original_traceback(pool):
     assert "sweep point #2" in str(err.value)
 
 
-def test_merge_order_ignores_completion_order(pool):
+def test_merge_order_ignores_completion_order():
     # The first point finishes last (two workers: point 0 holds one
     # worker while points 1..3 stream through the other), so any
     # completion-ordered merge would lead with 1, not 0.
     points = [(0, 0.5), (1, 0.0), (2, 0.1), (3, 0.0)]
-    assert parallel_map(sleep_then_return, points, pool=pool) \
-        == [0, 1, 2, 3]
+    assert parallel_map(sleep_then_return, points, jobs=2) == [0, 1, 2, 3]
 
 
 @settings(deadline=None, max_examples=15)
 @given(xs=st.lists(st.integers(-10_000, 10_000), max_size=8))
 def test_parallel_map_is_map(pool, xs):
-    assert parallel_map(square, xs, pool=pool) == list(map(square, xs))
+    assert pool.map(square, xs) == list(map(square, xs))

@@ -250,7 +250,7 @@ def _rfs_under_gc_pressure() -> str:
                         page_size=64, cards_per_node=1)
     sim = Simulator()
     device = StorageDevice(sim, geometry=geo)
-    fs = RFS(sim, device, gc_low_watermark=2)
+    fs = RFS(sim, device)
 
     def workload(sim):
         for round_no in range(6):

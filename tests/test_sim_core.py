@@ -6,7 +6,6 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     SimulationError,
     Simulator,
 )
@@ -30,10 +29,10 @@ class TestTimeout:
 
     def test_timeout_value_passthrough(self, sim):
         def proc(sim):
-            got = yield sim.timeout(10, value="hello")
+            got = yield sim.timeout(10)
             return got
 
-        assert sim.run_process(proc(sim)) == "hello"
+        assert sim.run_process(proc(sim)) is None
 
     def test_zero_delay_allowed(self, sim):
         def proc(sim):
@@ -212,39 +211,18 @@ class TestConditions:
         assert sim.run_process(proc(sim)) == 0
 
     def test_all_of_collects_values(self, sim):
+        def fire(sim, event, delay, value):
+            yield sim.timeout(delay)
+            event.succeed(value)
+
         def proc(sim):
-            events = [sim.timeout(1, "x"), sim.timeout(2, "y")]
+            events = [sim.event(), sim.event()]
+            sim.process(fire(sim, events[0], 1, "x"))
+            sim.process(fire(sim, events[1], 2, "y"))
             results = yield sim.all_of(events)
             return results
 
         assert sim.run_process(proc(sim)) == {0: "x", 1: "y"}
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_sleeper(self, sim):
-        def sleeper(sim):
-            try:
-                yield sim.timeout(1_000_000)
-            except Interrupt as intr:
-                return (sim.now, intr.cause)
-
-        def poker(sim, target):
-            yield sim.timeout(42)
-            target.interrupt("wake up")
-
-        target = sim.process(sleeper(sim))
-        sim.process(poker(sim, target))
-        sim.run()
-        assert target.value == (42, "wake up")
-
-    def test_interrupt_finished_process_is_error(self, sim):
-        def quick(sim):
-            yield sim.timeout(1)
-
-        proc = sim.process(quick(sim))
-        sim.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
 
 
 class TestRunControl:

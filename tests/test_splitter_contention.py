@@ -52,24 +52,24 @@ class TestTagRenamingUnderContention:
         """Drive interleaved reads/writes/errors; record every outcome."""
         for addr in bad_pages:
             card.badblocks.mark_bad(addr)
-        splitter = FlashSplitter(sim, card, fair_share=self.CAP,
-                                 policy=policy)
-        ports = [splitter.add_port() for _ in range(self.N_PORTS)]
-        seen_tags = {port.user_id: [] for port in ports}
-        max_in_flight = {port.user_id: 0 for port in ports}
+        splitter = FlashSplitter(sim, card, policy=policy)
+        ports = [splitter.add_port(max_in_flight=self.CAP)
+                 for _ in range(self.N_PORTS)]
+        seen_tags = {port.tenant: [] for port in ports}
+        max_in_flight = {port.tenant: 0 for port in ports}
         errors = []
         rng = random.Random(99)
 
         def observe(port):
-            max_in_flight[port.user_id] = max(
-                max_in_flight[port.user_id], port._slots.in_use)
+            max_in_flight[port.tenant] = max(
+                max_in_flight[port.tenant], port._slots.in_use)
 
         def worker(sim, port, ops):
             for op, addr in ops:
                 try:
                     if op == "read":
                         result = yield sim.process(port.read_page(addr))
-                        seen_tags[port.user_id].append(result.tag)
+                        seen_tags[port.tenant].append(result.tag)
                     elif op == "write":
                         # A fresh erased block region; program may still
                         # hit an already-programmed page -> error path.
@@ -99,13 +99,13 @@ class TestTagRenamingUnderContention:
 
     def test_user_tags_stay_private_and_monotonic(self, sim, card):
         _, ports, seen_tags, _, _ = self._run(sim, card)
-        for user_id, tags in seen_tags.items():
+        for tenant, tags in seen_tags.items():
             # Tags are drawn from the port's private monotonic space:
             # strictly increasing per port in completion order of issue,
             # and never exceeding the number of commands the port issued.
             assert all(0 <= t < GEO.pages_per_block * 1000 for t in tags)
             assert len(set(tags)) == len(tags), (
-                f"user {user_id} saw a duplicate renamed tag")
+                f"user {tenant} saw a duplicate renamed tag")
 
     def test_physical_tags_never_leak(self, sim, card):
         """No port ever observes the card's physical tag pool directly:
@@ -114,7 +114,7 @@ class TestTagRenamingUnderContention:
         _, ports, seen_tags, _, _ = self._run(sim, card)
         for port in ports:
             issued = port._next_user_tag
-            for tag in seen_tags[port.user_id]:
+            for tag in seen_tags[port.tenant]:
                 assert tag < issued, (
                     f"tag {tag} outside user space (issued {issued}) — "
                     f"physical tag leaked")
@@ -122,7 +122,7 @@ class TestTagRenamingUnderContention:
     def test_per_port_in_flight_caps_hold(self, sim, card):
         _, ports, _, max_in_flight, _ = self._run(sim, card)
         for port in ports:
-            assert max_in_flight[port.user_id] <= self.CAP
+            assert max_in_flight[port.tenant] <= self.CAP
 
     def test_error_paths_release_slots_and_tags(self, sim, card):
         bad = [PhysAddr(bus=0, chip=0, block=1, page=p) for p in range(8)]
@@ -142,9 +142,9 @@ class TestTagRenamingUnderContention:
         splitter, ports, seen_tags, max_in_flight, _ = self._run(
             sim, card, policy=policy)
         for port in ports:
-            assert max_in_flight[port.user_id] <= self.CAP
+            assert max_in_flight[port.tenant] <= self.CAP
             assert port._slots.in_use == 0
-            tags = seen_tags[port.user_id]
+            tags = seen_tags[port.tenant]
             assert len(set(tags)) == len(tags)
         assert len(card._tag_pool.items) == card.tag_count
         if splitter.admission is not None:

@@ -66,10 +66,10 @@ class Terms:
     """The closed-form pieces the four paths are built from."""
 
     def __init__(self, cluster):
-        flash = cluster.nodes[DST].flash_timing
+        flash = cluster.nodes[DST].device.cards[0].timing
         host = cluster.nodes[SRC].host_config
         assert cluster.nodes[DST].host_config == host
-        assert cluster.nodes[SRC].flash_timing == flash
+        assert cluster.nodes[SRC].device.cards[0].timing == flash
         net = cluster.network.config
         page = cluster.page_size
         self.hop = net.hop_latency_ns
@@ -91,8 +91,8 @@ class Terms:
             net.max_packet_payload // net.flit_bytes * flit,
             net.bytes_per_ns)
         # Ethernet: NIC serialization, then the fixed one-way latency.
-        self.eth_wire = ns(_REQUEST_BYTES, cluster.ethernet.bytes_per_ns)
-        self.eth_rpc = cluster.ethernet.rpc_latency_ns
+        self.eth_wire = ns(_REQUEST_BYTES, cluster.ethernet.BYTES_PER_NS)
+        self.eth_rpc = cluster.ethernet.RPC_LATENCY_NS
         # Host: PCIe DMA each way, portal write, interrupt, software.
         self.pcie_up = (ns(page, host.pcie_dev_to_host_gbs)
                         + host.pcie_latency_ns)
@@ -102,7 +102,7 @@ class Terms:
         self.interrupt = host.interrupt_ns
         self.sw = host.software_request_ns
         dram = cluster.nodes[DST].dram
-        self.dram = dram.latency_ns + ns(page, dram.bandwidth_gbs)
+        self.dram = dram.LATENCY_NS + ns(page, dram.bandwidth_gbs)
 
 
 def check(request, stages, network, total, software, storage, transfer):
