@@ -12,7 +12,7 @@ without the resource model knowing which.
 :class:`ScheduledResource` is the drop-in integration point: a counted
 resource like :class:`repro.sim.resources.Resource`, except that when a
 unit frees up the *policy* decides which waiter is granted next.  With
-the default FIFO policy it is semantically identical to ``Resource``.
+the FIFO policy it is semantically identical to ``Resource``.
 Entries carry a *cost* (bytes for I/O admission) so that weighted fair
 share and token buckets account bandwidth, not just slot counts.
 
@@ -409,11 +409,8 @@ POLICIES: Dict[str, type] = {
 }
 
 
-def make_policy(policy: Optional[str]) -> SchedulerPolicy:
-    """A fresh policy named by ``policy`` (a :data:`POLICIES` key);
-    ``None`` means FIFO."""
-    if policy is None:
-        return FIFOPolicy()
+def make_policy(policy: str) -> SchedulerPolicy:
+    """A fresh policy named by ``policy`` (a :data:`POLICIES` key)."""
     try:
         return POLICIES[policy]()
     except KeyError:
@@ -434,8 +431,8 @@ class ScheduledResource:
     request's ``queue`` stage.
     """
 
-    def __init__(self, sim: Simulator, capacity: int,
-                 policy: Optional[str] = None, name: str = ""):
+    def __init__(self, sim: Simulator, capacity: int, policy: str,
+                 name: str = ""):
         if capacity < 1:
             raise ValueError(
                 f"resource capacity must be >= 1, got {capacity}")

@@ -106,9 +106,13 @@ class Endpoint:
         """
         while True:
             packet = yield self._queue.get()
-            if self._e2e_credits is not None:
-                self.sim.process(self._return_credit(packet.src),
-                                 name="e2e-credit")
+            credits = self._e2e_credits
+            if credits is not None:
+                # The credit-return packet's flight time back to the
+                # sender: a timer, since nothing waits on the return.
+                self.sim.timeout(
+                    self.network.propagation_ns(self.node, packet.src)
+                ).callbacks.append(lambda _event: credits.give(1))
             key = (packet.src, packet.message_id)
             accumulated = self._partial.get(key, 0) + packet.payload_bytes
             if not packet.last:
@@ -117,11 +121,6 @@ class Endpoint:
             self._partial.pop(key, None)
             self.received_bytes.add(accumulated)
             return Message(packet.src, packet.payload, accumulated)
-
-    def _return_credit(self, src: int):
-        """Model the credit-return flow-control packet's flight time."""
-        yield self.sim.timeout(self.network.propagation_ns(self.node, src))
-        self._e2e_credits.give(1)
 
     @property
     def pending(self) -> int:

@@ -56,13 +56,14 @@ class EthernetFabric:
                 units.transfer_ns(payload_bytes, self.BYTES_PER_NS))
         finally:
             nic.release()
-        self.sim.process(self._deliver(src, dst, payload, payload_bytes),
-                         name="eth-deliver")
-
-    def _deliver(self, src: int, dst: int, payload: Any,
-                 payload_bytes: int):
-        yield self.sim.timeout(self.RPC_LATENCY_NS)
-        yield self._queues[dst].put(Message(src, payload, payload_bytes))
+        # Software + propagation latency, then the destination queue: a
+        # timer, not a process, since nothing waits on delivery.  The
+        # queue is unbounded and the latency constant, so messages on
+        # one (src, dst) pair arrive in send order.
+        message = Message(src, payload, payload_bytes)
+        queue = self._queues[dst]
+        self.sim.timeout(self.RPC_LATENCY_NS).callbacks.append(
+            lambda _event: queue.put_nowait(message))
 
     def receive(self, node: int):
         """Receive the next message addressed to ``node`` (generator)."""

@@ -12,7 +12,7 @@ that propagates hop by hop.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict
 
 from ..sim import Counter, CreditPool, Resource, Simulator, Store
 from .packet import NetworkConfig, Packet
@@ -32,6 +32,9 @@ class SerialLink:
         self._credits = CreditPool(sim, initial=config.link_credits,
                                    name=f"{name}-credits")
         self._rx_buffer = Store(sim, name=f"{name}-rx")
+        #: ``serialize_ns`` per payload size: a link sees a handful of
+        #: sizes (full chunks, message tails, control packets).
+        self._serialize_ns: Dict[int, int] = {}
         # Payload bytes serialized onto this wire — every hop charges
         # its own link, so an h-hop message shows up here h times while
         # the endpoint counters see it exactly once at each end.
@@ -49,22 +52,23 @@ class SerialLink:
         """
         yield self._credits.take(1)
         yield self._tx.request()
+        size = packet.payload_bytes
+        serialize_ns = self._serialize_ns.get(size)
+        if serialize_ns is None:
+            serialize_ns = self._serialize_ns[size] = (
+                self.config.serialize_ns(size))
         try:
-            yield self.sim.timeout(self.config.serialize_ns(
-                packet.payload_bytes))
+            yield self.sim.timeout(serialize_ns)
         finally:
             self._tx.release()
-        self.sim.process(self._propagate(packet), name="link-prop")
-        self.payload_bytes.add(packet.payload_bytes)
-
-    def _propagate(self, packet: Packet):
-        """Propagation/SerDes latency, then occupy a far-side buffer slot.
-
-        FIFO order holds because serialization is serialized by the tx
-        resource and the propagation delay is constant.
-        """
-        yield self.sim.timeout(self.config.hop_latency_ns)
-        yield self._rx_buffer.put(packet)
+        # Propagation/SerDes latency, then a far-side buffer slot: a
+        # timer, not a process, since nothing waits on it.  The buffer
+        # is unbounded (the credits bound it), so the put never blocks;
+        # FIFO order holds because the tx resource serializes packets
+        # and the delay is constant.
+        self.sim.timeout(self.config.hop_latency_ns).callbacks.append(
+            lambda _event: self._rx_buffer.put_nowait(packet))
+        self.payload_bytes.add(size)
 
     def receive(self):
         """Take the next packet off the receive buffer (DES generator).

@@ -14,15 +14,13 @@ count.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Any
 
 from ..sim import units
 
 __all__ = ["NetworkConfig", "Packet"]
-
-_seq = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,6 @@ class NetworkConfig:
         """Wire occupancy (bytes, incl. flit overhead) for a payload."""
         if payload_bytes < 0:
             raise ValueError("negative payload")
-        import math
         flits = max(1, math.ceil(payload_bytes / self.flit_bytes))
         return flits * (self.flit_bytes + self.flit_overhead_bytes)
 
@@ -76,14 +73,14 @@ class NetworkConfig:
             int(round(self.wire_bytes(payload_bytes))), self.bytes_per_ns)
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One network packet: a chunk of a message on a logical endpoint.
 
     ``payload`` may be real bytes (applications) or any object
     (control/synthetic traffic); ``payload_bytes`` is what timing uses.
-    ``seq`` is globally unique and monotone per send order, which the
-    FIFO-ordering property tests rely on.
+    Packets carry no sequence number: links, switches and endpoints are
+    FIFO, so send order on one route is arrival order.
     """
 
     src: int
@@ -93,7 +90,6 @@ class Packet:
     payload_bytes: int
     last: bool = True            # final chunk of its message?
     message_id: int = 0
-    seq: int = field(init=False, default_factory=lambda: next(_seq))
 
     def __post_init__(self):
         if self.payload_bytes < 0:

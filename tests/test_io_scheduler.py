@@ -81,8 +81,9 @@ class TestMakePolicy:
         assert isinstance(make_policy("priority"), StrictPriorityPolicy)
         assert isinstance(make_policy("edf"), EarliestDeadlinePolicy)
 
-    def test_none_is_fifo(self):
-        assert isinstance(make_policy(None), FIFOPolicy)
+    def test_none_rejected(self):
+        with pytest.raises(ValueError, match="unknown scheduler policy"):
+            make_policy(None)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
@@ -130,7 +131,7 @@ class TestScheduledResource:
         return Simulator()
 
     def test_grants_up_to_capacity_immediately(self, sim):
-        res = ScheduledResource(sim, capacity=2)
+        res = ScheduledResource(sim, capacity=2, policy="fifo")
         granted = []
 
         def taker(sim, tag):
@@ -181,7 +182,7 @@ class TestScheduledResource:
         assert order == ["high", "low"]
 
     def test_per_tenant_wait_stats_and_grants(self, sim):
-        res = ScheduledResource(sim, capacity=1)
+        res = ScheduledResource(sim, capacity=1, policy="fifo")
         waits = {}
 
         def user(sim, tag):
@@ -198,16 +199,16 @@ class TestScheduledResource:
         assert res.in_use == 0
 
     def test_release_when_idle_rejected(self, sim):
-        res = ScheduledResource(sim, capacity=1)
+        res = ScheduledResource(sim, capacity=1, policy="fifo")
         with pytest.raises(ValueError):
             res.release()
 
     def test_capacity_validated(self, sim):
         with pytest.raises(ValueError):
-            ScheduledResource(sim, capacity=0)
+            ScheduledResource(sim, capacity=0, policy="fifo")
 
     def test_queue_depth(self, sim):
-        res = ScheduledResource(sim, capacity=1)
+        res = ScheduledResource(sim, capacity=1, policy="fifo")
 
         def holder(sim):
             yield res.request()

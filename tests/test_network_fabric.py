@@ -11,7 +11,7 @@ from repro.network import (
     line,
     ring,
 )
-from repro.sim import Simulator, units
+from repro.sim import Process, Simulator, units
 
 CONFIG = NetworkConfig()
 
@@ -19,6 +19,20 @@ CONFIG = NetworkConfig()
 @pytest.fixture
 def sim():
     return Simulator()
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """A list that grows by one for every ``Process`` built."""
+    built = []
+    init = Process.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    return built
 
 
 class TestNetworkConfig:
@@ -64,6 +78,21 @@ class TestSerialLink:
         assert payload == "x"
         # One flit serialization (~16 ns) + 480 ns hop latency.
         assert now == CONFIG.serialize_ns(16) + CONFIG.hop_latency_ns
+
+    def test_uncontended_packet_costs_five_tickets(self, sim):
+        """Credit take, tx grant, serialization timer, propagation timer
+        and the receiver's wake: five scheduling tickets, no process."""
+        link = SerialLink(sim, CONFIG)
+
+        def proc():
+            start = sim._eid
+            yield from link.transmit(
+                Packet(src=0, dst=1, endpoint=0, payload="x",
+                       payload_bytes=16))
+            yield from link.receive()
+            return sim._eid - start
+
+        assert sim.run_process(proc()) == 5
 
     def test_credits_block_when_receiver_stalls(self, sim):
         link = SerialLink(sim, CONFIG)
@@ -237,6 +266,29 @@ class TestFabricMessaging:
         # Two streams move twice the data in nearly the same time.
         assert two < one * 1.3
 
+    def test_no_process_per_packet(self, spawned):
+        """A k-packet message over an idle 1-hop link spawns the same
+        processes for k = 1 and k = 8: propagation is a timer."""
+
+        def processes_for(k):
+            sim = Simulator()
+            net = StorageNetwork(sim, line(2), n_endpoints=1)
+            received = []
+
+            def receiver():
+                message = yield from net.endpoint(1, 0).receive()
+                received.append(message.payload_bytes)
+
+            spawned.clear()
+            sim.process(receiver())
+            sim.run_process(net.endpoint(0, 0).send(
+                1, "x", k * CONFIG.max_packet_payload))
+            sim.run()
+            assert received == [k * CONFIG.max_packet_payload]
+            return len(spawned)
+
+        assert processes_for(1) == processes_for(8) == 2
+
     def test_unknown_endpoint_rejected(self, sim):
         net = StorageNetwork(sim, line(2), n_endpoints=1)
         with pytest.raises(KeyError):
@@ -317,6 +369,9 @@ class TestEthernetBaseline:
         # ~100x the integrated network's per-hop latency (Section 6.4).
         assert now >= 45 * units.US
         assert now >= 90 * 480
+        # Exactly: 10 GbE serialization, then the fixed RPC latency.
+        assert now == (units.transfer_ns(64, EthernetFabric.BYTES_PER_NS)
+                       + EthernetFabric.RPC_LATENCY_NS)
 
     def test_fifo_per_destination(self, sim):
         eth = EthernetFabric(sim, 2)
@@ -335,6 +390,20 @@ class TestEthernetBaseline:
         sim.process(receiver(sim))
         sim.run()
         assert received == list(range(10))
+
+    def test_two_messages_keep_order_without_delivery_process(
+            self, sim, spawned):
+        eth = EthernetFabric(sim, 2)
+
+        def proc():
+            yield from eth.send(0, 1, "first", 1000)
+            yield from eth.send(0, 1, "second", 10)
+            first = yield from eth.receive(1)
+            second = yield from eth.receive(1)
+            return [first.payload, second.payload]
+
+        assert sim.run_process(proc()) == ["first", "second"]
+        assert len(spawned) == 1        # the driver itself
 
     def test_invalid_node_rejected(self, sim):
         eth = EthernetFabric(sim, 2)
