@@ -23,21 +23,67 @@ It exits 1 if an experiment with a ``wall_clock_s`` baseline ran more
 than ``WALL_CLOCK_FACTOR`` times slower than it: shared machines are
 noisy, so the gate only trips on a wholesale blow-up.  After a run,
 ``git diff benchmarks/golden.json`` lists exactly the pins that moved.
+
+The same pass checks run-reachability (Python >= 3.12; older versions
+print that it was skipped).  ``sys.monitoring`` records every function
+entered while the pins above run, from before ``repro`` is imported,
+and a spawned process beside them records what
+:func:`run_entry_points` enters (the bench harness, the examples, the
+CLI verbs).  The script also exits 1 if any ``src/repro`` function was
+entered by neither, naming each as ``file:line Qualname``.  Exempt are
+``__repr__``, abstract stubs (a lone ``raise NotImplementedError``) and
+:data:`REACH_ALLOWED`.
 """
 
 from __future__ import annotations
 
+import ast
+import contextlib
 import gc
 import hashlib
 import importlib.util
+import io
 import json
+import multiprocessing
 import pathlib
+import runpy
 import sys
+import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
+
+
+def start_reach_monitor():
+    """Record every code object entered from now on, or ``None`` on a
+    Python without ``sys.monitoring`` (< 3.12).
+
+    The ``PY_START`` callback adds ``(co_filename, co_firstlineno)`` and
+    returns ``DISABLE``, so each function costs one callback per run.
+    """
+    if sys.version_info < (3, 12):
+        return None
+    monitoring = sys.monitoring
+    tool = monitoring.COVERAGE_ID
+    entered = set()
+
+    def on_start(code, offset):
+        entered.add((code.co_filename, code.co_firstlineno))
+        return monitoring.DISABLE
+
+    monitoring.use_tool_id(tool, "golden-reach")
+    monitoring.register_callback(tool, monitoring.events.PY_START, on_start)
+    monitoring.set_events(tool, monitoring.events.PY_START)
+    return entered
+
+
+# Started before ``repro`` is first imported, so functions that run at
+# import time count as entered; never when a test imports this module.
+ENTERED = start_reach_monitor() if __name__ == "__main__" else None
 
 from repro.api import Session, all_experiments, run_experiment  # noqa: E402
 from repro.sim.core import Process  # noqa: E402
@@ -49,6 +95,22 @@ WALL_CLOCK_FACTOR = 3.0
 WORKLOAD_SEED = 0
 WORKLOAD_SCALE = 0.05
 REGENERATE = "python benchmarks/golden.py"
+
+#: ``src/repro`` functions the reachability check exempts though no
+#: entry point runs them in this process, one reason each (at most 8).
+REACH_ALLOWED = {
+    # Run only inside the spawned workers of ``run ... --jobs 2``.
+    "parallel/runner.py:_warm_worker",
+    "parallel/runner.py:_run_point",
+    # Error paths: built only when a sweep point or a read fails.
+    "parallel/runner.py:PointError.__init__",
+    "flash/controller.py:PartialReadError.__init__",
+    # The hook a fault-interleaved FTL fuzzer drives to force GC at
+    # chosen instants (also on the caller lint's ``ALLOWED``).
+    "ftl/core.py:FtlCore.force_gc",
+    # ``tuple._replace`` looks ``_make`` up on the subclass at run time.
+    "flash/geometry.py:PhysAddr._make",
+}
 
 
 def result_sha256(result) -> str:
@@ -116,7 +178,110 @@ def workload_pin(make_spec) -> dict:
     }
 
 
-def main() -> int:
+def _is_stub(node) -> bool:
+    """An abstract stub: the body (after a docstring) is one
+    ``raise NotImplementedError``."""
+    body = node.body
+    if (body and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Raise):
+        return False
+    exc = body[0].exc
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def unreached(modules, entered, allowed=REACH_ALLOWED) -> list:
+    """``"file:line Qualname"`` of every function in ``modules`` (pairs
+    of a relative file name and its source) that ``entered`` (pairs of
+    that file name and a code object's ``co_firstlineno``) misses.
+
+    A decorated function's code object starts at its first decorator.
+    ``__repr__``, abstract stubs and ``"file:Qualname"`` entries of
+    ``allowed`` are exempt.
+    """
+    missed = []
+
+    def visit(name, node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(name, child, scope + [child.name])
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = ".".join(scope + [child.name])
+                first = min([child.lineno] + [deco.lineno for deco
+                                              in child.decorator_list])
+                if ((name, first) not in entered
+                        and child.name != "__repr__"
+                        and not _is_stub(child)
+                        and f"{name}:{qualname}" not in allowed):
+                    missed.append(f"{name}:{child.lineno} {qualname}")
+                visit(name, child, scope + [child.name])
+            else:
+                visit(name, child, scope)
+
+    for name, source in modules:
+        visit(name, ast.parse(source, filename=name), [])
+    return missed
+
+
+def src_modules():
+    """``(path relative to src/repro, source)`` for every module."""
+    return [(path.relative_to(SRC).as_posix(), path.read_text())
+            for path in sorted(SRC.rglob("*.py"))]
+
+
+def run_entry_points() -> None:
+    """Run what reaches ``src/repro`` besides the pins: the bench
+    harness (its ``checks`` reads the network byte ledger), every
+    example and the CLI verbs, with their output suppressed.
+
+    ``run chip_loss --jobs 2 --fault-seed 7`` drives the parent side of
+    the worker pool, the ``--json`` writer and the fault-seed override.
+    """
+    from repro.__main__ import main as cli
+    from repro.faults import set_fault_seed_override
+
+    sys.path.insert(0, str(ROOT / "bench"))
+    import harness
+
+    for make_spec in workload_specs().values():
+        harness.run_once(make_spec(WORKLOAD_SEED, WORKLOAD_SCALE))
+    argv = sys.argv
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()):
+        try:
+            for example in sorted((ROOT / "examples").glob("*.py")):
+                sys.argv = [str(example)]
+                try:
+                    runpy.run_path(str(example), run_name="__main__")
+                except ModuleNotFoundError as exc:
+                    # What only this example reaches is then reported
+                    # as unreached below.
+                    print(f"examples/{example.name} not run: {exc}",
+                          file=sys.stderr)
+            for verb in (["info"], ["list"], ["demo"],
+                         ["run", "chip_loss", "--jobs", "2",
+                          "--fault-seed", "7", "--json", f"{tmp}/r.json"]):
+                sys.argv = ["repro"] + verb
+                cli()
+        finally:
+            sys.argv = argv
+            set_fault_seed_override(None)
+
+
+def entry_points_entered() -> set:
+    """:func:`run_entry_points` under a monitor of its own; returns the
+    code objects it entered."""
+    entered = start_reach_monitor()
+    run_entry_points()
+    return entered
+
+
+def pin_all() -> bool:
+    """Rewrite every pin; True if the wall-clock gate tripped."""
     old = load_pins()["experiments"]
     experiments: dict = {}
     slow = []
@@ -150,8 +315,33 @@ def main() -> int:
         print(f"{len(slow)} experiment(s) ran over {WALL_CLOCK_FACTOR:g}x "
               f"their wall_clock_s baseline: {', '.join(slow)}",
               file=sys.stderr)
-        return 1
-    return 0
+    return bool(slow)
+
+
+def main() -> int:
+    if ENTERED is None:
+        slow = pin_all()
+        print("run-reachability not checked: sys.monitoring needs "
+              "Python >= 3.12")
+        return 1 if slow else 0
+    # The other entry points run in a spawned process beside the pins,
+    # so the check adds little wall time; what runs at import time is
+    # recorded here, where monitoring starts before ``repro`` loads.
+    with ProcessPoolExecutor(
+            max_workers=1,
+            mp_context=multiprocessing.get_context("spawn")) as pool:
+        side = pool.submit(entry_points_entered)
+        slow = pin_all()
+        entered = ENTERED | side.result()
+    prefix = str(SRC) + "/"
+    missed = unreached(src_modules(), {
+        (filename[len(prefix):], line) for filename, line in entered
+        if filename.startswith(prefix)})
+    print(f"run-reachability: {len(missed)} src/repro function(s) never "
+          f"entered")
+    for entry in missed:
+        print(f"  {entry}", file=sys.stderr)
+    return 1 if slow or missed else 0
 
 
 if __name__ == "__main__":

@@ -32,10 +32,6 @@ class SweepResult:
     def as_dict(self) -> Dict[Any, Any]:
         return dict(zip(self.values, self.results))
 
-    def series(self, key: str) -> List[Any]:
-        """Extract one field when results are dictionaries."""
-        return [r[key] for r in self.results]
-
     def is_monotone_increasing(self) -> bool:
         """True if the (scalar) series never drops."""
         return all(b >= a for a, b in zip(self.results, self.results[1:]))

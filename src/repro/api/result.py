@@ -57,12 +57,6 @@ class TableResult:
                 "columns": list(self.columns),
                 "rows": _jsonable(self.rows)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TableResult":
-        return cls(name=data["name"], title=data.get("title", ""),
-                   columns=list(data.get("columns", [])),
-                   rows=[list(r) for r in data.get("rows", [])])
-
 
 @dataclass
 class RunResult:
@@ -77,28 +71,22 @@ class RunResult:
       :class:`~repro.io.RequestTracer`'s per-tenant completions /
       throughput / p50 / p99 and per-stage latency histograms;
     * ``spec`` — the :class:`~repro.api.spec.ScenarioSpec` dict that
-      produced the run (when one did), so a result file is replayable.
+      produced the run (when one did), so a result file records its
+      inputs.  The JSON is write-only: nothing loads it back.
     """
 
     experiment: str
-    title: str = ""
-    tables: List[TableResult] = field(default_factory=list)
-    series: Dict[str, Any] = field(default_factory=dict)
-    metrics: Dict[str, Any] = field(default_factory=dict)
-    tenant_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    stage_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    title: str = field(default="", init=False)
+    tables: List[TableResult] = field(default_factory=list, init=False)
+    series: Dict[str, Any] = field(default_factory=dict, init=False)
+    metrics: Dict[str, Any] = field(default_factory=dict, init=False)
+    tenant_stats: Dict[str, Dict[str, float]] = field(default_factory=dict,
+                                                      init=False)
+    stage_stats: Dict[str, Dict[str, float]] = field(default_factory=dict,
+                                                     init=False)
     elapsed_ns: int = 0
     spec: Optional[dict] = None
-    meta: Dict[str, Any] = field(default_factory=dict)
-
-    # -- access ----------------------------------------------------------
-    def table(self, name: str) -> TableResult:
-        for table in self.tables:
-            if table.name == name:
-                return table
-        raise KeyError(f"no table {name!r} in result "
-                       f"{self.experiment!r}; have "
-                       f"{[t.name for t in self.tables]}")
+    meta: Dict[str, Any] = field(default_factory=dict, init=False)
 
     def add_table(self, name: str, title: str, columns: List[str],
                   rows: List[List[Any]]) -> TableResult:
@@ -133,19 +121,3 @@ class RunResult:
         """Write the JSON rendering to ``path``."""
         with open(path, "w") as fh:
             fh.write(self.to_json() + "\n")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunResult":
-        return cls(
-            experiment=data["experiment"],
-            title=data.get("title", ""),
-            tables=[TableResult.from_dict(t)
-                    for t in data.get("tables", [])],
-            series=dict(data.get("series", {})),
-            metrics=dict(data.get("metrics", {})),
-            tenant_stats=dict(data.get("tenant_stats", {})),
-            stage_stats=dict(data.get("stage_stats", {})),
-            elapsed_ns=data.get("elapsed_ns", 0),
-            spec=data.get("spec"),
-            meta=dict(data.get("meta", {})),
-        )

@@ -6,8 +6,8 @@ Every table, figure and extension in this repo is some combination of a
 Before this module existed, each benchmark and example hand-assembled
 ``Simulator`` + ``BlueDBMCluster`` + ad-hoc closed-loop drivers; now the
 combination is data: a frozen :class:`ScenarioSpec` that validates at
-construction (not mid-simulation), round-trips through plain dicts /
-JSON, and is executed by :class:`~repro.api.session.Session`.
+construction (not mid-simulation), renders to a plain dict for the
+result JSON, and is executed by :class:`~repro.api.session.Session`.
 
 The specs compose the existing frozen config dataclasses —
 :class:`~repro.flash.FlashGeometry`, :class:`~repro.flash.FlashTiming`,
@@ -72,14 +72,6 @@ def _opt_dict(value) -> Optional[dict]:
     return None if value is None else dataclasses.asdict(value)
 
 
-def _opt_load(cls, value):
-    if value is None:
-        return None
-    if isinstance(value, cls):
-        return value
-    return cls(**value)
-
-
 # ----------------------------------------------------------------------
 # topology
 # ----------------------------------------------------------------------
@@ -132,12 +124,6 @@ class TopologySpec:
     def to_dict(self) -> dict:
         return {"kind": self.kind,
                 "links": [list(l) for l in self.links]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TopologySpec":
-        data = dict(data)
-        data["links"] = tuple(tuple(l) for l in data.get("links", ()))
-        return cls(**data)
 
 
 # ----------------------------------------------------------------------
@@ -282,13 +268,6 @@ class DistributedVolumeSpec:
         data["volume"] = self.volume.to_dict()
         return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DistributedVolumeSpec":
-        data = dict(data)
-        if isinstance(data.get("volume"), dict):
-            data["volume"] = VolumeSpec.from_dict(data["volume"])
-        return cls(**data)
-
 
 # ----------------------------------------------------------------------
 # faults / reliability
@@ -390,13 +369,6 @@ class FaultSpec:
         if self.fail_chip is not None:
             data["fail_chip"] = list(self.fail_chip)
         return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSpec":
-        data = dict(data)
-        if data.get("fail_chip") is not None:
-            data["fail_chip"] = tuple(data["fail_chip"])
-        return cls(**data)
 
 
 # ----------------------------------------------------------------------
@@ -589,10 +561,6 @@ class TenantSpec:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TenantSpec":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -666,14 +634,6 @@ class WorkloadSpec:
                          "arrival_rate_rps": self.arrival_rate_rps})
         return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadSpec":
-        data = dict(data)
-        data["tenants"] = tuple(
-            TenantSpec.from_dict(t) if isinstance(t, dict) else t
-            for t in data.get("tenants", ()))
-        return cls(**data)
-
 
 # ----------------------------------------------------------------------
 # scenario
@@ -744,31 +704,6 @@ class ScenarioSpec:
     fault: Optional[FaultSpec] = None
 
     def __post_init__(self):
-        # Accept plain dicts for every nested field so from_dict and
-        # hand-written literal specs both work.
-        for attr, cls in (("geometry", FlashGeometry),
-                          ("timing", FlashTiming),
-                          ("host", HostConfig),
-                          ("network", NetworkConfig)):
-            value = getattr(self, attr)
-            if isinstance(value, dict):
-                object.__setattr__(self, attr, cls(**value))
-        if isinstance(self.topology, dict):
-            object.__setattr__(self, "topology",
-                               TopologySpec.from_dict(self.topology))
-        if isinstance(self.volume, dict):
-            object.__setattr__(self, "volume",
-                               VolumeSpec.from_dict(self.volume))
-        if isinstance(self.dvol, dict):
-            object.__setattr__(
-                self, "dvol", DistributedVolumeSpec.from_dict(self.dvol))
-        if isinstance(self.workload, dict):
-            object.__setattr__(self, "workload",
-                               WorkloadSpec.from_dict(self.workload))
-        if isinstance(self.fault, dict):
-            object.__setattr__(self, "fault",
-                               FaultSpec.from_dict(self.fault))
-
         if not self.name:
             raise SpecError("scenario needs a non-empty name")
         if self.n_nodes < 1:
@@ -936,8 +871,8 @@ class ScenarioSpec:
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> dict:
-        """A plain-dict (JSON-ready) rendering; inverse of
-        :meth:`from_dict`.
+        """A plain-dict (JSON-ready) rendering, recorded in each
+        :class:`~repro.api.RunResult`.
 
         The ``fault`` key is emitted only when a :class:`FaultSpec` is
         present, so pre-reliability specs (and their JSON artifacts)
@@ -969,33 +904,3 @@ class ScenarioSpec:
         if self.fault is not None:
             data["fault"] = self.fault.to_dict()
         return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioSpec":
-        data = dict(data)
-        geometry = _opt_load(FlashGeometry, data.get("geometry"))
-        if geometry is None:
-            # Omitted geometry falls through to the constructor default
-            # (BENCH_GEOMETRY) — the same machine a literal
-            # ``ScenarioSpec(...)`` without a geometry gets.
-            data.pop("geometry", None)
-        else:
-            data["geometry"] = geometry
-        data["timing"] = _opt_load(FlashTiming, data.get("timing"))
-        data["host"] = _opt_load(HostConfig, data.get("host"))
-        data["network"] = _opt_load(NetworkConfig, data.get("network"))
-        if data.get("topology") is not None:
-            data["topology"] = TopologySpec.from_dict(data["topology"])
-        else:
-            data.pop("topology", None)
-        if data.get("volume") is not None:
-            data["volume"] = VolumeSpec.from_dict(data["volume"])
-        if data.get("dvol") is not None:
-            data["dvol"] = DistributedVolumeSpec.from_dict(data["dvol"])
-        if data.get("workload") is not None:
-            data["workload"] = WorkloadSpec.from_dict(data["workload"])
-        if data.get("fault") is not None:
-            data["fault"] = FaultSpec.from_dict(data["fault"])
-        else:
-            data.pop("fault", None)
-        return cls(**data)

@@ -22,7 +22,6 @@ comparisons/s.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.accel import EngineArray
@@ -64,7 +63,6 @@ class LSHIndex:
         ]
         self._tables: List[Dict[int, List[int]]] = [
             {} for _ in range(n_tables)]
-        self._items: Dict[int, bytes] = {}
 
     def _key(self, table: int, data: bytes) -> int:
         key = 0
@@ -75,7 +73,6 @@ class LSHIndex:
 
     def insert(self, item_id: int, data: bytes) -> None:
         """Index one item (host-side, done at load time)."""
-        self._items[item_id] = data
         for t in range(self.n_tables):
             self._tables[t].setdefault(self._key(t, data), []).append(
                 item_id)
@@ -87,10 +84,6 @@ class LSHIndex:
             for item_id in self._tables[t].get(self._key(t, query), []):
                 seen.setdefault(item_id, None)
         return list(seen)
-
-    @property
-    def n_items(self) -> int:
-        return len(self._items)
 
 
 def make_item_corpus(n_items: int, item_bytes: int, seed: int = 0,
@@ -139,7 +132,6 @@ class NearestNeighborISP:
         self.sim = node.sim
         self.n_engines = n_engines
         self._addr_of: Dict[int, PhysAddr] = {}
-        self._items: Dict[int, bytes] = {}
         self.index: Optional[LSHIndex] = None
 
     def load(self, corpus: Dict[int, bytes], index: LSHIndex) -> None:
@@ -155,7 +147,6 @@ class NearestNeighborISP:
             addr = geometry.striped(slot, node=self.node.node_id)
             self.node.device.store.program(addr, data)
             self._addr_of[item_id] = addr
-            self._items[item_id] = data
             index.insert(item_id, data)
         self.index = index
 

@@ -62,9 +62,6 @@ class EngineArray:
         self.engines = list(engines)
         self._next = 0
 
-    def __len__(self) -> int:
-        return len(self.engines)
-
     def pick(self) -> Engine:
         """Round-robin engine selection (static dispatch, as in hardware)."""
         engine = self.engines[self._next]

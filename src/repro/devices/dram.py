@@ -51,19 +51,3 @@ class DRAMStore:
         finally:
             self._bus.release()
         return self._pages.get(page, b"\x00" * self.page_size)
-
-    def write(self, page: int, data: bytes):
-        """Write one page (DES generator)."""
-        if len(data) > self.page_size:
-            raise ValueError("data exceeds page size")
-        yield self.sim.timeout(self.LATENCY_NS)
-        yield self._bus.request()
-        try:
-            yield self.sim.timeout(
-                units.transfer_ns(self.page_size, self.bandwidth_gbs))
-        finally:
-            self._bus.release()
-        self.store(page, data)
-
-    def __contains__(self, page: int) -> bool:
-        return page in self._pages

@@ -55,18 +55,3 @@ class HardDisk:
         finally:
             self._actuator.release()
         return self._pages.get(page, b"\x00" * self.page_size)
-
-    def write(self, page: int, data: bytes):
-        """Write one page (DES generator); same mechanics as read."""
-        if len(data) > self.page_size:
-            raise ValueError("data exceeds page size")
-        yield self._actuator.request()
-        try:
-            if self._head_at is None or page != self._head_at + 1:
-                yield self.sim.timeout(self.SEEK_NS + self.ROTATIONAL_NS)
-            self._head_at = page
-            yield self.sim.timeout(
-                units.transfer_ns(self.page_size, self.TRANSFER_GBS))
-        finally:
-            self._actuator.release()
-        self.store(page, data)

@@ -96,20 +96,3 @@ class CommoditySSD:
         finally:
             self._queue.release()
         return self._pages.get(page, b"\x00" * self.page_size)
-
-    def write(self, page: int, data: bytes):
-        """Write one page (device-managed; sequentialized internally)."""
-        if len(data) > self.page_size:
-            raise ValueError("data exceeds page size")
-        yield self._queue.request()
-        try:
-            yield self._media.request()
-            try:
-                yield self.sim.timeout(
-                    units.transfer_ns(self.page_size, self.RAND_GBS))
-            finally:
-                self._media.release()
-            yield self.sim.timeout(self.LATENCY_NS)
-        finally:
-            self._queue.release()
-        self.store(page, data)

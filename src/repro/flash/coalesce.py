@@ -193,11 +193,6 @@ class Coalescer:
         return pending.event
 
     @property
-    def depth(self) -> int:
-        """Pages currently staged (not yet dispatched)."""
-        return len(self._staging)
-
-    @property
     def pages_per_command(self) -> float:
         """Mean merged width over the coalescer's lifetime."""
         return self.pages / self.commands if self.commands else 0.0

@@ -142,11 +142,8 @@ class FlashCard:
             self._tag_pool.items.append(t)
         self.tag_count = tags
 
-        # Device-command and fault counts the benchmarks read; the
-        # per-read ECC correction count rides on each ReadResult.
-        self.reads = Counter("reads")
-        self.writes = Counter("writes")
-        self.erases = Counter("erases")
+        # Fault counts the benchmarks read; the per-read ECC correction
+        # count rides on each ReadResult.
         self.uncorrectable = Counter("uncorrectable")
         self.program_failures = Counter("program_failures")
 
@@ -228,7 +225,6 @@ class FlashCard:
                 self.uncorrectable.add()
                 self.badblocks.mark_bad(addr)
                 raise UncorrectablePageError(addr) from None
-        self.reads.add()
         return ReadResult(addr, data, tag, corrected_bits)
 
     def read_pages(self, addrs, requests=None):
@@ -449,7 +445,6 @@ class FlashCard:
                 # retires it as suspect at its next erase instead.
                 self.program_failures.add()
                 raise
-        self.writes.add()
 
     def write_page(self, addr: PhysAddr, data: bytes,
                    request: Optional[IORequest] = None):
@@ -487,7 +482,6 @@ class FlashCard:
                 except EraseError:
                     self.badblocks.mark_bad(addr)
                     raise
-            self.erases.add()
         finally:
             self._tag_pool.put_nowait(tag)
 

@@ -8,7 +8,6 @@ device, as the paper's software stack does.
 
 from __future__ import annotations
 
-import random
 from typing import List, Optional
 
 from ..sim import Simulator
@@ -110,18 +109,6 @@ class StorageDevice:
     def tag_count(self) -> int:
         """Combined tag pool across cards (splitter fair-share sizing)."""
         return sum(card.tag_count for card in self.cards)
-
-    @property
-    def reads(self) -> int:
-        return sum(card.reads.value for card in self.cards)
-
-    @property
-    def writes(self) -> int:
-        return sum(card.writes.value for card in self.cards)
-
-    @property
-    def erases(self) -> int:
-        return sum(card.erases.value for card in self.cards)
 
     @property
     def program_failures(self) -> int:

@@ -103,11 +103,6 @@ class BadBlockTable:
     def is_bad(self, addr: PhysAddr) -> bool:
         return _block_key(addr) in self._grown
 
-    def is_bad_block(self, key: _BlockKey) -> bool:
-        """:meth:`is_bad` by block key ``(node, card, bus, chip,
-        block)``."""
-        return key in self._grown
-
     def mark_bad(self, addr: PhysAddr) -> None:
         """Retire a block that failed in service (grown bad block)."""
         self._grown.add(_block_key(addr))

@@ -42,10 +42,6 @@ class FileHandle:
         self.name = name
         self.extents = list(extents)
 
-    @property
-    def num_pages(self) -> int:
-        return len(self.extents)
-
     def translate(self, page_offset: int) -> PhysAddr:
         if not 0 <= page_offset < len(self.extents):
             raise IndexError(
@@ -80,9 +76,6 @@ class FlashServer:
         if handle_id not in self._files:
             raise KeyError(f"unknown file handle {handle_id}")
         return self._files[handle_id]
-
-    def translate(self, handle_id: int, page_offset: int) -> PhysAddr:
-        return self.lookup(handle_id).translate(page_offset)
 
     @property
     def tracer(self):

@@ -51,12 +51,8 @@ class PageStore:
     def __init__(self, geometry: FlashGeometry):
         self.geometry = geometry
         self._blocks: Dict[_BlockKey, Dict[int, _Page]] = {}
-        self._count = 0
         self._erased_page = b"\xff" * geometry.page_size
         self._erased_parity: Optional[bytes] = None
-
-    def __len__(self) -> int:
-        return self._count
 
     def program(self, addr: PhysAddr, data: bytes) -> None:
         """Store ``data`` (padded with 0xFF to page size)."""
@@ -66,10 +62,7 @@ class PageStore:
                 f"data ({len(data)} B) exceeds page size ({page_size} B)")
         if len(data) < page_size:
             data = data + b"\xff" * (page_size - len(data))
-        block = self._blocks.setdefault(_block_key(addr), {})
-        if addr.page not in block:
-            self._count += 1
-        block[addr.page] = _Page(data)
+        self._blocks.setdefault(_block_key(addr), {})[addr.page] = _Page(data)
 
     def _lookup(self, addr: PhysAddr) -> Optional[_Page]:
         block = self._blocks.get(_block_key(addr))
@@ -103,7 +96,4 @@ class PageStore:
         Returns the number of pages discarded.
         """
         block = self._blocks.pop(_block_key(addr), None)
-        if block is None:
-            return 0
-        self._count -= len(block)
-        return len(block)
+        return 0 if block is None else len(block)

@@ -79,7 +79,7 @@ class RFS:
         # Invalidate the old version's pages (log-structured overwrite).
         for lpn in inode.lpns:
             yield self.sim.timeout(0)
-            self.core.trim(lpn)
+            self.core.map.unmap(lpn)
         inode.lpns = []
         inode.size = len(data)
         for offset in range(0, max(len(data), 1), self.page_size):
@@ -88,16 +88,6 @@ class RFS:
             self._next_lpn += 1
             yield from self.core.write(lpn, chunk, self.device.write_page)
             inode.lpns.append(lpn)
-
-    def read_page(self, name: str, page_index: int):
-        """Read one page of a file -> bytes (page-size padded)."""
-        inode = self.stat(name)
-        if not 0 <= page_index < len(inode.lpns):
-            raise IndexError(
-                f"page {page_index} out of range for {name!r}")
-        data = yield from self.core.read(inode.lpns[page_index],
-                                         self.device.read_page)
-        return data
 
     # -- the BlueDBM-specific query (Section 4, step 1) -----------------------
     def physical_extents(self, name: str) -> List[PhysAddr]:

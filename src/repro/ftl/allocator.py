@@ -77,8 +77,8 @@ class BlockAllocator:
                     self._chips.append(key)
                     blocks = range(geometry.blocks_per_chip)
                     if not badblocks.pristine:
-                        blocks = [b for b in blocks
-                                  if not badblocks.is_bad_block(key + (b,))]
+                        blocks = [b for b in blocks if not badblocks.is_bad(
+                            PhysAddr(*key, block=b))]
                     self._free[key] = set(blocks)
                     heap = [(erase_count(key + (b,)), b) for b in blocks]
                     heapq.heapify(heap)

@@ -227,10 +227,6 @@ class FtlCore:
         """Current physical location of a logical page (None=unmapped)."""
         return self.map.lookup(lpn)
 
-    def trim(self, lpn: int) -> None:
-        """Invalidate a logical page (TRIM); space is reclaimed by GC."""
-        self.map.unmap(lpn)
-
     @staticmethod
     def _key(addr: PhysAddr) -> _BlockKey:
         return addr[:5]

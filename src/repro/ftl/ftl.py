@@ -34,7 +34,6 @@ class BlockDeviceFTL:
         if not 0.0 <= overprovision < 1.0:
             raise ValueError(
                 f"overprovision must be in [0, 1), got {overprovision}")
-        self.sim = sim
         self.device = device
         self.core = FtlCore(sim, device, device,
                             gc_low_watermark=gc_low_watermark, name="ftl")
@@ -49,19 +48,7 @@ class BlockDeviceFTL:
                 f"{self.logical_pages} logical pages)")
 
     # -- block device operations (DES generators) ---------------------------
-    def read(self, lpn: int):
-        """Read one logical page -> bytes (erased pattern if unmapped)."""
-        self._check_lpn(lpn)
-        data = yield from self.core.read(lpn, self.device.read_page)
-        return data
-
     def write(self, lpn: int, data: bytes):
         """Write one logical page (out-of-place, GC as needed)."""
         self._check_lpn(lpn)
         yield from self.core.write(lpn, data, self.device.write_page)
-
-    def trim(self, lpn: int):
-        """Discard a logical page's contents."""
-        self._check_lpn(lpn)
-        yield self.sim.timeout(0)
-        self.core.trim(lpn)

@@ -13,8 +13,6 @@ one.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..sim import Simulator, Store
 
 __all__ = ["PageBufferPool"]
@@ -47,11 +45,3 @@ class PageBufferPool:
         if not 0 <= index < self.count:
             raise ValueError(f"buffer index {index} out of range")
         self._free.put_nowait(index)
-
-    @property
-    def available(self) -> int:
-        return len(self._free.items)
-
-    @property
-    def in_use(self) -> int:
-        return self.count - self.available

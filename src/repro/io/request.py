@@ -160,10 +160,6 @@ class IORequest:
 
     # -- lifecycle ------------------------------------------------------
     @property
-    def completed(self) -> bool:
-        return self.completed_ns is not None
-
-    @property
     def total_ns(self) -> int:
         """End-to-end latency; only meaningful once completed."""
         if self.issued_ns is None or self.completed_ns is None:
@@ -176,7 +172,7 @@ class IORequest:
                 and self.completed_ns > self.deadline_ns)
 
     def __repr__(self) -> str:
-        state = ("completed" if self.completed
+        state = ("completed" if self.completed_ns is not None
                  else "issued" if self.issued_ns is not None else "new")
         return (f"<IORequest #{self.req_id} {self.kind.value} "
                 f"tenant={self.tenant!r} {state}>")

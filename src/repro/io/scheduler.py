@@ -444,14 +444,6 @@ class ScheduledResource:
         self._seq = itertools.count()
         self._wakeup_at: Optional[int] = None
 
-    @property
-    def available(self) -> int:
-        return self.capacity - self.in_use
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self.policy)
-
     def configure_tenant(self, tenant: str, **params) -> None:
         """Forward per-tenant QoS parameters to the policy."""
         self.policy.configure_tenant(tenant, **params)

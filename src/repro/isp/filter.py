@@ -10,7 +10,7 @@ accelerator framework:
 * a fixed-width row codec (:class:`Schema`) that packs rows into flash
   pages;
 * a small predicate language (:class:`Predicate` trees over column
-  comparisons, with AND/OR/NOT) evaluated *for real* against row bytes;
+  comparisons joined by AND) evaluated *for real* against row bytes;
 * :class:`FilterEngine`, which scans pages at stream rate and returns
   only the selected, projected rows — the property that makes offload
   pay: result traffic shrinks with selectivity while a host scan always
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import operator
 import struct
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.accel import Engine
 from ..sim import Simulator
@@ -134,11 +134,7 @@ class Schema:
 
 _OPS = {
     "=": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
     ">": operator.gt,
-    ">=": operator.ge,
 }
 
 
@@ -153,12 +149,6 @@ class Predicate:
     def __and__(self, other: "Predicate") -> "Predicate":
         return Predicate("and", (self, other))
 
-    def __or__(self, other: "Predicate") -> "Predicate":
-        return Predicate("or", (self, other))
-
-    def __invert__(self) -> "Predicate":
-        return Predicate("not", self)
-
     # -- evaluation --------------------------------------------------------
     def matches(self, row: Dict[str, Any]) -> bool:
         if self.kind == "cmp":
@@ -167,11 +157,6 @@ class Predicate:
         if self.kind == "and":
             left, right = self.payload
             return left.matches(row) and right.matches(row)
-        if self.kind == "or":
-            left, right = self.payload
-            return left.matches(row) or right.matches(row)
-        if self.kind == "not":
-            return not self.payload.matches(row)
         raise ValueError(f"unknown predicate kind {self.kind!r}")
 
 
@@ -189,20 +174,8 @@ class _ColumnRef:
     def __eq__(self, value):  # type: ignore[override]
         return self._cmp("=", value)
 
-    def __ne__(self, value):  # type: ignore[override]
-        return self._cmp("!=", value)
-
-    def __lt__(self, value):
-        return self._cmp("<", value)
-
-    def __le__(self, value):
-        return self._cmp("<=", value)
-
     def __gt__(self, value):
         return self._cmp(">", value)
-
-    def __ge__(self, value):
-        return self._cmp(">=", value)
 
 
 def col(name: str) -> _ColumnRef:

@@ -7,20 +7,18 @@ calling receive, which returns a pair of data and source node index.
 These interfaces provide back pressure, so that each endpoint can be
 treated like a FIFO interface across the whole cluster."
 
-End-to-end flow control is optional per endpoint (Section 3.2.3): with it
-on, a sender only transmits when the destination endpoint has buffer
-space, at the price of credit-return latency; with it off, latency is
-minimal but a non-draining receiver eventually blocks the network through
-link-level backpressure.
+Section 3.2.3's optional end-to-end flow control is not modelled: an
+endpoint relies on link-level credit backpressure only, so a
+non-draining receiver eventually blocks the network.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
-from ..sim import Counter, CreditPool, Simulator, Store
-from .packet import NetworkConfig, Packet
+from ..sim import Counter
+from .packet import Packet
 from .switch import NodeSwitch
 
 __all__ = ["Endpoint", "Message"]
@@ -45,20 +43,13 @@ class Endpoint:
     one endpoint arrive in send order.
     """
 
-    def __init__(self, sim: Simulator, network: "StorageNetwork",
-                 node: int, endpoint_id: int, switch: NodeSwitch,
-                 end_to_end_fc: bool = False):
-        self.sim = sim
+    def __init__(self, network: "StorageNetwork", node: int,
+                 endpoint_id: int, switch: NodeSwitch):
         self.network = network
         self.node = node
         self.endpoint_id = endpoint_id
         self.switch = switch
         self._queue = switch.register_endpoint(endpoint_id)
-        config = network.config
-        self._e2e_credits: Optional[CreditPool] = (
-            CreditPool(sim, initial=config.endpoint_capacity,
-                       name=f"e2e-n{node}ep{endpoint_id}")
-            if end_to_end_fc else None)
         self._message_ids = itertools.count()
         self._partial: Dict[Tuple[int, int], int] = {}
         # Payload-byte counters: what end-to-end bandwidth accounting
@@ -78,7 +69,6 @@ class Endpoint:
         if payload_bytes < 0:
             raise ValueError("negative payload_bytes")
         config = self.network.config
-        remote = self.network.endpoint(dst, self.endpoint_id)
         message_id = next(self._message_ids)
         chunk = config.max_packet_payload
         offsets = list(range(0, max(payload_bytes, 1), chunk))
@@ -90,8 +80,6 @@ class Endpoint:
                 src=self.node, dst=dst, endpoint=self.endpoint_id,
                 payload=payload if is_last else None,
                 payload_bytes=size, last=is_last, message_id=message_id)
-            if remote._e2e_credits is not None:
-                yield remote._e2e_credits.take(1)
             yield from self.switch.inject(packet)
         self.sent_bytes.add(payload_bytes)
 
@@ -106,13 +94,6 @@ class Endpoint:
         """
         while True:
             packet = yield self._queue.get()
-            credits = self._e2e_credits
-            if credits is not None:
-                # The credit-return packet's flight time back to the
-                # sender: a timer, since nothing waits on the return.
-                self.sim.timeout(
-                    self.network.propagation_ns(self.node, packet.src)
-                ).callbacks.append(lambda _event: credits.give(1))
             key = (packet.src, packet.message_id)
             accumulated = self._partial.get(key, 0) + packet.payload_bytes
             if not packet.last:
@@ -121,8 +102,3 @@ class Endpoint:
             self._partial.pop(key, None)
             self.received_bytes.add(accumulated)
             return Message(packet.src, packet.payload, accumulated)
-
-    @property
-    def pending(self) -> int:
-        """Packets waiting in this endpoint's receive buffer."""
-        return len(self._queue)

@@ -12,7 +12,7 @@ Builds, from a :class:`~repro.network.topology.Topology` and a
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim import Simulator
 from .endpoint import Endpoint
@@ -30,21 +30,13 @@ class StorageNetwork:
 
     def __init__(self, sim: Simulator, topology: Topology,
                  config: Optional[NetworkConfig] = None,
-                 n_endpoints: int = 4,
-                 e2e_endpoints: Optional[Set[int]] = None):
-        """Create the fabric.
-
-        ``e2e_endpoints`` lists the endpoint ids that use end-to-end flow
-        control (Section 3.2.3's per-endpoint choice); the rest rely on
-        link-level backpressure only.
-        """
+                 n_endpoints: int = 4):
         if n_endpoints < 1:
             raise ValueError(f"n_endpoints must be >= 1, got {n_endpoints}")
         self.sim = sim
         self.topology = topology
         self.config = config or NetworkConfig()
         self.n_endpoints = n_endpoints
-        self.e2e_endpoints = e2e_endpoints or set()
 
         tables = build_routing_tables(topology, n_endpoints)
         self.switches: List[NodeSwitch] = [
@@ -69,8 +61,7 @@ class StorageNetwork:
         for node in range(topology.n_nodes):
             for ep in range(n_endpoints):
                 self._endpoints[(node, ep)] = Endpoint(
-                    sim, self, node, ep, self.switches[node],
-                    end_to_end_fc=ep in self.e2e_endpoints)
+                    self, node, ep, self.switches[node])
 
         self._hops: Dict[int, Dict[int, int]] = {
             node: shortest_hop_counts(topology, node)

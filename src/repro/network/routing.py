@@ -41,9 +41,6 @@ class RoutingTable:
                 f"{endpoint}")
         return self._table[key]
 
-    def __len__(self) -> int:
-        return len(self._table)
-
 
 def shortest_hop_counts(topo: Topology, src: int) -> Dict[int, int]:
     """BFS hop distance from ``src`` to every reachable node."""

@@ -12,7 +12,6 @@ Public surface:
 """
 
 from .core import (
-    AllOf,
     AnyOf,
     Event,
     Process,
@@ -34,7 +33,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AllOf",
     "AnyOf",
     "SimulationError",
     "Store",

@@ -53,7 +53,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AllOf",
     "AnyOf",
     "Simulator",
     "SimulationError",
@@ -88,21 +87,9 @@ class Event:
         return self._triggered
 
     @property
-    def processed(self) -> bool:
-        """True once the event's callbacks have run."""
-        return self._processed
-
-    @property
     def ok(self) -> bool:
         """False if the event carries an exception instead of a value."""
         return self._ok
-
-    @property
-    def value(self) -> Any:
-        """The value the event fired with (or its exception)."""
-        if not self._triggered:
-            raise SimulationError("value of untriggered event")
-        return self._value
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully at the current time."""
@@ -197,11 +184,6 @@ class Process(Event):
         sim._eid = eid + 1
         sim._ready.append((eid, None, self._proceed, None, True))
 
-    @property
-    def name(self) -> str:
-        """Diagnostic label (lazy: most processes are never named)."""
-        return (self._name or getattr(self._generator, "__name__", "process"))
-
     def _resume(self, event: Event) -> None:
         """Callback form of :meth:`_proceed`, attached to real events."""
         self._proceed(event._value, event._ok)
@@ -234,8 +216,8 @@ class Process(Event):
             callbacks = result.callbacks
         except AttributeError:
             raise SimulationError(
-                f"process {self.name!r} yielded {result!r}, expected an Event"
-            ) from None
+                f"process {self._name or self._generator.__name__!r} "
+                f"yielded {result!r}, expected an Event") from None
         if callbacks is not None:
             callbacks.append(self._resume)
         elif isinstance(result, Event):
@@ -246,19 +228,19 @@ class Process(Event):
                                result._value, result._ok))
         else:
             raise SimulationError(
-                f"process {self.name!r} yielded {result!r}, expected an Event"
-            )
+                f"process {self._name or self._generator.__name__!r} "
+                f"yielded {result!r}, expected an Event")
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf composite events."""
+class AnyOf(Event):
+    """Fires as soon as any constituent event fires; the kernel's only
+    composite wait."""
 
-    __slots__ = ("events", "_count")
+    __slots__ = ("events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         Event.__init__(self, sim)
         self.events = list(events)
-        self._count = 0
         if not self.events:
             self.succeed({})
             return
@@ -272,8 +254,14 @@ class _Condition(Event):
             else:
                 ev.callbacks.append(self._check)
 
-    def _check(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def _check(self, event: Event) -> None:
+        if self._triggered:
+            return
+        if not event._ok:
+            self.fail(event._value)
+        else:
+            self.succeed(self._results())
+        self._detach()
 
     def _detach(self) -> None:
         """Drop ``_check`` from every still-pending constituent.
@@ -300,38 +288,6 @@ class _Condition(Event):
             for i, ev in enumerate(self.events)
             if ev._triggered
         }
-
-
-class AllOf(_Condition):
-    """Fires when every constituent event has fired."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            self._detach()
-            return
-        self._count += 1
-        if self._count == len(self.events):
-            self.succeed(self._results())
-
-
-class AnyOf(_Condition):
-    """Fires as soon as any constituent event fires."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-        else:
-            self.succeed(self._results())
-        self._detach()
 
 
 class Simulator:
@@ -376,10 +332,6 @@ class Simulator:
     def process(self, generator: Generator, name: str = "") -> Process:
         """Register ``generator`` as a concurrently-running process."""
         return Process(self, generator, name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event firing when all of ``events`` have fired."""
-        return AllOf(self, events)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Composite event firing when the first of ``events`` fires."""
@@ -459,7 +411,8 @@ class Simulator:
         self.run()
         if not proc.triggered:
             raise SimulationError(
-                f"process {proc.name!r} deadlocked (event queue drained)")
+                f"process {generator.__name__!r} deadlocked (event queue "
+                f"drained)")
         if not proc.ok:
             raise proc._value
         return proc._value

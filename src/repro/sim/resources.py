@@ -79,9 +79,6 @@ class Store:
         self._putters: Deque[StorePut] = deque()
         self._getters: Deque[StoreGet] = deque()
 
-    def __len__(self) -> int:
-        return len(self.items)
-
     @property
     def is_full(self) -> bool:
         return self.capacity is not None and len(self.items) >= self.capacity
@@ -150,10 +147,6 @@ class Resource:
         self.name = name
         self.in_use = 0
         self._waiters: Deque[Event] = deque()
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self.in_use
 
     def request(self) -> Event:
         if self.in_use < self.capacity and not self._waiters:

@@ -173,9 +173,6 @@ class BandwidthLedger:
         if current > self.peaks.get(tenant, -1):
             self.peaks[tenant] = current
 
-    def total_bytes(self, tenant: str) -> int:
-        return self.totals.get(tenant, 0)
-
     def peak_window_bytes(self, tenant: str) -> int:
         """The busiest single window's byte count for ``tenant``."""
         return self.peaks.get(tenant, 0)

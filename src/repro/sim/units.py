@@ -17,7 +17,6 @@ __all__ = [
     "MS",
     "S",
     "GB",
-    "seconds",
     "to_us",
     "to_ms",
     "to_s",
@@ -32,11 +31,6 @@ MS = 1_000_000
 S = 1_000_000_000
 
 GB = 1_000_000_000
-
-
-def seconds(value: float) -> int:
-    """Seconds -> integer nanoseconds."""
-    return int(round(value * S))
 
 
 def to_us(ns_value: int) -> float:

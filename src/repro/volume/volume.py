@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..flash import PhysAddr
 from ..ftl import FtlCore
 from ..sim import Simulator
 
@@ -126,11 +125,6 @@ class LogicalVolume:
                 f"LPN {lpn} out of range (volume has "
                 f"{self.logical_pages} logical pages)")
 
-    def physical_of(self, lpn: int) -> Optional[PhysAddr]:
-        """Current physical location of a logical page (None=unmapped)."""
-        self._check_lpn(lpn)
-        return self.core.map.lookup(lpn)
-
     def prefill(self, start: int, count: int) -> None:
         """Map ``count`` logical pages from ``start``, instantly.
 
@@ -145,11 +139,6 @@ class LogicalVolume:
         self._check_lpn(start)
         self._check_lpn(start + count - 1)
         self.core.prefill(start, count)
-
-    def trim(self, lpn: int) -> None:
-        """Invalidate a logical page (TRIM); space is reclaimed by GC."""
-        self._check_lpn(lpn)
-        self.core.trim(lpn)
 
     # -- foreground flows (DES generators) -------------------------------
     # Both return the core's generator instead of wrapping it in one of

@@ -23,11 +23,6 @@ class TestSweep:
         wobbly = SweepResult("x", [1, 2, 3], [1.0, 0.99, 3.0])
         assert not wobbly.is_monotone_increasing()
 
-    def test_series_extraction(self):
-        result = sweep("x", [1, 2], lambda x: {"a": x, "b": -x})
-        assert result.series("a") == [1, 2]
-        assert result.series("b") == [-1, -2]
-
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
             sweep("x", [], lambda x: x)

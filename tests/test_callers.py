@@ -7,7 +7,10 @@ whose other values nothing passes, and an attribute nothing reads.
 This test parses ``src/repro``, ``bench``, ``benchmarks`` and
 ``examples`` and applies three rules to ``src/repro``.  Test files
 (``test_*.py``, ``conftest.py`` and anything under a ``tests``
-directory) are not parsed at all.  Every scan is by name, not by type.
+directory) are not parsed at all.  Every scan is by name, not by type,
+so a definition whose name some live code mentions passes even if
+nothing ever runs it; ``benchmarks/golden.py``'s run-reachability
+check catches those by running every entry point.
 
 **Definitions.**  A function, method, class or module constant needs a
 reference:
@@ -55,9 +58,6 @@ SCANNED = [SRC, ROOT / "bench", ROOT / "benchmarks", ROOT / "examples"]
 
 #: Definitions kept without a caller, one reason each.
 ALLOWED = {
-    # Kernel API: the all-of join next to ``any_of``; the DES kernel
-    # offers both waits whether or not a model needs the second today.
-    "sim/core.py:Simulator.all_of",
     # The hook a fault-interleaved FTL fuzzer drives to force GC at
     # chosen instants (ROADMAP open item).
     "ftl/core.py:FtlCore.force_gc",
@@ -75,13 +75,8 @@ MACHINE_RECORDS = {"FlashGeometry", "FlashTiming", "HostConfig",
                    "NetworkConfig", "ErrorModel", "NodePower"}
 
 #: Defaulted parameters kept though no non-test call passes them, one
-#: reason each (at most eight).
-PARAMS_ALLOWED = {
-    # Switches on the per-endpoint end-to-end flow control of §3.2,
-    # which tests/test_network_fabric.py checks; no experiment needs
-    # it yet.
-    "network/fabric.py:StorageNetwork.__init__(e2e_endpoints)",
-}
+#: reason each (at most eight; none today).
+PARAMS_ALLOWED: set = set()
 
 #: Builtin exception bases: a class deriving from one (directly or
 #: through a ``src/repro`` class) stores its payload for its catcher.

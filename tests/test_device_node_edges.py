@@ -50,7 +50,7 @@ class TestStorageDevice:
         with pytest.raises(ValueError, match="card"):
             sim.run_process(device.read_page(PhysAddr(card=7)))
 
-    def test_shared_wear_and_badblocks_across_cards(self, sim):
+    def test_shared_wear_and_badblocks_across_cards(self, sim, chip_ops):
         device = StorageDevice(sim, geometry=GEO, timing=FAST)
 
         def proc(sim):
@@ -59,9 +59,9 @@ class TestStorageDevice:
 
         sim.run_process(proc(sim))
         assert device.wear.total_erases == 2
-        assert device.erases == 2
+        assert chip_ops["erase"] == 2
 
-    def test_aggregate_counters_and_tags(self, sim):
+    def test_aggregate_counters_and_tags(self, sim, chip_ops):
         device = StorageDevice(sim, geometry=GEO, timing=FAST)
         assert device.tag_count == 2 * 128
 
@@ -70,8 +70,8 @@ class TestStorageDevice:
             yield from device.read_page(PhysAddr(card=1))
 
         sim.run_process(proc(sim))
-        assert device.reads == 1
-        assert device.writes == 1
+        assert chip_ops["read"] == 1
+        assert chip_ops["program"] == 1
 
     def test_cards_share_error_model_independently_seeded(self, sim):
         device = StorageDevice(

@@ -9,6 +9,7 @@ across multi-hop forwarded routes.
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -252,4 +253,6 @@ def test_dvol_windows_overflow_rejected():
 def test_dvol_spec_round_trips_through_dicts():
     spec = dvol_spec(remote_coalesce=True, fill=0.5,
                      placement="hashed", links=((0, 1), (0, 1)))
-    assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+    data = json.loads(json.dumps(spec.to_dict()))
+    assert data == spec.to_dict()
+    assert DistributedVolumeSpec(**data["dvol"]) == spec.dvol

@@ -119,7 +119,7 @@ class TestReadPath:
         # With a single tag even cross-bus reads serialize.
         assert done[1] >= 2 * TIMING.t_read_ns
 
-    def test_counters(self, sim):
+    def test_counters(self, sim, chip_ops):
         card = make_card(sim)
 
         def proc(sim):
@@ -128,8 +128,8 @@ class TestReadPath:
 
         sim.process(proc(sim))
         sim.run()
-        assert card.reads.value == 2
-        assert card.writes.value == 0
+        assert chip_ops["read"] == 2
+        assert chip_ops["program"] == 0
 
     def test_wrong_card_rejected(self, sim):
         card = make_card(sim, node=0, card=0)
@@ -139,7 +139,7 @@ class TestReadPath:
 
 
 class TestWriteErasePath:
-    def test_write_then_read_roundtrip(self, sim):
+    def test_write_then_read_roundtrip(self, sim, chip_ops):
         card = make_card(sim)
         addr = PhysAddr(block=1, page=0)
 
@@ -149,7 +149,7 @@ class TestWriteErasePath:
             return result.data
 
         assert sim.run_process(proc(sim)).startswith(b"persist me")
-        assert card.writes.value == 1
+        assert chip_ops["program"] == 1
 
     def test_write_latency_exceeds_prog_time(self, sim):
         card = make_card(sim)
@@ -171,7 +171,7 @@ class TestWriteErasePath:
         with pytest.raises(ProgramError):
             sim.run_process(proc(sim))
 
-    def test_erase_enables_reprogram(self, sim):
+    def test_erase_enables_reprogram(self, sim, chip_ops):
         card = make_card(sim)
         addr = PhysAddr(block=2, page=2)
 
@@ -183,7 +183,7 @@ class TestWriteErasePath:
             return result.data
 
         assert sim.run_process(proc(sim)).startswith(b"second")
-        assert card.erases.value == 1
+        assert chip_ops["erase"] == 1
         assert card.wear.erase_count(addr) == 1
 
     def test_erase_clears_whole_block(self, sim):

@@ -76,20 +76,11 @@ class TestDataPath:
 
         def proc(sim):
             yield from fs.write_file("f", b"0" * 64 + b"1" * 64)
-            page = yield from fs.read_page("f", 1)
+            page = yield from fs.core.read(fs.stat("f").lpns[1],
+                                           fs.device.read_page)
             return page
 
         assert sim.run_process(proc(sim)) == b"1" * 64
-
-    def test_read_page_out_of_range(self):
-        sim, fs = make_fs()
-
-        def proc(sim):
-            yield from fs.write_file("f", b"x")
-            yield from fs.read_page("f", 5)
-
-        with pytest.raises(IndexError):
-            sim.run_process(proc(sim))
 
 
 class TestPhysicalExtents:

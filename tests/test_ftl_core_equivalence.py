@@ -62,9 +62,10 @@ def drive_ftl(ops):
             if kind == "write":
                 yield from ftl.write(lpn, f"d{i}".encode())
             elif kind == "trim":
-                yield from ftl.trim(lpn)
+                ftl.core.map.unmap(lpn)
+                yield sim.timeout(0)
             else:
-                data = yield from ftl.read(lpn)
+                data = yield from ftl.core.read(lpn, device.read_page)
                 reads.append(data)
 
     sim.run_process(driver(sim))
@@ -86,7 +87,7 @@ def drive_volume(ops):
                 yield from volume.write_flow(iface, lpn, f"d{i}".encode(),
                                              False, None)
             elif kind == "trim":
-                volume.trim(lpn)
+                volume.core.map.unmap(lpn)
                 yield sim.timeout(0)
             else:
                 data = yield from volume.read_flow(lpn, iface, False,

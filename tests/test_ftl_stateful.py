@@ -56,13 +56,14 @@ class FTLMachine(RuleBasedStateMachine):
     @rule(lpn=st.integers(min_value=0, max_value=47))
     def trim(self, lpn):
         lpn %= self.ftl.logical_pages
-        self._run(self.ftl.trim(lpn))
+        self.ftl.core.map.unmap(lpn)
         self.reference.pop(lpn, None)
 
     @rule(lpn=st.integers(min_value=0, max_value=47))
     def read_matches_reference(self, lpn):
         lpn %= self.ftl.logical_pages
-        data = self._run(self.ftl.read(lpn))
+        data = self._run(self.ftl.core.read(lpn,
+                                            self.ftl.device.read_page))
         expected = self.reference.get(lpn, b"\xff" * 64)
         assert data == expected
 

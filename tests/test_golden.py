@@ -10,6 +10,10 @@ order (asserted here).  A deliberate one-event change anywhere on a
 workload's path moves the event count, so it fails a named test rather
 than waiting for someone to diff outputs by hand; a GC tie resolved the
 other way moves the victim pin even when the digest holds.
+
+The pin script's run-reachability comparison is pure AST, so it is
+unit-tested here on every Python version, though only 3.12 and later
+record what ran.
 """
 
 import importlib.util
@@ -67,3 +71,66 @@ def test_workload_counters_match_golden_pins(name):
         f"bench workload {name!r} moved (measured, pinned): {moved}; "
         f"if intended, regenerate with `{golden.REGENERATE}` and name "
         f"the move in CHANGES.md")
+
+
+#: A module for the reachability comparison: one function of each kind
+#: the rule distinguishes.
+SYNTHETIC = '''\
+def reached():
+    def closure():
+        return 1
+    return closure()
+
+
+def never_run():
+    return 2
+
+
+@decorator
+def decorated():
+    return 3
+
+
+class Thing:
+    def __repr__(self):
+        return "Thing"
+
+    def stub(self):
+        """Subclasses override this."""
+        raise NotImplementedError
+
+    def kept(self):
+        return 4
+'''
+
+
+def _line(text: str) -> int:
+    return SYNTHETIC.splitlines().index(text) + 1
+
+
+def test_unreached_names_exactly_the_function_never_entered():
+    entered = {("m.py", _line("def reached():")),
+               ("m.py", _line("    def closure():")),
+               # A decorated function's code starts at the decorator.
+               ("m.py", _line("@decorator"))}
+    missed = golden.unreached([("m.py", SYNTHETIC)], entered,
+                              allowed={"m.py:Thing.kept"})
+    assert missed == [f"m.py:{_line('def never_run():')} never_run"]
+
+
+def test_unreached_reports_closures_and_methods_by_qualname():
+    missed = golden.unreached([("m.py", SYNTHETIC)], set(), allowed=set())
+    assert [entry.split(" ")[1] for entry in missed] == [
+        "reached", "reached.closure", "never_run", "decorated",
+        "Thing.kept"]
+
+
+def test_reach_allowlist_is_short_and_names_live_functions():
+    assert len(golden.REACH_ALLOWED) <= 8
+    defined = set()
+    for name, source in golden.src_modules():
+        for entry in golden.unreached([(name, source)], set(), allowed=set()):
+            where, qualname = entry.split(" ")
+            defined.add(f"{name}:{qualname}")
+    stale = golden.REACH_ALLOWED - defined
+    assert not stale, f"REACH_ALLOWED names no function: {sorted(stale)}"

@@ -128,7 +128,7 @@ class TestPageBufferPool:
             return index
 
         assert sim.run_process(proc(sim)) == 0
-        assert pool.available == 4
+        assert len(pool._free.items) == 4
 
     def test_exhaustion_blocks_until_release(self, sim):
         pool = PageBufferPool(sim, 1)
@@ -193,7 +193,7 @@ class TestHostInterface:
                               GEO.page_size)
         return card, iface
 
-    def test_read_page_roundtrip(self, sim):
+    def test_read_page_roundtrip(self, sim, chip_ops):
         card, iface = self._build(sim)
         addr = PhysAddr(bus=1, page=2)
         card.store.program(addr, b"host visible data")
@@ -203,7 +203,7 @@ class TestHostInterface:
             return data
 
         assert sim.run_process(proc(sim)).startswith(b"host visible data")
-        assert card.reads.value == 1
+        assert chip_ops["read"] == 1
 
     def test_read_latency_includes_software_overhead(self, sim):
         card, iface = self._build(sim)
@@ -234,7 +234,7 @@ class TestHostInterface:
         assert (timed(True) - timed(False)
                 == CONFIG.software_request_ns)
 
-    def test_write_page_roundtrip(self, sim):
+    def test_write_page_roundtrip(self, sim, chip_ops):
         card, iface = self._build(sim)
         addr = PhysAddr(block=1)
 
@@ -244,7 +244,7 @@ class TestHostInterface:
             return data
 
         assert sim.run_process(proc(sim)).startswith(b"written via host")
-        assert (card.writes.value, card.reads.value) == (1, 1)
+        assert (chip_ops["program"], chip_ops["read"]) == (1, 1)
 
     def test_host_throughput_capped_by_pcie(self, sim):
         """Figure 13 Host-Local: PCIe (1.6 GB/s) caps host-side reads

@@ -66,8 +66,9 @@ class TestErrorInjectionEndToEnd:
         def proc(sim):
             yield from fs.write_file("f", payload)
             pages = []
-            for index in range(fs.stat("f").num_pages):
-                pages.append((yield from fs.read_page("f", index)))
+            for lpn in fs.stat("f").lpns:
+                pages.append((yield from fs.core.read(
+                    lpn, fs.device.read_page)))
             return b"".join(pages)
 
         assert sim.run_process(proc(sim)) == payload

@@ -143,7 +143,6 @@ class TestScheduledResource:
         sim.run()
         assert [g[0] for g in granted] == ["a", "b"]
         assert res.in_use == 2
-        assert res.available == 0
 
     def test_fifo_matches_resource_semantics(self, sim):
         res = ScheduledResource(sim, capacity=1, policy="fifo")
@@ -223,6 +222,6 @@ class TestScheduledResource:
         sim.process(waiter(sim))
         sim.process(waiter(sim))
         sim.run(until=5)
-        assert res.queue_depth == 2
+        assert len(res.policy) == 2
         sim.run()
-        assert res.queue_depth == 0
+        assert len(res.policy) == 0

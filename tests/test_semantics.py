@@ -133,7 +133,8 @@ class TestNandDisciplineThroughStack:
         sim.run_process(hammer(sim))
 
         def verify(sim):
-            data = yield from node.fs.read_page("f0", 0)
+            data = yield from node.fs.core.read(
+                node.fs.stat("f0").lpns[0], node.fs.device.read_page)
             return data
 
         assert sim.run_process(verify(sim))[:60] == b"reborn" * 10

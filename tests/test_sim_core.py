@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
     AnyOf,
     Event,
     SimulationError,
@@ -181,20 +180,8 @@ class TestEvents:
         with pytest.raises(SimulationError):
             sim.event().fail("not an exception")
 
-    def test_value_of_pending_event_is_error(self, sim):
-        with pytest.raises(SimulationError):
-            _ = sim.event().value
-
 
 class TestConditions:
-    def test_all_of_waits_for_slowest(self, sim):
-        def proc(sim):
-            events = [sim.timeout(10), sim.timeout(30), sim.timeout(20)]
-            yield sim.all_of(events)
-            return sim.now
-
-        assert sim.run_process(proc(sim)) == 30
-
     def test_any_of_fires_on_fastest(self, sim):
         def proc(sim):
             events = [sim.timeout(10), sim.timeout(30)]
@@ -203,14 +190,14 @@ class TestConditions:
 
         assert sim.run_process(proc(sim)) == 10
 
-    def test_all_of_empty_fires_immediately(self, sim):
+    def test_any_of_empty_fires_immediately(self, sim):
         def proc(sim):
-            yield sim.all_of([])
+            yield sim.any_of([])
             return sim.now
 
         assert sim.run_process(proc(sim)) == 0
 
-    def test_all_of_collects_values(self, sim):
+    def test_any_of_collects_values(self, sim):
         def fire(sim, event, delay, value):
             yield sim.timeout(delay)
             event.succeed(value)
@@ -219,10 +206,10 @@ class TestConditions:
             events = [sim.event(), sim.event()]
             sim.process(fire(sim, events[0], 1, "x"))
             sim.process(fire(sim, events[1], 2, "y"))
-            results = yield sim.all_of(events)
-            return results
+            results = yield sim.any_of(events)
+            return sim.now, results
 
-        assert sim.run_process(proc(sim)) == {0: "x", 1: "y"}
+        assert sim.run_process(proc(sim)) == (1, {0: "x"})
 
 
 class TestRunControl:

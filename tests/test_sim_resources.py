@@ -104,7 +104,7 @@ class TestStore:
 
         sim.process(proc(sim))
         sim.run()
-        assert len(store) == 2
+        assert len(store.items) == 2
 
 
 class TestResource:
@@ -158,7 +158,7 @@ class TestResource:
 
         sim.process(holder(sim))
         sim.run()
-        assert res.available == 2
+        assert res.capacity - res.in_use == 2
 
 
 class TestCreditPool:

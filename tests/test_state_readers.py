@@ -105,5 +105,5 @@ def test_every_collector_has_a_reader():
 def test_the_scan_sees_the_collectors_it_guards():
     # A parser that silently matched nothing would pass vacuously.
     found = {(cls, attr) for cls, attr, _, _ in collector_sites(_parse_all())}
-    assert {("FlashCard", "reads"), ("FlashSplitter", "bandwidth"),
+    assert {("FlashCard", "program_failures"), ("FlashSplitter", "bandwidth"),
             ("HostCPU", "tracker"), ("Endpoint", "sent_bytes")} <= found

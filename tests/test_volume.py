@@ -53,13 +53,15 @@ def device(sim):
 # FlashCard.program_pages
 # ----------------------------------------------------------------------
 class TestProgramPages:
-    def test_merged_program_pays_one_command_setup(self, sim, device):
+    def test_merged_program_pays_one_command_setup(self, sim, device,
+                                                   chip_ops):
         card = device.cards[0]
         addrs = [GEO.striped(i) for i in range(4)]
         datas = [bytes([i]) * GEO.page_size for i in range(4)]
 
         t_multi = sim.run_process(card.program_pages(addrs, datas))
         multi_elapsed = sim.now
+        multi_programs = chip_ops["program"]
         for addr, data in zip(addrs, datas):
             assert device.store.read_data(addr) == data
 
@@ -78,9 +80,10 @@ class TestProgramPages:
         # Distinct chips program in parallel under one command, so the
         # merged command is strictly faster than the serial sequence.
         assert multi_elapsed < sim2.now
-        assert card.writes.value == 4
+        assert multi_programs == 4
 
-    def test_reorder_within_block_rejected_up_front(self, sim, device):
+    def test_reorder_within_block_rejected_up_front(self, sim, device,
+                                                    chip_ops):
         card = device.cards[0]
         block = PhysAddr(node=0, card=0, bus=0, chip=0, block=0)
         addrs = [block._replace(page=1),
@@ -89,7 +92,7 @@ class TestProgramPages:
         with pytest.raises(ProgramError, match="reorder"):
             sim.run_process(card.program_pages(addrs, datas))
         # Nothing programmed, no time passed.
-        assert card.writes.value == 0
+        assert chip_ops["program"] == 0
 
     def test_in_order_same_block_pages_allowed(self, sim, device):
         card = device.cards[0]
@@ -151,7 +154,7 @@ class TestLogicalVolume:
         # consecutive LPNs sit at consecutive striped indices.
         indices = []
         for lpn in range(volume.logical_pages):
-            addr = volume.physical_of(lpn)
+            addr = volume.core.physical_of(lpn)
             if addr is None:
                 break
             indices.append(GEO.striped_index(addr))
@@ -168,9 +171,9 @@ class TestLogicalVolume:
 
         def proc(sim):
             yield sim.process(iface.write_lpn(volume, 3, fill))
-            first = volume.physical_of(3)
+            first = volume.core.physical_of(3)
             yield sim.process(iface.write_lpn(volume, 3, fill))
-            second = volume.physical_of(3)
+            second = volume.core.physical_of(3)
             data = yield sim.process(iface.read_lpn(volume, 3))
             return first, second, data
 
@@ -181,16 +184,16 @@ class TestLogicalVolume:
         assert volume.core.map.reverse(first) is None
         assert volume.core.map.reverse(second) == 3
 
-    def test_unmapped_read_returns_erased_without_device_io(self):
+    def test_unmapped_read_returns_erased_without_device_io(self, chip_ops):
         session = Session(volume_spec(duration_ns=100))
         volume = session.volumes[0]
         iface = session._ifaces["vol"]
         sim = session.sim
-        reads_before = session.node.device.reads
+        reads_before = chip_ops["read"]
 
         data = sim.run_process(iface.read_lpn(volume, 9))
         assert data == b"\xff" * GEO.page_size
-        assert session.node.device.reads == reads_before
+        assert chip_ops["read"] == reads_before
         # No device command, so no completion interrupt either.
         assert "interrupt" not in iface.tracer.stage_histograms
 
@@ -198,7 +201,7 @@ class TestLogicalVolume:
         session = Session(volume_spec(duration_ns=100))
         volume = session.volumes[0]
         with pytest.raises(ValueError, match="LPN"):
-            volume.physical_of(volume.logical_pages)
+            volume.prefill(volume.logical_pages, 1)
 
     def test_prefill_maps_without_simulated_time_or_user_writes(self):
         session = Session(volume_spec(fill=0.5))
@@ -255,13 +258,13 @@ class TestLogicalVolume:
         assert sum(volume.core.user_writes.values()) == 0
         assert volume.core.total_programs == 0
         assert volume.core.write_amplification() == 1.0
-        assert volume.physical_of(0) is None
+        assert volume.core.physical_of(0) is None
         # The burned page counts toward its block's fill...
         assert sum(volume.core._program_next.values()) == 1
         # ...and does not gate later same-block programs.
         iface = session._ifaces["vol"]
         sim.run_process(iface.write_lpn(volume, 0, b"y" * GEO.page_size))
-        assert volume.physical_of(0) is not None
+        assert volume.core.physical_of(0) is not None
         assert sum(volume.core.user_writes.values()) == 1
 
     def test_write_beyond_capacity_raises_out_of_space(self):
@@ -305,7 +308,7 @@ def raced_volume():
     volume = session.volumes[0]
     volume.prefill(0, 16)
     for lpn in range(3):
-        volume.trim(lpn)
+        volume.core.map.unmap(lpn)
     return session, volume
 
 
@@ -335,7 +338,7 @@ class TestGCRelocationRaces:
         volume.core.gc_port.write_page = racy_write_page
         assert sim.run_process(volume.core.force_gc())
         # The newer mapping survived; the stale copy was abandoned.
-        assert volume.physical_of(8) == race["fresh"]
+        assert volume.core.physical_of(8) == race["fresh"]
         assert volume.core.map.reverse(race["fresh"]) == 8
         assert volume.core.map.reverse(race["stale_dest"]) is None
         assert volume.core.gc_stale_moves == 1
@@ -351,12 +354,12 @@ class TestGCRelocationRaces:
         def racy_write_page(addr, data, **kwargs):
             calls.append(addr)
             if len(calls) == 2:
-                volume.trim(8)
+                volume.core.map.unmap(8)
             return original(addr, data, **kwargs)
 
         volume.core.gc_port.write_page = racy_write_page
         assert sim.run_process(volume.core.force_gc())
-        assert volume.physical_of(8) is None
+        assert volume.core.physical_of(8) is None
         assert volume.core.map.reverse(calls[1]) is None
         assert volume.core.gc_stale_moves == 1
         assert volume.core.gc_moved_pages == 2
@@ -372,12 +375,12 @@ class TestGCRelocationRaces:
         def racy_read_page(addr, **kwargs):
             calls.append(addr)
             if len(calls) == 2:
-                volume.trim(8)
+                volume.core.map.unmap(8)
             return original(addr, **kwargs)
 
         volume.core.gc_port.read_page = racy_read_page
         assert sim.run_process(volume.core.force_gc())
-        assert volume.physical_of(8) is None
+        assert volume.core.physical_of(8) is None
         assert volume.core.gc_stale_moves == 0
         assert volume.core.gc_moved_pages == 2
         assert volume.core.total_programs == 2
@@ -428,10 +431,9 @@ class TestInBlockProgramOrder:
 class TestVolumeSpecs:
     def test_volume_spec_round_trip(self):
         spec = volume_spec(fill=0.3, coalesce=True)
-        clone = ScenarioSpec.from_dict(
-            json.loads(json.dumps(spec.to_dict())))
-        assert clone == spec
-        assert clone.volume.fill == 0.3
+        data = json.loads(json.dumps(spec.to_dict()))
+        assert VolumeSpec.from_dict(data["volume"]) == spec.volume
+        assert data["volume"]["fill"] == 0.3
 
     def test_volume_spec_validation(self):
         with pytest.raises(SpecError, match="overprovision"):
