@@ -24,7 +24,7 @@ from ..faults import fault_seed_override
 from ..flash import Coalescer
 from ..host import HostInterface
 from ..io import RequestTracer
-from ..sim import Simulator
+from ..sim import Event, Simulator
 from ..volume import LogicalVolume
 from .result import RunResult
 from .spec import ScenarioSpec, SpecError, TenantSpec, VolumeSpec
@@ -424,15 +424,20 @@ class Session:
         whichever finishes first.  Completions are counted from the
         process completion events themselves, so requests still in
         flight when the window closes are counted if a draining run lets
-        them finish — matching the tracer's view.
+        them finish — matching the tracer's view.  The count callback
+        also succeeds the round's one wake event on the round's first
+        completion, so the worker resumes once per round.
         """
         sim = self.sim
         name = tenant.name
         start, size = self._window(tenant)
         ops = self._op_stream(tenant, rng, wid, start, size)
+        wake = None
 
         def counted(event) -> None:
             counters[name] += 1
+            if not wake._triggered:
+                wake.succeed()
 
         # Volume tenants refill in coalescible chunks: the PCIe link
         # spaces their completions out one page at a time, so
@@ -452,8 +457,19 @@ class Session:
                     proc.callbacks.append(counted)
                     pending.append(proc)
             round_start = sim.now
-            yield sim.any_of(pending)
-            pending = [p for p in pending if not p.triggered]
+            wake = Event(sim)
+            yield wake
+            live = []
+            for proc in pending:
+                if not proc._triggered:
+                    live.append(proc)
+                elif proc.callbacks is not None:
+                    # Finished after the wake fired but not yet
+                    # processed (it runs before the clock moves): count
+                    # it now and unhook it, so it wakes no later round.
+                    counters[name] += 1
+                    proc.callbacks = []
+            pending = live
             if sim.now == round_start and not pending:
                 # Every op in the wave completed in zero simulated
                 # time (e.g. map-answered volume reads of an unfilled

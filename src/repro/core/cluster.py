@@ -113,16 +113,13 @@ class BlueDBMCluster:
     # Remote flash/DRAM service (runs on every storage device)
     # ------------------------------------------------------------------
     def _serve(self, node_id: int, msg: Dict[str, Any]):
-        """Serve one remote page request arriving on the request endpoint."""
+        """Serve one remote flash page request arriving on the request
+        endpoint (remote DRAM goes host to host, by Ethernet)."""
         node = self.nodes[node_id]
-        if msg["kind"] == "flash":
-            result = yield from node.net_read(msg["addr"],
-                                              request=msg["request"])
-            data = result.data
-        elif msg["kind"] == "dram":
-            data = yield from node.dram.read(msg["page"])
-        else:
+        if msg["kind"] != "flash":
             raise ValueError(f"unknown request kind {msg['kind']!r}")
+        result = yield from node.net_read(msg["addr"], request=msg["request"])
+        data = result.data
         yield from self.rpc.reply(node_id, msg, data, self.page_size)
 
     # -- tracing helpers -----------------------------------------------

@@ -144,6 +144,15 @@ class FlashChip:
         self.geometry.validate(addr)
 
     # -- operations (DES generators; caller composes with bus transfer) ----
+    #
+    # The card runs each operation inline with ``yield from``.  Each
+    # takes two zero-delay turns that decide nothing about the chip
+    # but keep same-instant arbitration where it always was: the
+    # *issue turn* before the chip is requested and the *completion
+    # turn* before the caller sees the outcome (value or error).
+    # Without them, which of two same-instant operations reaches a
+    # chip first -- and so which program an injected fault hits --
+    # changes, and results move.
     def read(self, addr: PhysAddr):
         """Array read: chip busy for t_read; returns (data, parity, flips).
 
@@ -151,9 +160,11 @@ class FlashChip:
         corrupted) data is returned for the controller's ECC to fix.
         """
         self._check(addr)
+        sim = self.sim
+        yield sim.timeout(0)  # the issue turn
         yield self.busy.request()
         try:
-            yield self.sim.timeout(self.timing.t_read_ns)
+            yield sim.timeout(self.timing.t_read_ns)
         finally:
             self.busy.release()
         data = self.store.read_data(addr)
@@ -170,6 +181,7 @@ class FlashChip:
             # would have from the on-die spare area.
             parity = self.store.parity(addr)
             data = self._flip_bits(data, flips)
+        yield sim.timeout(0)  # the completion turn
         return data, parity, flips
 
     def program(self, addr: PhysAddr, data: bytes):
@@ -186,23 +198,27 @@ class FlashChip:
         deliberately permits for address-pattern experiments.
         """
         self._check(addr)
+        sim = self.sim
+        yield sim.timeout(0)  # the issue turn
         programmed = self._programmed.setdefault(addr.block, set())
         if addr.page in programmed:
             raise ProgramError(
                 f"page {addr} already programmed since last erase")
         yield self.busy.request()
         try:
-            yield self.sim.timeout(self.timing.t_prog_ns)
+            yield sim.timeout(self.timing.t_prog_ns)
         finally:
             self.busy.release()
         if self.faults is not None and self.faults.program_fails(
-                addr, self.wear.erase_count(addr), self.sim.now):
+                addr, self.wear.erase_count(addr), sim.now):
             # The program time is billed and the page is consumed (no
             # in-place retry on NAND), but the array holds no data.
             programmed.add(addr.page)
+            yield sim.timeout(0)  # the completion turn
             raise ProgramFailedError(f"program failed at {addr}")
         self.store.program(addr, data)
         programmed.add(addr.page)
+        yield sim.timeout(0)  # the completion turn
 
     def erase(self, addr: PhysAddr):
         """Block erase: clears contents, ages the block.
@@ -211,21 +227,25 @@ class FlashChip:
         (the controller should then mark it grown-bad).
         """
         self._check(addr)
+        sim = self.sim
+        yield sim.timeout(0)  # the issue turn
         yield self.busy.request()
         try:
-            yield self.sim.timeout(self.timing.t_erase_ns)
+            yield sim.timeout(self.timing.t_erase_ns)
         finally:
             self.busy.release()
         count = self.wear.record_erase(addr)
         if self.faults is not None and self.faults.erase_fails(
-                addr, count, self.sim.now):
+                addr, count, sim.now):
             # Injected erase failure: the block keeps its old contents
             # (and its read count) and must be retired.
+            yield sim.timeout(0)  # the completion turn
             raise EraseError(f"erase failed at {addr.block_addr()}")
         self.store.erase_block(addr)
         self._programmed.pop(addr.block, None)
         if self.faults is not None:
             self.faults.note_erase(addr)
+        yield sim.timeout(0)  # the completion turn
         if count > self.wear.endurance:
             raise EraseError(
                 f"block {addr.block_addr()} exceeded endurance "

@@ -201,9 +201,7 @@ class FlashCard:
         drift apart.
         """
         with StageSpan(self.sim, request, "storage"):
-            # A process, not ``yield from``: its scheduling step decides
-            # same-instant chip arbitration, so flattening moves results.
-            data, parity, flips = yield self.sim.process(chip.read(addr))
+            data, parity, flips = yield from chip.read(addr)
         with StageSpan(self.sim, request, "device"):
             bus = self.buses[addr.bus]
             yield bus.request()
@@ -434,9 +432,7 @@ class FlashCard:
                 bus.release()
         with StageSpan(self.sim, request, "storage"):
             try:
-                # A process, not ``yield from``: its scheduling step picks
-                # which same-instant program an injected fault hits.
-                yield self.sim.process(chip.program(addr, data))
+                yield from chip.program(addr, data)
             except ProgramFailedError:
                 # An injected NAND fault, not a caller bug: count it and
                 # let the write path recover (rewrite to a fresh page).
@@ -475,10 +471,7 @@ class FlashCard:
             with StageSpan(self.sim, request, "storage"):
                 yield self.sim.timeout(self.timing.cmd_overhead_ns)
                 try:
-                    # A process, not ``yield from``: its scheduling step
-                    # orders same-instant chip work, so flattening moves
-                    # results.
-                    yield self.sim.process(chip.erase(addr))
+                    yield from chip.erase(addr)
                 except EraseError:
                     self.badblocks.mark_bad(addr)
                     raise

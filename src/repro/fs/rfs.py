@@ -51,7 +51,6 @@ class RFS:
     """
 
     def __init__(self, sim: Simulator, device: StorageDevice):
-        self.sim = sim
         self.device = device
         self.core = FtlCore(sim, device, device, name="rfs")
         self.page_size = device.geometry.page_size
@@ -78,7 +77,6 @@ class RFS:
         inode = self._files.get(name) or self.create(name)
         # Invalidate the old version's pages (log-structured overwrite).
         for lpn in inode.lpns:
-            yield self.sim.timeout(0)
             self.core.map.unmap(lpn)
         inode.lpns = []
         inode.size = len(data)

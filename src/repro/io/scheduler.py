@@ -32,6 +32,7 @@ from collections import OrderedDict, deque
 from typing import Deque, Dict, Optional, Tuple
 
 from ..sim import Event, Simulator
+from ..sim.resources import _resolved
 
 __all__ = [
     "QueueEntry",
@@ -453,12 +454,28 @@ class ScheduledResource:
         """Event firing when the policy grants this waiter a unit.
 
         ``cost`` is the accounted quantity this grant consumes (bytes
-        for I/O admission; 1 for unit-shaped resources).
+        for I/O admission; 1 for unit-shaped resources).  An
+        uncontended grant (free capacity, empty queue, policy ready)
+        returns pre-resolved, as :class:`~repro.sim.resources.Resource`
+        does; it still passes through the policy's ``push`` and ``pop``,
+        so virtual time and token buckets are charged as for a queued
+        grant.
         """
         event = Event(self.sim)
         entry = QueueEntry(next(self._seq), tenant, priority, deadline_ns,
                            event, cost=cost)
-        self.policy.push(entry)
+        policy = self.policy
+        if self.in_use < self.capacity and not len(policy):
+            policy.push(entry)
+            now = self.sim.now
+            ready = policy.next_ready_ns(now)
+            if ready > now:
+                self._park(ready)
+                return event
+            self.in_use += 1
+            policy.pop(now)
+            return _resolved(event)
+        policy.push(entry)
         self._pump()
         return event
 

@@ -12,7 +12,6 @@ Public surface:
 """
 
 from .core import (
-    AnyOf,
     Event,
     Process,
     SimulationError,
@@ -33,7 +32,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AnyOf",
     "SimulationError",
     "Store",
     "Resource",

@@ -23,12 +23,14 @@ two observations profiled from the heavy scenarios (``qd_sweep``,
   and the loop compares the ready lane's head ticket against the heap
   top's ticket on time ties, so the merged order is exactly the order
   the single heap used to produce — results are bit-identical.
-* **Process wakeups don't need Event objects.**  Bootstrapping a new
-  process and resuming one that yielded an already-processed event
-  used to allocate a throwaway ``Event`` each.  The
-  ready lane carries those as plain ``(ticket, None, resume, value,
-  ok)`` tuples instead — no allocation beyond the tuple, no callback
-  list, one call to wake.
+* **Process wakeups don't need fresh Event objects.**  Bootstrapping
+  a new process and resuming one that yielded an already-processed
+  event used to allocate a throwaway ``Event`` each.  The ready lane
+  carries those as plain ``(ticket, None, resume, event)`` tuples
+  instead, where ``event`` is the already-processed event itself (a
+  shared processed sentinel for the bootstrap) — no allocation beyond
+  the tuple, no callback list, and one frame per wake: the same
+  ``Process._resume`` that real events call back.
 
 Example
 -------
@@ -53,10 +55,12 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AnyOf",
     "Simulator",
     "SimulationError",
 ]
+
+
+_new = object.__new__
 
 
 class SimulationError(Exception):
@@ -67,11 +71,12 @@ class Event:
     """A one-shot occurrence at a point in simulated time.
 
     An event starts *pending*, becomes *triggered* once scheduled with a
-    value, and is *processed* after its callbacks have run.  Processes wait
-    on events by yielding them.
+    value, and is *processed* after its callbacks have run — marked by
+    ``callbacks`` becoming ``None``.  Processes wait on events by
+    yielding them.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered", "_processed")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -79,7 +84,6 @@ class Event:
         self._value: Any = None
         self._ok = True
         self._triggered = False
-        self._processed = False
 
     @property
     def triggered(self) -> bool:
@@ -118,34 +122,25 @@ class Event:
         return self
 
     def __repr__(self) -> str:
-        state = "processed" if self._processed else (
+        state = "processed" if self.callbacks is None else (
             "triggered" if self._triggered else "pending")
         return f"<{type(self).__name__} {state} at t={self.sim.now}>"
 
 
+#: The already-processed event a new process's bootstrap wake carries:
+#: resuming with it sends ``None``, which starts the generator.
+_STARTED = Event(None)
+_STARTED._triggered = True
+_STARTED.callbacks = None
+
+
 class Timeout(Event):
-    """An event that fires ``delay`` nanoseconds after creation."""
+    """An event that fires ``delay`` nanoseconds after creation.
+
+    Built only by :meth:`Simulator.timeout`, in one frame.
+    """
 
     __slots__ = ()
-
-    def __init__(self, sim: "Simulator", delay: int):
-        # Fully inlined (no Event.__init__ / _schedule calls): timeouts
-        # are the bulk of all heap traffic, so construction is one
-        # straight-line body.
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay}")
-        self.sim = sim
-        self.callbacks = []
-        self._value = None
-        self._ok = True
-        self._triggered = True
-        self._processed = False
-        eid = sim._eid
-        sim._eid = eid + 1
-        if delay:
-            heapq.heappush(sim._queue, (sim.now + delay, eid, self))
-        else:
-            sim._ready.append((eid, self))
 
 
 class Process(Event):
@@ -175,26 +170,26 @@ class Process(Event):
         self._value = None
         self._ok = True
         self._triggered = False
-        self._processed = False
         self._generator = generator
         self._name = name
         # Bootstrap: first resume at the current time, in scheduling
         # order — a direct ready-lane wake, no throwaway Event.
         eid = sim._eid
         sim._eid = eid + 1
-        sim._ready.append((eid, None, self._proceed, None, True))
+        sim._ready.append((eid, None, self._resume, _STARTED))
 
     def _resume(self, event: Event) -> None:
-        """Callback form of :meth:`_proceed`, attached to real events."""
-        self._proceed(event._value, event._ok)
+        """Resume the generator with ``event``'s outcome.
 
-    def _proceed(self, value: Any, ok: bool) -> None:
+        The one resume body: real events call it back, and direct
+        ready-lane wakes call it with the already-processed event.
+        """
         sim = self.sim
         try:
-            if ok:
-                result = self._send(value)
+            if event._ok:
+                result = self._send(event._value)
             else:
-                result = self._generator.throw(value)
+                result = self._generator.throw(event._value)
         except StopIteration as stop:
             self._triggered = True
             self._value = stop.value
@@ -224,70 +219,11 @@ class Process(Event):
             # Already processed: resume immediately at the current time.
             eid = sim._eid
             sim._eid = eid + 1
-            sim._ready.append((eid, None, self._proceed,
-                               result._value, result._ok))
+            sim._ready.append((eid, None, self._resume, result))
         else:
             raise SimulationError(
                 f"process {self._name or self._generator.__name__!r} "
                 f"yielded {result!r}, expected an Event")
-
-
-class AnyOf(Event):
-    """Fires as soon as any constituent event fires; the kernel's only
-    composite wait."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        Event.__init__(self, sim)
-        self.events = list(events)
-        if not self.events:
-            self.succeed({})
-            return
-        for ev in self.events:
-            if self._triggered:
-                # An earlier already-processed constituent decided the
-                # composite; don't leave dead callbacks on the rest.
-                break
-            if ev.callbacks is None:
-                self._check(ev)
-            else:
-                ev.callbacks.append(self._check)
-
-    def _check(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-        else:
-            self.succeed(self._results())
-        self._detach()
-
-    def _detach(self) -> None:
-        """Drop ``_check`` from every still-pending constituent.
-
-        Once the composite has fired, the losing siblings must not keep
-        a reference to it: a long-lived pending event re-used across
-        many ``any_of`` waits (a Session worker's in-flight request
-        window, open-loop in-flight tails) would otherwise accumulate
-        one dead callback per wait — unbounded memory growth and a
-        linear callback scan when it finally fires.
-        """
-        check = self._check
-        for ev in self.events:
-            callbacks = ev.callbacks
-            if callbacks is not None:
-                try:
-                    callbacks.remove(check)
-                except ValueError:
-                    pass
-
-    def _results(self) -> dict:
-        return {
-            i: ev._value
-            for i, ev in enumerate(self.events)
-            if ev._triggered
-        }
 
 
 class Simulator:
@@ -311,8 +247,8 @@ class Simulator:
         self._queue: list = []
         #: FIFO of immediate work at the current time.  Entries are
         #: ``(ticket, event)`` for zero-delay events and
-        #: ``(ticket, None, resume, value, ok)`` for direct process
-        #: wakes that need no Event object.
+        #: ``(ticket, None, resume, event)`` for direct process wakes
+        #: on an already-processed event.
         self._ready: deque = deque()
         #: Next scheduling ticket (a plain int beats itertools.count at
         #: this call volume).
@@ -327,15 +263,28 @@ class Simulator:
 
     def timeout(self, delay: int) -> Timeout:
         """An event firing ``delay`` ns from now."""
-        return Timeout(self, int(delay))
+        delay = int(delay)
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay {delay}")
+        # One straight-line frame (no Timeout.__init__, no _schedule):
+        # timeouts are the bulk of all heap traffic.
+        event = _new(Timeout)
+        event.sim = self
+        event.callbacks = []
+        event._value = None
+        event._ok = True
+        event._triggered = True
+        eid = self._eid
+        self._eid = eid + 1
+        if delay:
+            heapq.heappush(self._queue, (self.now + delay, eid, event))
+        else:
+            self._ready.append((eid, event))
+        return event
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Register ``generator`` as a concurrently-running process."""
         return Process(self, generator, name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event firing when the first of ``events`` fires."""
-        return AnyOf(self, events)
 
     # -- scheduling / main loop ----------------------------------------
     def _schedule(self, event: Event, delay: int) -> None:
@@ -380,8 +329,8 @@ class Simulator:
                     entry = popleft()
                     event = entry[1]
                     if event is None:
-                        # Direct process wake — no Event, no callbacks.
-                        entry[2](entry[3], entry[4])
+                        # Direct process wake on a processed event.
+                        entry[2](entry[3])
                         continue
             elif queue:
                 head = queue[0]
@@ -395,7 +344,6 @@ class Simulator:
                 break
             callbacks = event.callbacks
             event.callbacks = None
-            event._processed = True
             for callback in callbacks:
                 callback(event)
         if until is not None:

@@ -38,7 +38,6 @@ def _resolved(event: Event, value: Any = None) -> Event:
     it.
     """
     event._triggered = True
-    event._processed = True
     event._value = value
     event.callbacks = None
     return event

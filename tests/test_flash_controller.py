@@ -13,7 +13,7 @@ from repro.flash import (
     UncorrectablePageError,
     WearTracker,
 )
-from repro.sim import Simulator, units
+from repro.sim import Process, Simulator, units
 
 GEO = FlashGeometry(buses_per_card=2, chips_per_bus=2, blocks_per_chip=4,
                     pages_per_block=4, page_size=64, cards_per_node=1)
@@ -211,6 +211,35 @@ class TestWriteErasePath:
         with pytest.raises(EraseError):
             sim.run_process(proc(sim))
         assert card.badblocks.is_bad(addr)
+
+
+class TestChipOperationsInline:
+    """The card runs chip operations inline, with no ``Process``, yet
+    each costs the same scheduling tickets a spawned chip process did
+    (its bootstrap and completion are now two zero-delay turns)."""
+
+    @pytest.mark.parametrize("op, tickets", [
+        ("read_page", 12), ("write_page", 12), ("erase_block", 8)])
+    def test_idle_card_op_tickets_and_processes(self, sim, monkeypatch,
+                                                op, tickets):
+        card = make_card(sim)
+        addr = PhysAddr(bus=1, chip=1, block=2, page=0)
+        if op == "read_page":
+            card.store.program(addr, b"page")
+        args = (addr, b"x" * GEO.page_size) if op == "write_page" else (addr,)
+        built = []
+        init = Process.__init__
+
+        def counting_init(self, *init_args, **kwargs):
+            built.append(self)
+            init(self, *init_args, **kwargs)
+
+        monkeypatch.setattr(Process, "__init__", counting_init)
+        before = sim._eid
+        # run_process's own process draws two of the tickets.
+        sim.run_process(getattr(card, op)(*args))
+        assert sim._eid - before == tickets
+        assert len(built) == 1  # run_process's own
 
 
 class TestErrorPath:

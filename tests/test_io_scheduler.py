@@ -1,6 +1,8 @@
 """Tests for the pluggable QoS scheduling policies (repro.io.scheduler)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.io import (
     POLICIES,
@@ -13,7 +15,7 @@ from repro.io import (
     StrictPriorityPolicy,
     make_policy,
 )
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 
 
 def _entry(seq, tenant="t", priority=0, deadline=None):
@@ -225,3 +227,75 @@ class TestScheduledResource:
         assert len(res.policy) == 2
         sim.run()
         assert len(res.policy) == 0
+
+
+class AlwaysQueued(ScheduledResource):
+    """The grant path without the uncontended fast path: every request
+    is queued in the policy, then pumped."""
+
+    def request(self, tenant="default", priority=0, deadline_ns=None,
+                cost=1):
+        event = Event(self.sim)
+        self.policy.push(QueueEntry(next(self._seq), tenant, priority,
+                                    deadline_ns, event, cost=cost))
+        self._pump()
+        return event
+
+
+def _policy_state(policy):
+    """The policy's accounting: WFQ virtual time and finish tags, token
+    balances and refill clocks (absent attributes read as None)."""
+    return {attr: getattr(policy, attr, None)
+            for attr in ("_vtime", "_finish", "_tokens", "_refilled_ns")}
+
+
+class TestUncontendedGrant:
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_uncontended_request_is_pre_resolved(self, name):
+        sim = Simulator()
+        res = ScheduledResource(sim, capacity=1, policy=name)
+        grant = res.request(tenant="a", cost=4096)
+        assert grant.callbacks is None
+        assert res.in_use == 1 and len(res.policy) == 0
+        # A contended request queues as before.
+        assert res.request(tenant="a").callbacks == []
+
+    _ops = st.lists(st.tuples(
+        st.integers(0, 60),                       # arrival
+        st.sampled_from(["a", "b", "c"]),         # tenant
+        st.sampled_from([0, 512, 4096, 20000]),   # cost
+        st.integers(0, 3),                        # priority
+        st.one_of(st.none(), st.integers(0, 300)),  # deadline
+        st.integers(0, 40)),                      # hold
+        min_size=1, max_size=25)
+
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    @given(ops=_ops, capacity=st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_fast_path_matches_always_queued(self, name, ops, capacity):
+        # Same grant order and times, same scheduling tickets and the
+        # same policy accounting as a resource that queues every grant.
+        def run(cls):
+            sim = Simulator()
+            res = cls(sim, capacity=capacity, policy=name)
+            res.configure_tenant("a", weight=2.0, rate_bytes_per_ns=50.0,
+                                 burst_bytes=8192)
+            res.configure_tenant("b", weight=0.5, rate_bytes_per_ns=20.0)
+            grants = []
+
+            def user(i, arrival, tenant, cost, priority, deadline, hold):
+                yield sim.timeout(arrival)
+                yield res.request(tenant=tenant, priority=priority,
+                                  deadline_ns=deadline, cost=cost)
+                grants.append((i, sim.now))
+                yield sim.timeout(hold)
+                res.release()
+
+            for i, op in enumerate(ops):
+                sim.process(user(i, *op))
+            sim.run()
+            return grants, sim._eid, _policy_state(res.policy)
+
+        fast, queued = run(ScheduledResource), run(AlwaysQueued)
+        assert len(fast[0]) == len(ops)
+        assert fast == queued

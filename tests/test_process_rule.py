@@ -8,7 +8,10 @@ sequential sub-step is therefore run with ``yield from``; a process is
 kept for fan-out joined later, an independent lifetime, or
 fire-and-forget issue, none of which yields the ``process(...)`` call
 directly.  This test parses every source file and fails on any
-``yield <x>.process(...)``, naming the file and line.
+``yield <x>.process(...)``, naming the file and line; no site is
+exempt.  (The flash card's chip operations, once exempt, run inline:
+two zero-delay turns stand where the process's bootstrap and
+completion were, so same-instant chip arbitration is unchanged.)
 
 The timer rule: a step nobody waits on is a timer callback.  A spawned
 generator whose only waits are one ``timeout(...)`` and at most one
@@ -23,15 +26,9 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
-#: The only spawn-and-wait sites allowed: ``FlashCard``'s three chip
-#: operations.  Their extra scheduling step decides same-instant chip
-#: arbitration (and so which program an injected fault hits), so
-#: flattening them changes results; see ``flash/controller.py``.
-ALLOWED = {
-    ("flash/controller.py", "chip.read(addr)"),
-    ("flash/controller.py", "chip.program(addr, data)"),
-    ("flash/controller.py", "chip.erase(addr)"),
-}
+#: Spawn-and-wait sites allowed, as ``(relative path, argument
+#: source)``: none.
+ALLOWED: set = set()
 
 
 def _parsed_sources():
@@ -59,7 +56,7 @@ def spawn_and_wait_sites():
     return sites
 
 
-def test_no_spawn_and_wait_outside_the_chip_operations():
+def test_no_spawn_and_wait():
     sites = spawn_and_wait_sites()
     offending = [f"src/repro/{path}:{line}: yield ....process({arg})"
                  for path, line, arg in sites if (path, arg) not in ALLOWED]

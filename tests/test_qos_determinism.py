@@ -94,7 +94,7 @@ def test_fig13_scenario_is_deterministic():
 
 @pytest.mark.parametrize("queue_depth", [1, 16, 64])
 def test_qd_sweep_scenario_is_deterministic(queue_depth):
-    # The async submission pump (AnyOf windows, out-of-order batch
+    # The async submission pump (wake-event windows, out-of-order batch
     # completions) must not introduce ordering nondeterminism.
     spec = _shorten(qd_sweep_spec(queue_depth), 1_000_000)
     first, second = _run_twice(spec)

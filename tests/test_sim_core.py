@@ -1,9 +1,13 @@
 """Tests for the discrete-event simulation kernel."""
 
+import itertools
+import random
+
 import pytest
 
+from repro.api import ScenarioSpec, Session, TenantSpec, WorkloadSpec
+from repro.flash import FlashGeometry
 from repro.sim import (
-    AnyOf,
     Event,
     SimulationError,
     Simulator,
@@ -181,35 +185,67 @@ class TestEvents:
             sim.event().fail("not an exception")
 
 
-class TestConditions:
-    def test_any_of_fires_on_fastest(self, sim):
-        def proc(sim):
-            events = [sim.timeout(10), sim.timeout(30)]
-            yield sim.any_of(events)
-            return sim.now
+class TestSessionWindow:
+    """``Session``'s any-order request window waits on one wake event
+    per round, succeeded by the round's first completion."""
 
-        assert sim.run_process(proc(sim)) == 10
+    GEO = FlashGeometry(buses_per_card=2, chips_per_bus=2,
+                        blocks_per_chip=4, pages_per_block=4,
+                        page_size=64, cards_per_node=1)
 
-    def test_any_of_empty_fires_immediately(self, sim):
-        def proc(sim):
-            yield sim.any_of([])
-            return sim.now
+    def drive(self, scripts, depth, deadline):
+        """Run one ISP window worker whose ``k``-th operation waits out
+        the delays of ``scripts``' ``k``-th entry.  Returns the times the
+        worker resumed, the completions counted and the final clock."""
+        tenant = TenantSpec("t", access="isp", workers=1)
+        session = Session(ScenarioSpec(
+            name="window", geometry=self.GEO,
+            workload=WorkloadSpec(duration_ns=deadline, queue_depth=depth,
+                                  tenants=(tenant,))))
+        sim = session.sim
+        scripts = iter(scripts)
 
-        assert sim.run_process(proc(sim)) == 0
+        def issue(kind, index):
+            for delay in next(scripts):
+                yield sim.timeout(delay)
 
-    def test_any_of_collects_values(self, sim):
-        def fire(sim, event, delay, value):
-            yield sim.timeout(delay)
-            event.succeed(value)
+        resumes = []
 
-        def proc(sim):
-            events = [sim.event(), sim.event()]
-            sim.process(fire(sim, events[0], 1, "x"))
-            sim.process(fire(sim, events[1], 2, "y"))
-            results = yield sim.any_of(events)
-            return sim.now, results
+        def watched(worker):
+            value = None
+            while True:
+                try:
+                    event = worker.send(value)
+                except StopIteration:
+                    return
+                value = yield event
+                resumes.append(sim.now)
 
-        assert sim.run_process(proc(sim)) == (1, {0: "x"})
+        counters = {"t": 0}
+        sim.process(watched(session._async_worker(
+            tenant, random.Random(0), 0, issue, deadline, counters, depth)))
+        sim.run()
+        return resumes, counters["t"], sim.now
+
+    def test_one_resume_per_completion_round(self):
+        # Ops 1 and 2 finish at t=5, op 2 only after the wake fired; op 3
+        # finishes at t=20, the two refills at t=25.  The worker resumes
+        # once at t=5 and once at t=20: op 2's late completion is
+        # counted but wakes no later round.
+        resumes, completed, now = self.drive(
+            [[5], [5, 0], [20], [20], [20]], depth=3, deadline=10)
+        assert resumes == [5, 20]
+        assert completed == 5
+        assert now == 25
+
+    def test_zero_time_rounds_still_advance_time(self):
+        # Every op completes in zero simulated time: each round is
+        # followed by a 1 ns step, so the window closes at the deadline.
+        resumes, completed, now = self.drive(
+            itertools.repeat([0]), depth=2, deadline=3)
+        assert resumes == [0, 1, 1, 2, 2, 3]
+        assert completed == 6
+        assert now == 3
 
 
 class TestRunControl:

@@ -3,9 +3,10 @@
 The DES hot loop carries three structural optimizations (see
 ``docs/architecture.md``): zero-delay events ride a FIFO ready lane
 instead of the time heap, resolved-resource handshakes skip the
-scheduler round-trip, and process resumption is a pre-bound
-``generator.send``.  The structural tests pin those properties
-directly — they cannot flake.  The throughput floors are a coarse
+scheduler round-trip, and process resumption is one frame — a single
+``Process._resume`` that calls a pre-bound ``generator.send``, for
+event callbacks and direct ready-lane wakes alike.  The structural
+tests pin those properties directly — they cannot flake.  The throughput floors are a coarse
 backstop (set ~10x below measured rates on a developer machine) that
 only trips when the kernel regresses wholesale, e.g. an accidental
 re-introduction of per-event heap traffic or per-resume allocation.
@@ -15,7 +16,7 @@ import time
 
 import pytest
 
-from repro.sim import SimulationError, Simulator, Store
+from repro.sim import Event, Process, SimulationError, Simulator, Store
 
 
 # -- structure: the fast lanes exist ------------------------------------
@@ -53,10 +54,51 @@ def test_ready_lane_merges_with_heap_in_ticket_order():
     assert order == ["b", "a"]
 
 
+def test_one_resume_body():
+    # No trampoline: callbacks and direct wakes both call _resume.
+    assert not hasattr(Process, "_proceed")
+
+
+def test_direct_wakes_carry_a_processed_event():
+    sim = Simulator()
+    store = Store(sim)
+    store.put_nowait("x")
+    waits = []
+
+    def taker(sim):
+        waits.append((yield store.get()))
+
+    proc = sim.process(taker(sim))
+    # The bootstrap: (ticket, None, resume, processed sentinel).
+    ticket, none, resume, event = sim._ready[0]
+    assert none is None and resume == proc._resume
+    assert event.callbacks is None and event._ok
+    sim._ready.popleft()
+    resume(event)
+    # An uncontended get is pre-resolved: the wake carries that event.
+    ticket, none, resume, event = sim._ready[0]
+    assert none is None and resume == proc._resume
+    assert event.callbacks is None and event._value == "x"
+    sim.run()
+    assert waits == ["x"]
+
+
+def test_processed_is_callbacks_none():
+    # No separate processed flag: callbacks is None means processed.
+    assert "_processed" not in Event.__slots__
+    sim = Simulator()
+    event = sim.timeout(0)
+    sim.run()
+    assert event.callbacks is None
+
+
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.timeout(-1)
+    # Fractional delays are truncated to whole nanoseconds.
+    sim.timeout(2.9)
+    assert sim._queue[0][0] == 2
 
 
 # -- throughput floors: wholesale-regression backstop -------------------
