@@ -14,11 +14,14 @@ The pin file holds two kinds of exact values:
 * ``workloads``: for each ``bench/workloads.py`` workload at seed 0
   and scale 0.05, the ``RunResult`` digest (sha256 of ``to_json()``),
   the simulator's event count, the ``Process`` objects built, the
-  completed requests and the sha256 of every FTL core's GC victim
-  order.  ``tests/test_golden.py`` asserts them.
+  completed requests, the sha256 of every FTL core's GC victim order
+  and the profiled calls of ``src/repro`` functions per layer.
+  ``tests/test_golden.py`` asserts them.
 
 The script runs every experiment serially, rewrites every sha256 and
 workload entry, and leaves each ``wall_clock_s`` baseline untouched.
+The ``calls`` pins hold Python 3.10/3.11 counts; on other versions
+they are kept as they are (:data:`CALLS_PINNED`).
 It exits 1 if an experiment with a ``wall_clock_s`` baseline ran more
 than ``WALL_CLOCK_FACTOR`` times slower than it: shared machines are
 noisy, so the gate only trips on a wholesale blow-up.  After a run,
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import cProfile
 import gc
 import hashlib
 import importlib.util
@@ -46,6 +50,7 @@ import io
 import json
 import multiprocessing
 import pathlib
+import pstats
 import runpy
 import sys
 import tempfile
@@ -95,6 +100,10 @@ WALL_CLOCK_FACTOR = 3.0
 WORKLOAD_SEED = 0
 WORKLOAD_SCALE = 0.05
 REGENERATE = "python benchmarks/golden.py"
+#: Python versions whose profiled call counts the ``calls`` pins hold.
+#: 3.10 and 3.11 count alike; 3.12 inlines comprehensions (PEP 709),
+#: so they stop counting as calls and every layer's count moves.
+CALLS_PINNED = (3, 10) <= sys.version_info[:2] < (3, 12)
 
 #: ``src/repro`` functions the reachability check exempts though no
 #: entry point runs them in this process, one reason each (at most 8).
@@ -122,13 +131,33 @@ def load_pins() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-def workload_specs() -> dict:
-    """``bench/workloads.py``'s ``SPECS``, imported by file path."""
-    path = ROOT / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def _bench_module(name: str):
+    """``bench/<name>.py``, imported by file path."""
+    path = ROOT / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.SPECS
+    return module
+
+
+def workload_specs() -> dict:
+    """``bench/workloads.py``'s ``SPECS``."""
+    return _bench_module("workloads").SPECS
+
+
+def layer_calls(profile) -> dict:
+    """``{layer: calls}`` of a cProfile, in ``bench/layers.py``'s
+    order: calls (a generator's resumptions included) of functions
+    defined under ``src/repro``, summed by ``layer_of``.  Builtins and
+    the standard library are left out; their counts differ between
+    Python versions."""
+    layers = _bench_module("layers")
+    calls = dict.fromkeys(layers.LAYERS, 0)
+    for (path, _, _), entry in pstats.Stats(profile).stats.items():
+        layer = layers.layer_of(path)
+        if layer is not None:
+            calls[layer] += entry[1]
+    return {layer: n for layer, n in calls.items() if n}
 
 
 def gc_victims_sha256(session) -> str:
@@ -153,7 +182,8 @@ def workload_pin(make_spec) -> dict:
     ``processes`` counts the ``Process`` objects built from
     ``Session(spec)`` through ``run()`` (what ``bench/`` reports per
     completion as ``sim.processes_per_req``); ``gc_victims`` is
-    :func:`gc_victims_sha256`.
+    :func:`gc_victims_sha256`; ``calls`` is :func:`layer_calls` over
+    the same span, run under cProfile.
     """
     processes = 0
     init = Process.__init__
@@ -163,18 +193,26 @@ def workload_pin(make_spec) -> dict:
         processes += 1
         init(self, *args, **kwargs)
 
+    # Cyclic GC stays off while profiling: collecting an earlier run's
+    # garbage closes its suspended generators, and each close would
+    # count as a call of this run.
+    gc.collect()
+    gc.disable()
     Process.__init__ = counting_init
     try:
-        session = Session(make_spec(WORKLOAD_SEED, WORKLOAD_SCALE))
-        result = session.run()
+        with cProfile.Profile() as profile:
+            session = Session(make_spec(WORKLOAD_SEED, WORKLOAD_SCALE))
+            result = session.run()
     finally:
         Process.__init__ = init
+        gc.enable()
     return {
         "digest": hashlib.sha256(result.to_json().encode()).hexdigest(),
         "events": session.sim._eid,
         "processes": processes,
         "completions": sum(result.metrics["completions"].values()),
         "gc_victims": gc_victims_sha256(session),
+        "calls": layer_calls(profile),
     }
 
 
@@ -282,7 +320,8 @@ def entry_points_entered() -> set:
 
 def pin_all() -> bool:
     """Rewrite every pin; True if the wall-clock gate tripped."""
-    old = load_pins()["experiments"]
+    pins = load_pins()
+    old = pins["experiments"]
     experiments: dict = {}
     slow = []
     for exp in all_experiments():
@@ -304,13 +343,18 @@ def pin_all() -> bool:
                 line += "  REGRESSION"
         experiments[exp.exp_id] = entry
         print(line, flush=True)
-    workloads = {name: workload_pin(make_spec)
-                 for name, make_spec in workload_specs().items()}
+    workloads = {}
+    for name, make_spec in workload_specs().items():
+        workloads[name] = workload_pin(make_spec)
+        if not CALLS_PINNED:
+            workloads[name]["calls"] = pins["workloads"][name]["calls"]
     GOLDEN_PATH.write_text(json.dumps(
         {"experiments": experiments, "workloads": workloads},
         indent=2) + "\n")
     print(f"wrote {len(experiments)} experiment and {len(workloads)} "
           f"workload pins to {GOLDEN_PATH.name}")
+    if not CALLS_PINNED:
+        print("calls pins kept: they hold Python 3.10/3.11 counts")
     if slow:
         print(f"{len(slow)} experiment(s) ran over {WALL_CLOCK_FACTOR:g}x "
               f"their wall_clock_s baseline: {', '.join(slow)}",
