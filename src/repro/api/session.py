@@ -211,15 +211,12 @@ class Session:
         reliability = ({} if fault is None else
                        {"wear_leveling": fault.wear_leveling,
                         "wl_spread_threshold": fault.wl_spread_threshold})
-        volume = LogicalVolume(
+        return LogicalVolume(
             self.sim, node.device, gc_port,
             overprovision=volume_spec.overprovision,
             allocation=volume_spec.allocation,
             gc_low_watermark=volume_spec.gc_low_watermark,
             name=name, **reliability)
-        if fault is not None:
-            volume.reliability_stats_enabled = True
-        return volume
 
     def _attach_tenant(self, tenant: TenantSpec, target, window: tuple,
                        fill: float) -> None:

@@ -134,7 +134,7 @@ def write_amplification(overprovision: float) -> tuple:
             yield from ftl.write(lpn, f"w{i}".encode())
 
     sim.run_process(workload(sim))
-    return ftl.core.write_amplification(), ftl.core.gc_runs
+    return ftl.core.write_amplification(), len(ftl.core.gc_victims)
 
 
 @experiment("ablation_ftl",

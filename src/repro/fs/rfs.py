@@ -46,7 +46,7 @@ class RFS:
 
     File pages are logical pages of an :class:`FtlCore` that does its
     foreground and GC I/O on the raw device; counters live on
-    :attr:`core` (``core.write_amplification()``, ``core.gc_runs``,
+    :attr:`core` (``core.write_amplification()``, ``core.stats()``,
     ...).
     """
 
@@ -97,7 +97,7 @@ class RFS:
         inode = self.stat(name)
         extents = []
         for lpn in inode.lpns:
-            addr = self.core.physical_of(lpn)
+            addr = self.core.map.lookup(lpn)
             if addr is None:
                 raise RuntimeError(
                     f"file {name!r} page lpn={lpn} has no mapping "

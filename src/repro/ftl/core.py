@@ -15,13 +15,10 @@ victim tiebreak, and every invariant the PR-5 review pass hardened:
   re-read after the relocation read *and* after the relocation write,
   so a foreground overwrite or TRIM completing while the copy was in
   flight keeps the newer state (the abandoned copy is retired
-  programmed-and-invalid and counted in ``gc_stale_moves``);
-* **completion-time write accounting** — a write charges
-  ``user_writes``/``total_programs`` only when its program completes; a
-  failed program charges nothing and retires its page
-  programmed-and-invalid, so the identity
-  ``total_programs == user + gc_moved + gc_stale`` always holds and no
-  free space leaks;
+  programmed-and-invalid and charged to nobody);
+* **completion-time write accounting** — a write is charged only when
+  its program completes; a failed program charges nothing and retires
+  its page programmed-and-invalid, so no free space leaks;
 * **the per-block program-order gate** — same-block programs are gated
   into allocation order (ascending pages) before they are issued, so
   concurrent writers racing through independently-arbitrated paths
@@ -55,14 +52,25 @@ caller's host-interface flows for foreground I/O and its dedicated
 low-priority ``volume-gc`` splitter port as ``gc_port``, so relocation
 is QoS-arbitrated.
 
-Write amplification is accounted per owner: each committed write bumps
-its owner's ``user_writes``; each GC relocation bumps the owning
-tenant's ``gc_moved`` (ownership = the registered LBA window containing
-the moved page, the core's ``name`` when none matches).
+Everything the core did is counted once, in one ledger: :attr:`FtlCore.ops`
+maps ``(op, cause, owner)`` to a count.  The ops are ``program`` (a
+page programmed), ``fail`` (a failed program that was rewritten),
+``lose`` (a page of acknowledged data gone), ``retire`` (a block
+retired to the grown-bad table), ``erase`` (a wear-leveling migration's
+erase) and ``retire_chip`` (a chip evacuated); the causes are ``user``,
+``gc``, ``wl`` (static wear leveling), ``evacuate`` and ``prefill``.  A
+page program is charged to its owner: the writing tenant for a user
+write, the tenant whose LBA window holds the page for a relocation
+(the core's ``name`` when no window matches), and nobody (``None``)
+for a relocated copy a foreground write overtook.  Every number the
+core reports (:meth:`FtlCore.stats`, :meth:`FtlCore.reliability_stats`,
+:meth:`FtlCore.write_amplification`) is a view over the ledger, so
+``total_programs == user + relocated`` holds by construction.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..flash import (
@@ -85,6 +93,9 @@ __all__ = ["FtlCore", "OutOfSpaceError", "WEAR_LEVELING_MODES"]
 WEAR_LEVELING_MODES = ("none", "static")
 
 _BlockKey = Tuple[int, int, int, int, int]
+
+#: The causes whose programs relocate valid pages.
+RELOCATIONS = ("gc", "wl", "evacuate")
 
 
 class OutOfSpaceError(Exception):
@@ -151,47 +162,30 @@ class FtlCore:
         #: (start, end, tenant) LBA ownership windows, in registration
         #: order; GC relocation is attributed to the owning tenant.
         self._owners: List[Tuple[int, int, str]] = []
-        self.user_writes: Dict[str, int] = {}
-        self.gc_moved: Dict[str, int] = {}
-        self.total_programs = 0
-        self.gc_runs = 0
-        self.gc_moved_pages = 0
-        #: relocations a foreground write/TRIM overtook mid-flight: the
-        #: copy was programmed but discarded (never remapped).
-        self.gc_stale_moves = 0
+        #: (op, cause, owner) -> count: the one ledger (module docstring).
+        self.ops: Counter = Counter()
         #: collected victim block keys in collection order — GC victim
         #: order is reproducible by construction (deterministic
         #: tiebreak), and this is the pin equivalence tests compare.
         self.gc_victims: List[_BlockKey] = []
-        self.prefilled_pages = 0
         #: blocks that ate a program failure: they keep serving reads
         #: and filling normally, but are retired (grown-bad) instead of
         #: released at their next erase — the firmware-style
         #: retire-at-erase lifecycle.
         self._suspect: Set[_BlockKey] = set()
-        #: foreground writes recovered by rewriting to a fresh page.
-        self.recovered_writes = 0
-        self.bad_blocks_retired = 0
-        #: pages whose relocation read came back uncorrectable: the
-        #: only copy is gone; the LPN is unmapped (reads as erased).
-        self.gc_lost_pages = 0
-        #: unrecoverable losses, however discovered (GC or foreground).
-        self.lost_pages = 0
         self.first_loss_ns: Optional[int] = None
         #: user writes completed when the first page was lost — the
         #: lifetime experiment's TBW-to-first-loss numerator.
         self.first_loss_user_writes: Optional[int] = None
-        self.wl_migrations = 0
-        self.evacuated_pages = 0
-        self.chips_evacuated = 0
         self._wl_last_total_erases = -1
 
     # -- ownership / accounting -----------------------------------------
     def register_owner(self, start: int, end: int, tenant: str) -> None:
         """Attribute the LBA window ``[start, end)`` to ``tenant``."""
         self._owners.append((start, end, tenant))
-        self.user_writes.setdefault(tenant, 0)
-        self.gc_moved.setdefault(tenant, 0)
+        # Seeded so registered tenants lead the per-owner views.
+        self.ops.setdefault(("program", "user", tenant), 0)
+        self.ops.setdefault(("program", "gc", tenant), 0)
 
     def owner_of(self, lpn: int) -> str:
         """The tenant owning ``lpn``'s window (the core name if none)."""
@@ -200,9 +194,23 @@ class FtlCore:
                 return tenant
         return self.name
 
-    @property
-    def user_writes_total(self) -> int:
-        return sum(self.user_writes.values())
+    # -- ledger views ----------------------------------------------------
+    def _count(self, op: str, causes) -> int:
+        """``op``'s total over ``causes``, every owner included."""
+        total = 0
+        for (kind, cause, _), n in self.ops.items():
+            if kind == op and cause in causes:
+                total += n
+        return total
+
+    def _charged(self, causes) -> Dict[str, int]:
+        """Pages programmed for ``causes`` per owner, in the order the
+        owners were first charged; stale copies (owner None) left out."""
+        owners: Dict[str, int] = {}
+        for (op, cause, owner), n in self.ops.items():
+            if op == "program" and cause in causes and owner is not None:
+                owners[owner] = owners.get(owner, 0) + n
+        return owners
 
     def write_amplification(self, tenant: Optional[str] = None) -> float:
         """Programs per user write: 1.0 = no GC traffic charged.
@@ -212,21 +220,36 @@ class FtlCore:
         volume-wide aggregate.  Stale (abandoned) copies are charged to
         nobody: they are GC overhead, not any tenant's data movement.
         """
-        if tenant is not None:
-            user = self.user_writes.get(tenant, 0)
-            if user == 0:
-                return 1.0
-            return (user + self.gc_moved.get(tenant, 0)) / user
-        user = self.user_writes_total
-        if user == 0:
-            return 1.0
-        return (user + self.gc_moved_pages) / user
+        user, moved = self._charged(("user",)), self._charged(RELOCATIONS)
+        if tenant is None:
+            user, moved = sum(user.values()), sum(moved.values())
+        else:
+            user, moved = user.get(tenant, 0), moved.get(tenant, 0)
+        return (user + moved) / user if user else 1.0
+
+    def stats(self) -> Dict[str, object]:
+        """The accounting block of a volume's stats, in metric order;
+        the reliability block joins it when faults are injected."""
+        user = self._charged(("user",))
+        moved = self._charged(RELOCATIONS)
+        moved_pages = sum(moved.values())
+        relocated = self._count("program", RELOCATIONS)
+        stats = {
+            "user_writes": user,
+            "gc_moved": moved,
+            "gc_runs": len(self.gc_victims),
+            "gc_moved_pages": moved_pages,
+            "gc_stale_moves": relocated - moved_pages,
+            "total_programs": sum(user.values()) + relocated,
+            "write_amplification": {
+                tenant: self.write_amplification(tenant) for tenant in user},
+            "overall_write_amplification": self.write_amplification(),
+        }
+        if self.device.faults is not None:
+            stats["reliability"] = self.reliability_stats()
+        return stats
 
     # -- mapping ---------------------------------------------------------
-    def physical_of(self, lpn: int) -> Optional[PhysAddr]:
-        """Current physical location of a logical page (None=unmapped)."""
-        return self.map.lookup(lpn)
-
     @staticmethod
     def _key(addr: PhysAddr) -> _BlockKey:
         return addr[:5]
@@ -347,13 +370,11 @@ class FtlCore:
         on a real device.  The user write is charged to ``owner`` (the
         core's name by default) at completion too.
         """
-        addr = yield from self._program(lpn, data, write_page, args)
+        addr = yield from self._program(lpn, data, write_page, args, "user")
         self.map.map_page(lpn, addr)
-        owner = owner or self.name
-        self.user_writes[owner] = self.user_writes.get(owner, 0) + 1
+        self.ops["program", "user", owner or self.name] += 1
 
-    def _program(self, lpn: int, data: bytes, write_page, args=(),
-                 relocation: bool = False):
+    def _program(self, lpn: int, data: bytes, write_page, args, cause: str):
         """Program ``data`` on a fresh page, recovering from program
         failures (DES generator) -> the programmed page.
 
@@ -366,12 +387,13 @@ class FtlCore:
         Any other error retires the page (never mapped, so invalid —
         the block keeps filling toward GC eligibility) and propagates.
 
-        Foreground programs allocate under the lock (collecting first
-        if space is low); ``relocation`` programs already run inside
-        the lock, under GC, and take the next free page directly.
+        Foreground (``user``) programs allocate under the lock
+        (collecting first if space is low); relocation programs already
+        run inside the lock and take the next free page directly.  The
+        caller charges the program once it knows the owner.
         """
         for _attempt in range(self.MAX_PROGRAM_ATTEMPTS):
-            if relocation:
+            if cause != "user":
                 addr = self.allocator.next_page()
                 if addr is None:
                     raise OutOfSpaceError("GC found no destination page")
@@ -381,13 +403,12 @@ class FtlCore:
             try:
                 yield from write_page(addr, data, *args)
             except (ProgramFailedError, BadBlockProgramError):
-                self.note_program_failure(addr)
+                self.note_program_failure(addr, cause)
                 continue
             except BaseException:
                 self.retire_page(addr)
                 raise
             self.program_done(addr)
-            self.total_programs += 1
             return addr
         raise ProgramFailedError(
             f"programming LPN {lpn} failed {self.MAX_PROGRAM_ATTEMPTS} "
@@ -421,7 +442,7 @@ class FtlCore:
         """
         self.program_done(addr)
 
-    def note_program_failure(self, addr: PhysAddr) -> None:
+    def note_program_failure(self, addr: PhysAddr, cause: str) -> None:
         """Record an injected program failure the write path recovered.
 
         The burned page retires programmed-and-invalid and its block
@@ -431,34 +452,36 @@ class FtlCore:
         """
         self.retire_page(addr)
         self._suspect.add(self._key(addr))
-        self.recovered_writes += 1
+        self.ops["fail", cause, None] += 1
 
-    def _record_loss(self) -> None:
+    def _record_loss(self, cause: str) -> None:
         """One page of acknowledged data is unrecoverable."""
-        self.lost_pages += 1
+        self.ops["lose", cause, None] += 1
         if self.first_loss_ns is None:
             self.first_loss_ns = self.sim.now
-            self.first_loss_user_writes = self.user_writes_total
+            self.first_loss_user_writes = self._count("program", ("user",))
 
     def note_read_loss(self, lpn: int) -> None:
         """A foreground read came back uncorrectable: the mapping is
         dropped (the LPN reads as erased from now on) and the loss is
         recorded.  The card already retired the block."""
         self.map.unmap(lpn)
-        self._record_loss()
+        self._record_loss("user")
 
     def reliability_stats(self) -> Dict[str, object]:
-        """The injector-independent recovery/retirement counters."""
+        """The injector-independent recovery/retirement counters;
+        ``gc_lost_pages`` are the losses relocation found."""
+        every = ("user",) + RELOCATIONS
         return {
-            "recovered_writes": self.recovered_writes,
-            "bad_blocks_retired": self.bad_blocks_retired,
-            "gc_lost_pages": self.gc_lost_pages,
-            "lost_pages": self.lost_pages,
+            "recovered_writes": self._count("fail", every),
+            "bad_blocks_retired": self._count("retire", RELOCATIONS),
+            "gc_lost_pages": self._count("lose", RELOCATIONS),
+            "lost_pages": self._count("lose", every),
             "first_loss_ns": self.first_loss_ns,
             "first_loss_user_writes": self.first_loss_user_writes,
-            "wl_migrations": self.wl_migrations,
-            "evacuated_pages": self.evacuated_pages,
-            "chips_evacuated": self.chips_evacuated,
+            "wl_migrations": self.ops["erase", "wl", None],
+            "evacuated_pages": sum(self._charged(("evacuate",)).values()),
+            "chips_evacuated": self.ops["retire_chip", "evacuate", None],
             "wear_spread": self.device.wear.spread(),
             "grown_bad_blocks": self.device.badblocks.grown_bad_count,
         }
@@ -496,14 +519,14 @@ class FtlCore:
                 self.program_done(addr)
                 mapped = 1
             lpn += mapped
-            self.prefilled_pages += mapped
+            self.ops["program", "prefill", None] += mapped
 
     # -- garbage collection ----------------------------------------------
     def ensure_space(self):
         """Collect until the free-block floor holds (DES generator; the
         allocation lock must already be held)."""
         while self.allocator.free_blocks < self.gc_low_watermark:
-            freed = yield from self.collect_once()
+            freed = yield from self.collect_once("gc")
             if not freed:
                 break
         if self.wear_leveling == "static":
@@ -548,12 +571,10 @@ class FtlCore:
         if spread < self.wl_spread_threshold:
             return
         self._wl_last_total_erases = total
-        freed = yield from self.collect_once(victim_key=victim_key,
-                                             force=True)
-        if freed:
-            self.wl_migrations += 1
+        yield from self.collect_once("wl", victim_key)
+        self.ops["erase", "wl", None] += 1
 
-    def _relocate_valid_pages(self, victim: PhysAddr):
+    def _relocate_valid_pages(self, victim: PhysAddr, cause: str):
         """Move every still-valid page of ``victim`` elsewhere (DES
         generator) — the shared relocation loop of GC, wear leveling,
         and chip evacuation.
@@ -568,7 +589,8 @@ class FtlCore:
         A relocation read that comes back ECC-uncorrectable is an
         unrecoverable loss: the only copy is gone, the LPN is unmapped
         (it reads as erased from now on), and the loss is counted —
-        the collection pass itself keeps going.
+        the collection pass itself keeps going.  Programs and losses
+        are charged to ``cause``.
         """
         for page_addr in list(self.map.valid_pages_of(victim)):
             lpn = self.map.reverse(page_addr)
@@ -579,27 +601,24 @@ class FtlCore:
             except UncorrectablePageError:
                 if self.map.reverse(page_addr) == lpn:
                     self.map.unmap(lpn)
-                    self.gc_lost_pages += 1
-                    self._record_loss()
+                    self._record_loss(cause)
                 continue
             if self.map.reverse(page_addr) != lpn:
                 # A foreground write or TRIM overtook the relocation
                 # while the read was in flight: nothing left to move.
                 continue
             dest = yield from self._program(lpn, result.data,
-                                            self.gc_port.write_page,
-                                            relocation=True)
+                                            self.gc_port.write_page, (),
+                                            cause)
             if self.map.reverse(page_addr) != lpn:
                 # Overtaken during the program: the copy at ``dest`` is
                 # stale.  Keep the newer mapping (or the TRIM) — never
                 # clobber it with relocated data — and leave ``dest``
                 # programmed-and-invalid for a later GC pass.
-                self.gc_stale_moves += 1
+                self.ops["program", cause, None] += 1
                 continue
             self.map.map_page(lpn, dest)
-            owner = self.owner_of(lpn)
-            self.gc_moved[owner] = self.gc_moved.get(owner, 0) + 1
-            self.gc_moved_pages += 1
+            self.ops["program", cause, self.owner_of(lpn)] += 1
 
     def _await_no_readers(self, victim_key: _BlockKey):
         """Erase barrier: foreground reads that resolved a page of this
@@ -610,8 +629,8 @@ class FtlCore:
             self._read_gates.setdefault(victim_key, []).append(gate)
             yield gate
 
-    def collect_once(self, victim_key: Optional[_BlockKey] = None,
-                     force: bool = False):
+    def collect_once(self, cause: str,
+                     victim_key: Optional[_BlockKey] = None):
         """Greedy GC: relocate the fewest-valid full block through the
         GC port, erase it.  Returns True if reclaimed.
 
@@ -623,10 +642,10 @@ class FtlCore:
         on every run and every facade — GC victim order is reproducible
         by construction, never an artifact of set-iteration order.
 
-        ``victim_key``/``force`` serve the static wear leveler: an
-        explicit victim is collected even when every page is still
-        valid (a pure migration frees no space but moves the cold data
-        off a barely-erased block).
+        ``cause`` is ``gc`` or ``wl``, the static wear leveler, whose
+        explicit ``victim_key`` is collected even when every page is
+        still valid (a pure migration frees no space but moves the cold
+        data off a barely-erased block).
 
         A failed erase (injected fault or endurance exceeded — the card
         already marked the block grown-bad) is not fatal: the block is
@@ -638,14 +657,13 @@ class FtlCore:
         if victim_key is None:
             return False
         victim = self._addr_of(victim_key)
-        if (not force and self.map.valid_count(victim)
+        if (cause == "gc" and self.map.valid_count(victim)
                 >= self.geometry.pages_per_block):
             # Every page still valid: nothing to reclaim anywhere.
             return False
         self.map.unseal(victim_key)
-        self.gc_runs += 1
         self.gc_victims.append(victim_key)
-        yield from self._relocate_valid_pages(victim)
+        yield from self._relocate_valid_pages(victim, cause)
         yield from self._await_no_readers(victim_key)
         try:
             yield from self.gc_port.erase_block(victim)
@@ -663,7 +681,7 @@ class FtlCore:
             self.device.badblocks.mark_bad(victim)
         if not erased or self.device.badblocks.is_bad(victim):
             self.allocator.retire_block(victim)
-            self.bad_blocks_retired += 1
+            self.ops["retire", cause, None] += 1
         else:
             self.allocator.release_block(victim)
         return True
@@ -673,7 +691,7 @@ class FtlCore:
         -> bool reclaimed."""
         yield self._lock.request()
         try:
-            reclaimed = yield from self.collect_once()
+            reclaimed = yield from self.collect_once("gc")
         finally:
             self._lock.release()
         return reclaimed
@@ -694,8 +712,7 @@ class FtlCore:
                      or self.map.valid_count(victim) > 0)
         if not had_state:
             return False
-        moved_before = self.gc_moved_pages
-        yield from self._relocate_valid_pages(victim)
+        yield from self._relocate_valid_pages(victim, "evacuate")
         yield from self._await_no_readers(key)
         self.map.drop_block(victim)
         self.map.unseal(key)
@@ -703,8 +720,7 @@ class FtlCore:
         self._suspect.discard(key)
         self.device.badblocks.mark_bad(victim)
         self.allocator.retire_block(victim)
-        self.bad_blocks_retired += 1
-        self.evacuated_pages += self.gc_moved_pages - moved_before
+        self.ops["retire", "evacuate", None] += 1
         return True
 
     def evacuate_chip(self, card: int, bus: int, chip: int):
@@ -732,4 +748,4 @@ class FtlCore:
                 yield from self.evacuate_block(card, bus, chip, block)
             finally:
                 self._lock.release()
-        self.chips_evacuated += 1
+        self.ops["retire_chip", "evacuate", None] += 1

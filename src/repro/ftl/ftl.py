@@ -26,7 +26,7 @@ class BlockDeviceFTL:
     A thin shell over :class:`FtlCore` that hands the core its
     :class:`StorageDevice` for foreground and GC I/O alike.  Counters
     live on :attr:`core` (``core.write_amplification()``,
-    ``core.gc_runs``, ...).
+    ``core.stats()``, ...).
     """
 
     def __init__(self, sim: Simulator, device: StorageDevice,

@@ -33,11 +33,12 @@ in-block order rule holds across commands, not just within one
 multi-page command.  Both invariants live in the shared core, so the
 driver FTL and RFS facades get them too.
 
-Write amplification is accounted per tenant: each logical write bumps
-its issuer's ``user_writes``; each GC relocation bumps the *owning*
-tenant's ``gc_moved`` (ownership = the registered LBA window containing
-the moved page), so ``core.write_amplification(tenant)`` reports
-``(user + relocated) / user`` — the classic WA definition, per tenant.
+Write amplification is accounted per tenant in the core's ledger
+(:attr:`FtlCore.ops`): each logical write is charged to its issuer;
+each GC relocation to the *owning* tenant (ownership = the registered
+LBA window containing the moved page), so
+``core.write_amplification(tenant)`` reports ``(user + relocated) /
+user`` — the classic WA definition, per tenant.
 """
 
 from __future__ import annotations
@@ -78,11 +79,6 @@ class LogicalVolume:
                             wl_spread_threshold=wl_spread_threshold)
         self.logical_pages = int(
             device.geometry.pages_per_node * (1.0 - overprovision))
-        #: when True, :meth:`stats` adds the reliability counter block
-        #: — set by the session for FaultSpec-bearing scenarios (and
-        #: here when wear leveling is on) so fault-free runs keep their
-        #: exact pre-reliability JSON shape.
-        self.reliability_stats_enabled = wear_leveling != "none"
 
     # -- ownership / accounting -----------------------------------------
     def register_owner(self, start: int, size: int, tenant: str) -> None:
@@ -94,29 +90,19 @@ class LogicalVolume:
         self.core.register_owner(start, start + size, tenant)
 
     def stats(self) -> dict:
-        """JSON-ready counters for ``RunResult.metrics``."""
+        """JSON-ready counters for ``RunResult.metrics``: the volume's
+        capacity, then the core's accounting block
+        (:meth:`FtlCore.stats`)."""
         core = self.core
-        stats = {
+        return {
             "logical_pages": self.logical_pages,
             "mapped_pages": core.map.mapped_count,
-            "prefilled_pages": core.prefilled_pages,
+            "prefilled_pages": core.ops["program", "prefill", None],
             "free_blocks": core.allocator.free_blocks,
             "allocation": core.allocation,
             "overprovision": self.overprovision,
-            "user_writes": dict(core.user_writes),
-            "gc_moved": dict(core.gc_moved),
-            "gc_runs": core.gc_runs,
-            "gc_moved_pages": core.gc_moved_pages,
-            "gc_stale_moves": core.gc_stale_moves,
-            "total_programs": core.total_programs,
-            "write_amplification": {
-                tenant: core.write_amplification(tenant)
-                for tenant in core.user_writes},
-            "overall_write_amplification": core.write_amplification(),
+            **core.stats(),
         }
-        if self.reliability_stats_enabled:
-            stats["reliability"] = core.reliability_stats()
-        return stats
 
     # -- mapping ---------------------------------------------------------
     def _check_lpn(self, lpn: int) -> None:

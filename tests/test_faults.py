@@ -339,11 +339,12 @@ class TestRawDeviceShellsRecover:
 
     @staticmethod
     def _assert_recovered(core):
-        assert core.recovered_writes > 0
-        assert core.gc_runs > 0
-        assert core.total_programs == (core.user_writes_total
-                                       + core.gc_moved_pages
-                                       + core.gc_stale_moves)
+        assert core.reliability_stats()["recovered_writes"] > 0
+        assert len(core.gc_victims) > 0
+        stats = core.stats()
+        assert stats["total_programs"] == (sum(stats["user_writes"].values())
+                                           + stats["gc_moved_pages"]
+                                           + stats["gc_stale_moves"])
 
     def test_block_device_ftl_survives_program_failures(self):
         sim, device = self._faulty_device()
@@ -365,7 +366,7 @@ class TestRawDeviceShellsRecover:
             return readback
 
         readback = sim.run_process(proc(sim))
-        assert ftl.core.user_writes_total == n_writes
+        assert sum(ftl.core.stats()["user_writes"].values()) == n_writes
         for lpn, data in latest.items():
             assert readback[lpn] == data + b"\xff" * (GEO.page_size
                                                       - len(data))

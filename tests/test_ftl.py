@@ -183,9 +183,9 @@ class TestLogCore:
 
         def proc(sim):
             yield from write_lpn(core, 1, b"v1")
-            first = core.physical_of(1)
+            first = core.map.lookup(1)
             yield from write_lpn(core, 1, b"v2")
-            second = core.physical_of(1)
+            second = core.map.lookup(1)
             data = yield from read_lpn(core, 1)
             return first, second, data
 
@@ -207,8 +207,8 @@ class TestLogCore:
 
         data = sim.run_process(proc(sim))
         assert data.startswith(b"hot data")
-        assert core.gc_runs > 0
-        assert core.gc_moved_pages >= 0
+        assert core.stats()["gc_runs"] > 0
+        assert core.stats()["gc_moved_pages"] >= 0
         assert chip_ops["erase"] > 0
 
     def test_write_amplification_accounting(self, sim, device):
@@ -221,7 +221,8 @@ class TestLogCore:
         sim.process(proc(sim))
         sim.run()
         assert core.write_amplification() >= 1.0
-        assert core.user_writes_total == 2 * GEO.pages_per_node
+        assert core.stats()["user_writes"] == {
+            "ftl": 2 * GEO.pages_per_node}
 
     def test_trim_then_read_erased(self, sim, device):
         core = raw_core(sim, device)
@@ -291,14 +292,15 @@ class TestLegacyCoreGCRaces:
         device.write_page = racy_write_page
         assert sim.run_process(core.force_gc())
         # The newer mapping survived; the stale copy was abandoned.
-        assert core.physical_of(8) == race["fresh"]
+        assert core.map.lookup(8) == race["fresh"]
         assert core.map.reverse(race["fresh"]) == 8
         assert core.map.reverse(race["stale_dest"]) is None
-        assert core.gc_stale_moves == 1
-        assert core.gc_moved_pages == 1                 # LPN 12 only
+        stats = core.stats()
+        assert stats["gc_stale_moves"] == 1
+        assert stats["gc_moved_pages"] == 1             # LPN 12 only
         # total = user + moved + stale (the fresh page was mapped
         # behind the accounting's back, so it charges nothing).
-        assert core.total_programs == 16 + 1 + 1
+        assert stats["total_programs"] == 16 + 1 + 1
 
     def test_trim_during_relocation_write_not_resurrected(self, sim,
                                                           device):
@@ -314,10 +316,11 @@ class TestLegacyCoreGCRaces:
 
         device.write_page = racy_write_page
         assert sim.run_process(core.force_gc())
-        assert core.physical_of(8) is None
+        assert core.map.lookup(8) is None
         assert core.map.reverse(calls[0]) is None
-        assert core.gc_stale_moves == 1
-        assert core.gc_moved_pages == 1
+        stats = core.stats()
+        assert stats["gc_stale_moves"] == 1
+        assert stats["gc_moved_pages"] == 1
 
     def test_trim_during_relocation_read_skips_the_copy(self, sim,
                                                         device):
@@ -335,10 +338,11 @@ class TestLegacyCoreGCRaces:
 
         device.read_page = racy_read_page
         assert sim.run_process(core.force_gc())
-        assert core.physical_of(8) is None
-        assert core.gc_stale_moves == 0
-        assert core.gc_moved_pages == 1
-        assert core.total_programs == 16 + 1
+        assert core.map.lookup(8) is None
+        stats = core.stats()
+        assert stats["gc_stale_moves"] == 0
+        assert stats["gc_moved_pages"] == 1
+        assert stats["total_programs"] == 16 + 1
 
 
 class TestLegacyCoreAccounting:
@@ -365,19 +369,20 @@ class TestLegacyCoreAccounting:
         device.write_page = exploding_write_page
         with pytest.raises(RuntimeError, match="program lost"):
             sim.run_process(write_lpn(core, 0, b"x"))
-        assert core.user_writes_total == 0
-        assert core.total_programs == 0
+        assert core.stats()["user_writes"] == {}
+        assert core.stats()["total_programs"] == 0
         assert core.write_amplification() == 1.0
-        assert core.physical_of(0) is None
+        assert core.map.lookup(0) is None
         # The burned page counts toward its block's fill...
         assert sum(core._program_next.values()) == 1
         # ...and does not gate later same-block programs.
         sim.run_process(write_lpn(core, 0, b"y"))
-        assert core.physical_of(0) is not None
-        assert core.user_writes_total == 1
-        assert core.total_programs == (core.user_writes_total
-                                       + core.gc_moved_pages
-                                       + core.gc_stale_moves)
+        assert core.map.lookup(0) is not None
+        stats = core.stats()
+        assert stats["user_writes"] == {"ftl": 1}
+        assert stats["total_programs"] == (sum(stats["user_writes"].values())
+                                           + stats["gc_moved_pages"]
+                                           + stats["gc_stale_moves"])
 
 
 class TestLegacyCoreVictimOrder:
@@ -420,7 +425,7 @@ class TestBlockDeviceFTL:
         sim.process(proc(sim))
         sim.run()
         assert ftl.core.write_amplification() >= 1.0
-        assert ftl.core.gc_runs > 0
+        assert len(ftl.core.gc_victims) > 0
 
     def test_data_integrity_across_gc(self, sim, device):
         ftl = BlockDeviceFTL(sim, device, overprovision=0.5,

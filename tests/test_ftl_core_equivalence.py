@@ -118,22 +118,24 @@ def test_facades_are_the_same_ftl(ops):
 
     # Identical GC victim sequence, by construction.
     assert ftl_core.gc_victims == vol_core.gc_victims
-    assert ftl_core.gc_runs == vol_core.gc_runs
 
     # Identical write-amplification accounting (owners differ in name
     # only: 'ftl' vs the iface tenant).
-    assert ftl_core.user_writes_total == vol_core.user_writes_total
-    assert ftl_core.total_programs == vol_core.total_programs
-    assert ftl_core.gc_moved_pages == vol_core.gc_moved_pages
-    assert ftl_core.gc_stale_moves == vol_core.gc_stale_moves == 0
+    ftl_stats, vol_stats = ftl_core.stats(), vol_core.stats()
+    assert ftl_stats["gc_runs"] == vol_stats["gc_runs"]
+    assert (sum(ftl_stats["user_writes"].values())
+            == sum(vol_stats["user_writes"].values()))
+    assert ftl_stats["total_programs"] == vol_stats["total_programs"]
+    assert ftl_stats["gc_moved_pages"] == vol_stats["gc_moved_pages"]
+    assert ftl_stats["gc_stale_moves"] == vol_stats["gc_stale_moves"] == 0
     assert (ftl_core.write_amplification()
             == vol_core.write_amplification())
 
     # The accounting identity holds on both facades.
-    for core in (ftl_core, vol_core):
-        assert core.total_programs == (core.user_writes_total
-                                       + core.gc_moved_pages
-                                       + core.gc_stale_moves)
+    for stats in (ftl_stats, vol_stats):
+        assert stats["total_programs"] == (sum(stats["user_writes"].values())
+                                           + stats["gc_moved_pages"]
+                                           + stats["gc_stale_moves"])
 
     # Reads observed the same bytes in the same order.
     assert ftl_reads == vol_reads

@@ -87,7 +87,8 @@ def test_bulk_prefill_matches_page_at_a_time(mode, bad, retired, runs):
     outcome = run(FtlCore.prefill, bulk, runs)
     assert outcome == run(reference_prefill, reference, runs)
     if outcome == "ok":
-        assert bulk.prefilled_pages == sum(count for _, count in runs)
+        assert (bulk.ops["program", "prefill", None]
+                == sum(count for _, count in runs))
     assert state(bulk) == state(reference)
 
 

@@ -260,13 +260,14 @@ def _rfs_under_gc_pressure() -> str:
 
     sim.run_process(workload(sim))
     core = fs.core
+    stats = core.stats()
     return json.dumps({
         "elapsed_ns": sim.now,
-        "user_writes": dict(core.user_writes),
-        "total_programs": core.total_programs,
-        "gc_runs": core.gc_runs,
-        "gc_moved_pages": core.gc_moved_pages,
-        "gc_stale_moves": core.gc_stale_moves,
+        "user_writes": stats["user_writes"],
+        "total_programs": stats["total_programs"],
+        "gc_runs": stats["gc_runs"],
+        "gc_moved_pages": stats["gc_moved_pages"],
+        "gc_stale_moves": stats["gc_stale_moves"],
         "gc_victims": [list(v) for v in core.gc_victims],
         "write_amplification": core.write_amplification(),
     }, sort_keys=True)

@@ -154,7 +154,7 @@ class TestLogicalVolume:
         # consecutive LPNs sit at consecutive striped indices.
         indices = []
         for lpn in range(volume.logical_pages):
-            addr = volume.core.physical_of(lpn)
+            addr = volume.core.map.lookup(lpn)
             if addr is None:
                 break
             indices.append(GEO.striped_index(addr))
@@ -171,9 +171,9 @@ class TestLogicalVolume:
 
         def proc(sim):
             yield sim.process(iface.write_lpn(volume, 3, fill))
-            first = volume.core.physical_of(3)
+            first = volume.core.map.lookup(3)
             yield sim.process(iface.write_lpn(volume, 3, fill))
-            second = volume.core.physical_of(3)
+            second = volume.core.map.lookup(3)
             data = yield sim.process(iface.read_lpn(volume, 3))
             return first, second, data
 
@@ -208,9 +208,9 @@ class TestLogicalVolume:
         volume = session.volumes[0]
         assert session.sim.now == 0
         expected = int(0.5 * volume.logical_pages)
-        assert volume.core.prefilled_pages == expected
+        assert volume.core.ops["program", "prefill", None] == expected
         assert volume.core.map.mapped_count == expected
-        assert sum(volume.core.user_writes.values()) == 0
+        assert sum(volume.core.stats()["user_writes"].values()) == 0
         assert volume.core.write_amplification() == 1.0
 
     def test_gc_reclaims_and_charges_write_amplification(self):
@@ -255,17 +255,17 @@ class TestLogicalVolume:
         with pytest.raises(RuntimeError, match="program lost"):
             sim.run_process(volume.write_flow(
                 ExplodingIface(), 0, b"x" * GEO.page_size, False, None))
-        assert sum(volume.core.user_writes.values()) == 0
-        assert volume.core.total_programs == 0
+        assert sum(volume.core.stats()["user_writes"].values()) == 0
+        assert volume.core.stats()["total_programs"] == 0
         assert volume.core.write_amplification() == 1.0
-        assert volume.core.physical_of(0) is None
+        assert volume.core.map.lookup(0) is None
         # The burned page counts toward its block's fill...
         assert sum(volume.core._program_next.values()) == 1
         # ...and does not gate later same-block programs.
         iface = session._ifaces["vol"]
         sim.run_process(iface.write_lpn(volume, 0, b"y" * GEO.page_size))
-        assert volume.core.physical_of(0) is not None
-        assert sum(volume.core.user_writes.values()) == 1
+        assert volume.core.map.lookup(0) is not None
+        assert sum(volume.core.stats()["user_writes"].values()) == 1
 
     def test_write_beyond_capacity_raises_out_of_space(self):
         # Overprovision 0 and a full prefill: the very first GC-less
@@ -338,12 +338,13 @@ class TestGCRelocationRaces:
         volume.core.gc_port.write_page = racy_write_page
         assert sim.run_process(volume.core.force_gc())
         # The newer mapping survived; the stale copy was abandoned.
-        assert volume.core.physical_of(8) == race["fresh"]
+        assert volume.core.map.lookup(8) == race["fresh"]
         assert volume.core.map.reverse(race["fresh"]) == 8
         assert volume.core.map.reverse(race["stale_dest"]) is None
-        assert volume.core.gc_stale_moves == 1
-        assert volume.core.gc_moved_pages == 2          # LPNs 4 and 12
-        assert volume.core.gc_moved["vol"] == 2
+        stats = volume.core.stats()
+        assert stats["gc_stale_moves"] == 1
+        assert stats["gc_moved_pages"] == 2             # LPNs 4 and 12
+        assert stats["gc_moved"]["vol"] == 2
 
     def test_trim_during_relocation_write_not_resurrected(self):
         session, volume = raced_volume()
@@ -359,10 +360,11 @@ class TestGCRelocationRaces:
 
         volume.core.gc_port.write_page = racy_write_page
         assert sim.run_process(volume.core.force_gc())
-        assert volume.core.physical_of(8) is None
+        assert volume.core.map.lookup(8) is None
         assert volume.core.map.reverse(calls[1]) is None
-        assert volume.core.gc_stale_moves == 1
-        assert volume.core.gc_moved_pages == 2
+        stats = volume.core.stats()
+        assert stats["gc_stale_moves"] == 1
+        assert stats["gc_moved_pages"] == 2
 
     def test_trim_during_relocation_read_skips_the_copy(self):
         # Overtaken while the read was still in flight: GC must skip
@@ -380,10 +382,11 @@ class TestGCRelocationRaces:
 
         volume.core.gc_port.read_page = racy_read_page
         assert sim.run_process(volume.core.force_gc())
-        assert volume.core.physical_of(8) is None
-        assert volume.core.gc_stale_moves == 0
-        assert volume.core.gc_moved_pages == 2
-        assert volume.core.total_programs == 2
+        assert volume.core.map.lookup(8) is None
+        stats = volume.core.stats()
+        assert stats["gc_stale_moves"] == 0
+        assert stats["gc_moved_pages"] == 2
+        assert stats["total_programs"] == 2
 
 
 # ----------------------------------------------------------------------
