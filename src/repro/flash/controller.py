@@ -25,7 +25,7 @@ import random
 from typing import Dict, Optional, Tuple
 
 from ..io import BatchStageSpan, IORequest, StageSpan
-from ..sim import Counter, Resource, Simulator, Store, units
+from ..sim import Resource, Simulator, Store, units
 from . import ecc
 from .chip import (
     BadBlockProgramError,
@@ -144,8 +144,8 @@ class FlashCard:
 
         # Fault counts the benchmarks read; the per-read ECC correction
         # count rides on each ReadResult.
-        self.uncorrectable = Counter("uncorrectable")
-        self.program_failures = Counter("program_failures")
+        self.uncorrectable = 0
+        self.program_failures = 0
 
     # -- internals ---------------------------------------------------------
     def _chip(self, addr: PhysAddr) -> FlashChip:
@@ -220,7 +220,7 @@ class FlashCard:
             try:
                 data, corrected_bits = ecc.decode_page(data, parity)
             except ecc.UncorrectableError:
-                self.uncorrectable.add()
+                self.uncorrectable += 1
                 self.badblocks.mark_bad(addr)
                 raise UncorrectablePageError(addr) from None
         return ReadResult(addr, data, tag, corrected_bits)
@@ -391,7 +391,7 @@ class FlashCard:
         finally:
             self._tag_pool.put_nowait(tag)
 
-    def _lane_program(self, pages, failures: Optional[list] = None):
+    def _lane_program(self, pages, failures: list):
         """Program one chip's share of a multi-page command, in order.
 
         An injected :class:`~repro.flash.chip.ProgramFailedError` stops
@@ -402,8 +402,6 @@ class FlashCard:
             try:
                 yield from self._page_program(addr, data, chip, request)
             except ProgramFailedError as exc:
-                if failures is None:
-                    raise
                 failures.append(exc)
                 return
 
@@ -439,7 +437,7 @@ class FlashCard:
                 # The block is NOT marked bad here — its already-
                 # programmed sibling pages must stay readable; the FTL
                 # retires it as suspect at its next erase instead.
-                self.program_failures.add()
+                self.program_failures += 1
                 raise
 
     def write_page(self, addr: PhysAddr, data: bytes,

@@ -112,11 +112,11 @@ class StorageDevice:
 
     @property
     def program_failures(self) -> int:
-        return sum(card.program_failures.value for card in self.cards)
+        return sum(card.program_failures for card in self.cards)
 
     @property
     def uncorrectable_reads(self) -> int:
-        return sum(card.uncorrectable.value for card in self.cards)
+        return sum(card.uncorrectable for card in self.cards)
 
     def peak_read_bandwidth(self) -> float:
         """Aggregate card ceiling: 2 x 1.2 GB/s with paper defaults."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, Tuple
 
-from ..sim import Counter
 from .packet import Packet
 from .switch import NodeSwitch
 
@@ -54,8 +53,8 @@ class Endpoint:
         self._partial: Dict[Tuple[int, int], int] = {}
         # Payload-byte counters: what end-to-end bandwidth accounting
         # (e.g. remote-tenant QoS) reconciles against.
-        self.sent_bytes = Counter("sent-bytes")
-        self.received_bytes = Counter("received-bytes")
+        self.sent_bytes = 0
+        self.received_bytes = 0
 
     # -- send ---------------------------------------------------------------
     def send(self, dst: int, payload: Any, payload_bytes: int):
@@ -81,7 +80,7 @@ class Endpoint:
                 payload=payload if is_last else None,
                 payload_bytes=size, last=is_last, message_id=message_id)
             yield from self.switch.inject(packet)
-        self.sent_bytes.add(payload_bytes)
+        self.sent_bytes += payload_bytes
 
     # -- receive --------------------------------------------------------------
     def receive(self):
@@ -100,5 +99,5 @@ class Endpoint:
                 self._partial[key] = accumulated
                 continue
             self._partial.pop(key, None)
-            self.received_bytes.add(accumulated)
+            self.received_bytes += accumulated
             return Message(packet.src, packet.payload, accumulated)

@@ -115,13 +115,11 @@ class StorageNetwork:
         """
         return {
             "endpoint_sent_bytes": sum(
-                ep.sent_bytes.value for ep in self._endpoints.values()),
+                ep.sent_bytes for ep in self._endpoints.values()),
             "endpoint_received_bytes": sum(
-                ep.received_bytes.value
-                for ep in self._endpoints.values()),
+                ep.received_bytes for ep in self._endpoints.values()),
             "link_payload_bytes": sum(
-                link.payload_bytes.value for link in self.links),
+                link.payload_bytes for link in self.links),
             "forwarded_bytes": sum(
-                switch.forwarded_bytes.value
-                for switch in self.switches),
+                switch.forwarded_bytes for switch in self.switches),
         }

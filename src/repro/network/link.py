@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..sim import Counter, CreditPool, Resource, Simulator, Store
+from ..sim import CreditPool, Resource, Simulator, Store
 from .packet import NetworkConfig, Packet
 
 __all__ = ["SerialLink"]
@@ -38,7 +38,7 @@ class SerialLink:
         # Payload bytes serialized onto this wire — every hop charges
         # its own link, so an h-hop message shows up here h times while
         # the endpoint counters see it exactly once at each end.
-        self.payload_bytes = Counter(f"{name}-payload-bytes")
+        self.payload_bytes = 0
 
     def transmit(self, packet: Packet):
         """Send one packet (DES generator).
@@ -68,7 +68,7 @@ class SerialLink:
         # and the delay is constant.
         self.sim.timeout(self.config.hop_latency_ns).callbacks.append(
             lambda _event: self._rx_buffer.put_nowait(packet))
-        self.payload_bytes.add(size)
+        self.payload_bytes += size
 
     def receive(self):
         """Take the next packet off the receive buffer (DES generator).

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..sim import Counter, Simulator, Store
+from ..sim import Simulator, Store
 from .link import SerialLink
 from .packet import NetworkConfig, Packet
 from .routing import RoutingTable
@@ -32,7 +32,7 @@ class NodeSwitch:
         self.in_links: Dict[int, SerialLink] = {}
         # Receive buffers, one bounded FIFO per logical endpoint.
         self.endpoint_queues: Dict[int, Store] = {}
-        self.forwarded_bytes = Counter(f"node{node}-forwarded-bytes")
+        self.forwarded_bytes = 0
 
     # -- wiring (done by StorageNetwork at build time) ---------------------
     def attach_out(self, port: int, link: SerialLink) -> None:
@@ -88,5 +88,5 @@ class NodeSwitch:
                 yield self._deliver(packet)
             else:
                 port = self.table.next_port(packet.dst, packet.endpoint)
-                self.forwarded_bytes.add(packet.payload_bytes)
+                self.forwarded_bytes += packet.payload_bytes
                 yield from self.out_links[port].transmit(packet)

@@ -21,7 +21,6 @@ from .core import (
 from .resources import CreditPool, Resource, Store
 from .stats import (
     BandwidthLedger,
-    Counter,
     LatencyHistogram,
     UtilizationTracker,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "Store",
     "Resource",
     "CreditPool",
-    "Counter",
     "LatencyHistogram",
     "BandwidthLedger",
     "UtilizationTracker",

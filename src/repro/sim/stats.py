@@ -1,4 +1,5 @@
-"""Measurement utilities: counters, latency histograms, bandwidth ledgers.
+"""Measurement utilities: latency histograms, bandwidth ledgers,
+utilization trackers.
 
 Benchmarks reproduce the paper's figures from these collectors; they are
 deliberately simple so a reader can audit what each reported number means.
@@ -11,24 +12,7 @@ from typing import Dict, List, Optional
 from .core import Simulator
 from .units import bandwidth_gbytes
 
-__all__ = ["Counter", "LatencyHistogram", "BandwidthLedger",
-           "UtilizationTracker"]
-
-
-class Counter:
-    """A named monotonically-increasing counter."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter decrement not allowed ({amount})")
-        self.value += amount
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name!r}, {self.value})"
+__all__ = ["LatencyHistogram", "BandwidthLedger", "UtilizationTracker"]
 
 
 class LatencyHistogram:

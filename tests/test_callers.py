@@ -42,8 +42,12 @@ than ``__init__``, the :data:`MACHINE_RECORDS` whose fields are the
 modelled hardware's constants, and :data:`PARAMS_ALLOWED`.
 
 **Attributes.**  A ``self.<attr>`` store needs a load of ``<x>.<attr>``
-or a string constant spelling it.  Exception payloads are exempt:
-they are read by whoever catches them, often only a test.
+or a string constant spelling it.  A load whose item is stored into or
+deleted (``<x>.<attr>[k] = v``, ``<x>.<attr>[k] += n``, ``del
+<x>.<attr>[k]``) writes the attribute and does not count, so a dict
+or ledger that is only ever filled is caught too.  Exception payloads
+are exempt: they are read by whoever catches them, often only a
+test.
 
 Each failure names the file, line and qualified name.
 """
@@ -497,9 +501,13 @@ def scan_attrs(extra=()):
     exceptions = _exception_classes(parsed)
     stores, loads = {}, set()
     for module, tree, is_src in parsed:
+        item_stores = {id(node.value) for node in ast.walk(tree)
+                       if isinstance(node, ast.Subscript)
+                       and isinstance(node.ctx, (ast.Store, ast.Del))}
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
-                if isinstance(node.ctx, ast.Load):
+                if (isinstance(node.ctx, ast.Load)
+                        and id(node) not in item_stores):
                     loads.add(node.attr)
             elif (isinstance(node, ast.Constant)
                   and isinstance(node.value, str)):
@@ -582,7 +590,14 @@ SYNTHETIC_OPTIONS = [
      "    def __init__(self, zz_unpassed=1, zz_via_super=2):\n"
      "        self.zz_unpassed = zz_unpassed\n"
      "        self.zz_read = zz_via_super\n"
-     "        self.zz_unread = 0\n\n"
+     "        self.zz_unread = 0\n"
+     "        self.zz_filled = {}\n"
+     "        self.zz_tally = {}\n\n"
+     "    def zz_count(self, key):\n"
+     "        self.zz_filled[key] = 1\n"
+     "        self.zz_tally[key] += 1\n"
+     "        del self.zz_filled[key]\n"
+     "        return self.zz_tally[key]\n\n"
      "class ZzChild(ZzBase):\n"
      "    def __init__(self):\n"
      "        super().__init__(zz_via_super=3)\n\n"
@@ -625,9 +640,11 @@ def test_the_option_scans_judge_every_kind_of_use():
                 "zz_spec.py:ZzSpec(zz_field)",
                 "zz_spec.py:ZzSpec(zz_dict_key)"} & unpassed.keys()
     unread = scan_attrs(extra=SYNTHETIC_OPTIONS)
-    assert "zz_options.py:ZzBase.zz_unread" in unread
+    assert {"zz_options.py:ZzBase.zz_unread",
+            "zz_options.py:ZzBase.zz_filled"} <= unread.keys()
     assert not {"zz_options.py:ZzBase.zz_read",
-                "zz_options.py:ZzBase.zz_unpassed"} & unread.keys()
+                "zz_options.py:ZzBase.zz_unpassed",
+                "zz_options.py:ZzBase.zz_tally"} & unread.keys()
     # The allowlist stays short, and each entry is still an orphan.
     assert len(PARAMS_ALLOWED) <= 8
     assert PARAMS_ALLOWED <= scan_params().keys(), (

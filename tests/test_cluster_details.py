@@ -153,7 +153,7 @@ class TestRemotePathDetails:
                     0, PhysAddr(node=1, page=i))
 
         sim.run_process(proc(sim))
-        lanes = [cluster.network.endpoint(0, ep).received_bytes.value
+        lanes = [cluster.network.endpoint(0, ep).received_bytes
                  for ep in (1, 2)]
         assert lanes == [2 * page, 2 * page]
         assert not cluster.rpc._pending

@@ -299,6 +299,39 @@ class TestWritePathRecovery:
         assert rel["wl_migrations"] > 0
         assert rel["lost_pages"] == 0
 
+    def test_ledger_programs_match_the_chips(self, chip_ops):
+        # An oracle for the FTL ledger that counts the other way: every
+        # program the ledger charges (user writes, relocations by GC
+        # and wear leveling, stale copies) completed on a chip exactly
+        # once, and no other program did; every victim was erased once;
+        # every program the cards saw fail was rewritten.
+        fault = FaultSpec(seed=14, program_fail_rate=0.02,
+                          wear_leveling="static", wl_spread_threshold=2,
+                          endurance=1000)
+        spec = dataclasses.replace(
+            _fault_spec(fault, duration_ns=4_000_000, fill=1.0),
+            workload=WorkloadSpec(
+                duration_ns=4_000_000, queue_depth=8, drain=True,
+                tenants=(
+                    TenantSpec("hot", access="volume", workers=2,
+                               pattern="random", write_fraction=1.0,
+                               software_path=False, seed_base=7,
+                               addr_space=16, max_in_flight=4),
+                    TenantSpec("cold", access="volume", workers=1,
+                               pattern="random", write_fraction=0.0,
+                               software_path=False, seed_base=8,
+                               addr_space=64, max_in_flight=2),
+                )))
+        result = Session(spec).run()
+        stats = result.metrics["volume"][0]
+        rel = stats["reliability"]
+        faults = result.metrics["faults"][0]
+        assert stats["gc_runs"] > rel["wl_migrations"] > 0
+        assert rel["recovered_writes"] > 0
+        assert chip_ops["program"] == stats["total_programs"]
+        assert chip_ops["erase"] == stats["gc_runs"]
+        assert rel["recovered_writes"] == faults["device_program_failures"]
+
     def test_chip_evacuation_moves_live_data(self):
         fault = FaultSpec(seed=15, fail_chip=(0, 0, 0),
                           fail_chip_after_ns=500_000)

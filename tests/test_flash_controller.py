@@ -271,7 +271,7 @@ class TestErrorPath:
 
         with pytest.raises(UncorrectablePageError):
             sim.run_process(proc(sim))
-        assert card.uncorrectable.value == 1
+        assert card.uncorrectable == 1
         assert card.badblocks.is_bad(addr)
 
     def test_read_of_bad_block_rejected(self, sim):
@@ -304,7 +304,7 @@ class TestErrorPath:
             return result
 
         assert sim.run_process(proc(sim)).corrected_bits == 0
-        assert card.uncorrectable.value == 0
+        assert card.uncorrectable == 0
 
 
 class TestBandwidth:

@@ -323,7 +323,7 @@ class TestEndToEndFlowControl:
         # stall propagated backwards (link-level backpressure), and far
         # fewer than 100 sends completed -- but nothing was dropped.
         assert len(receiver_ep._queue.items) == CONFIG.endpoint_capacity
-        assert sender_ep.sent_bytes.value < 100 * 16
+        assert sender_ep.sent_bytes < 100 * 16
 
 
 class TestEthernetBaseline:

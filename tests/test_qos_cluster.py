@@ -56,13 +56,13 @@ def test_remote_tenant_bytes_match_network_counters(wfq_run):
         name = f"remote-{remote}"
         completed = result.metrics["completions"][name]
         received = sum(
-            network.endpoint(remote, ep).received_bytes.value
+            network.endpoint(remote, ep).received_bytes
             for ep in range(first_response_ep, spec.n_endpoints))
         assert received == completed * PAGE, (
             f"{name}: network delivered {received} B, accounting says "
             f"{completed * PAGE} B")
         # The request direction carries commands, not payload.
-        sent = network.endpoint(remote, 0).sent_bytes.value
+        sent = network.endpoint(remote, 0).sent_bytes
         assert sent == completed * 32
 
 

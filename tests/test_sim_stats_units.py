@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.sim import (
     BandwidthLedger,
-    Counter,
     LatencyHistogram,
     Simulator,
     UtilizationTracker,
@@ -61,18 +60,6 @@ class TestUnits:
         ns = units.transfer_ns(num_bytes, rate)
         observed = units.bandwidth_gbytes(num_bytes, ns)
         assert observed == pytest.approx(rate, rel=0.01)
-
-
-class TestCounter:
-    def test_add_and_reset(self):
-        c = Counter("ops")
-        c.add()
-        c.add(4)
-        assert c.value == 5
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Counter().add(-1)
 
 
 class TestLatencyHistogram:
