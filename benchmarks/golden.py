@@ -14,14 +14,17 @@ The pin file holds two kinds of exact values:
 * ``workloads``: for each ``bench/workloads.py`` workload at seed 0
   and scale 0.05, the ``RunResult`` digest (sha256 of ``to_json()``),
   the simulator's event count, the ``Process`` objects built, the
-  completed requests, the sha256 of every FTL core's GC victim order
-  and the profiled calls of ``src/repro`` functions per layer.
+  completed requests, the sha256 of every FTL core's GC victim order,
+  the profiled calls of ``src/repro`` functions per layer and the
+  ``tracemalloc`` bytes a built session holds (``setup_heap``), so
+  host memory is pinned as exactly as events are.
   ``tests/test_golden.py`` asserts them.
 
 The script runs every experiment serially, rewrites every sha256 and
 workload entry, and leaves each ``wall_clock_s`` baseline untouched.
-The ``calls`` pins hold Python 3.10/3.11 counts; on other versions
-they are kept as they are (:data:`CALLS_PINNED`).
+The ``calls`` pins hold Python 3.10/3.11 counts and the ``setup_heap``
+pins Python 3.11 bytes; on other versions they are kept as they are
+(:data:`CALLS_PINNED`, :data:`HEAP_PINNED`).
 It exits 1 if an experiment with a ``wall_clock_s`` baseline ran more
 than ``WALL_CLOCK_FACTOR`` times slower than it: shared machines are
 noisy, so the gate only trips on a wholesale blow-up.  After a run,
@@ -49,12 +52,15 @@ import importlib.util
 import io
 import json
 import multiprocessing
+import os
 import pathlib
 import pstats
 import runpy
+import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -104,6 +110,10 @@ REGENERATE = "python benchmarks/golden.py"
 #: 3.10 and 3.11 count alike; 3.12 inlines comprehensions (PEP 709),
 #: so they stop counting as calls and every layer's count moves.
 CALLS_PINNED = (3, 10) <= sys.version_info[:2] < (3, 12)
+#: The Python version whose allocations the ``setup_heap`` pins hold:
+#: object layouts change between minor versions (3.10 holds 1-8% less
+#: for the same sessions), so only one is pinned.
+HEAP_PINNED = sys.version_info[:2] == (3, 11)
 
 #: ``src/repro`` functions the reachability check exempts though no
 #: entry point runs them in this process, one reason each (at most 8).
@@ -176,15 +186,66 @@ def gc_victims_sha256(session) -> str:
     return hashlib.sha256(json.dumps(order).encode()).hexdigest()
 
 
-def workload_pin(make_spec) -> dict:
+#: Run by :func:`setup_heap` in a fresh interpreter: ``argv`` is this
+#: file and a workload name.
+_HEAP_PROBE = """\
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("golden", sys.argv[1])
+golden = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(golden)
+print(golden.session_heap(sys.argv[2]))
+"""
+
+
+def session_heap(name: str) -> int:
+    """``tracemalloc`` bytes a built ``Session`` of workload ``name``
+    holds in this process.
+
+    A first, untraced build warms what a session fills on first use;
+    collecting before and after keeps garbage out of the count.
+    """
+    make_spec = workload_specs()[name]
+    Session(make_spec(WORKLOAD_SEED, WORKLOAD_SCALE))
+    spec = make_spec(WORKLOAD_SEED, WORKLOAD_SCALE)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        session = Session(spec)
+        gc.collect()
+        heap = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del session
+    return heap
+
+
+def setup_heap(name: str) -> int:
+    """:func:`session_heap` of workload ``name``, in a fresh interpreter.
+
+    CPython reuses objects kept on its free lists without a traced
+    allocation, so the count drifts with whatever ran before in a
+    process; a fresh interpreter with a fixed hash seed starts from
+    the same state every time.
+    """
+    out = subprocess.run(
+        [sys.executable, "-c", _HEAP_PROBE, __file__, name], check=True,
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONHASHSEED": "0"})
+    return int(out.stdout)
+
+
+def workload_pin(name: str) -> dict:
     """Run one bench workload; return its exact work counters.
 
     ``processes`` counts the ``Process`` objects built from
     ``Session(spec)`` through ``run()`` (what ``bench/`` reports per
     completion as ``sim.processes_per_req``); ``gc_victims`` is
     :func:`gc_victims_sha256`; ``calls`` is :func:`layer_calls` over
-    the same span, run under cProfile.
+    the same span, run under cProfile; ``setup_heap`` is
+    :func:`setup_heap`, measured on a separate build.
     """
+    make_spec = workload_specs()[name]
+    heap = setup_heap(name)
     processes = 0
     init = Process.__init__
 
@@ -213,6 +274,7 @@ def workload_pin(make_spec) -> dict:
         "completions": sum(result.metrics["completions"].values()),
         "gc_victims": gc_victims_sha256(session),
         "calls": layer_calls(profile),
+        "setup_heap": heap,
     }
 
 
@@ -344,10 +406,12 @@ def pin_all() -> bool:
         experiments[exp.exp_id] = entry
         print(line, flush=True)
     workloads = {}
-    for name, make_spec in workload_specs().items():
-        workloads[name] = workload_pin(make_spec)
-        if not CALLS_PINNED:
-            workloads[name]["calls"] = pins["workloads"][name]["calls"]
+    for name in workload_specs():
+        workloads[name] = workload_pin(name)
+        for key, pinned in (("calls", CALLS_PINNED),
+                            ("setup_heap", HEAP_PINNED)):
+            if not pinned:
+                workloads[name][key] = pins["workloads"][name][key]
     GOLDEN_PATH.write_text(json.dumps(
         {"experiments": experiments, "workloads": workloads},
         indent=2) + "\n")
@@ -355,6 +419,8 @@ def pin_all() -> bool:
           f"workload pins to {GOLDEN_PATH.name}")
     if not CALLS_PINNED:
         print("calls pins kept: they hold Python 3.10/3.11 counts")
+    if not HEAP_PINNED:
+        print("setup_heap pins kept: they hold Python 3.11 bytes")
     if slow:
         print(f"{len(slow)} experiment(s) ran over {WALL_CLOCK_FACTOR:g}x "
               f"their wall_clock_s baseline: {', '.join(slow)}",

@@ -9,7 +9,12 @@ Assembles, around a two-card :class:`~repro.flash.device.StorageDevice`:
 * the host side — CPU, PCIe link, and the RPC/DMA
   :class:`~repro.host.iface.HostInterface`;
 * the on-board DRAM buffer;
-* an RFS file system instance.
+* an RFS file system instance, built when :attr:`BlueDBMNode.fs` is
+  first read.  Its FTL state (free-block heaps, seal flags) is sized to
+  the whole device, 78.8 MiB on the 1 TB default geometry, and most
+  nodes never touch the file system: volumes and distributed volumes
+  bring FTL cores of their own.  Building it draws no event ticket and
+  no random number, so when it is built never moves a result.
 
 Network endpoints are attached by the cluster when it wires nodes into
 the storage fabric.
@@ -17,6 +22,7 @@ the storage fabric.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 from ..devices import DRAMStore
@@ -117,8 +123,10 @@ class BlueDBMNode:
         self.dram = DRAMStore(sim, page_size=geometry.page_size,
                               bandwidth_gbs=onboard_dram_gbs)
 
-        # File system.
-        self.fs = RFS(sim, self.device)
+    @cached_property
+    def fs(self) -> RFS:
+        """The node's file system, built on first use (module docstring)."""
+        return RFS(self.sim, self.device)
 
     # -- access paths -----------------------------------------------------
     def isp_read(self, addr: PhysAddr):

@@ -125,18 +125,29 @@ class PlacementPlanner:
                 f"{self.total_pages} pages")
         runs: List[List[int]] = []
         by_node: Dict[int, List[int]] = {}
+        chunk = self.chunk
+        span = chunk * self.shards
         lpn = start
         end = start + count
-        chunk = self.chunk
+        # One dealing round at a time: its permutation once, then its
+        # chunks in order (the same pieces ``locate`` gives per chunk).
         while lpn < end:
-            take = min(end, (lpn // chunk + 1) * chunk) - lpn
-            node, shard_lpn = self.locate(lpn)
-            run = by_node.get(node)
-            if run is not None and run[1] + run[2] == shard_lpn:
-                run[2] += take
-            else:
-                run = [node, shard_lpn, take]
-                by_node[node] = run
-                runs.append(run)
-            lpn += take
+            round_, rest = divmod(lpn, span)
+            perm = self._perm(round_)
+            base = round_ * chunk
+            round_end = min(end, lpn - rest + span)
+            while lpn < round_end:
+                pos, offset = divmod(rest, chunk)
+                take = min(round_end, lpn - offset + chunk) - lpn
+                node = perm[pos]
+                shard_lpn = base + offset
+                run = by_node.get(node)
+                if run is not None and run[1] + run[2] == shard_lpn:
+                    run[2] += take
+                else:
+                    run = [node, shard_lpn, take]
+                    by_node[node] = run
+                    runs.append(run)
+                lpn += take
+                rest += take
         return [tuple(run) for run in runs]

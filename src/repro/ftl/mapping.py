@@ -5,16 +5,22 @@ device driver" (Section 3.1): the mapping, validity and allocation state
 below is host-side software state, exactly like the paper's full-fledged
 FTL "implemented in the device driver, similar to Fusion IO's driver".
 
-The state is flat.  L2P is a list indexed by LPN holding each page's
-:class:`~repro.flash.PhysAddr` (or None); it grows on demand, since a
-core on the 1 TB default geometry touches only the LPNs it writes.
-P2L and validity are kept per block, keyed by the dense *block number*
-(the mixed-radix index of ``(card, bus, chip, block)``, which
-``geometry.from_linear(number * pages_per_block)`` decodes): one
-``array`` of LPNs per block (``-1`` = invalid or free) plus its
-valid-page count.  Within one node the block number orders exactly
-like the ``(node, card, bus, chip, block)`` block key, so it can stand
-in for the key everywhere the key is compared.
+The state is flat and integer-valued.  Blocks are named by the dense
+*block number* (the mixed-radix index of ``(card, bus, chip, block)``,
+which ``geometry.from_linear(number * pages_per_block)`` decodes) and
+pages by the node-local *physical page number* ``number *
+pages_per_block + page``.  L2P is an ``array('q')`` indexed by LPN
+holding each page's physical page number (``-1`` = unmapped), 8 bytes
+a slot; it grows on demand, since a core on the 1 TB default geometry
+touches only the LPNs it writes.  P2L and validity are kept per block
+number: one ``array`` of LPNs per block (``-1`` = invalid or free) plus
+its valid-page count and its ``(node, card, bus, chip, block)`` key,
+cached while the block holds mapped pages.  :meth:`PageMap.lookup`
+builds the :class:`~repro.flash.PhysAddr` it returns from that key on
+each call (a fresh tuple, so compare addresses with ``==``, never
+``is``).  Within one node the block number orders exactly like the
+block key, so it can stand in for the key everywhere the key is
+compared.
 
 :class:`PageMap` also indexes the *sealed* (fully programmed) blocks for
 greedy GC: a seal flag per block number plus a lazy-deletion min-heap
@@ -38,6 +44,9 @@ __all__ = ["PageMap"]
 
 _BlockKey = Tuple[int, int, int, int, int]
 
+#: Builds a :class:`PhysAddr` from fields already known to be valid.
+_new = tuple.__new__
+
 
 class PageMap:
     """Bidirectional LPN <-> physical page map of one node, with
@@ -50,11 +59,14 @@ class PageMap:
         self._chips = geometry.chips_per_bus
         self._buses = geometry.buses_per_card
         self._bpc = geometry.blocks_per_chip
-        self._l2p: List[Optional[PhysAddr]] = []
+        #: LPN -> physical page number (-1 = unmapped).
+        self._l2p = array("q")
         #: block number -> LPN per page (-1 = invalid or free).
         self._p2l: Dict[int, array] = {}
         #: block number -> its count of valid pages.
         self._valid: Dict[int, int] = {}
+        #: block number -> its block key, for the addresses handed out.
+        self._keys: Dict[int, _BlockKey] = {}
         self._blank = array("q", [-1]) * self._ppb
         #: per block number: 1 once fully programmed (a GC candidate).
         self._sealed = bytearray(geometry.pages_per_node // self._ppb)
@@ -63,8 +75,7 @@ class PageMap:
 
     # -- block numbering ---------------------------------------------------
     def _number(self, card: int, bus: int, chip: int, block: int) -> int:
-        # map_page, _invalidate and reverse inline this: they run per
-        # request.
+        # map_page and reverse inline this: they run per request.
         return ((card * self._buses + bus) * self._chips + chip) \
             * self._bpc + block
 
@@ -81,9 +92,12 @@ class PageMap:
         """Physical location of a logical page, or None if unmapped."""
         if lpn >= 0:
             try:
-                return self._l2p[lpn]
+                ppn = self._l2p[lpn]
             except IndexError:
-                pass
+                return None
+            if ppn >= 0:
+                ppb = self._ppb
+                return _new(PhysAddr, self._keys[ppn // ppb] + (ppn % ppb,))
         return None
 
     def reverse(self, addr: PhysAddr) -> Optional[int]:
@@ -103,21 +117,24 @@ class PageMap:
         node, card, bus, chip, block, page = addr
         if node != self.node:
             self._check_node(addr)
-        l2p = self._l2p
-        if lpn < len(l2p):
-            old = l2p[lpn]
-            if old is not None:
-                self._invalidate(old)
-        else:
-            old = None
-            l2p.extend([None] * (lpn + 1 - len(l2p)))
-        l2p[lpn] = addr
         number = ((card * self._buses + bus) * self._chips + chip) \
             * self._bpc + block
+        ppb = self._ppb
+        l2p = self._l2p
+        old = None
+        if lpn < len(l2p):
+            ppn = l2p[lpn]
+            if ppn >= 0:
+                old = _new(PhysAddr, self._keys[ppn // ppb] + (ppn % ppb,))
+                self._invalidate(ppn)
+        else:
+            l2p.extend(array("q", [-1]) * (lpn + 1 - len(l2p)))
+        l2p[lpn] = number * ppb + page
         lpns = self._p2l.get(number)
         if lpns is None:
             lpns = self._p2l[number] = self._blank[:]
             self._valid[number] = 0
+            self._keys[number] = (node, card, bus, chip, block)
         if lpns[page] < 0:
             self._valid[number] += 1
         lpns[page] = lpn
@@ -133,34 +150,35 @@ class PageMap:
         before is invalidated first, as :meth:`map_page` would."""
         for key in blocks:
             self._check_node(key)
+        ppb = self._ppb
         units = len(blocks)
-        end = start + units * self._ppb
+        end = start + units * ppb
         l2p = self._l2p
+        for ppn in l2p[start:end]:
+            if ppn >= 0:
+                self._invalidate(ppn)
         if len(l2p) < end:
-            l2p.extend([None] * (end - len(l2p)))
-        for old in filter(None, l2p[start:end]):
-            self._invalidate(old)
-        new = tuple.__new__
-        l2p[start:end] = [new(PhysAddr, key + (page,))
-                          for page in range(self._ppb) for key in blocks]
+            l2p.extend(array("q", [-1]) * (end - len(l2p)))
         for unit, key in enumerate(blocks):
             number = self._number(*key[1:])
+            first = number * ppb
+            l2p[start + unit:end:units] = array("q", range(first, first + ppb))
             self._p2l[number] = array("q", range(start + unit, end, units))
-            self._valid[number] = self._ppb
+            self._valid[number] = ppb
+            self._keys[number] = key
             self._seal_number(number)
 
     def unmap(self, lpn: int) -> Optional[PhysAddr]:
         """TRIM: drop the mapping; returns the invalidated address."""
         old = self.lookup(lpn)
         if old is not None:
-            self._l2p[lpn] = None
-            self._invalidate(old)
+            self._invalidate(self._l2p[lpn])
+            self._l2p[lpn] = -1
         return old
 
-    def _invalidate(self, addr: PhysAddr) -> None:
-        _node, card, bus, chip, block, page = addr
-        number = ((card * self._buses + bus) * self._chips + chip) \
-            * self._bpc + block
+    def _invalidate(self, ppn: int) -> None:
+        number = ppn // self._ppb
+        page = ppn % self._ppb
         lpns = self._p2l.get(number)
         if lpns is not None:
             if lpns[page] >= 0:
@@ -182,6 +200,7 @@ class PageMap:
                 f"{self._valid[number]} valid pages")
         self._p2l.pop(number, None)
         self._valid.pop(number, None)
+        self._keys.pop(number, None)
 
     def valid_pages_of(self, addr: PhysAddr) -> Iterator[PhysAddr]:
         """Addresses of the still-valid pages in ``addr``'s block."""
@@ -191,11 +210,11 @@ class PageMap:
         base = addr[:5]
         for page, lpn in enumerate(lpns):
             if lpn >= 0:
-                yield tuple.__new__(PhysAddr, base + (page,))
+                yield _new(PhysAddr, base + (page,))
 
     @property
     def mapped_count(self) -> int:
-        return len(self._l2p) - self._l2p.count(None)
+        return len(self._l2p) - self._l2p.count(-1)
 
     # -- GC victim index ---------------------------------------------------
     @property

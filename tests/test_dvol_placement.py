@@ -82,6 +82,38 @@ def test_split_run_covers_run_in_few_contiguous_pieces(planner, data):
         assert len(runs) <= planner.shards
 
 
+def split_by_locate(planner, start, count):
+    """What ``split_run`` must equal: per-page ``locate`` results, each
+    appended to its node's latest run when it continues it, else
+    starting a new run, in first-touch order."""
+    runs, by_node = [], {}
+    for lpn in range(start, start + count):
+        node, shard_lpn = planner.locate(lpn)
+        run = by_node.get(node)
+        if run is not None and run[1] + run[2] == shard_lpn:
+            run[2] += 1
+        else:
+            run = by_node[node] = [node, shard_lpn, 1]
+            runs.append(run)
+    return [tuple(run) for run in runs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=3), st.data())
+def test_split_run_equals_grouped_locate(shards, rounds, chunk, seed, data):
+    total = shards * rounds * chunk
+    start = data.draw(st.integers(min_value=0, max_value=total))
+    count = data.draw(st.integers(min_value=0, max_value=total - start))
+    for placement in PLACEMENT_MODES:
+        planner = PlacementPlanner(shards, rounds * chunk, placement,
+                                   chunk, hash_seed=seed)
+        assert planner.split_run(start, count) \
+            == split_by_locate(planner, start, count), placement
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=6),
        st.integers(min_value=1, max_value=16),

@@ -6,17 +6,20 @@ bytes (asserted by ``run_registered`` in each benchmark file) and, for
 each ``bench/workloads.py`` workload at seed 0 and scale 0.05, the
 ``RunResult`` digest, the simulator's event count, the ``Process``
 objects built, the completed requests, the sha256 of the GC victim
-order and the profiled calls of ``src/repro`` functions per layer
-(asserted here).  A deliberate one-event change anywhere on a
-workload's path moves the event count, so it fails a named test rather
-than waiting for someone to diff outputs by hand; a GC tie resolved the
-other way moves the victim pin even when the digest holds; a layer that
-does more (or less) work per request moves its ``calls`` pin.
+order, the profiled calls of ``src/repro`` functions per layer and the
+``tracemalloc`` bytes a built session holds (asserted here).  A
+deliberate one-event change anywhere on a workload's path moves the
+event count, so it fails a named test rather than waiting for someone
+to diff outputs by hand; a GC tie resolved the other way moves the
+victim pin even when the digest holds; a layer that does more (or
+less) work per request moves its ``calls`` pin; state that grows or
+shrinks by one object moves ``setup_heap``.
 
 The ``calls`` pins are asserted on Python 3.10 and 3.11 only, whose
 profiled counts agree exactly.  Python 3.12 inlines comprehensions
 (PEP 709), so they no longer count as calls and most layers' counts
-differ there.
+differ there.  Object layouts change between minor versions, so the
+``setup_heap`` pins are asserted on Python 3.11 only.
 
 The pin script's run-reachability comparison is pure AST, so it is
 unit-tested here on every Python version, though only 3.12 and later
@@ -69,12 +72,13 @@ def test_wall_clock_gate_keeps_its_baselines():
 @pytest.mark.parametrize("name", list(SPECS))
 def test_workload_counters_match_golden_pins(name):
     pinned = PINS["workloads"][name]
-    measured = golden.workload_pin(SPECS[name])
+    measured = golden.workload_pin(name)
     assert set(pinned) == set(measured) == {
         "digest", "events", "processes", "completions", "gc_victims",
-        "calls"}
-    checked = [key for key in pinned
-               if key != "calls" or golden.CALLS_PINNED]
+        "calls", "setup_heap"}
+    skipped = {"calls": not golden.CALLS_PINNED,
+               "setup_heap": not golden.HEAP_PINNED}
+    checked = [key for key in pinned if not skipped.get(key)]
     moved = {key: (measured[key], pinned[key]) for key in checked
              if measured[key] != pinned[key]}
     assert not moved, (
