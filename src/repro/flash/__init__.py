@@ -12,6 +12,8 @@ Layers, bottom-up:
   wear-scaled bit-error injection.
 * :mod:`~repro.flash.controller` — the tagged, out-of-order,
   error-corrected card controller (:class:`FlashCard`).
+* :mod:`~repro.flash.device` — a node's cards with their shared
+  wear/bad-block/payload state; ``card_of`` names an address's card.
 * :mod:`~repro.flash.coalesce` — the splitter's admission-side
   coalescing engine: stripe-adjacent page reads and programs merge into
   multi-page commands (:class:`Coalescer`).

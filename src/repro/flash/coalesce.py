@@ -259,14 +259,17 @@ class Coalescer:
         if len(group) > 1:
             self.merged_pages += len(group)
         addrs = [p.addr for p in group]
-        if self.op == "read":
-            command = splitter.card.read_pages(addrs, requests=requests)
-        else:
-            command = splitter.card.program_pages(
-                addrs, [p.data for p in group], requests=requests)
         failed = True
         try:
-            results = yield from command
+            # A group never spans cards (``first_group``), so its head
+            # names the card the whole command runs on.
+            card = splitter.device.card_of(addrs[0])
+            if self.op == "read":
+                results = yield from card.read_pages(addrs,
+                                                     requests=requests)
+            else:
+                results = yield from card.program_pages(
+                    addrs, [p.data for p in group], requests=requests)
             failed = False
         except PartialReadError as exc:
             # Per-child fidelity: successful siblings keep their pages

@@ -187,43 +187,15 @@ class FlashCard:
         try:
             with StageSpan(self.sim, request, "storage"):
                 yield self.sim.timeout(self.timing.cmd_overhead_ns)
-            result = yield from self._page_service(addr, chip, request, tag)
-            return result
+            results = [None]
+            errors = [None]
+            yield from self._page_read(addr, chip, request, tag, 0,
+                                       results, errors)
+            if errors[0] is not None:
+                raise errors[0]
+            return results[0]
         finally:
             self._tag_pool.put_nowait(tag)
-
-    def _page_service(self, addr: PhysAddr, chip, request, tag: int):
-        """Array read + card-internal transfer + ECC for one page.
-
-        The shared service half of both a plain :meth:`read_page` and
-        each page of a multi-page command — the caller owns the tag and
-        the per-command setup, so single and coalesced reads cannot
-        drift apart.
-        """
-        with StageSpan(self.sim, request, "storage"):
-            data, parity, flips = yield from chip.read(addr)
-        with StageSpan(self.sim, request, "device"):
-            bus = self.buses[addr.bus]
-            yield bus.request()
-            try:
-                yield self.sim.timeout(self._page_bus_ns)
-            finally:
-                bus.release()
-            yield self.aurora.request()
-            try:
-                yield self.sim.timeout(
-                    self.timing.aurora_latency_ns + self._page_aurora_ns)
-            finally:
-                self.aurora.release()
-        corrected_bits = 0
-        if flips:
-            try:
-                data, corrected_bits = ecc.decode_page(data, parity)
-            except ecc.UncorrectableError:
-                self.uncorrectable += 1
-                self.badblocks.mark_bad(addr)
-                raise UncorrectablePageError(addr) from None
-        return ReadResult(addr, data, tag, corrected_bits)
 
     def read_pages(self, addrs, requests=None):
         """One multi-page command: a single tag and one command setup
@@ -290,16 +262,41 @@ class FlashCard:
 
     def _page_read(self, addr: PhysAddr, chip, request, tag: int,
                    index: int, results: list, errors: list):
-        """One page of a multi-page command: the shared per-page
-        service with its failure parked instead of raised — the pages
-        of one command run as sibling processes with no waiter of
-        their own, and the command must retire as a unit either way.
+        """Array read + card-internal transfer + ECC for one page.
+
+        The one per-page read body: :meth:`read_page` runs it inline,
+        and each page of a multi-page command runs it as a sibling
+        process.  The outcome is parked in ``results[index]`` or
+        ``errors[index]`` instead of raised, because the sibling pages
+        have no waiter of their own and the command must retire as a
+        unit either way; the caller owns the tag and the per-command
+        setup.
         """
-        try:
-            results[index] = yield from self._page_service(
-                addr, chip, request, tag)
-        except UncorrectablePageError as exc:
-            errors[index] = exc
+        with StageSpan(self.sim, request, "storage"):
+            data, parity, flips = yield from chip.read(addr)
+        with StageSpan(self.sim, request, "device"):
+            bus = self.buses[addr.bus]
+            yield bus.request()
+            try:
+                yield self.sim.timeout(self._page_bus_ns)
+            finally:
+                bus.release()
+            yield self.aurora.request()
+            try:
+                yield self.sim.timeout(
+                    self.timing.aurora_latency_ns + self._page_aurora_ns)
+            finally:
+                self.aurora.release()
+        corrected_bits = 0
+        if flips:
+            try:
+                data, corrected_bits = ecc.decode_page(data, parity)
+            except ecc.UncorrectableError:
+                self.uncorrectable += 1
+                self.badblocks.mark_bad(addr)
+                errors[index] = UncorrectablePageError(addr)
+                return
+        results[index] = ReadResult(addr, data, tag, corrected_bits)
 
     def program_pages(self, addrs, datas, requests=None):
         """One multi-page program command: a single tag and one command
@@ -373,8 +370,8 @@ class FlashCard:
             for index, addr in enumerate(addrs):
                 lanes.setdefault((addr.bus, addr.chip), []).append(index)
             # A lane parks an injected program failure instead of
-            # failing its process (mirroring ``_page_read``): the lanes
-            # run as siblings with no waiter of their own, and a
+            # failing its process, as ``_page_read`` parks a read's: the
+            # lanes run as siblings with no waiter of their own, and a
             # waiterless failure crashes the simulation.  The command
             # retires as a unit, then reports the first failure.
             failures: list = []
@@ -392,53 +389,41 @@ class FlashCard:
             self._tag_pool.put_nowait(tag)
 
     def _lane_program(self, pages, failures: list):
-        """Program one chip's share of a multi-page command, in order.
+        """Program one chip's pages in order: data movement down, then
+        the program, for each page.
 
-        An injected :class:`~repro.flash.chip.ProgramFailedError` stops
+        The one per-page program body: :meth:`write_page` runs a
+        one-page lane inline, and each chip's share of a multi-page
+        command runs as a sibling process.  An injected
+        :class:`~repro.flash.chip.ProgramFailedError` is counted, stops
         the lane (its remaining pages are never programmed) and is
-        parked in ``failures`` for the command to re-raise as a unit.
+        parked in ``failures`` for the caller to raise.  The block is
+        NOT marked bad here: its already-programmed sibling pages must
+        stay readable, so the FTL retires it as suspect at its next
+        erase instead.
         """
+        sim = self.sim
         for addr, data, chip, request in pages:
-            try:
-                yield from self._page_program(addr, data, chip, request)
-            except ProgramFailedError as exc:
-                failures.append(exc)
-                return
-
-    def _page_program(self, addr: PhysAddr, data: bytes, chip, request):
-        """Data movement + program for one page.
-
-        The shared service half of both a plain :meth:`write_page` and
-        each page of a multi-page command — the caller owns the tag
-        and the per-command setup, so single and coalesced programs
-        cannot drift apart (the write-side analogue of
-        :meth:`_page_service`).
-        """
-        with StageSpan(self.sim, request, "device"):
-            yield self.aurora.request()
-            try:
-                yield self.sim.timeout(
-                    self.timing.aurora_latency_ns
-                    + self._aurora_transfer_ns(len(data)))
-            finally:
-                self.aurora.release()
-            bus = self.buses[addr.bus]
-            yield bus.request()
-            try:
-                yield self.sim.timeout(self._bus_transfer_ns(len(data)))
-            finally:
-                bus.release()
-        with StageSpan(self.sim, request, "storage"):
-            try:
-                yield from chip.program(addr, data)
-            except ProgramFailedError:
-                # An injected NAND fault, not a caller bug: count it and
-                # let the write path recover (rewrite to a fresh page).
-                # The block is NOT marked bad here — its already-
-                # programmed sibling pages must stay readable; the FTL
-                # retires it as suspect at its next erase instead.
-                self.program_failures += 1
-                raise
+            with StageSpan(sim, request, "device"):
+                yield self.aurora.request()
+                try:
+                    yield sim.timeout(self.timing.aurora_latency_ns
+                                      + self._aurora_transfer_ns(len(data)))
+                finally:
+                    self.aurora.release()
+                bus = self.buses[addr.bus]
+                yield bus.request()
+                try:
+                    yield sim.timeout(self._bus_transfer_ns(len(data)))
+                finally:
+                    bus.release()
+            with StageSpan(sim, request, "storage"):
+                try:
+                    yield from chip.program(addr, data)
+                except ProgramFailedError as exc:
+                    self.program_failures += 1
+                    failures.append(exc)
+                    return
 
     def write_page(self, addr: PhysAddr, data: bytes,
                    request: Optional[IORequest] = None):
@@ -456,7 +441,11 @@ class FlashCard:
         try:
             with StageSpan(self.sim, request, "storage"):
                 yield self.sim.timeout(self.timing.cmd_overhead_ns)
-            yield from self._page_program(addr, data, chip, request)
+            failures: list = []
+            yield from self._lane_program([(addr, data, chip, request)],
+                                          failures)
+            if failures:
+                raise failures[0]
         finally:
             self._tag_pool.put_nowait(tag)
 

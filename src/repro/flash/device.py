@@ -1,9 +1,15 @@
 """A node's storage device: multiple flash cards behind one interface.
 
 Each BlueDBM node carries two custom flash cards (Section 5.1); the
-storage device routes physical addresses to the right card and shares the
-wear/bad-block/payload state so host-side flash management sees one
-device, as the paper's software stack does.
+storage device shares the wear/bad-block/payload state so host-side
+flash management sees one device, as the paper's software stack does.
+
+:meth:`StorageDevice.card_of` names the card an address lives on.  The
+splitter and its coalescer resolve the card once with it and command
+the card directly, so a multi-page command is one card operation.  The
+device's own ``read_page``/``write_page``/``erase_block`` route single
+pages for :class:`~repro.ftl.core.FtlCore` on behalf of
+:class:`~repro.fs.rfs.RFS` and :class:`~repro.ftl.ftl.BlockDeviceFTL`.
 """
 
 from __future__ import annotations
@@ -52,7 +58,9 @@ class StorageDevice:
             for chip in card.chips.values():
                 chip.faults = injector
 
-    def _card(self, addr: PhysAddr) -> FlashCard:
+    def card_of(self, addr: PhysAddr) -> FlashCard:
+        """The card ``addr`` lives on; the splitter and its coalescer
+        resolve it once and command that card directly."""
         if addr.node != self.node:
             raise ValueError(
                 f"{addr} is on node {addr.node}, not {self.node}")
@@ -60,49 +68,16 @@ class StorageDevice:
             raise ValueError(f"{addr} addresses a nonexistent card")
         return self.cards[addr.card]
 
-    # -- routed operations (DES generators) ---------------------------------
+    # -- routed operations (DES generators): the port FtlCore drives ------
     def read_page(self, addr: PhysAddr, request=None):
-        return (yield from self._card(addr).read_page(addr, request=request))
-
-    def read_pages(self, addrs, requests=None):
-        """Multi-page command routed to one card (DES generator).
-
-        A coalesced command is a single tagged operation on a single
-        card, so every address must land on the same card — the
-        splitter's coalescing stage never merges across that boundary.
-        """
-        if not addrs:
-            return []
-        cards = {addr.card for addr in addrs}
-        if len(cards) > 1:
-            raise ValueError(
-                f"multi-page command spans cards {sorted(cards)}; "
-                f"coalesced commands are per-card")
-        return (yield from self._card(addrs[0]).read_pages(
-            addrs, requests=requests))
-
-    def program_pages(self, addrs, datas, requests=None):
-        """Multi-page program command routed to one card (DES generator).
-
-        Mirrors :meth:`read_pages`: a coalesced program is a single
-        tagged operation on a single card, so every address must land
-        on the same card.
-        """
-        if not addrs:
-            return
-        cards = {addr.card for addr in addrs}
-        if len(cards) > 1:
-            raise ValueError(
-                f"multi-page command spans cards {sorted(cards)}; "
-                f"coalesced commands are per-card")
-        yield from self._card(addrs[0]).program_pages(addrs, datas,
-                                                      requests=requests)
+        return (yield from self.card_of(addr).read_page(addr,
+                                                        request=request))
 
     def write_page(self, addr: PhysAddr, data: bytes, request=None):
-        yield from self._card(addr).write_page(addr, data, request=request)
+        yield from self.card_of(addr).write_page(addr, data, request=request)
 
     def erase_block(self, addr: PhysAddr, request=None):
-        yield from self._card(addr).erase_block(addr, request=request)
+        yield from self.card_of(addr).erase_block(addr, request=request)
 
     # -- aggregates ----------------------------------------------------------
     @property

@@ -5,7 +5,10 @@ processors, local host software over PCIe DMA, or remote in-store
 processors over the network" (Section 3.1.2, Figure 3).  Each user gets a
 :class:`SplitterPort` with its own private tag space; the splitter renames
 user tags onto the card's physical tags and guarantees fairness by
-capping how many physical tags one user may hold.
+capping how many physical tags one user may hold.  The splitter fronts
+one node's :class:`~repro.flash.device.StorageDevice`: every operation
+resolves the card its address names and issues the card command
+directly.
 
 The splitter is built on the unified I/O pipeline
 (:mod:`repro.io`): every operation is an
@@ -44,8 +47,9 @@ from ..io import (BatchStageSpan, IOKind, IORequest, RequestTracer,
                   ScheduledResource, StageSpan)
 from ..sim import BandwidthLedger, Simulator
 from .coalesce import Coalescer
-from .controller import FlashCard, ReadResult
-from .geometry import DEFAULT_GEOMETRY, PhysAddr
+from .controller import ReadResult
+from .device import StorageDevice
+from .geometry import FlashGeometry, PhysAddr
 
 __all__ = ["FlashSplitter", "SplitterPort"]
 
@@ -191,7 +195,7 @@ class SplitterPort:
                               result.corrected_bits)
         yield from self._admit(request, cost=size)
         try:
-            result = yield from self.splitter.card.read_page(
+            result = yield from self.splitter.device.card_of(addr).read_page(
                 addr, request=request)
         finally:
             self._retire()
@@ -222,7 +226,7 @@ class SplitterPort:
             return
         yield from self._admit(request, cost=len(data))
         try:
-            yield from self.splitter.card.write_page(
+            yield from self.splitter.device.card_of(addr).write_page(
                 addr, data, request=request)
         finally:
             self._retire()
@@ -240,7 +244,8 @@ class SplitterPort:
         self._rename()
         yield from self._admit(request, cost=self.splitter.page_size)
         try:
-            yield from self.splitter.card.erase_block(addr, request=request)
+            yield from self.splitter.device.card_of(addr).erase_block(
+                addr, request=request)
         finally:
             self._retire()
         self.splitter.bandwidth.record(self.sched_tenant(request), 0)
@@ -249,19 +254,19 @@ class SplitterPort:
 
 
 class FlashSplitter:
-    """Fans one flash target out to several tag-renamed users.
+    """Fans one node's :class:`~repro.flash.device.StorageDevice` out
+    to several tag-renamed users.
 
-    The target is anything exposing ``read_page``/``write_page``/
-    ``erase_block`` generators — a single :class:`FlashCard` or a whole
-    multi-card :class:`~repro.flash.device.StorageDevice`.
-
-    Each port's in-flight cap (:meth:`add_port`, default: the target's
-    tag count) bounds its commands so one user cannot exhaust the
-    target's physical tag pool and starve the rest.
+    Each operation resolves its card once (:meth:`~repro.flash.device.
+    StorageDevice.card_of`) and commands that
+    :class:`~repro.flash.controller.FlashCard` directly.  Each port's
+    in-flight cap (:meth:`add_port`, default: the device's combined tag
+    count) bounds its commands so one user cannot exhaust the physical
+    tag pools and starve the rest.
 
     ``policy`` (a name from :data:`repro.io.scheduler.POLICIES`)
     enables the shared admission stage: at most
-    ``total_in_flight`` commands (default: the target's tag count) are
+    ``total_in_flight`` commands (default: the device's tag count) are
     outstanding across *all* ports, and when a slot frees the policy
     picks the next tenant.  ``tracer`` attaches end-to-end request
     tracing to every operation issued through any port.
@@ -272,7 +277,7 @@ class FlashSplitter:
     weights and token-bucket rates into the admission policy.
     """
 
-    def __init__(self, sim: Simulator, card,
+    def __init__(self, sim: Simulator, device: StorageDevice,
                  policy: Optional[str] = None,
                  total_in_flight: Optional[int] = None,
                  tracer: Optional[RequestTracer] = None,
@@ -282,7 +287,7 @@ class FlashSplitter:
                 f"coalescing needs coalesce_max_pages >= 2, "
                 f"got {coalesce_max_pages}")
         self.sim = sim
-        self.card = card  # the flash target (card or device)
+        self.device = device
         self.tracer = tracer
         self.coalesce = coalesce
         self.coalesce_max_pages = coalesce_max_pages
@@ -317,17 +322,16 @@ class FlashSplitter:
 
     @property
     def tag_count(self) -> int:
-        return getattr(self.card, "tag_count", 128)
+        return self.device.tag_count
 
     @property
-    def geometry(self):
-        """The target's flash geometry (adjacency + page size source)."""
-        return getattr(self.card, "geometry", DEFAULT_GEOMETRY)
+    def geometry(self) -> FlashGeometry:
+        """The device's flash geometry (adjacency + page size source)."""
+        return self.device.geometry
 
     @property
     def page_size(self) -> int:
-        geometry = getattr(self.card, "geometry", None)
-        return getattr(geometry, "page_size", 8192)
+        return self.device.geometry.page_size
 
     def coalescing_stats(self) -> dict:
         """Per-port read-coalescer counters (empty when coalescing off)."""

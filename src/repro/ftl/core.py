@@ -47,10 +47,11 @@ port protocol — three DES generator methods, the interface
 The facades only say *which* object moves the bytes.
 :class:`~repro.ftl.ftl.BlockDeviceFTL` and :class:`~repro.fs.rfs.RFS`
 pass their :class:`~repro.flash.device.StorageDevice` for foreground
-and GC I/O alike; :class:`~repro.volume.LogicalVolume` passes the
-caller's host-interface flows for foreground I/O and its dedicated
-low-priority ``volume-gc`` splitter port as ``gc_port``, so relocation
-is QoS-arbitrated.
+and GC I/O alike (the device's routed single-page ops serve only these
+two; the splitter commands the card directly);
+:class:`~repro.volume.LogicalVolume` passes the caller's host-interface
+flows for foreground I/O and its dedicated low-priority ``volume-gc``
+splitter port as ``gc_port``, so relocation is QoS-arbitrated.
 
 Everything the core did is counted once, in one ledger: :attr:`FtlCore.ops`
 maps ``(op, cause, owner)`` to a count.  The ops are ``program`` (a

@@ -110,8 +110,8 @@ class PageMap:
         lpn = lpns[page]
         return None if lpn < 0 else lpn
 
-    def map_page(self, lpn: int, addr: PhysAddr) -> Optional[PhysAddr]:
-        """Point ``lpn`` at ``addr``; returns the invalidated old address."""
+    def map_page(self, lpn: int, addr: PhysAddr) -> None:
+        """Point ``lpn`` at ``addr``, invalidating its old page."""
         if lpn < 0:
             raise ValueError(f"negative LPN {lpn}")
         node, card, bus, chip, block, page = addr
@@ -121,11 +121,9 @@ class PageMap:
             * self._bpc + block
         ppb = self._ppb
         l2p = self._l2p
-        old = None
         if lpn < len(l2p):
             ppn = l2p[lpn]
             if ppn >= 0:
-                old = _new(PhysAddr, self._keys[ppn // ppb] + (ppn % ppb,))
                 self._invalidate(ppn)
         else:
             l2p.extend(array("q", [-1]) * (lpn + 1 - len(l2p)))
@@ -140,7 +138,6 @@ class PageMap:
         lpns[page] = lpn
         if self._sealed[number]:
             self._push(self._valid[number], number)
-        return old
 
     def map_group(self, start: int, blocks: Sequence[_BlockKey]) -> None:
         """Map a whole stripe group of fresh blocks at once, and seal
@@ -168,13 +165,13 @@ class PageMap:
             self._keys[number] = key
             self._seal_number(number)
 
-    def unmap(self, lpn: int) -> Optional[PhysAddr]:
-        """TRIM: drop the mapping; returns the invalidated address."""
-        old = self.lookup(lpn)
-        if old is not None:
-            self._invalidate(self._l2p[lpn])
-            self._l2p[lpn] = -1
-        return old
+    def unmap(self, lpn: int) -> None:
+        """TRIM: drop the mapping (nothing to do if ``lpn`` is unmapped)."""
+        if 0 <= lpn < len(self._l2p):
+            ppn = self._l2p[lpn]
+            if ppn >= 0:
+                self._invalidate(ppn)
+                self._l2p[lpn] = -1
 
     def _invalidate(self, ppn: int) -> None:
         number = ppn // self._ppb

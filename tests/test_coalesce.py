@@ -26,9 +26,9 @@ from repro.flash import (
     Coalescer,
     FlashGeometry,
     FlashSplitter,
-    FlashCard,
     first_group,
 )
+from repro.flash.device import StorageDevice
 from repro.io import IORequest, RequestTracer
 from repro.sim import Simulator
 
@@ -111,25 +111,25 @@ GEO = FlashGeometry(buses_per_card=4, chips_per_bus=2, blocks_per_chip=4,
 
 
 def _make_splitter(sim, **kwargs):
-    card = FlashCard(sim, geometry=GEO)
+    device = StorageDevice(sim, geometry=GEO)
     tracer = RequestTracer(sim)
-    splitter = FlashSplitter(sim, card, tracer=tracer, coalesce=True,
+    splitter = FlashSplitter(sim, device, tracer=tracer, coalesce=True,
                              **kwargs)
-    return card, splitter
+    return device, splitter
 
 
-def _program(card, indices):
+def _program(device, indices):
     for index in indices:
         addr = GEO.striped(index)
-        card.store.program(addr, f"page-{index}".encode())
+        device.store.program(addr, f"page-{index}".encode())
 
 
 def test_merged_command_covers_exactly_the_requested_pages():
     sim = Simulator()
-    card, splitter = _make_splitter(sim)
+    device, splitter = _make_splitter(sim)
     port = splitter.add_port(tenant="isp")
     indices = list(range(8))
-    _program(card, indices)
+    _program(device, indices)
     results = {}
 
     def reader(index):
@@ -152,10 +152,10 @@ def test_merged_command_covers_exactly_the_requested_pages():
 
 def test_coalescing_never_crosses_tenants_on_a_shared_port():
     sim = Simulator()
-    card, splitter = _make_splitter(sim)
+    device, splitter = _make_splitter(sim)
     port = splitter.add_port(tenant="net")
     indices = list(range(4))
-    _program(card, indices)
+    _program(device, indices)
 
     def reader(index, tenant):
         request = IORequest("read", GEO.striped(index), GEO.page_size,
@@ -175,10 +175,10 @@ def test_coalescing_never_crosses_tenants_on_a_shared_port():
 
 def test_coalescing_respects_the_page_cap():
     sim = Simulator()
-    card, splitter = _make_splitter(sim, coalesce_max_pages=2)
+    device, splitter = _make_splitter(sim, coalesce_max_pages=2)
     port = splitter.add_port(tenant="isp")
     indices = list(range(4))
-    _program(card, indices)
+    _program(device, indices)
     for index in indices:
         sim.process(port.read_page(GEO.striped(index)), name=f"r{index}")
     sim.run()
@@ -189,10 +189,10 @@ def test_coalescing_respects_the_page_cap():
 
 def test_admission_ledger_sees_merged_byte_costs():
     sim = Simulator()
-    card, splitter = _make_splitter(sim, policy="fifo")
+    device, splitter = _make_splitter(sim, policy="fifo")
     port = splitter.add_port(tenant="isp")
     indices = list(range(4))
-    _program(card, indices)
+    _program(device, indices)
     admitted = []
     request = splitter.admission.request
 
@@ -215,9 +215,9 @@ def test_singleton_path_matches_uncoalesced_latency():
     # A lone request (nothing adjacent staged) must still complete and
     # pay the same card path as the uncoalesced splitter.
     sim_a = Simulator()
-    card_a, splitter_a = _make_splitter(sim_a)
+    device_a, splitter_a = _make_splitter(sim_a)
     port_a = splitter_a.add_port(tenant="isp")
-    _program(card_a, [3])
+    _program(device_a, [3])
     done_a = []
 
     def read_a(sim=sim_a):
@@ -228,10 +228,10 @@ def test_singleton_path_matches_uncoalesced_latency():
     sim_a.run()
 
     sim_b = Simulator()
-    card_b = FlashCard(sim_b, geometry=GEO)
-    splitter_b = FlashSplitter(sim_b, card_b)
+    device_b = StorageDevice(sim_b, geometry=GEO)
+    splitter_b = FlashSplitter(sim_b, device_b)
     port_b = splitter_b.add_port(tenant="isp")
-    card_b.store.program(GEO.striped(3), b"page-3")
+    device_b.store.program(GEO.striped(3), b"page-3")
     done_b = []
 
     def read_b(sim=sim_b):
@@ -246,7 +246,7 @@ def test_singleton_path_matches_uncoalesced_latency():
 
 def test_writes_and_erases_bypass_the_coalescer(chip_ops):
     sim = Simulator()
-    card, splitter = _make_splitter(sim)
+    device, splitter = _make_splitter(sim)
     port = splitter.add_port(tenant="isp")
     addr = GEO.striped(0)
 
@@ -263,11 +263,11 @@ def test_writes_and_erases_bypass_the_coalescer(chip_ops):
 
 def test_partial_failure_fails_only_the_bad_page():
     sim = Simulator()
-    card, splitter = _make_splitter(sim)
+    device, splitter = _make_splitter(sim)
     port = splitter.add_port(tenant="isp")
     indices = list(range(4))
-    _program(card, indices)
-    card.badblocks.mark_bad(GEO.striped(2))
+    _program(device, indices)
+    device.badblocks.mark_bad(GEO.striped(2))
     outcomes = {}
 
     def reader(index):
@@ -298,11 +298,11 @@ def test_slot_paced_read_stage_merges_arrivals_behind_a_busy_slot(
     # sends one 3-page command when the slot frees; a greedy stage sends
     # each the moment it arrives, one page per command.
     sim = Simulator()
-    card = FlashCard(sim, geometry=GEO)
-    port = FlashSplitter(sim, card).add_port(max_in_flight=1, tenant="isp")
+    device = StorageDevice(sim, geometry=GEO)
+    port = FlashSplitter(sim, device).add_port(max_in_flight=1, tenant="isp")
     stage = Coalescer(port, 8, paced=paced)
     indices = list(range(4))
-    _program(card, indices)
+    _program(device, indices)
     results = {}
 
     def reader(index):
@@ -321,13 +321,13 @@ def test_slot_paced_read_stage_merges_arrivals_behind_a_busy_slot(
 
 def test_coalescer_rejects_unknown_op():
     sim = Simulator()
-    port = FlashSplitter(sim, FlashCard(sim, geometry=GEO)).add_port()
+    port = FlashSplitter(sim, StorageDevice(sim, geometry=GEO)).add_port()
     with pytest.raises(ValueError):
         Coalescer(port, 8, op="erase")
 
 
 def test_coalescer_requires_room_to_merge():
     sim = Simulator()
-    card = FlashCard(sim, geometry=GEO)
+    device = StorageDevice(sim, geometry=GEO)
     with pytest.raises(ValueError):
-        FlashSplitter(sim, card, coalesce=True, coalesce_max_pages=1)
+        FlashSplitter(sim, device, coalesce=True, coalesce_max_pages=1)

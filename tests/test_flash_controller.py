@@ -8,8 +8,10 @@ from repro.flash import (
     FlashCard,
     FlashGeometry,
     FlashTiming,
+    PartialReadError,
     PhysAddr,
     ProgramError,
+    ProgramFailedError,
     UncorrectablePageError,
     WearTracker,
 )
@@ -216,17 +218,35 @@ class TestWriteErasePath:
 class TestChipOperationsInline:
     """The card runs chip operations inline, with no ``Process``, yet
     each costs the same scheduling tickets a spawned chip process did
-    (its bootstrap and completion are now two zero-delay turns)."""
+    (its bootstrap and completion are now two zero-delay turns).  A
+    multi-page command spawns one process per page (reads) or per chip
+    lane (programs); two pages here sit on distinct chips."""
 
-    @pytest.mark.parametrize("op, tickets", [
-        ("read_page", 12), ("write_page", 12), ("erase_block", 8)])
+    ADDRS = [PhysAddr(bus=1, chip=1, block=2, page=0),
+             PhysAddr(bus=0, chip=1, block=2, page=0)]
+
+    @pytest.mark.parametrize("op, pages, tickets, processes", [
+        pytest.param("read_page", 1, 12, 1, id="read_page-12"),
+        pytest.param("write_page", 1, 12, 1, id="write_page-12"),
+        pytest.param("erase_block", 1, 8, 1, id="erase_block-8"),
+        pytest.param("read_pages", 1, 14, 2, id="read_pages-1-14"),
+        pytest.param("read_pages", 2, 24, 3, id="read_pages-2-24"),
+        pytest.param("program_pages", 1, 14, 2, id="program_pages-1-14"),
+        pytest.param("program_pages", 2, 24, 3, id="program_pages-2-24")])
     def test_idle_card_op_tickets_and_processes(self, sim, monkeypatch,
-                                                op, tickets):
+                                                op, pages, tickets,
+                                                processes):
         card = make_card(sim)
-        addr = PhysAddr(bus=1, chip=1, block=2, page=0)
-        if op == "read_page":
-            card.store.program(addr, b"page")
-        args = (addr, b"x" * GEO.page_size) if op == "write_page" else (addr,)
+        addrs = self.ADDRS[:pages]
+        datas = [b"x" * GEO.page_size] * pages
+        for addr in addrs:
+            if op.startswith("read"):
+                card.store.program(addr, b"page")
+        args = {"read_page": (addrs[0],),
+                "write_page": (addrs[0], datas[0]),
+                "erase_block": (addrs[0],),
+                "read_pages": (addrs,),
+                "program_pages": (addrs, datas)}[op]
         built = []
         init = Process.__init__
 
@@ -239,7 +259,101 @@ class TestChipOperationsInline:
         # run_process's own process draws two of the tickets.
         sim.run_process(getattr(card, op)(*args))
         assert sim._eid - before == tickets
-        assert len(built) == 1  # run_process's own
+        assert len(built) == processes  # run_process's own included
+
+
+class StubFaults:
+    """A fault injector that fails exactly the pages it names: a double
+    bit flip on a read of ``flip``, a failed program of
+    ``fail_program``; erases always succeed."""
+
+    def __init__(self, flip=(), fail_program=()):
+        self.flip = set(flip)
+        self.fail_program = set(fail_program)
+
+    def read_flips(self, addr, wear_fraction, flips):
+        return 2 if addr in self.flip else flips
+
+    def program_fails(self, addr, erase_count, now):
+        return addr in self.fail_program
+
+    def erase_fails(self, addr, count, now):
+        return False
+
+    def note_erase(self, addr):
+        pass
+
+
+def install_faults(card, injector):
+    for chip in card.chips.values():
+        chip.faults = injector
+
+
+class TestCommandFailurePaths:
+    """A failed page inside a command is parked, the command retires as
+    a unit and gives its tag back, and the single-page operations fail
+    the same way through the same per-page body."""
+
+    def test_double_flip_fails_one_page_of_a_read_command(self, sim):
+        card = make_card(sim)
+        addrs = [PhysAddr(bus=0, chip=0, block=1),
+                 PhysAddr(bus=0, chip=1, block=1),
+                 PhysAddr(bus=1, chip=0, block=1)]
+        payloads = [bytes([i + 1]) * GEO.page_size for i in range(3)]
+        for addr, payload in zip(addrs, payloads):
+            card.store.program(addr, payload)
+        single = PhysAddr(bus=1, chip=1, block=3)
+        card.store.program(single, payloads[0])
+        install_faults(card, StubFaults(flip=[addrs[1], single]))
+
+        with pytest.raises(PartialReadError) as info:
+            sim.run_process(card.read_pages(addrs))
+        results, errors = info.value.results, info.value.errors
+        assert [r is None for r in results] == [False, True, False]
+        assert [e is None for e in errors] == [True, False, True]
+        assert isinstance(errors[1], UncorrectablePageError)
+        assert errors[1].addr == addrs[1]
+        assert results[0].data == payloads[0]
+        assert results[2].data == payloads[2]
+        assert card.uncorrectable == 1
+        assert card.badblocks.is_bad(addrs[1])
+        assert len(card._tag_pool.items) == card.tag_count
+
+        # The retired page now fails before a tag is taken...
+        with pytest.raises(UncorrectablePageError):
+            sim.run_process(card.read_page(addrs[1]))
+        # ...and a single-page read of a flipped page fails in ECC.
+        with pytest.raises(UncorrectablePageError):
+            sim.run_process(card.read_page(single))
+        assert card.uncorrectable == 2
+        assert card.badblocks.is_bad(single)
+        assert len(card._tag_pool.items) == card.tag_count
+
+    def test_failed_program_stops_only_its_lane(self, sim):
+        card = make_card(sim)
+        lane_a = [PhysAddr(bus=0, chip=0, block=1, page=p) for p in (0, 1)]
+        lane_b = [PhysAddr(bus=1, chip=0, block=1, page=p) for p in (0, 1)]
+        addrs = [lane_a[0], lane_b[0], lane_a[1], lane_b[1]]
+        datas = [bytes([i + 1]) * GEO.page_size for i in range(4)]
+        single = PhysAddr(bus=1, chip=1, block=3)
+        install_faults(card, StubFaults(fail_program=[lane_a[0], single]))
+        erased = card.store.read_data(lane_a[1])
+
+        with pytest.raises(ProgramFailedError):
+            sim.run_process(card.program_pages(addrs, datas))
+        assert card.program_failures == 1
+        assert card.store.read_data(lane_a[1]) == erased
+        assert card.store.read_data(lane_b[0]) == datas[1]
+        assert card.store.read_data(lane_b[1]) == datas[3]
+        assert len(card._tag_pool.items) == card.tag_count
+        # The failed lane's later page was never consumed.
+        sim.run_process(card.write_page(lane_a[1], datas[2]))
+        assert card.store.read_data(lane_a[1]) == datas[2]
+
+        with pytest.raises(ProgramFailedError):
+            sim.run_process(card.write_page(single, datas[0]))
+        assert card.program_failures == 2
+        assert len(card._tag_pool.items) == card.tag_count
 
 
 class TestErrorPath:

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.flash import (
-    FlashCard,
     FlashGeometry,
     FlashServer,
     FlashSplitter,
     FlashTiming,
     PhysAddr,
 )
+from repro.flash.device import StorageDevice
 from repro.sim import Simulator, Store, units
 
 GEO = FlashGeometry(buses_per_card=2, chips_per_bus=2, blocks_per_chip=4,
@@ -23,21 +23,21 @@ def sim():
 
 
 @pytest.fixture
-def card(sim):
-    return FlashCard(sim, geometry=GEO, timing=TIMING)
+def device(sim):
+    return StorageDevice(sim, geometry=GEO, timing=TIMING)
 
 
 class TestSplitter:
-    def test_ports_get_distinct_user_ids(self, sim, card):
-        splitter = FlashSplitter(sim, card)
+    def test_ports_get_distinct_user_ids(self, sim, device):
+        splitter = FlashSplitter(sim, device)
         p0 = splitter.add_port()
         p1 = splitter.add_port()
         assert splitter.ports == [p0, p1]
         # A port without a tenant label is named after its user id.
         assert (p0.tenant, p1.tenant) == ("user0", "user1")
 
-    def test_user_tags_are_renamed_per_port(self, sim, card):
-        splitter = FlashSplitter(sim, card)
+    def test_user_tags_are_renamed_per_port(self, sim, device):
+        splitter = FlashSplitter(sim, device)
         p0 = splitter.add_port()
         p1 = splitter.add_port()
         tags = []
@@ -53,8 +53,8 @@ class TestSplitter:
         # Each port's tags start at 0 independently of the other port.
         assert (0, 0) in tags and (0, 1) in tags and (1, 0) in tags
 
-    def test_fair_share_bounds_one_user(self, sim, card):
-        splitter = FlashSplitter(sim, card)
+    def test_fair_share_bounds_one_user(self, sim, device):
+        splitter = FlashSplitter(sim, device)
         port = splitter.add_port(max_in_flight=1)
         done = []
 
@@ -68,8 +68,8 @@ class TestSplitter:
         # A one-command cap serializes this user even across buses.
         assert done[1] - done[0] >= TIMING.t_read_ns
 
-    def test_two_users_share_concurrently(self, sim, card):
-        splitter = FlashSplitter(sim, card)
+    def test_two_users_share_concurrently(self, sim, device):
+        splitter = FlashSplitter(sim, device)
         p0 = splitter.add_port(max_in_flight=1)
         p1 = splitter.add_port(max_in_flight=1)
         done = []
@@ -84,8 +84,8 @@ class TestSplitter:
         # Different users on different buses proceed in parallel.
         assert abs(done[1] - done[0]) < 2 * units.US
 
-    def test_port_counters(self, sim, card, chip_ops):
-        splitter = FlashSplitter(sim, card)
+    def test_port_counters(self, sim, device, chip_ops):
+        splitter = FlashSplitter(sim, device)
         port = splitter.add_port()
 
         def proc(sim):
@@ -99,44 +99,44 @@ class TestSplitter:
 
 
 class TestFlashServerATU:
-    def test_register_and_translate(self, sim, card):
-        splitter = FlashSplitter(sim, card)
+    def test_register_and_translate(self, sim, device):
+        splitter = FlashSplitter(sim, device)
         server = FlashServer(sim, splitter.add_port())
         extents = [PhysAddr(page=p) for p in range(4)]
         handle = server.register_file("table.db", extents)
         assert server.lookup(handle.handle_id) is handle
         assert handle.translate(2) == extents[2]
 
-    def test_unknown_handle_rejected(self, sim, card):
-        splitter = FlashSplitter(sim, card)
+    def test_unknown_handle_rejected(self, sim, device):
+        splitter = FlashSplitter(sim, device)
         server = FlashServer(sim, splitter.add_port())
         with pytest.raises(KeyError):
             server.lookup(99)
 
-    def test_offset_out_of_range(self, sim, card):
-        splitter = FlashSplitter(sim, card)
+    def test_offset_out_of_range(self, sim, device):
+        splitter = FlashSplitter(sim, device)
         server = FlashServer(sim, splitter.add_port())
         handle = server.register_file("f", [PhysAddr()])
         with pytest.raises(IndexError):
             handle.translate(1)
 
-    def test_invalid_queue_depth(self, sim, card):
-        splitter = FlashSplitter(sim, card)
+    def test_invalid_queue_depth(self, sim, device):
+        splitter = FlashSplitter(sim, device)
         with pytest.raises(ValueError):
             FlashServer(sim, splitter.add_port(), queue_depth=0)
 
 
 class TestFlashServerStreaming:
-    def _setup(self, sim, card, n_pages):
-        splitter = FlashSplitter(sim, card)
+    def _setup(self, sim, device, n_pages):
+        splitter = FlashSplitter(sim, device)
         server = FlashServer(sim, splitter.add_port(), queue_depth=4)
         addrs = [GEO.striped(i) for i in range(n_pages)]
         for i, addr in enumerate(addrs):
-            card.store.program(addr, f"page-{i:04d}".encode())
+            device.store.program(addr, f"page-{i:04d}".encode())
         return server, addrs
 
-    def test_stream_delivers_in_request_order(self, sim, card):
-        server, addrs = self._setup(sim, card, 12)
+    def test_stream_delivers_in_request_order(self, sim, device):
+        server, addrs = self._setup(sim, device, 12)
         out = Store(sim)
         received = []
 
@@ -150,8 +150,8 @@ class TestFlashServerStreaming:
         sim.run()
         assert received == [f"page-{i:04d}" for i in range(12)]
 
-    def test_stream_pipelines_faster_than_serial(self, sim, card):
-        server, addrs = self._setup(sim, card, 8)
+    def test_stream_pipelines_faster_than_serial(self, sim, device):
+        server, addrs = self._setup(sim, device, 8)
         out = Store(sim)
         finished = []
 
@@ -167,8 +167,8 @@ class TestFlashServerStreaming:
         # Pipelined streaming must beat strictly serial chip reads.
         assert finished[0] < serial_time
 
-    def test_stream_file_with_selected_offsets(self, sim, card):
-        server, addrs = self._setup(sim, card, 6)
+    def test_stream_file_with_selected_offsets(self, sim, device):
+        server, addrs = self._setup(sim, device, 6)
         handle = server.register_file("f", addrs)
         out = Store(sim)
         received = []
@@ -184,8 +184,8 @@ class TestFlashServerStreaming:
         sim.run()
         assert received == ["page-0005", "page-0000", "page-0003"]
 
-    def test_stream_whole_file_default(self, sim, card):
-        server, addrs = self._setup(sim, card, 5)
+    def test_stream_whole_file_default(self, sim, device):
+        server, addrs = self._setup(sim, device, 5)
         handle = server.register_file("f", addrs)
         out = Store(sim)
         count = []

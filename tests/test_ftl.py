@@ -28,7 +28,8 @@ class TestPageMap:
     def test_map_and_lookup(self):
         pmap = PageMap(GEO)
         addr = PhysAddr(bus=1, block=2, page=3)
-        assert pmap.map_page(7, addr) is None
+        assert pmap.lookup(7) is None
+        pmap.map_page(7, addr)
         assert pmap.lookup(7) == addr
         assert pmap.reverse(addr) == 7
         assert pmap.mapped_count == 1
@@ -38,7 +39,9 @@ class TestPageMap:
         old = PhysAddr(block=0, page=0)
         new = PhysAddr(block=1, page=0)
         pmap.map_page(7, old)
-        assert pmap.map_page(7, new) == old
+        assert pmap.lookup(7) == old
+        pmap.map_page(7, new)
+        assert pmap.lookup(7) == new
         assert pmap.reverse(old) is None
         assert pmap.valid_count(old) == 0
         assert pmap.valid_count(new) == 1
@@ -47,9 +50,11 @@ class TestPageMap:
         pmap = PageMap(GEO)
         addr = PhysAddr(page=1)
         pmap.map_page(3, addr)
-        assert pmap.unmap(3) == addr
+        assert pmap.lookup(3) == addr
+        pmap.unmap(3)
         assert pmap.lookup(3) is None
-        assert pmap.unmap(3) is None
+        pmap.unmap(3)
+        assert pmap.lookup(3) is None
 
     def test_negative_lpn_rejected(self):
         with pytest.raises(ValueError):

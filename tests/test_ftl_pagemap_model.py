@@ -7,9 +7,9 @@ per-block key.  Random interleavings of ``map_page``, ``map_group``,
 after every step ``lookup`` must agree with the dict, ``reverse`` must
 invert ``lookup`` on every mapped LPN (the map/reverse bijection),
 ``valid_count`` and ``mapped_count`` must equal the counts the dict
-implies, and ``map_page``/``unmap`` must return the address the dict
-held.  The map is built on node 1, so the node travels through the
-per-block keys too.
+implies, and before each ``map_page``/``unmap`` ``lookup`` must return
+the address the dict held.  The map is built on node 1, so the node
+travels through the per-block keys too.
 """
 
 import pytest
@@ -48,7 +48,8 @@ def apply(pmap, model, op):
         addr = PhysAddr(*BLOCKS[block], page)
         if pmap.reverse(addr) is not None:
             return  # one LPN per physical page, as the FTL guarantees
-        assert pmap.map_page(lpn, addr) == model.get(lpn)
+        assert pmap.lookup(lpn) == model.get(lpn)
+        pmap.map_page(lpn, addr)
         model[lpn] = addr
     elif kind == "group":
         _, start, blocks = op
@@ -60,7 +61,8 @@ def apply(pmap, model, op):
             for unit, key in enumerate(keys):
                 model[start + page * len(keys) + unit] = PhysAddr(*key, page)
     elif kind == "unmap":
-        assert pmap.unmap(op[1]) == model.pop(op[1], None)
+        assert pmap.lookup(op[1]) == model.pop(op[1], None)
+        pmap.unmap(op[1])
     else:
         addr = PhysAddr(*BLOCKS[op[1]])
         if valid_in(model, BLOCKS[op[1]]):

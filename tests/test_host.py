@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.flash import FlashCard, FlashGeometry, FlashSplitter, FlashTiming, PhysAddr
+from repro.flash import FlashGeometry, FlashSplitter, FlashTiming, PhysAddr
+from repro.flash.device import StorageDevice
 from repro.host import (
     HostConfig,
     HostCPU,
@@ -185,18 +186,18 @@ class TestHostCPU:
 
 class TestHostInterface:
     def _build(self, sim):
-        card = FlashCard(sim, geometry=GEO, timing=FlashTiming())
-        splitter = FlashSplitter(sim, card)
+        device = StorageDevice(sim, geometry=GEO, timing=FlashTiming())
+        splitter = FlashSplitter(sim, device)
         cpu = HostCPU(sim, CONFIG)
         pcie = PCIeLink(sim, CONFIG)
         iface = HostInterface(sim, CONFIG, cpu, pcie, splitter.add_port(),
                               GEO.page_size)
-        return card, iface
+        return device, iface
 
     def test_read_page_roundtrip(self, sim, chip_ops):
-        card, iface = self._build(sim)
+        device, iface = self._build(sim)
         addr = PhysAddr(bus=1, page=2)
-        card.store.program(addr, b"host visible data")
+        device.store.program(addr, b"host visible data")
 
         def proc(sim):
             data = yield sim.process(iface.read_page(addr))
@@ -206,7 +207,7 @@ class TestHostInterface:
         assert chip_ops["read"] == 1
 
     def test_read_latency_includes_software_overhead(self, sim):
-        card, iface = self._build(sim)
+        device, iface = self._build(sim)
 
         def proc(sim):
             yield sim.process(iface.read_page(PhysAddr()))
@@ -219,7 +220,7 @@ class TestHostInterface:
         assert elapsed >= floor
 
     def test_isp_path_skips_software_cost(self, sim):
-        card, iface = self._build(sim)
+        device, iface = self._build(sim)
 
         def timed(software_path):
             s = Simulator()
@@ -235,7 +236,7 @@ class TestHostInterface:
                 == CONFIG.software_request_ns)
 
     def test_write_page_roundtrip(self, sim, chip_ops):
-        card, iface = self._build(sim)
+        device, iface = self._build(sim)
         addr = PhysAddr(block=1)
 
         def proc(sim):
@@ -254,14 +255,14 @@ class TestHostInterface:
         fast_geo = FlashGeometry(buses_per_card=8, chips_per_bus=4,
                                  blocks_per_chip=4, pages_per_block=4,
                                  page_size=8192, cards_per_node=1)
-        card = FlashCard(sim, geometry=fast_geo,
-                         timing=FlashTiming(bus_bytes_per_ns=0.3))
-        splitter = FlashSplitter(sim, card)
+        device = StorageDevice(sim, geometry=fast_geo,
+                               timing=FlashTiming(bus_bytes_per_ns=0.3))
+        splitter = FlashSplitter(sim, device)
         cpu = HostCPU(sim, CONFIG)
         pcie = PCIeLink(sim, CONFIG)
         iface = HostInterface(sim, CONFIG, cpu, pcie, splitter.add_port(),
                               fast_geo.page_size)
-        assert card.peak_read_bandwidth() == pytest.approx(2.4)
+        assert device.peak_read_bandwidth() == pytest.approx(2.4)
         n = 384
 
         def reader(sim, i):

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from repro.api import (ScenarioSpec, Session, TenantSpec, VolumeSpec,
                        WorkloadSpec)
 from repro.core import BlueDBMCluster
-from repro.flash import FlashCard, FlashGeometry, FlashSplitter, PhysAddr
+from repro.flash import FlashGeometry, FlashSplitter, PhysAddr
+from repro.flash.device import StorageDevice
 from repro.io import (
     UNSAMPLED,
     IOKind,
@@ -280,8 +281,8 @@ class TestTraceSampling:
 class TestSplitterTracing:
     def test_port_reads_become_traced_requests(self, sim):
         tracer = RequestTracer(sim)
-        card = FlashCard(sim, geometry=GEO)
-        splitter = FlashSplitter(sim, card, tracer=tracer)
+        device = StorageDevice(sim, geometry=GEO)
+        splitter = FlashSplitter(sim, device, tracer=tracer)
         port = splitter.add_port(tenant="isp")
         completed = record_completions(tracer)
 
@@ -302,8 +303,8 @@ class TestSplitterTracing:
         from repro.flash import FlashServer
 
         tracer = RequestTracer(sim)
-        card = FlashCard(sim, geometry=GEO)
-        splitter = FlashSplitter(sim, card, tracer=tracer)
+        device = StorageDevice(sim, geometry=GEO)
+        splitter = FlashSplitter(sim, device, tracer=tracer)
         server = FlashServer(sim, splitter.add_port(tenant="isp"),
                              queue_depth=4)
         completed = record_completions(tracer)
@@ -330,8 +331,8 @@ class TestTracingDoesNotDemoteQoS:
         scheduled with the configured port priority, so attaching a
         tracer never changes policy outcomes."""
         tracer = RequestTracer(sim)
-        card = FlashCard(sim, geometry=GEO)
-        splitter = FlashSplitter(sim, card, policy="priority",
+        device = StorageDevice(sim, geometry=GEO)
+        splitter = FlashSplitter(sim, device, policy="priority",
                                  total_in_flight=1, tracer=tracer)
         low = splitter.add_port(tenant="low", priority=0)
         high = splitter.add_port(tenant="high", priority=5)
@@ -368,8 +369,8 @@ class TestTracingDoesNotDemoteQoS:
         """Write attribution matches the documented taxonomy: command
         overhead + program time are 'storage', transfers are 'device'."""
         tracer = RequestTracer(sim)
-        card = FlashCard(sim, geometry=GEO)
-        splitter = FlashSplitter(sim, card, tracer=tracer)
+        device = StorageDevice(sim, geometry=GEO)
+        splitter = FlashSplitter(sim, device, tracer=tracer)
         port = splitter.add_port(tenant="host")
         completed = record_completions(tracer)
 
@@ -378,6 +379,7 @@ class TestTracingDoesNotDemoteQoS:
 
         sim.run_process(proc(sim))
         [req] = completed
+        card = device.cards[0]
         assert req.stage_ns("storage") == (
             card.timing.cmd_overhead_ns + card.timing.t_prog_ns)
         assert req.stage_ns("device") > 0

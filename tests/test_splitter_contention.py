@@ -13,12 +13,12 @@ import random
 import pytest
 
 from repro.flash import (
-    FlashCard,
     FlashGeometry,
     FlashSplitter,
     PhysAddr,
     UncorrectablePageError,
 )
+from repro.flash.device import StorageDevice
 from repro.sim import Simulator
 
 GEO = FlashGeometry(buses_per_card=2, chips_per_bus=2, blocks_per_chip=4,
@@ -31,8 +31,8 @@ def sim():
 
 
 @pytest.fixture
-def card(sim):
-    return FlashCard(sim, geometry=GEO)
+def device(sim):
+    return StorageDevice(sim, geometry=GEO)
 
 
 def _addr(rng):
@@ -48,11 +48,11 @@ class TestTagRenamingUnderContention:
     OPS_PER_WORKER = 8
     CAP = 4
 
-    def _run(self, sim, card, policy=None, bad_pages=()):
+    def _run(self, sim, device, policy=None, bad_pages=()):
         """Drive interleaved reads/writes/errors; record every outcome."""
         for addr in bad_pages:
-            card.badblocks.mark_bad(addr)
-        splitter = FlashSplitter(sim, card, policy=policy)
+            device.badblocks.mark_bad(addr)
+        splitter = FlashSplitter(sim, device, policy=policy)
         ports = [splitter.add_port(max_in_flight=self.CAP)
                  for _ in range(self.N_PORTS)]
         seen_tags = {port.tenant: [] for port in ports}
@@ -97,8 +97,8 @@ class TestTagRenamingUnderContention:
         sim.run()
         return splitter, ports, seen_tags, max_in_flight, errors
 
-    def test_user_tags_stay_private_and_monotonic(self, sim, card):
-        _, ports, seen_tags, _, _ = self._run(sim, card)
+    def test_user_tags_stay_private_and_monotonic(self, sim, device):
+        _, ports, seen_tags, _, _ = self._run(sim, device)
         for tenant, tags in seen_tags.items():
             # Tags are drawn from the port's private monotonic space:
             # strictly increasing per port in completion order of issue,
@@ -107,11 +107,11 @@ class TestTagRenamingUnderContention:
             assert len(set(tags)) == len(tags), (
                 f"user {tenant} saw a duplicate renamed tag")
 
-    def test_physical_tags_never_leak(self, sim, card):
+    def test_physical_tags_never_leak(self, sim, device):
         """No port ever observes the card's physical tag pool directly:
         every returned tag must be below the port's own issue counter,
         while the card's 128-entry physical space is far larger."""
-        _, ports, seen_tags, _, _ = self._run(sim, card)
+        _, ports, seen_tags, _, _ = self._run(sim, device)
         for port in ports:
             issued = port._next_user_tag
             for tag in seen_tags[port.tenant]:
@@ -119,33 +119,35 @@ class TestTagRenamingUnderContention:
                     f"tag {tag} outside user space (issued {issued}) — "
                     f"physical tag leaked")
 
-    def test_per_port_in_flight_caps_hold(self, sim, card):
-        _, ports, _, max_in_flight, _ = self._run(sim, card)
+    def test_per_port_in_flight_caps_hold(self, sim, device):
+        _, ports, _, max_in_flight, _ = self._run(sim, device)
         for port in ports:
             assert max_in_flight[port.tenant] <= self.CAP
 
-    def test_error_paths_release_slots_and_tags(self, sim, card):
+    def test_error_paths_release_slots_and_tags(self, sim, device):
         bad = [PhysAddr(bus=0, chip=0, block=1, page=p) for p in range(8)]
         _, ports, _, max_in_flight, errors = self._run(
-            sim, card, bad_pages=bad)
+            sim, device, bad_pages=bad)
         # Some operations hit the bad block and raised.
         assert errors, "expected at least one error-path operation"
         # Yet nothing leaked: all slots returned...
         for port in ports:
             assert port._slots.in_use == 0
         # ...and the card's physical tag pool is whole again.
+        card = device.cards[0]
         assert len(card._tag_pool.items) == card.tag_count
 
     @pytest.mark.parametrize("policy", [None, "fifo", "rr", "priority",
                                         "edf"])
-    def test_invariants_hold_under_every_policy(self, sim, card, policy):
+    def test_invariants_hold_under_every_policy(self, sim, device, policy):
         splitter, ports, seen_tags, max_in_flight, _ = self._run(
-            sim, card, policy=policy)
+            sim, device, policy=policy)
         for port in ports:
             assert max_in_flight[port.tenant] <= self.CAP
             assert port._slots.in_use == 0
             tags = seen_tags[port.tenant]
             assert len(set(tags)) == len(tags)
+        card = device.cards[0]
         assert len(card._tag_pool.items) == card.tag_count
         if splitter.admission is not None:
             assert splitter.admission.in_use == 0

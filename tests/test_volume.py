@@ -115,8 +115,8 @@ class TestProgramPages:
         two_cards = dataclasses.replace(GEO, cards_per_node=2)
         device = StorageDevice(sim, geometry=two_cards, timing=FAST)
         addrs = [PhysAddr(node=0, card=0), PhysAddr(node=0, card=1)]
-        with pytest.raises(ValueError, match="cards"):
-            sim.run_process(device.program_pages(
+        with pytest.raises(ValueError, match="not on card 0"):
+            sim.run_process(device.cards[0].program_pages(
                 addrs, [b"x" * GEO.page_size] * 2))
 
 
