@@ -43,8 +43,7 @@ def main():
         t0 = sim.now
         data = bytearray()
         for _ in range(len(extents)):
-            result = yield out.get()
-            data.extend(result.data)
+            data.extend((yield out.get()))
         isp_ns = sim.now - t0
         assert bytes(data[:len(payload)]) == payload
         print(f"ISP stream    : {len(extents)} pages in "

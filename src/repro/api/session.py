@@ -180,9 +180,7 @@ class Session:
                 Coalescer(service_port, d.remote_coalesce_max_pages,
                           paced=True)
                 if d.remote_coalesce else None)
-            service = ShardServiceIface(
-                self.sim, service_port, geometry.page_size,
-                coalescer=coalescer)
+            service = ShardServiceIface(service_port, coalescer=coalescer)
             self.dvol.add_shard(shard, volume, service)
         if self.cluster is not None:
             self.dvol.connect(self.cluster.network,
@@ -228,9 +226,7 @@ class Session:
         port = node.splitter.add_port(tenant=tenant.name,
                                       **tenant.qos_kwargs())
         self._ifaces[tenant.name] = HostInterface(
-            self.sim, node.host_config, node.cpu, node.pcie, port,
-            self.spec.geometry.page_size, tracer=self.tracer,
-            tenant=tenant.name)
+            node.host_config, node.cpu, node.pcie, port)
         self._windows[tenant.name] = window
         start, size = window
         target.register_owner(start, size, tenant.name)

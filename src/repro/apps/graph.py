@@ -93,8 +93,7 @@ class GraphTraversal:
         integrated network, local ones straight to flash."""
         addr = self.graph.address(vertex)
         if addr.node == self.home:
-            result = yield from self.cluster.nodes[self.home].isp_read(addr)
-            return result.data
+            return (yield from self.cluster.nodes[self.home].isp_read(addr))
         return (yield from self.cluster.isp_remote_flash(self.home, addr))
 
     def _fetch_h_f(self, vertex: int):

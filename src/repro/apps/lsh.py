@@ -170,9 +170,9 @@ class NearestNeighborISP:
         best: List[Tuple[int, int]] = []
 
         def _compare(item_id: int):
-            result = yield from self.node.isp_read(self._addr_of[item_id])
+            data = yield from self.node.isp_read(self._addr_of[item_id])
             engine = engines.pick()
-            dist = yield from engine.run_page(result.data)
+            dist = yield from engine.run_page(data)
             best.append((dist, item_id))
 
         yield from self.sim.pipeline(
@@ -199,9 +199,9 @@ class NearestNeighborISP:
         done = []
 
         def _compare(item_id: int):
-            result = yield from self.node.isp_read(self._addr_of[item_id])
+            data = yield from self.node.isp_read(self._addr_of[item_id])
             engine = engines.pick()
-            yield from engine.run_page(result.data)
+            yield from engine.run_page(data)
             done.append(self.sim.now)
 
         # Deep pipelining: the bandwidth-delay product of the flash path

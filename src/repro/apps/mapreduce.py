@@ -146,7 +146,7 @@ class WordCountJob:
                 page = yield out.get()
                 engine = engines[i % len(engines)]
                 pending.append(self.sim.process(
-                    engine.run_page(page.data)))
+                    engine.run_page(page)))
                 if len(pending) >= 2 * len(engines):
                     counts = yield pending.pop(0)
                     self._fold(counts, partials)

@@ -130,8 +130,8 @@ class StringSearchISP:
                 handle.handle_id, pages,
                 offsets=range(start_page, hi)))
             for _ in range(hi - start_page):
-                result = yield pages.get()
-                yield from engine.run_page(result.data, stream)
+                page = yield pages.get()
+                yield from engine.run_page(page, stream)
             # Drop overlap-region duplicates owned by the previous segment.
             all_matches.extend(m for m in stream.matches
                                if m >= segment_floor or index == 0)

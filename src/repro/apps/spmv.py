@@ -83,7 +83,7 @@ class SpMVApp:
                 handle.handle_id, out, offsets=range(lo, hi)))
             for _ in range(hi - lo):
                 page = yield out.get()
-                partial = yield from engine.run_page(page.data)
+                partial = yield from engine.run_page(page)
                 for row, value in partial.items():
                     y[row] += value
 

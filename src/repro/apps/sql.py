@@ -128,7 +128,7 @@ class TableScan:
                 handle.handle_id, out, offsets=range(lo, hi)))
             for _ in range(hi - lo):
                 page = yield out.get()
-                rows = yield from engine.run_page(page.data, None)
+                rows = yield from engine.run_page(page, None)
                 if rows:
                     result_bytes[0] += engine.result_bytes(rows)
                     results.extend(rows)

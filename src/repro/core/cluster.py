@@ -118,8 +118,7 @@ class BlueDBMCluster:
         node = self.nodes[node_id]
         if msg["kind"] != "flash":
             raise ValueError(f"unknown request kind {msg['kind']!r}")
-        result = yield from node.net_read(msg["addr"], request=msg["request"])
-        data = result.data
+        data = yield from node.net_read(msg["addr"], request=msg["request"])
         yield from self.rpc.reply(node_id, msg, data, self.page_size)
 
     # -- tracing helpers -----------------------------------------------

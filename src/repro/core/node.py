@@ -115,9 +115,8 @@ class BlueDBMNode:
         # Host server.
         self.cpu = HostCPU(sim, self.host_config)
         self.pcie = PCIeLink(sim, self.host_config)
-        self.host = HostInterface(sim, self.host_config, self.cpu,
-                                  self.pcie, self.host_port,
-                                  geometry.page_size, tracer=tracer)
+        self.host = HostInterface(self.host_config, self.cpu, self.pcie,
+                                  self.host_port)
 
         # On-board DRAM buffer (Figure 2's fourth service).
         self.dram = DRAMStore(sim, page_size=geometry.page_size,

@@ -67,18 +67,14 @@ class ShardServiceIface:
     they ride the service port directly.
     """
 
-    def __init__(self, sim: Simulator, port, page_size: int,
-                 coalescer: Optional[Coalescer] = None):
-        self.sim = sim
+    def __init__(self, port, coalescer: Optional[Coalescer] = None):
         self.port = port
-        self.page_size = page_size
         self.coalescer = coalescer
 
     def _read_flow(self, addr, software_path: bool,
                    request: Optional[IORequest]):
         if self.coalescer is not None:
-            result = yield self.coalescer.submit(addr, request)
-            return result
+            return (yield self.coalescer.submit(addr, request))
         return (yield from self.port.read_page(addr, request=request))
 
     def _write_flow(self, addr, data: bytes, software_path: bool,
@@ -233,8 +229,8 @@ class ShardedVolume:
     def read_lpn(self, src: int, iface, lpn: int,
                  software_path: bool = True):
         """Traced cluster-wide logical read (DES generator) -> bytes."""
-        request, owned = iface._start(IOKind.READ, lpn, self.page_size,
-                                      None)
+        request, owned = iface.port._start(IOKind.READ, lpn,
+                                           self.page_size, None)
         data = yield from self.read(src, iface, lpn, software_path,
                                     request)
         if owned:
@@ -244,7 +240,8 @@ class ShardedVolume:
     def write_lpn(self, src: int, iface, lpn: int, data: bytes,
                   software_path: bool = True):
         """Traced cluster-wide logical write (DES generator)."""
-        request, owned = iface._start(IOKind.WRITE, lpn, len(data), None)
+        request, owned = iface.port._start(IOKind.WRITE, lpn, len(data),
+                                           None)
         yield from self.write(src, iface, lpn, data, software_path,
                               request)
         if owned:

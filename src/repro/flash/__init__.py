@@ -11,13 +11,15 @@ Layers, bottom-up:
 * :mod:`~repro.flash.chip` — per-die timing, NAND program/erase rules,
   wear-scaled bit-error injection.
 * :mod:`~repro.flash.controller` — the tagged, out-of-order,
-  error-corrected card controller (:class:`FlashCard`).
+  error-corrected card controller (:class:`FlashCard`); a read returns
+  the page's bytes.
 * :mod:`~repro.flash.device` — a node's cards with their shared
   wear/bad-block/payload state; ``card_of`` names an address's card.
 * :mod:`~repro.flash.coalesce` — the splitter's admission-side
   coalescing engine: stripe-adjacent page reads and programs merge into
   multi-page commands (:class:`Coalescer`).
-* :mod:`~repro.flash.splitter` — multi-user access with tag renaming.
+* :mod:`~repro.flash.splitter` — multi-user access, each user capped to
+  a share of the card's tags (what the paper's tag renaming enforces).
 * :mod:`~repro.flash.server` — Flash Server: in-order streaming interface
   plus the Address Translation Unit for file-handle access.
 """
@@ -35,7 +37,6 @@ from .coalesce import Coalescer, first_group
 from .controller import (
     FlashCard,
     PartialReadError,
-    ReadResult,
     UncorrectablePageError,
 )
 from .ecc import UncorrectableError
@@ -60,7 +61,6 @@ __all__ = [
     "ProgramFailedError",
     "EraseError",
     "FlashCard",
-    "ReadResult",
     "UncorrectablePageError",
     "PartialReadError",
     "UncorrectableError",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict
 
 from ..sim import Resource, Simulator, units
 from .geometry import FlashGeometry, PhysAddr
@@ -127,8 +127,12 @@ class FlashChip:
         self.chip = chip
         self.busy = Resource(sim, capacity=1,
                              name=f"chip-n{node}c{card}b{bus}ch{chip}")
-        # Pages programmed since last erase, per block (NAND write rule).
-        self._programmed: Dict[int, Set[int]] = {}
+        # Pages programmed since last erase, per block (NAND write
+        # rule): bit p of ``_programmed[block]`` is page p.  A program
+        # checks and sets its bit only once it holds the chip, and an
+        # erase clears the block in the step that frees the chip, so a
+        # program queued behind an erase sees the erased block.
+        self._programmed: Dict[int, int] = {}
         # Optional fault injector (repro.faults.FaultInjector); None by
         # default — every consult below is gated on it, so fault-free
         # runs take no extra RNG draws and stay byte-identical.
@@ -200,24 +204,25 @@ class FlashChip:
         self._check(addr)
         sim = self.sim
         yield sim.timeout(0)  # the issue turn
-        programmed = self._programmed.setdefault(addr.block, set())
-        if addr.page in programmed:
-            raise ProgramError(
-                f"page {addr} already programmed since last erase")
         yield self.busy.request()
         try:
+            programmed = self._programmed.get(addr.block, 0)
+            bit = 1 << addr.page
+            if programmed & bit:
+                raise ProgramError(
+                    f"page {addr} already programmed since last erase")
+            # The page is consumed whether or not the program succeeds
+            # (no in-place retry on NAND).
+            self._programmed[addr.block] = programmed | bit
             yield sim.timeout(self.timing.t_prog_ns)
         finally:
             self.busy.release()
         if self.faults is not None and self.faults.program_fails(
                 addr, self.wear.erase_count(addr), sim.now):
-            # The program time is billed and the page is consumed (no
-            # in-place retry on NAND), but the array holds no data.
-            programmed.add(addr.page)
+            # The program time is billed, but the array holds no data.
             yield sim.timeout(0)  # the completion turn
             raise ProgramFailedError(f"program failed at {addr}")
         self.store.program(addr, data)
-        programmed.add(addr.page)
         yield sim.timeout(0)  # the completion turn
 
     def erase(self, addr: PhysAddr):

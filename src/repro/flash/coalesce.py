@@ -40,9 +40,10 @@ arguments say what differs:
   request's ``queue`` stage.
 
 The merged command completes as a unit — one completion message per
-command, like the tagged interface underneath — so a closed-loop
-submitter gets its whole window back at once and refills it with the
-next adjacent run, which is what keeps commands wide in steady state.
+command, like the tagged interface underneath, handing each staged read
+its own page's bytes — so a closed-loop submitter gets its whole window
+back at once and refills it with the next adjacent run, which is what
+keeps commands wide in steady state.
 Commands from different tenants/groups still complete out of order with
 respect to each other.
 """
@@ -129,12 +130,12 @@ class Coalescer:
     """A per-port coalescing stage in front of splitter admission.
 
     ``submit`` stages a page operation and returns its completion event
-    (value: the page's :class:`~repro.flash.controller.ReadResult` for
-    reads, None for programs); a dispatcher process drains the staging
-    queue, merging adjacent runs per :func:`first_group` and launching
-    one admission + card command per group.  Everything that arrives
-    within one simulator timestep is visible to the same dispatch round,
-    so a queue-depth-N submitter's whole window can merge.
+    (value: the page's bytes for reads, None for programs); a
+    dispatcher process drains the staging queue, merging adjacent runs
+    per :func:`first_group` and launching one admission + card command
+    per group.  Everything that arrives within one simulator timestep
+    is visible to the same dispatch round, so a queue-depth-N
+    submitter's whole window can merge.
 
     For programs, groups are *strict* ``+1`` striped-index runs taken
     off the open write point, so a merged command can never jump across
@@ -276,14 +277,14 @@ class Coalescer:
             # (and their served bytes), only the bad ones fail — the
             # same outcome each would have seen unmerged.
             splitter.bandwidth.record(tenant, sum(
-                p.size for p, result in zip(group, exc.results)
-                if result is not None))
-            for pending, result, error in zip(group, exc.results,
-                                              exc.errors):
+                p.size for p, data in zip(group, exc.results)
+                if data is not None))
+            for pending, data, error in zip(group, exc.results,
+                                            exc.errors):
                 if error is not None:
                     pending.event.fail(error)
                 else:
-                    pending.event.succeed(result)
+                    pending.event.succeed(data)
             return
         except Exception as exc:
             for pending in group:
@@ -296,7 +297,7 @@ class Coalescer:
             if failed or self.op == "program":
                 self._release_pacing_slot()
         splitter.bandwidth.record(tenant, cost)
-        for pending, result in zip(group, results or [None] * len(group)):
-            pending.event.succeed(result)
+        for pending, data in zip(group, results or [None] * len(group)):
+            pending.event.succeed(data)
         if self.op == "read":
             self._release_pacing_slot()

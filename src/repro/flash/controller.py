@@ -8,7 +8,10 @@ blocks and pages".  Key properties reproduced here:
   completions arrive out of order with respect to issue ("the controller
   may send these data bursts out of order ... interleaved with other read
   requests"), and multiple commands *must* be in flight to saturate the
-  device because single-op latency is ~50 µs.
+  device because single-op latency is ~50 µs.  Only the pool's size
+  matters to the model, so tags are counted, not numbered: the pool is
+  a :class:`~repro.sim.Resource` and a completion carries just its
+  page's bytes.
 * **All degrees of parallelism exposed** — each chip and each bus is an
   independent resource; requests to different buses/chips overlap fully.
 * **Error-free logical view** — ECC decode runs on every read that took a
@@ -25,7 +28,7 @@ import random
 from typing import Dict, Optional, Tuple
 
 from ..io import BatchStageSpan, IORequest, StageSpan
-from ..sim import Resource, Simulator, Store, units
+from ..sim import Resource, Simulator, units
 from . import ecc
 from .chip import (
     BadBlockProgramError,
@@ -40,8 +43,7 @@ from .geometry import DEFAULT_GEOMETRY, FlashGeometry, PhysAddr
 from .health import BadBlockTable, WearTracker
 from .store import PageStore
 
-__all__ = ["FlashCard", "ReadResult", "UncorrectablePageError",
-           "PartialReadError"]
+__all__ = ["FlashCard", "UncorrectablePageError", "PartialReadError"]
 
 
 class UncorrectablePageError(Exception):
@@ -56,10 +58,10 @@ class PartialReadError(Exception):
     """A multi-page command finished with some pages failed.
 
     ``results`` / ``errors`` are parallel to the command's address
-    list: exactly one of ``results[i]`` / ``errors[i]`` is set per
-    page, so a caller fanning completions back out (the splitter's
-    coalescer) can settle the successful pages normally and fail only
-    the ones that actually went bad.
+    list: exactly one of ``results[i]`` (the page's bytes) /
+    ``errors[i]`` is set per page, so a caller fanning completions
+    back out (the splitter's coalescer) can settle the successful
+    pages normally and fail only the ones that actually went bad.
     """
 
     def __init__(self, results: list, errors: list):
@@ -70,19 +72,6 @@ class PartialReadError(Exception):
             f"pages failed in a multi-page command ({', '.join(failed)})")
         self.results = results
         self.errors = errors
-
-
-class ReadResult:
-    """Completion record for a tagged read."""
-
-    __slots__ = ("addr", "data", "tag", "corrected_bits")
-
-    def __init__(self, addr: PhysAddr, data: bytes, tag: int,
-                 corrected_bits: int):
-        self.addr = addr
-        self.data = data
-        self.tag = tag
-        self.corrected_bits = corrected_bits
 
 
 class FlashCard:
@@ -137,13 +126,10 @@ class FlashCard:
         self._page_aurora_ns = units.transfer_ns(
             geometry.page_size, self.timing.aurora_bytes_per_ns)
 
-        self._tag_pool: Store = Store(sim, name="tags")
-        for t in range(tags):
-            self._tag_pool.items.append(t)
+        self._tags = Resource(sim, capacity=tags, name="tags")
         self.tag_count = tags
 
-        # Fault counts the benchmarks read; the per-read ECC correction
-        # count rides on each ReadResult.
+        # Fault counts the benchmarks read.
         self.uncorrectable = 0
         self.program_failures = 0
 
@@ -169,7 +155,7 @@ class FlashCard:
 
     # -- tagged operations ---------------------------------------------------
     def read_page(self, addr: PhysAddr, request: Optional[IORequest] = None):
-        """Tagged page read; returns :class:`ReadResult` (corrected data).
+        """Tagged page read; returns the page's (corrected) bytes.
 
         Timeline: acquire tag -> command overhead -> chip array read
         (t_read) -> bus transfer -> aurora transfer to the host FPGA ->
@@ -183,19 +169,19 @@ class FlashCard:
         if self.badblocks.is_bad(addr):
             raise UncorrectablePageError(addr)
         with StageSpan(self.sim, request, "tag"):
-            tag = yield self._tag_pool.get()
+            yield self._tags.request()
         try:
             with StageSpan(self.sim, request, "storage"):
                 yield self.sim.timeout(self.timing.cmd_overhead_ns)
             results = [None]
             errors = [None]
-            yield from self._page_read(addr, chip, request, tag, 0,
-                                       results, errors)
+            yield from self._page_read(addr, chip, request, 0, results,
+                                       errors)
             if errors[0] is not None:
                 raise errors[0]
             return results[0]
         finally:
-            self._tag_pool.put_nowait(tag)
+            self._tags.release()
 
     def read_pages(self, addrs, requests=None):
         """One multi-page command: a single tag and one command setup
@@ -215,10 +201,10 @@ class FlashCard:
         command setup) are charged to every child via
         :class:`~repro.io.stage.BatchStageSpan`, per-page service to
         each child alone, so the tracer still attributes queueing vs.
-        service per page.  Returns the :class:`ReadResult` list in
-        input order; if any page fails, raises
-        :class:`PartialReadError` carrying per-page outcomes so the
-        successful siblings' results are not lost.
+        service per page.  Returns the pages' bytes in input order; if
+        any page fails, raises :class:`PartialReadError` carrying
+        per-page outcomes so the successful siblings' bytes are not
+        lost.
         """
         if not addrs:
             return []
@@ -241,13 +227,13 @@ class FlashCard:
                 # Nothing readable: fail like read_page does, pre-tag.
                 raise PartialReadError(results, errors)
         with BatchStageSpan(self.sim, requests, "tag"):
-            tag = yield self._tag_pool.get()
+            yield self._tags.request()
         try:
             with BatchStageSpan(self.sim, requests, "storage"):
                 yield self.sim.timeout(self.timing.cmd_overhead_ns)
             procs = [
                 self.sim.process(self._page_read(
-                    addr, chip, request, tag, index, results, errors))
+                    addr, chip, request, index, results, errors))
                 for index, (addr, chip, request)
                 in enumerate(zip(addrs, chips, requests))
                 if errors[index] is None
@@ -258,10 +244,10 @@ class FlashCard:
                 raise PartialReadError(results, errors)
             return results
         finally:
-            self._tag_pool.put_nowait(tag)
+            self._tags.release()
 
-    def _page_read(self, addr: PhysAddr, chip, request, tag: int,
-                   index: int, results: list, errors: list):
+    def _page_read(self, addr: PhysAddr, chip, request, index: int,
+                   results: list, errors: list):
         """Array read + card-internal transfer + ECC for one page.
 
         The one per-page read body: :meth:`read_page` runs it inline,
@@ -287,16 +273,15 @@ class FlashCard:
                     self.timing.aurora_latency_ns + self._page_aurora_ns)
             finally:
                 self.aurora.release()
-        corrected_bits = 0
         if flips:
             try:
-                data, corrected_bits = ecc.decode_page(data, parity)
+                data, _ = ecc.decode_page(data, parity)
             except ecc.UncorrectableError:
                 self.uncorrectable += 1
                 self.badblocks.mark_bad(addr)
                 errors[index] = UncorrectablePageError(addr)
                 return
-        results[index] = ReadResult(addr, data, tag, corrected_bits)
+        results[index] = data
 
     def program_pages(self, addrs, datas, requests=None):
         """One multi-page program command: a single tag and one command
@@ -360,7 +345,7 @@ class FlashCard:
                     f"{previous})")
             last_page[block_key] = addr.page
         with BatchStageSpan(self.sim, requests, "tag"):
-            tag = yield self._tag_pool.get()
+            yield self._tags.request()
         try:
             with BatchStageSpan(self.sim, requests, "storage"):
                 yield self.sim.timeout(self.timing.cmd_overhead_ns)
@@ -386,7 +371,7 @@ class FlashCard:
             if failures:
                 raise failures[0]
         finally:
-            self._tag_pool.put_nowait(tag)
+            self._tags.release()
 
     def _lane_program(self, pages, failures: list):
         """Program one chip's pages in order: data movement down, then
@@ -437,7 +422,7 @@ class FlashCard:
         if self.badblocks.is_bad(addr):
             raise BadBlockProgramError(f"program to bad block at {addr}")
         with StageSpan(self.sim, request, "tag"):
-            tag = yield self._tag_pool.get()
+            yield self._tags.request()
         try:
             with StageSpan(self.sim, request, "storage"):
                 yield self.sim.timeout(self.timing.cmd_overhead_ns)
@@ -447,13 +432,13 @@ class FlashCard:
             if failures:
                 raise failures[0]
         finally:
-            self._tag_pool.put_nowait(tag)
+            self._tags.release()
 
     def erase_block(self, addr: PhysAddr, request: Optional[IORequest] = None):
         """Tagged block erase; retires the block on erase failure."""
         chip = self._chip(addr)
         with StageSpan(self.sim, request, "tag"):
-            tag = yield self._tag_pool.get()
+            yield self._tags.request()
         try:
             with StageSpan(self.sim, request, "storage"):
                 yield self.sim.timeout(self.timing.cmd_overhead_ns)
@@ -463,7 +448,7 @@ class FlashCard:
                     self.badblocks.mark_bad(addr)
                     raise
         finally:
-            self._tag_pool.put_nowait(tag)
+            self._tags.release()
 
     # -- capacity views ------------------------------------------------------
     def peak_read_bandwidth(self) -> float:

@@ -10,7 +10,8 @@ handles to incoming streams of physical addresses from the host"
 
 ``queue_depth`` page buffers let the server keep many tagged reads in
 flight while presenting strict FIFO completion to its user — the
-completion-buffer pattern the paper describes.
+completion-buffer pattern the paper describes.  A stream delivers each
+page's bytes, in request order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..io import IOKind, IORequest
 from ..sim import Simulator, Store
-from .controller import ReadResult
 from .geometry import PhysAddr
 from .splitter import SplitterPort
 
@@ -91,17 +91,17 @@ class FlashServer:
         charged to the request's ``reorder`` stage (closed by
         :meth:`stream_pages` when the element is emitted).
         """
-        result = yield from self.port.read_page(addr, request=request)
+        data = yield from self.port.read_page(addr, request=request)
         if request:
             request.enter("reorder", self.sim.now)
-        return result
+        return data
 
     def stream_pages(self, addrs: Sequence[PhysAddr], out: Store):
         """Pipelined in-order streaming read.
 
         Issues up to ``queue_depth`` tagged reads concurrently, reorders
-        completions in page buffers, and puts :class:`ReadResult` objects
-        into ``out`` in request order.  This is the FIFO-restoring
+        completions in page buffers, and puts each page's bytes into
+        ``out`` in request order.  This is the FIFO-restoring
         completion buffer of Section 3.1.1/3.1.2.
 
         When the splitter has a tracer, each page becomes a traced
@@ -123,23 +123,23 @@ class FlashServer:
             pending.append(
                 (sim.process(self._stream_read(addr, request)), request))
 
-        def emit(result, request):
+        def emit(data, request):
             if request:
                 request.exit("reorder", sim.now)
                 tracer.complete(request)
-            return result
+            return data
 
         for addr in addrs:
             issue(addr)
             # Bound the number of outstanding requests (page buffers).
             while len(pending) >= self.queue_depth:
                 process, request = pending.pop(0)
-                result = yield process
-                yield out.put(emit(result, request))
+                data = yield process
+                yield out.put(emit(data, request))
         while pending:
             process, request = pending.pop(0)
-            result = yield process
-            yield out.put(emit(result, request))
+            data = yield process
+            yield out.put(emit(data, request))
 
     def stream_file(self, handle_id: int, out: Store,
                     offsets: Optional[Iterable[int]] = None):

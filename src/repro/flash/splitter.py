@@ -1,30 +1,28 @@
-"""Flash Interface Splitter: shared access with tag renaming and QoS.
+"""Flash Interface Splitter: shared access with a per-user tag cap and QoS.
 
 Multiple hardware endpoints need the one card interface — "local in-store
 processors, local host software over PCIe DMA, or remote in-store
 processors over the network" (Section 3.1.2, Figure 3).  Each user gets a
-:class:`SplitterPort` with its own private tag space; the splitter renames
-user tags onto the card's physical tags and guarantees fairness by
-capping how many physical tags one user may hold.  The splitter fronts
-one node's :class:`~repro.flash.device.StorageDevice`: every operation
-resolves the card its address names and issues the card command
-directly.
+:class:`SplitterPort`.  The paper's splitter renames user tags onto the
+card's physical tags and guarantees fairness by capping how many
+physical tags one user may hold; the model keeps what that renaming
+enforces — the per-port cap, a :class:`~repro.sim.Resource` of
+``max_in_flight`` slots — and no tag numbers, since no completion needs
+one.  The splitter fronts one node's
+:class:`~repro.flash.device.StorageDevice`: every operation resolves
+the card its address names and issues the card command directly.
 
 The splitter is built on the unified I/O pipeline
 (:mod:`repro.io`): every operation is an
 :class:`~repro.io.request.IORequest` carrying the port's tenant label,
 priority, and deadline; slot waits are charged to the request's
-``queue`` stage; and two scheduling points are policy-driven:
-
-* each port's in-flight cap is a
-  :class:`~repro.io.scheduler.ScheduledResource` (FIFO by default —
-  the seed behavior);
-* optionally, a shared *admission* stage arbitrates across ports with
-  any :class:`~repro.io.scheduler.SchedulerPolicy` (round-robin fair
-  share, weighted fair share, token-bucket rate limiting, strict
-  priority, earliest deadline), bounding total in-flight commands below
-  the card's physical tag pool so the policy — not the FIFO tag queue —
-  decides who runs under contention.
+``queue`` stage; and, optionally, a shared *admission* stage
+arbitrates across ports with any
+:class:`~repro.io.scheduler.SchedulerPolicy` (round-robin fair share,
+weighted fair share, token-bucket rate limiting, strict priority,
+earliest deadline), bounding total in-flight commands below the card's
+physical tag pool so the policy — not the FIFO tag queue — decides who
+runs under contention.
 
 Admission accounting is per-tenant **bandwidth**, not just slot
 counts: every admission request carries its payload size as the
@@ -45,9 +43,8 @@ from typing import List, Optional
 
 from ..io import (BatchStageSpan, IOKind, IORequest, RequestTracer,
                   ScheduledResource, StageSpan)
-from ..sim import BandwidthLedger, Simulator
+from ..sim import BandwidthLedger, Resource, Simulator
 from .coalesce import Coalescer
-from .controller import ReadResult
 from .device import StorageDevice
 from .geometry import FlashGeometry, PhysAddr
 
@@ -58,7 +55,7 @@ BANDWIDTH_WINDOW_NS = 1_000_000
 
 
 class SplitterPort:
-    """One user's view of the card: an independently-tagged interface.
+    """One user's view of the card, capped at ``max_in_flight`` commands.
 
     ``tenant``/``priority``/``deadline_ns`` are the QoS identity every
     request issued through this port inherits (``deadline_ns`` is a
@@ -72,27 +69,18 @@ class SplitterPort:
         self.tenant = tenant or f"user{user_id}"
         self.priority = priority
         self.deadline_ns = deadline_ns
-        self._slots = ScheduledResource(splitter.sim,
-                                        capacity=max_in_flight,
-                                        policy="fifo",
-                                        name=f"splitter-{self.tenant}")
+        self._slots = Resource(splitter.sim, capacity=max_in_flight,
+                               name=f"splitter-{self.tenant}")
         self.coalescer = (Coalescer(self, splitter.coalesce_max_pages)
                           if splitter.coalesce else None)
         self.write_coalescer = (
             Coalescer(self, splitter.coalesce_max_pages, op="program",
                       paced=True)
             if splitter.coalesce else None)
-        self._next_user_tag = 0
 
     @property
     def max_in_flight(self) -> int:
         return self._slots.capacity
-
-    def _rename(self) -> int:
-        """Allocate the next user-visible tag (monotonic per user)."""
-        tag = self._next_user_tag
-        self._next_user_tag += 1
-        return tag
 
     def _start(self, kind: IOKind, addr: PhysAddr, size: int,
                request: Optional[IORequest]) -> tuple:
@@ -129,10 +117,12 @@ class SplitterPort:
         """Acquire the port slot, then the shared admission slot (if any).
 
         Both waits are charged to the request's ``queue`` stage.  The
-        tenant/priority/deadline forwarded to the scheduling policies
-        come from the request when it specifies them (end-to-end QoS),
-        falling back to the port's configured identity — so a request
-        created merely for tracing never demotes a port's QoS.
+        port slot is granted in FIFO order.  The tenant/priority/deadline
+        forwarded to the admission policy come from the request when it
+        specifies them (end-to-end QoS), falling back to the port's
+        configured identity, so a request created merely for tracing
+        never demotes a port's QoS.  They are worked out at entry: a
+        relative deadline counts from arrival, not from the slot grant.
         ``cost`` is the operation's payload bytes: what weighted fair
         share and token buckets charge instead of a flat slot count.
 
@@ -142,21 +132,21 @@ class SplitterPort:
         grant at the merged byte cost.
         """
         sim = self.splitter.sim
-        tenant = self.sched_tenant(request)
-        priority = self.priority
-        if request is not None and request.priority is not None:
-            priority = request.priority
-        deadline = None
-        if request is not None and request.deadline_ns is not None:
-            deadline = request.deadline_ns
-        elif self.deadline_ns is not None:
-            deadline = sim.now + self.deadline_ns
+        admission = self.splitter.admission
+        if admission is not None:
+            tenant = self.sched_tenant(request)
+            priority = self.priority
+            if request is not None and request.priority is not None:
+                priority = request.priority
+            deadline = None
+            if request is not None and request.deadline_ns is not None:
+                deadline = request.deadline_ns
+            elif self.deadline_ns is not None:
+                deadline = sim.now + self.deadline_ns
         span = (StageSpan(sim, request, "queue") if batch is None
                 else BatchStageSpan(sim, batch, "queue"))
         with span:
-            yield self._slots.request(tenant=tenant, priority=priority,
-                                      deadline_ns=deadline, cost=cost)
-            admission = self.splitter.admission
+            yield self._slots.request()
             if admission is not None:
                 try:
                     yield admission.request(tenant=tenant,
@@ -174,8 +164,7 @@ class SplitterPort:
         self._slots.release()
 
     def read_page(self, addr: PhysAddr, request: Optional[IORequest] = None):
-        """Read via the shared card; returns :class:`ReadResult` whose tag
-        is this user's renamed tag, not the card's physical tag.
+        """Read via the shared card; returns the page's bytes.
 
         With coalescing enabled the read is staged at the port's
         :class:`~repro.flash.coalesce.Coalescer` instead of admitted
@@ -186,24 +175,21 @@ class SplitterPort:
         """
         size = self.splitter.page_size
         request, owned = self._start(IOKind.READ, addr, size, request)
-        user_tag = self._rename()
         if self.coalescer is not None:
-            result = yield self.coalescer.submit(addr, request)
+            data = yield self.coalescer.submit(addr, request)
             if owned:
                 self.splitter.tracer.complete(request)
-            return ReadResult(result.addr, result.data, user_tag,
-                              result.corrected_bits)
+            return data
         yield from self._admit(request, cost=size)
         try:
-            result = yield from self.splitter.device.card_of(addr).read_page(
+            data = yield from self.splitter.device.card_of(addr).read_page(
                 addr, request=request)
         finally:
             self._retire()
         self.splitter.bandwidth.record(self.sched_tenant(request), size)
         if owned:
             self.splitter.tracer.complete(request)
-        return ReadResult(result.addr, result.data, user_tag,
-                          result.corrected_bits)
+        return data
 
     def write_page(self, addr: PhysAddr, data: bytes,
                    request: Optional[IORequest] = None):
@@ -218,7 +204,6 @@ class SplitterPort:
         strictly preserving NAND program order within every block.
         """
         request, owned = self._start(IOKind.WRITE, addr, len(data), request)
-        self._rename()
         if self.write_coalescer is not None:
             yield self.write_coalescer.submit(addr, request, data)
             if owned:
@@ -241,7 +226,6 @@ class SplitterPort:
         # tenant cannot spam cost-free erases past a fair-share policy,
         # while the bandwidth ledger records its true zero bytes.
         request, owned = self._start(IOKind.ERASE, addr, 0, request)
-        self._rename()
         yield from self._admit(request, cost=self.splitter.page_size)
         try:
             yield from self.splitter.device.card_of(addr).erase_block(
@@ -255,7 +239,7 @@ class SplitterPort:
 
 class FlashSplitter:
     """Fans one node's :class:`~repro.flash.device.StorageDevice` out
-    to several tag-renamed users.
+    to several capped users.
 
     Each operation resolves its card once (:meth:`~repro.flash.device.
     StorageDevice.card_of`) and commands that

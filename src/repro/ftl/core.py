@@ -32,7 +32,7 @@ port protocol — three DES generator methods, the interface
 :class:`~repro.flash.device.StorageDevice` and
 :class:`~repro.flash.splitter.SplitterPort` both expose:
 
-``read_page(addr) -> ReadResult`` / ``write_page(addr, data)`` /
+``read_page(addr) -> bytes`` / ``write_page(addr, data)`` /
 ``erase_block(addr)``
 
 * :meth:`FtlCore.read` — the foreground read: map lookup, the erased
@@ -340,7 +340,7 @@ class FtlCore:
             return self._erased
         self.begin_read(addr)
         try:
-            result = yield from read_page(addr, *args)
+            data = yield from read_page(addr, *args)
         except UncorrectablePageError:
             # The only copy is gone (wear-out injection;
             # the card already retired the block).  Record the loss,
@@ -353,7 +353,7 @@ class FtlCore:
             return self._erased
         finally:
             self.end_read(addr)
-        return result.data
+        return data
 
     def write(self, lpn: int, data: bytes, write_page, *args,
               owner: Optional[str] = None):
@@ -598,7 +598,7 @@ class FtlCore:
             if lpn is None:
                 continue
             try:
-                result = yield from self.gc_port.read_page(page_addr)
+                data = yield from self.gc_port.read_page(page_addr)
             except UncorrectablePageError:
                 if self.map.reverse(page_addr) == lpn:
                     self.map.unmap(lpn)
@@ -608,7 +608,7 @@ class FtlCore:
                 # A foreground write or TRIM overtook the relocation
                 # while the read was in flight: nothing left to move.
                 continue
-            dest = yield from self._program(lpn, result.data,
+            dest = yield from self._program(lpn, data,
                                             self.gc_port.write_page, (),
                                             cause)
             if self.map.reverse(page_addr) != lpn:

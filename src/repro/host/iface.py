@@ -19,22 +19,27 @@ which is how the card's deep-queue bandwidth becomes reachable from
 host software; :meth:`~repro.sim.Simulator.pipeline` is the in-order
 window the applications use.
 
-Requests ride the unified I/O pipeline: when a
-:class:`~repro.io.tracer.RequestTracer` is attached (or the caller
-passes its own :class:`~repro.io.request.IORequest`), kernel/driver and
-RPC time is charged to the ``software`` stage, buffer waits to
-``queue``, DMA to ``pcie``, and the completion interrupt to
-``interrupt``; the splitter and card charge their own stages below.
+The interface asks its splitter port for every per-request fact it
+does not own: the simulator, page size, tracer and tenant are the
+port's, and a request the interface opens is opened by the port
+(:meth:`~repro.flash.splitter.SplitterPort._start`), under the port's
+QoS identity.  Reads return the page's bytes.
+
+Requests ride the unified I/O pipeline: when the port's splitter has a
+:class:`~repro.io.tracer.RequestTracer` (or the caller passes its own
+:class:`~repro.io.request.IORequest`), kernel/driver and RPC time is
+charged to the ``software`` stage, buffer waits to ``queue``, DMA to
+``pcie``, and the completion interrupt to ``interrupt``; the splitter
+and card charge their own stages below.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..flash import PhysAddr, ReadResult
+from ..flash import PhysAddr
 from ..flash.splitter import SplitterPort
 from ..io import IOKind, IORequest, RequestTracer, StageSpan
-from ..sim import Simulator
 from .buffers import PageBufferPool
 from .config import HostConfig
 from .cpu import HostCPU
@@ -46,40 +51,22 @@ __all__ = ["HostInterface"]
 class HostInterface:
     """Software's RPC + DMA window onto the local storage device."""
 
-    def __init__(self, sim: Simulator, config: HostConfig, cpu: HostCPU,
-                 pcie: PCIeLink, port: SplitterPort, page_size: int,
-                 tracer: Optional[RequestTracer] = None,
-                 tenant: str = "host"):
-        self.sim = sim
+    def __init__(self, config: HostConfig, cpu: HostCPU, pcie: PCIeLink,
+                 port: SplitterPort):
+        splitter = port.splitter
+        self.sim = splitter.sim
         self.config = config
         self.cpu = cpu
         self.pcie = pcie
         self.port = port
-        self.page_size = page_size
-        self.tracer = tracer
-        self.tenant = tenant
-        self.read_buffers = PageBufferPool(sim, config.read_buffers,
+        # Read off the port once: none of them changes after assembly.
+        self.page_size = splitter.page_size
+        self.tracer: Optional[RequestTracer] = splitter.tracer
+        self.tenant = port.tenant
+        self.read_buffers = PageBufferPool(self.sim, config.read_buffers,
                                            "read-buffers")
-        self.write_buffers = PageBufferPool(sim, config.write_buffers,
+        self.write_buffers = PageBufferPool(self.sim, config.write_buffers,
                                             "write-buffers")
-
-    def _start(self, kind: IOKind, addr: PhysAddr, size: int,
-               request: Optional[IORequest]) -> tuple:
-        """Adopt the caller's request or open a traced one of our own.
-
-        Requests this interface creates inherit the QoS identity of the
-        splitter port it drives (priority and relative deadline), so the
-        host tenant competes under the admission policy as configured.
-        """
-        if request is not None:
-            return request, False
-        if self.tracer is None:
-            return None, False
-        deadline = (None if self.port.deadline_ns is None
-                    else self.sim.now + self.port.deadline_ns)
-        return self.tracer.start(kind, addr, size, tenant=self.tenant,
-                                 priority=self.port.priority,
-                                 deadline_ns=deadline), True
 
     # -- per-operation flows --------------------------------------------
     def _read_flow(self, addr: PhysAddr, software_path: bool,
@@ -93,15 +80,14 @@ class HostInterface:
         try:
             with StageSpan(self.sim, request, "software"):
                 yield self.sim.timeout(self.config.rpc_ns)
-            result: ReadResult = yield from self.port.read_page(
-                addr, request=request)
+            data = yield from self.port.read_page(addr, request=request)
             with StageSpan(self.sim, request, "pcie"):
                 yield from self.pcie.device_to_host(self.page_size)
             with StageSpan(self.sim, request, "interrupt"):
                 yield self.sim.timeout(self.config.interrupt_ns)
         finally:
             self.read_buffers.release(buffer_index)
-        return result
+        return data
 
     def _write_flow(self, addr: PhysAddr, data: bytes,
                     software_path: bool, request: Optional[IORequest]):
@@ -130,18 +116,19 @@ class HostInterface:
         used by baselines that batch requests.
         Returns the corrected page data.
         """
-        request, owned = self._start(IOKind.READ, addr, self.page_size,
-                                     request)
-        result = yield from self._read_flow(addr, software_path, request)
+        request, owned = self.port._start(IOKind.READ, addr,
+                                          self.page_size, request)
+        data = yield from self._read_flow(addr, software_path, request)
         if owned:
             self.tracer.complete(request)
-        return result.data
+        return data
 
     def write_page(self, addr: PhysAddr, data: bytes,
                    software_path: bool = True,
                    request: Optional[IORequest] = None):
         """Write one page from host memory to flash (DES generator)."""
-        request, owned = self._start(IOKind.WRITE, addr, len(data), request)
+        request, owned = self.port._start(IOKind.WRITE, addr, len(data),
+                                          request)
         yield from self._write_flow(addr, data, software_path, request)
         if owned:
             self.tracer.complete(request)
@@ -154,8 +141,8 @@ class HostInterface:
         access rides this interface's full read flow.  Returns the page
         data (erased pattern for unmapped LPNs).
         """
-        request, owned = self._start(IOKind.READ, lpn, self.page_size,
-                                     None)
+        request, owned = self.port._start(IOKind.READ, lpn,
+                                          self.page_size, None)
         data = yield from volume.read_flow(lpn, self, software_path,
                                            request)
         if owned:
@@ -170,7 +157,8 @@ class HostInterface:
         GC as needed, relocation through the volume's GC port); the
         program rides this interface's full write flow.
         """
-        request, owned = self._start(IOKind.WRITE, lpn, len(data), None)
+        request, owned = self.port._start(IOKind.WRITE, lpn, len(data),
+                                          None)
         yield from volume.write_flow(self, lpn, data, software_path,
                                      request, tenant=self.tenant)
         if owned:

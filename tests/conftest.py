@@ -4,6 +4,7 @@ import collections
 
 import pytest
 
+from repro.flash import ecc
 from repro.flash.chip import FlashChip
 
 
@@ -18,4 +19,20 @@ def chip_ops(monkeypatch):
             counts[_kind] += 1
             return result
         monkeypatch.setattr(FlashChip, kind, counted)
+    return counts
+
+
+@pytest.fixture
+def ecc_decodes(monkeypatch):
+    """The corrected-bit count of every ``ecc.decode_page`` call (the
+    card decodes only reads that took a bit flip)."""
+    counts = []
+    decode = ecc.decode_page
+
+    def counting_decode(data, parity):
+        data, corrected = decode(data, parity)
+        counts.append(corrected)
+        return data, corrected
+
+    monkeypatch.setattr(ecc, "decode_page", counting_decode)
     return counts

@@ -494,9 +494,29 @@ def _exception_classes(parsed):
     return {name for name in bases if is_exception(name)}
 
 
+def _slots_names(tree):
+    """``id`` of every string constant inside a ``__slots__`` value:
+    declaring a slot is not reading it."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "__slots__"
+               for t in targets):
+            names.update(id(leaf) for leaf in ast.walk(value))
+    return names
+
+
 def scan_attrs(extra=()):
     """Return ``{"<module>:<class>.<attr>": line}`` for every
-    ``self.<attr>`` store in ``src/repro`` that nothing loads."""
+    ``self.<attr>`` store in ``src/repro`` that nothing loads.
+
+    A string constant counts as a load (``getattr`` by name, a stage
+    label that is also an attribute), except inside ``__slots__``."""
     parsed = _parse_all(extra)
     exceptions = _exception_classes(parsed)
     stores, loads = {}, set()
@@ -504,6 +524,7 @@ def scan_attrs(extra=()):
         item_stores = {id(node.value) for node in ast.walk(tree)
                        if isinstance(node, ast.Subscript)
                        and isinstance(node.ctx, (ast.Store, ast.Del))}
+        slots = _slots_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 if (isinstance(node.ctx, ast.Load)
@@ -511,7 +532,8 @@ def scan_attrs(extra=()):
                     loads.add(node.attr)
             elif (isinstance(node, ast.Constant)
                   and isinstance(node.value, str)):
-                loads.add(node.value)
+                if id(node) not in slots:
+                    loads.add(node.value)
             elif (is_src and isinstance(node, ast.ClassDef)
                   and node.name not in exceptions):
                 for inner in ast.walk(node):
@@ -623,6 +645,27 @@ SYNTHETIC_OPTIONS = [
     # orphan.
     ("tests/test_zz.py", "ZzSpec(zz_test_only=1)\n"),
 ]
+
+
+def test_slots_entries_are_not_readers():
+    # A slot named in ``__slots__`` and stored in ``__init__`` is still
+    # unread if nothing loads it; a slot something loads is read.
+    synthetic = ("zz_slots.py",
+                 "class ZzSlotted:\n"
+                 "    __slots__ = (\"zz_slot_unread\", \"zz_slot_read\")\n\n"
+                 "    def __init__(self):\n"
+                 "        self.zz_slot_unread = 0\n"
+                 "        self.zz_slot_read = 1\n\n"
+                 "class ZzAnnotated:\n"
+                 "    __slots__: tuple = (\"zz_annotated_unread\",)\n\n"
+                 "    def __init__(self):\n"
+                 "        self.zz_annotated_unread = 0\n\n"
+                 "def zz_use():\n"
+                 "    return ZzSlotted().zz_slot_read, ZzAnnotated()\n")
+    unread = scan_attrs(extra=[synthetic])
+    assert {"zz_slots.py:ZzSlotted.zz_slot_unread",
+            "zz_slots.py:ZzAnnotated.zz_annotated_unread"} <= unread.keys()
+    assert "zz_slots.py:ZzSlotted.zz_slot_read" not in unread
 
 
 def test_the_option_scans_judge_every_kind_of_use():

@@ -133,8 +133,8 @@ def test_merged_command_covers_exactly_the_requested_pages():
     results = {}
 
     def reader(index):
-        result = yield sim.process(port.read_page(GEO.striped(index)))
-        results[index] = result.data
+        results[index] = yield sim.process(
+            port.read_page(GEO.striped(index)))
 
     for index in indices:
         sim.process(reader(index))
@@ -272,8 +272,8 @@ def test_partial_failure_fails_only_the_bad_page():
 
     def reader(index):
         try:
-            result = yield sim.process(port.read_page(GEO.striped(index)))
-            outcomes[index] = result.data
+            outcomes[index] = yield sim.process(
+                port.read_page(GEO.striped(index)))
         except Exception as exc:
             outcomes[index] = exc
 
@@ -307,8 +307,7 @@ def test_slot_paced_read_stage_merges_arrivals_behind_a_busy_slot(
 
     def reader(index):
         yield sim.timeout(100 * index)
-        result = yield stage.submit(GEO.striped(index), None)
-        results[index] = result.data
+        results[index] = yield stage.submit(GEO.striped(index), None)
 
     for index in indices:
         sim.process(reader(index))

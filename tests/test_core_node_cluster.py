@@ -154,8 +154,7 @@ class TestBlueDBMNode:
                 handle.handle_id, out))
             datas = []
             for _ in range(3):
-                result = yield out.get()
-                datas.append(result.data)
+                datas.append((yield out.get()))
             return datas
 
         datas = sim.run_process(proc(sim))

@@ -59,8 +59,7 @@ class TestReadPath:
         card.store.program(addr, b"needle in the flash")
 
         def proc(sim):
-            result = yield sim.process(card.read_page(addr))
-            return result.data
+            return (yield sim.process(card.read_page(addr)))
 
         data = sim.run_process(proc(sim))
         assert data.startswith(b"needle in the flash")
@@ -147,8 +146,7 @@ class TestWriteErasePath:
 
         def proc(sim):
             yield sim.process(card.write_page(addr, b"persist me"))
-            result = yield sim.process(card.read_page(addr))
-            return result.data
+            return (yield sim.process(card.read_page(addr)))
 
         assert sim.run_process(proc(sim)).startswith(b"persist me")
         assert chip_ops["program"] == 1
@@ -181,8 +179,7 @@ class TestWriteErasePath:
             yield sim.process(card.write_page(addr, b"first"))
             yield sim.process(card.erase_block(addr))
             yield sim.process(card.write_page(addr, b"second"))
-            result = yield sim.process(card.read_page(addr))
-            return result.data
+            return (yield sim.process(card.read_page(addr)))
 
         assert sim.run_process(proc(sim)).startswith(b"second")
         assert chip_ops["erase"] == 1
@@ -197,10 +194,46 @@ class TestWriteErasePath:
             yield sim.process(card.write_page(a0, b"zero"))
             yield sim.process(card.write_page(a1, b"one"))
             yield sim.process(card.erase_block(a0))
-            result = yield sim.process(card.read_page(a1))
-            return result.data
+            return (yield sim.process(card.read_page(a1)))
 
         assert sim.run_process(proc(sim)) == b"\xff" * GEO.page_size
+
+    def test_program_queued_behind_an_erase_is_remembered(self, sim):
+        """A program that waits for the chip while an erase of its block
+        holds it still marks its page: a second program of the same
+        page, with no erase between, is rejected."""
+        card = make_card(sim)
+        addr = PhysAddr(block=0, page=0)
+        chip = card.chips[(0, 0)]
+        sim.process(chip.erase(addr))
+        sim.process(chip.program(addr, b"first"))
+
+        def late_program(sim):
+            yield sim.timeout(10 * units.MS)
+            yield from chip.program(addr, b"second")
+
+        with pytest.raises(ProgramError):
+            sim.run_process(late_program(sim))
+        assert card.store.read_data(addr).startswith(b"first")
+
+    def test_concurrent_programs_of_one_page_admit_one(self, sim):
+        card = make_card(sim)
+        addr = PhysAddr(block=0, page=0)
+        chip = card.chips[(0, 0)]
+        outcomes = []
+
+        def program(data):
+            try:
+                yield from chip.program(addr, data)
+                outcomes.append(data)
+            except ProgramError:
+                outcomes.append("rejected")
+
+        sim.process(program(b"first"))
+        sim.process(program(b"second"))
+        sim.run()
+        assert sorted(outcomes, key=str) == [b"first", "rejected"]
+        assert card.store.read_data(addr).startswith(b"first")
 
     def test_endurance_exhaustion_marks_bad(self, sim):
         card = make_card(sim, wear=WearTracker(endurance=2))
@@ -313,11 +346,11 @@ class TestCommandFailurePaths:
         assert [e is None for e in errors] == [True, False, True]
         assert isinstance(errors[1], UncorrectablePageError)
         assert errors[1].addr == addrs[1]
-        assert results[0].data == payloads[0]
-        assert results[2].data == payloads[2]
+        assert results[0] == payloads[0]
+        assert results[2] == payloads[2]
         assert card.uncorrectable == 1
         assert card.badblocks.is_bad(addrs[1])
-        assert len(card._tag_pool.items) == card.tag_count
+        assert card._tags.in_use == 0
 
         # The retired page now fails before a tag is taken...
         with pytest.raises(UncorrectablePageError):
@@ -327,7 +360,7 @@ class TestCommandFailurePaths:
             sim.run_process(card.read_page(single))
         assert card.uncorrectable == 2
         assert card.badblocks.is_bad(single)
-        assert len(card._tag_pool.items) == card.tag_count
+        assert card._tags.in_use == 0
 
     def test_failed_program_stops_only_its_lane(self, sim):
         card = make_card(sim)
@@ -345,7 +378,7 @@ class TestCommandFailurePaths:
         assert card.store.read_data(lane_a[1]) == erased
         assert card.store.read_data(lane_b[0]) == datas[1]
         assert card.store.read_data(lane_b[1]) == datas[3]
-        assert len(card._tag_pool.items) == card.tag_count
+        assert card._tags.in_use == 0
         # The failed lane's later page was never consumed.
         sim.run_process(card.write_page(lane_a[1], datas[2]))
         assert card.store.read_data(lane_a[1]) == datas[2]
@@ -353,11 +386,11 @@ class TestCommandFailurePaths:
         with pytest.raises(ProgramFailedError):
             sim.run_process(card.write_page(single, datas[0]))
         assert card.program_failures == 2
-        assert len(card._tag_pool.items) == card.tag_count
+        assert card._tags.in_use == 0
 
 
 class TestErrorPath:
-    def test_injected_single_bit_corrected(self, sim):
+    def test_injected_single_bit_corrected(self, sim, ecc_decodes):
         card = make_card(
             sim, errors=ErrorModel(page_error_prob=1.0,
                                    double_error_fraction=0.0))
@@ -366,12 +399,10 @@ class TestErrorPath:
         card.store.program(addr, payload)
 
         def proc(sim):
-            result = yield sim.process(card.read_page(addr))
-            return result
+            return (yield sim.process(card.read_page(addr)))
 
-        result = sim.run_process(proc(sim))
-        assert result.data == payload
-        assert result.corrected_bits == 1
+        assert sim.run_process(proc(sim)) == payload
+        assert ecc_decodes == [1]
 
     def test_double_error_retires_block(self, sim):
         card = make_card(
@@ -410,14 +441,17 @@ class TestErrorPath:
         with pytest.raises(ProgramError):
             sim.run_process(proc(sim))
 
-    def test_error_free_reads_touch_no_ecc_counters(self, sim):
+    def test_error_free_reads_touch_no_ecc_counters(self, sim, ecc_decodes):
         card = make_card(sim)
+        addr = PhysAddr()
+        payload = bytes(range(64))
+        card.store.program(addr, payload)
 
         def proc(sim):
-            result = yield sim.process(card.read_page(PhysAddr()))
-            return result
+            return (yield sim.process(card.read_page(addr)))
 
-        assert sim.run_process(proc(sim)).corrected_bits == 0
+        assert sim.run_process(proc(sim)) == payload
+        assert ecc_decodes == []
         assert card.uncorrectable == 0
 
 
@@ -454,7 +488,7 @@ class TestBandwidth:
     def test_in_flight_gauge(self, sim):
         card = make_card(sim)
         # No command holds a tag: the whole pool is free.
-        assert len(card._tag_pool.items) == card.tag_count
+        assert card._tags.in_use == 0
 
     def test_invalid_tags_rejected(self, sim):
         with pytest.raises(ValueError):

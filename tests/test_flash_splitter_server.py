@@ -36,23 +36,6 @@ class TestSplitter:
         # A port without a tenant label is named after its user id.
         assert (p0.tenant, p1.tenant) == ("user0", "user1")
 
-    def test_user_tags_are_renamed_per_port(self, sim, device):
-        splitter = FlashSplitter(sim, device)
-        p0 = splitter.add_port()
-        p1 = splitter.add_port()
-        tags = []
-
-        def reader(sim, port, page):
-            result = yield sim.process(port.read_page(PhysAddr(page=page)))
-            tags.append((splitter.ports.index(port), result.tag))
-
-        sim.process(reader(sim, p0, 0))
-        sim.process(reader(sim, p0, 1))
-        sim.process(reader(sim, p1, 2))
-        sim.run()
-        # Each port's tags start at 0 independently of the other port.
-        assert (0, 0) in tags and (0, 1) in tags and (1, 0) in tags
-
     def test_fair_share_bounds_one_user(self, sim, device):
         splitter = FlashSplitter(sim, device)
         port = splitter.add_port(max_in_flight=1)
@@ -142,8 +125,8 @@ class TestFlashServerStreaming:
 
         def consumer(sim):
             for _ in range(len(addrs)):
-                result = yield out.get()
-                received.append(result.data[:9].decode())
+                data = yield out.get()
+                received.append(data[:9].decode())
 
         sim.process(server.stream_pages(addrs, out))
         sim.process(consumer(sim))
@@ -175,8 +158,8 @@ class TestFlashServerStreaming:
 
         def consumer(sim):
             for _ in range(3):
-                result = yield out.get()
-                received.append(result.data[:9].decode())
+                data = yield out.get()
+                received.append(data[:9].decode())
 
         sim.process(server.stream_file(handle.handle_id, out,
                                        offsets=[5, 0, 3]))

@@ -113,8 +113,7 @@ class TestPhysicalExtents:
         extents = fs.physical_extents("keep")
 
         def verify(sim):
-            result = yield sim.process(fs.device.read_page(extents[0]))
-            return result.data
+            return (yield sim.process(fs.device.read_page(extents[0])))
 
         assert sim.run_process(verify(sim)).startswith(b"K" * 64)
 

@@ -11,6 +11,7 @@ from repro.host import (
     PageBufferPool,
     PCIeLink,
 )
+from repro.io import RequestTracer
 from repro.sim import Simulator, units
 
 GEO = FlashGeometry(buses_per_card=2, chips_per_bus=2, blocks_per_chip=4,
@@ -190,8 +191,7 @@ class TestHostInterface:
         splitter = FlashSplitter(sim, device)
         cpu = HostCPU(sim, CONFIG)
         pcie = PCIeLink(sim, CONFIG)
-        iface = HostInterface(sim, CONFIG, cpu, pcie, splitter.add_port(),
-                              GEO.page_size)
+        iface = HostInterface(CONFIG, cpu, pcie, splitter.add_port())
         return device, iface
 
     def test_read_page_roundtrip(self, sim, chip_ops):
@@ -247,6 +247,29 @@ class TestHostInterface:
         assert sim.run_process(proc(sim)).startswith(b"written via host")
         assert (chip_ops["program"], chip_ops["read"]) == (1, 1)
 
+    def test_traces_under_its_ports_tenant_and_tracer(self, sim):
+        """The interface asks its port: requests it opens go to the
+        port's splitter's tracer under the port's tenant, priority and
+        relative deadline."""
+        device = StorageDevice(sim, geometry=GEO, timing=FlashTiming())
+        tracer = RequestTracer(sim)
+        splitter = FlashSplitter(sim, device, tracer=tracer)
+        port = splitter.add_port(tenant="alice", deadline_ns=1)
+        iface = HostInterface(CONFIG, HostCPU(sim, CONFIG),
+                              PCIeLink(sim, CONFIG), port)
+        assert (iface.sim, iface.tracer, iface.tenant, iface.page_size) == (
+            sim, tracer, "alice", GEO.page_size)
+
+        def proc(sim):
+            yield from iface.write_page(PhysAddr(block=1), b"traced")
+            return (yield from iface.read_page(PhysAddr(block=1)))
+
+        assert sim.run_process(proc(sim)).startswith(b"traced")
+        assert tracer.tenant_completed == {"alice": 2}
+        # The port's 1 ns relative deadline rode both requests.
+        assert tracer.tenant_deadline_misses == {"alice": 2}
+        assert "software" in tracer.stage_histograms
+
     def test_host_throughput_capped_by_pcie(self, sim):
         """Figure 13 Host-Local: PCIe (1.6 GB/s) caps host-side reads
         below the flash device's native bandwidth."""
@@ -260,8 +283,7 @@ class TestHostInterface:
         splitter = FlashSplitter(sim, device)
         cpu = HostCPU(sim, CONFIG)
         pcie = PCIeLink(sim, CONFIG)
-        iface = HostInterface(sim, CONFIG, cpu, pcie, splitter.add_port(),
-                              fast_geo.page_size)
+        iface = HostInterface(CONFIG, cpu, pcie, splitter.add_port())
         assert device.peak_read_bandwidth() == pytest.approx(2.4)
         n = 384
 

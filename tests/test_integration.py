@@ -23,7 +23,7 @@ GEO = FlashGeometry(buses_per_card=4, chips_per_bus=4, blocks_per_chip=16,
 
 
 class TestErrorInjectionEndToEnd:
-    def test_search_survives_bit_errors(self):
+    def test_search_survives_bit_errors(self, ecc_decodes):
         """ECC makes injected single-bit flips invisible to applications:
         string search over an error-prone device still finds exactly the
         oracle's matches."""
@@ -35,16 +35,6 @@ class TestErrorInjectionEndToEnd:
         app = StringSearchISP(node, engines_per_bus=2)
         corpus, expected = make_text_corpus(64 * 2048, b"RESILIENT", 6,
                                             seed=13)
-        corrected = []
-        read_page = node.isp_port.read_page
-
-        def counted_read(addr, request=None):
-            result = yield from read_page(addr, request=request)
-            corrected.append(result.corrected_bits)
-            return result
-
-        node.isp_port.read_page = counted_read
-
         def proc(sim):
             yield from app.setup(corpus)
             return (yield from app.run(b"RESILIENT"))
@@ -52,7 +42,7 @@ class TestErrorInjectionEndToEnd:
         matches, _, _ = sim.run_process(proc(sim))
         assert matches == expected
         # Errors really happened and really got corrected.
-        assert sum(corrected) > 10
+        assert sum(ecc_decodes) > 10
 
     def test_fs_roundtrip_with_errors(self):
         sim = Simulator()
@@ -161,8 +151,8 @@ class TestMultiNodeScaling:
         def reader(sim, target):
             addr = PhysAddr(node=target, page=1)
             if target == 0:
-                result = yield sim.process(cluster.nodes[0].isp_read(addr))
-                collected[target] = result.data[:5]
+                data = yield sim.process(cluster.nodes[0].isp_read(addr))
+                collected[target] = data[:5]
             else:
                 data = yield from cluster.isp_remote_flash(0, addr)
                 collected[target] = data[:5]

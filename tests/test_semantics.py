@@ -99,8 +99,7 @@ class TestStaleExtentsAfterGC:
         after = node.fs.physical_extents("keep")
 
         def read(sim, addr):
-            result = yield sim.process(node.isp_read(addr))
-            return result.data
+            return (yield sim.process(node.isp_read(addr)))
 
         assert sim.run_process(read(sim, after[0])).startswith(b"K" * 64)
 
@@ -158,8 +157,7 @@ class TestNandDisciplineThroughStack:
             sim.process(node.flash_server.stream_file(
                 handle.handle_id, out))
             for _ in range(len(extents)):
-                result = yield out.get()
-                got.append(result.data)
+                got.append((yield out.get()))
 
         def writer(sim):
             for i in range(8):

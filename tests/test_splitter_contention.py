@@ -1,11 +1,12 @@
-"""Property-style tests: splitter tag renaming under heavy contention.
+"""Property-style tests: the splitter's per-port cap under heavy contention.
 
-The splitter's contract (Section 3.1.2): each user sees a private,
-monotonic tag space; physical card tags never leak through a port; and
-a port can never hold more in-flight commands than its cap, no matter
-how reads, writes, and error paths interleave.  These tests drive many
-concurrent workers through interleaved read/write/error operations and
-check the invariants at every completion.
+The splitter's contract (Section 3.1.2): the paper's tag renaming keeps
+things fair by capping how many card tags one user holds, so a port can
+never hold more in-flight commands than its cap, and every port slot
+and card tag comes back, no matter how reads, writes, and error paths
+interleave.  These tests drive many concurrent workers through
+interleaved read/write/error operations and check the invariants at
+every completion.
 """
 
 import random
@@ -55,7 +56,7 @@ class TestTagRenamingUnderContention:
         splitter = FlashSplitter(sim, device, policy=policy)
         ports = [splitter.add_port(max_in_flight=self.CAP)
                  for _ in range(self.N_PORTS)]
-        seen_tags = {port.tenant: [] for port in ports}
+        reads = {port.tenant: [] for port in ports}
         max_in_flight = {port.tenant: 0 for port in ports}
         errors = []
         rng = random.Random(99)
@@ -68,8 +69,8 @@ class TestTagRenamingUnderContention:
             for op, addr in ops:
                 try:
                     if op == "read":
-                        result = yield sim.process(port.read_page(addr))
-                        seen_tags[port.tenant].append(result.tag)
+                        data = yield sim.process(port.read_page(addr))
+                        reads[port.tenant].append(data)
                     elif op == "write":
                         # A fresh erased block region; program may still
                         # hit an already-programmed page -> error path.
@@ -95,29 +96,7 @@ class TestTagRenamingUnderContention:
                 sim.process(worker(sim, port, ops))
         sim.process(monitor(sim))
         sim.run()
-        return splitter, ports, seen_tags, max_in_flight, errors
-
-    def test_user_tags_stay_private_and_monotonic(self, sim, device):
-        _, ports, seen_tags, _, _ = self._run(sim, device)
-        for tenant, tags in seen_tags.items():
-            # Tags are drawn from the port's private monotonic space:
-            # strictly increasing per port in completion order of issue,
-            # and never exceeding the number of commands the port issued.
-            assert all(0 <= t < GEO.pages_per_block * 1000 for t in tags)
-            assert len(set(tags)) == len(tags), (
-                f"user {tenant} saw a duplicate renamed tag")
-
-    def test_physical_tags_never_leak(self, sim, device):
-        """No port ever observes the card's physical tag pool directly:
-        every returned tag must be below the port's own issue counter,
-        while the card's 128-entry physical space is far larger."""
-        _, ports, seen_tags, _, _ = self._run(sim, device)
-        for port in ports:
-            issued = port._next_user_tag
-            for tag in seen_tags[port.tenant]:
-                assert tag < issued, (
-                    f"tag {tag} outside user space (issued {issued}) — "
-                    f"physical tag leaked")
+        return splitter, ports, reads, max_in_flight, errors
 
     def test_per_port_in_flight_caps_hold(self, sim, device):
         _, ports, _, max_in_flight, _ = self._run(sim, device)
@@ -134,20 +113,20 @@ class TestTagRenamingUnderContention:
         for port in ports:
             assert port._slots.in_use == 0
         # ...and the card's physical tag pool is whole again.
-        card = device.cards[0]
-        assert len(card._tag_pool.items) == card.tag_count
+        assert device.cards[0]._tags.in_use == 0
 
     @pytest.mark.parametrize("policy", [None, "fifo", "rr", "priority",
                                         "edf"])
     def test_invariants_hold_under_every_policy(self, sim, device, policy):
-        splitter, ports, seen_tags, max_in_flight, _ = self._run(
+        splitter, ports, reads, max_in_flight, _ = self._run(
             sim, device, policy=policy)
         for port in ports:
             assert max_in_flight[port.tenant] <= self.CAP
             assert port._slots.in_use == 0
-            tags = seen_tags[port.tenant]
-            assert len(set(tags)) == len(tags)
-        card = device.cards[0]
-        assert len(card._tag_pool.items) == card.tag_count
+            assert reads[port.tenant], "every port completed reads"
+            assert all(isinstance(data, bytes)
+                       and len(data) == GEO.page_size
+                       for data in reads[port.tenant])
+        assert device.cards[0]._tags.in_use == 0
         if splitter.admission is not None:
             assert splitter.admission.in_use == 0
